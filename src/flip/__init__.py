@@ -1,7 +1,7 @@
 """flip: request planner and deterministic fabric simulator for in-network
 IoT data aggregation."""
 
-from .control import Command, CommandResult, Session
+from .control import CommandResult, Session
 from .dataplane import Fabric, StatsReport
 from .dsl import (
     CoverageMap,
@@ -34,7 +34,6 @@ from .topology import Link, NodeKind, Topology, load_topology, load_topology_fil
 __version__ = "0.1.0"
 
 __all__ = [
-    "Command",
     "CommandResult",
     "ConfigStore",
     "CoverageMap",

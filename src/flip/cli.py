@@ -3,7 +3,8 @@
 Session state between invocations is a JSON file holding the loaded
 topology, optional coverage map, and the command log; each invocation
 rebuilds the fabric by replaying the log, so state is exactly as
-reproducible as the log itself.
+reproducible as the log itself. The replay also rewrites the engine
+configuration file (`engine_configs.json`) in the session directory.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ def _session_path(directory: str) -> Path:
     return Path(directory) / SESSION_FILE
 
 
+def _drop_config_file(directory: str) -> None:
+    """The engine configuration file is rebuilt from the command log, so
+    whatever an earlier invocation left there must not be loaded."""
+    (Path(directory) / control.CONFIG_FILE).unlink(missing_ok=True)
+
+
 def _load_session(directory: str) -> tuple[Session, dict]:
     path = _session_path(directory)
     if not path.exists():
@@ -33,7 +40,8 @@ def _load_session(directory: str) -> tuple[Session, dict]:
     doc = json.loads(path.read_text(encoding="utf-8"))
     topology = load_topology(doc["topology"])
     coverage = dsl.load_coverage(doc["coverage"]) if doc.get("coverage") else None
-    session = Session.replay(topology, doc.get("log", []), coverage)
+    _drop_config_file(directory)
+    session = Session.replay(topology, doc.get("log", []), coverage, directory)
     return session, doc
 
 
@@ -55,6 +63,7 @@ def _cmd_load(args) -> int:
     path = _session_path(args.session)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _drop_config_file(args.session)
     topology = load_topology(topo_doc)
     print(
         f"loaded {topology.node_count()} nodes "

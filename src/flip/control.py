@@ -9,12 +9,13 @@ replaying the log onto a fresh session reproduces the same fabric state.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl, planner
@@ -25,46 +26,13 @@ from .dsl import RequestMode
 from .planner import FlowRule
 from .topology import NodeKind, Topology, natural_key
 
-VERBS = (
-    "getswitches",
-    "getlinks",
-    "gethosts",
-    "getswdesc",
-    "getflows",
-    "gettables",
-    "getports",
-    "addflow",
-    "modflow",
-    "delflow",
-    "delflowall",
-    "getconfig",
-    "getconfig/user",
-    "setconfig/user",
-    "setconfig/user/module",
-    "datapath_m",
-    "datapath_a",
-)
-
-MUTATING_VERBS = frozenset(
-    {
-        "addflow",
-        "modflow",
-        "delflow",
-        "delflowall",
-        "setconfig/user",
-        "setconfig/user/module",
-        "datapath_m",
-        "datapath_a",
-    }
-)
-
 MANUFACTURER = "flip-sim"
 
+# the engine configuration file's name inside a session's config directory
+CONFIG_FILE = "engine_configs.json"
 
-@dataclass(frozen=True)
-class Command:
-    verb: str
-    args: dict = field(default_factory=dict)
+# the config sections `setconfig/user/module` may replace
+CONFIG_MODULES = ("compute", "rate", "jitter", "source", "destination")
 
 
 @dataclass
@@ -98,7 +66,7 @@ class Session:
         trace: bool = False,
     ):
         config_dir = config_dir or os.environ.get("FLIP_CONFIG_DIR")
-        store_path = Path(config_dir) / "engine_configs.json" if config_dir else None
+        store_path = Path(config_dir) / CONFIG_FILE if config_dir else None
         self.topology = topology
         self.coverage = coverage or {}
         self.store = ConfigStore(store_path)
@@ -109,44 +77,19 @@ class Session:
 
     # -- dispatch --
 
-    def execute(self, verb, args: dict | None = None) -> CommandResult:
-        if isinstance(verb, Command):
-            verb, args = verb.verb, verb.args
+    def execute(self, verb: str, args: dict | None = None) -> CommandResult:
         args = args or {}
         with self._lock:
             try:
-                body = self._dispatch(verb, args)
+                if verb not in VERB_TABLE:
+                    raise UnknownVerbError(f"unknown verb {verb!r}")
+                handler, mutates = VERB_TABLE[verb]
+                body = handler(self, args)
             except FlipError as exc:
                 return CommandResult("error", {}, code=exc.code, message=str(exc))
-            if verb in MUTATING_VERBS:
+            if mutates:
                 self.command_log.append({"verb": verb, "args": args})
             return CommandResult("ok", body)
-
-    def _dispatch(self, verb: str, args: dict) -> dict:
-        handler = {
-            "getswitches": self._getswitches,
-            "getlinks": self._getlinks,
-            "gethosts": self._gethosts,
-            "getswdesc": self._getswdesc,
-            "getflows": self._getflows,
-            "gettables": self._gettables,
-            "getports": self._getports,
-            "addflow": self._addflow,
-            "modflow": self._modflow,
-            "delflow": self._delflow,
-            "delflowall": self._delflowall,
-            "getconfig": self._getconfig,
-            "getconfig/user": self._getconfig_user,
-            "setconfig/user": self._setconfig_user,
-            "setconfig/user/module": self._setconfig_module,
-            "datapath_a": self._datapath,
-            "datapath_m": self._datapath,
-        }.get(verb)
-        if handler is None:
-            raise UnknownVerbError(f"unknown verb {verb!r}")
-        if verb.startswith("datapath"):
-            return handler(verb, args)
-        return handler(args)
 
     # -- topology verbs --
 
@@ -255,24 +198,23 @@ class Session:
         added = self.fabric.install_rules([self._rule_from_args(sw, args)])
         return {"added": added}
 
-    def _modflow(self, args) -> dict:
+    def _flow_index(self, args) -> tuple[str, int]:
         sw = self._resolve_dpid(args)
-        table = self.fabric.tables[sw]
         index = args.get("index")
-        if not isinstance(index, int) or not (0 <= index < len(table.rules)):
+        if not isinstance(index, int) or not (0 <= index < len(self.fabric.tables[sw].rules)):
             raise ValidationError(f"no flow at index {index!r} on {sw}")
-        table.remove(index)
+        return sw, index
+
+    def _modflow(self, args) -> dict:
+        sw, index = self._flow_index(args)
+        self.fabric.tables[sw].remove(index)
         rule = self._rule_from_args(sw, args)
         self.fabric.install_rules([rule])
         return {"modified": index}
 
     def _delflow(self, args) -> dict:
-        sw = self._resolve_dpid(args)
-        table = self.fabric.tables[sw]
-        index = args.get("index")
-        if not isinstance(index, int) or not (0 <= index < len(table.rules)):
-            raise ValidationError(f"no flow at index {index!r} on {sw}")
-        table.remove(index)
+        sw, index = self._flow_index(args)
+        self.fabric.tables[sw].remove(index)
         return {"removed": 1}
 
     def _delflowall(self, args) -> dict:
@@ -311,8 +253,8 @@ class Session:
         return {"engine": engine, "user": user, "set": cfg.to_doc()}
 
     def _setconfig_module(self, args) -> dict:
-        """Update one named section (compute, rate, jitter, source,
-        destination) of an existing config."""
+        """Update one named section (one of CONFIG_MODULES) of an existing
+        config."""
         engine = self._engine_arg(args)
         user = args.get("user")
         module = args.get("module")
@@ -328,18 +270,9 @@ class Session:
             )
         current = configs[0]
         doc = current.to_doc()
-        if module == "compute":
-            doc["compute"] = value
-        elif module == "rate":
-            doc["rate"] = value
-        elif module == "jitter":
-            doc["jitter"] = value
-        elif module == "source":
-            doc["source"] = value
-        elif module == "destination":
-            doc["destination"] = value
-        else:
+        if module not in CONFIG_MODULES:
             raise ValidationError(f"unknown config module {module!r}")
+        doc[module] = value
         updated = EngineConfig.from_doc(engine, current.user, doc)
         if module == "destination":
             self.store.remove(current.key())
@@ -348,7 +281,7 @@ class Session:
 
     # -- datapath verbs --
 
-    def _datapath(self, verb: str, args: dict) -> dict:
+    def _datapath(self, args: dict, verb: str) -> dict:
         text = args.get("request")
         if not isinstance(text, str):
             raise ValidationError(f"{verb} needs a request string")
@@ -428,6 +361,30 @@ class Session:
             if not result.ok:
                 raise FlipError(f"replay failed on {entry['verb']}: {result.message}")
         return session
+
+
+# verb -> (handler, whether a successful call mutates state and is logged)
+VERB_TABLE = {
+    "getswitches": (Session._getswitches, False),
+    "getlinks": (Session._getlinks, False),
+    "gethosts": (Session._gethosts, False),
+    "getswdesc": (Session._getswdesc, False),
+    "getflows": (Session._getflows, False),
+    "gettables": (Session._gettables, False),
+    "getports": (Session._getports, False),
+    "addflow": (Session._addflow, True),
+    "modflow": (Session._modflow, True),
+    "delflow": (Session._delflow, True),
+    "delflowall": (Session._delflowall, True),
+    "getconfig": (Session._getconfig, False),
+    "getconfig/user": (Session._getconfig_user, False),
+    "setconfig/user": (Session._setconfig_user, True),
+    "setconfig/user/module": (Session._setconfig_module, True),
+    "datapath_m": (functools.partial(Session._datapath, verb="datapath_m"), True),
+    "datapath_a": (functools.partial(Session._datapath, verb="datapath_a"), True),
+}
+
+VERBS = tuple(VERB_TABLE)
 
 
 # -- socket protocol -----------------------------------------------------------

@@ -284,42 +284,42 @@ class Fabric:
         return self._trace(now, "forward", node=node, uid=p.uid, to=target)
 
     def _on_engine(self, now, engine_id, p: PacketRecord):
-        engine = self.engines[engine_id]
-        switch = self.topology.connected_switch(engine_id)
-        back_delay = self.topology.link_delay(engine_id, switch)
-        result = engine.process(p, now)
+        result = self.engines[engine_id].process(p, now)
         if result.timeout_at is not None:
             self._push(result.timeout_at, _TIMEOUT, (engine_id, result.timeout_token), packet=False)
         if result.passthrough:
+            switch = self.topology.connected_switch(engine_id)
             self._push(
-                now + back_delay, _ARRIVE, (switch, p, engine_id, True, True), packet=True
+                now + self.topology.link_delay(engine_id, switch),
+                _ARRIVE,
+                (switch, p, engine_id, True, True),
+                packet=True,
             )
             return self._trace(now, "passthrough", engine=engine_id, uid=p.uid)
-        emitted = []
-        for em in result.emissions:
-            self._uid += 1
-            em.uid = self._uid
-            self.counters["emitted"] += 1
-            emitted.append(em.uid)
-            self._push(now + back_delay, _ARRIVE, (switch, em, engine_id, True, False), packet=True)
+        emitted = self._emit(now, engine_id, result.emissions)
         return self._trace(
             now, "engine", engine=engine_id, uid=p.uid, emitted=emitted, epoch=p.epoch
         )
 
     def _on_timeout(self, now, engine_id, token):
-        engine = self.engines[engine_id]
+        emitted = self._emit(now, engine_id, self.engines[engine_id].on_timeout(token, now))
+        if not emitted and self.trace is None:
+            return None
+        return self._trace(now, "timeout", engine=engine_id, emitted=emitted)
+
+    def _emit(self, now, engine_id, emissions: list[PacketRecord]) -> list[int]:
+        """Number an engine's output packets and send them back to its
+        switch; returns their uids."""
         switch = self.topology.connected_switch(engine_id)
         back_delay = self.topology.link_delay(engine_id, switch)
         emitted = []
-        for em in engine.on_timeout(token, now):
+        for em in emissions:
             self._uid += 1
             em.uid = self._uid
             self.counters["emitted"] += 1
             emitted.append(em.uid)
             self._push(now + back_delay, _ARRIVE, (switch, em, engine_id, True, False), packet=True)
-        if not emitted and self.trace is None:
-            return None
-        return self._trace(now, "timeout", engine=engine_id, emitted=emitted)
+        return emitted
 
     # -- reporting --
 

@@ -21,10 +21,8 @@ expand_sources resolves them against a topology and coverage map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 from .errors import (
     ArityError,
@@ -465,14 +463,6 @@ def load_coverage(doc: dict) -> CoverageMap:
     return cov
 
 
-def load_coverage_file(path: str | Path) -> CoverageMap:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return load_coverage(doc)
-
-
 def translate_coverage(region: str, cov: CoverageMap) -> set[str]:
     """Exact, case-sensitive region lookup."""
     if region not in cov:
@@ -533,9 +523,6 @@ class TaskGraph:
 
         rec(self.root)
         return out
-
-    def leaf_set(self) -> set[str]:
-        return set(self.leaves())
 
     def op_count(self) -> int:
         return len(self._ops)

@@ -136,9 +136,6 @@ class ConfigStore:
     def get(self, key: tuple[str, str, str]) -> EngineConfig | None:
         return self._configs.get(key)
 
-    def engines(self) -> list[str]:
-        return sorted({c.engine for c in self._configs.values()})
-
     def to_doc(self) -> dict:
         doc: dict = {}
         for cfg in sorted(self._configs.values(), key=lambda c: c.key()):
@@ -397,8 +394,3 @@ class Engine:
 
     def pending_arrivals(self) -> int:
         return sum(len(b.arrivals) for b in self._pending.values())
-
-
-def set_config(store: ConfigStore, cfg: EngineConfig) -> None:
-    """Validate and persist a config, replacing any same-keyed one."""
-    store.set_config(cfg)

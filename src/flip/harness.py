@@ -1,14 +1,19 @@
 """Benchmark harness: seeded sensor workloads and engine-assisted vs
-send-everything comparisons on two built-in topologies.
+send-everything comparisons on two authored topologies.
 
-Both topologies are authored for this artifact. The five-switch demo wires
-bs1..bs300 across four edge switches with the user host on the fifth. The
-twelve-switch benchmark attaches bs1..bs78 in decade blocks to sw1..sw8,
-aggregates through sw9/sw10 into a sw11/sw12 core (partial mesh: the
-backbone tree plus five higher-delay cross links), with the user on sw12
-and a cloud host on sw11. Absolute packet counts depend on this wiring;
-the reproducible claims are the relative ones (large reduction, edge
-switches exempt).
+Both topologies and the R1-R9 request script are the files in the
+checkout's `data/` directory (`demo_topology.json`,
+`experiment_topology.json`, `requests_r1r9.flip`), resolved relative to
+this source tree; they are the same files the README quickstart and
+`perfbench/` read. flip is installed editable (`pip install -e .`) and
+ships no package data, so the harness runs from a checkout. The
+five-switch demo wires bs1..bs300 across four edge switches with the user
+host on the fifth. The twelve-switch benchmark attaches bs1..bs78 in
+decade blocks to sw1..sw8, aggregates through sw9/sw10 into a sw11/sw12
+core (partial mesh: the backbone tree plus five higher-delay cross
+links), with the user on sw12 and a cloud host on sw11. Absolute packet
+counts depend on this wiring; the reproducible claims are the relative
+ones (large reduction, edge switches exempt).
 
 Every delivered value is audited against a direct evaluation of the
 request expression over the recorded per-epoch source values; an audit
@@ -30,104 +35,35 @@ from .epb import ConfigStore
 from .errors import AuditFailure
 from .packets import PacketRecord, Scalar
 from .planner import DatapathPlan
-from .topology import Topology, load_topology, natural_key
+from .topology import Topology, load_topology_file, natural_key
 
 DESTINATION = "user"
 
 
-# -- authored topologies ---------------------------------------------------------
+# -- authored topologies and requests ------------------------------------------
 
-
-def demo_topology_document() -> dict:
-    """Five switches, 300 base stations, one user host."""
-    nodes = [{"id": f"sw{i}", "kind": "switch"} for i in range(1, 6)]
-    nodes += [{"id": f"e-sw{i}", "kind": "engine"} for i in range(1, 6)]
-    nodes += [
-        {"range": "bs1:bs10", "kind": "basestation", "switch": "sw1"},
-        {"range": "bs11:bs100", "kind": "basestation", "switch": "sw2"},
-        {"range": "bs101:bs200", "kind": "basestation", "switch": "sw3"},
-        {"range": "bs201:bs300", "kind": "basestation", "switch": "sw4"},
-        {"id": "user", "kind": "destination"},
-    ]
-    links = [{"a": f"e-sw{i}", "b": f"sw{i}"} for i in range(1, 6)]
-    links += [
-        {"a": "sw1", "b": "sw3", "delay_ms": 1},
-        {"a": "sw1", "b": "sw4", "delay_ms": 2},
-        {"a": "sw2", "b": "sw3", "delay_ms": 1},
-        {"a": "sw3", "b": "sw5", "delay_ms": 1},
-        {"a": "sw4", "b": "sw5", "delay_ms": 1},
-        {"a": "user", "b": "sw5", "delay_ms": 1},
-    ]
-    return {"nodes": nodes, "links": links}
+DATA_DIR = Path(__file__).resolve().parents[2] / "data"
 
 
 def demo_topology() -> Topology:
-    return load_topology(demo_topology_document())
-
-
-def experiment_topology_document() -> dict:
-    """Twelve switches, 78 base stations, user and cloud hosts."""
-    nodes = [{"id": f"sw{i}", "kind": "switch"} for i in range(1, 13)]
-    nodes += [{"id": f"e-sw{i}", "kind": "engine"} for i in range(1, 13)]
-    for k in range(1, 8):
-        nodes.append(
-            {"range": f"bs{10 * k - 9}:bs{10 * k}", "kind": "basestation", "switch": f"sw{k}"}
-        )
-    nodes.append({"range": "bs71:bs75", "kind": "basestation", "switch": "sw8"})
-    nodes.append({"range": "bs76:bs78", "kind": "basestation", "switch": "sw9"})
-    nodes += [{"id": "user", "kind": "destination"}, {"id": "cloud", "kind": "cloud"}]
-    links = [{"a": f"e-sw{i}", "b": f"sw{i}"} for i in range(1, 13)]
-    backbone = [
-        ("sw1", "sw9", 1),
-        ("sw2", "sw9", 1),
-        ("sw3", "sw9", 1),
-        ("sw4", "sw9", 1),
-        ("sw5", "sw10", 1),
-        ("sw6", "sw10", 1),
-        ("sw7", "sw10", 1),
-        ("sw8", "sw10", 1),
-        ("sw9", "sw11", 1),
-        ("sw10", "sw11", 1),
-        ("sw11", "sw12", 1),
-        # cross links make the switch layer a partial mesh
-        ("sw1", "sw2", 3),
-        ("sw3", "sw4", 3),
-        ("sw5", "sw6", 3),
-        ("sw7", "sw8", 3),
-        ("sw9", "sw10", 3),
-    ]
-    links += [{"a": a, "b": b, "delay_ms": d} for a, b, d in backbone]
-    links += [{"a": "user", "b": "sw12", "delay_ms": 1}, {"a": "cloud", "b": "sw11", "delay_ms": 1}]
-    return {"nodes": nodes, "links": links}
+    """Five switches, 300 base stations, one user host."""
+    return load_topology_file(DATA_DIR / "demo_topology.json")
 
 
 def build_experiment_topology() -> Topology:
-    return load_topology(experiment_topology_document())
-
-
-# -- benchmark requests ----------------------------------------------------------
-
-# R2's second token and R8's bs61 range are written out in full here; the
-# benchmark definitions use bsN ids throughout.
-R1_R9 = (
-    "datapath_a(max(bs1:bs10),destination<-user)",
-    "datapath_a(avg(max(bs1:bs10),max(bs11:bs20)),destination<-user)",
-    "datapath_a(avg(min(bs21:bs30),min(bs31:bs40)),destination<-user)",
-    "datapath_a(sum(avg(bs21:bs30),avg(bs51:bs60)),destination<-user)",
-    "datapath_a(sum(max(bs1:bs10),max(bs11:bs20),max(bs41:bs50)),destination<-user)",
-    "datapath_a(sum(max(bs1:bs10),max(bs11:bs20),min(bs21:bs30),min(bs31:bs40)),destination<-user)",
-    "datapath_a(max(max(bs1:bs10),min(bs31:bs40),max(bs41:bs50),min(bs56:bs60)),destination<-user)",
-    "datapath_a(max(avg(bs56:bs60),avg(bs61:bs65),max(min(bs66:bs70),min(bs71:bs75)),max(bs76:bs78)),destination<-user)",
-    "datapath_a(max(avg(bs1:bs10),avg(bs11:bs20),max(min(bs21:bs30),min(bs31:bs40)),max(bs41:bs50)),destination<-user)",
-)
+    """Twelve switches, 78 base stations, user and cloud hosts."""
+    return load_topology_file(DATA_DIR / "experiment_topology.json")
 
 
 def request_texts() -> list[str]:
-    return list(R1_R9)
+    """R1..R9 in order; `#` comments and blank lines are skipped."""
+    text = (DATA_DIR / "requests_r1r9.flip").read_text(encoding="utf-8")
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
 
 
 def requests_r1_r9() -> list[Request]:
-    return [dsl.parse_request(text) for text in R1_R9]
+    return [dsl.parse_request(text) for text in request_texts()]
 
 
 # -- workload --------------------------------------------------------------------

@@ -400,6 +400,19 @@ def _route_along(
             book.add(here, fd, ActionKind.FORWARD, nxt, source)
 
 
+def _deliver_along(
+    book: _RuleBook, tree: SteinerTree, source: str, start: str, destination: str, t: Topology
+) -> None:
+    """Forward rules for `source`'s output from switch `start` to the
+    destination host, delivering at the last switch."""
+    path = tree.path(start, destination)
+    for here, nxt in zip(path, path[1:]):
+        if t.kind(nxt) is NodeKind.SWITCH:
+            book.add(here, destination, ActionKind.FORWARD, nxt, source)
+        else:
+            book.add(here, destination, ActionKind.DELIVER, None, source)
+
+
 def compile_rules(
     t: Topology,
     tg: TaskGraph,
@@ -479,12 +492,7 @@ def compile_rules(
 
     # root output: engine -> destination host
     root_pl = by_op[tg.root.node_id]
-    dest_path = tree.path(root_pl.switch, destination)
-    for here, nxt in zip(dest_path, dest_path[1:]):
-        if t.kind(nxt) is NodeKind.SWITCH:
-            book.add(here, destination, ActionKind.FORWARD, nxt, root_pl.engine)
-        else:
-            book.add(here, destination, ActionKind.DELIVER, None, root_pl.engine)
+    _deliver_along(book, tree, root_pl.engine, root_pl.switch, destination, t)
 
     return book.rules(), configs, ingress
 
@@ -574,12 +582,8 @@ def _compile_manual(
     own_engine = placement.engine
     match_fds: list[str] = []
     for source in tg.leaves():
-        if t.kind(source) is NodeKind.ENGINE:
-            fd = own_engine
-            entry = t.connected_switch(source)
-        else:
-            fd = destination
-            entry = t.connected_switch(source)
+        fd = own_engine if t.kind(source) is NodeKind.ENGINE else destination
+        entry = t.connected_switch(source)
         if fd not in match_fds:
             match_fds.append(fd)
         ingress[source] = fd
@@ -602,11 +606,6 @@ def _compile_manual(
         end_switch = t.connected_switch(destination)
         _route_along(book, tree, destination, own_engine, placement.switch, end_switch, t)
     else:
-        path = tree.path(placement.switch, destination)
-        for here, nxt in zip(path, path[1:]):
-            if t.kind(nxt) is NodeKind.SWITCH:
-                book.add(here, destination, ActionKind.FORWARD, nxt, own_engine)
-            else:
-                book.add(here, destination, ActionKind.DELIVER, None, own_engine)
+        _deliver_along(book, tree, own_engine, placement.switch, destination, t)
 
     return book.rules(), [cfg], ingress

@@ -153,9 +153,6 @@ class Topology:
         except KeyError:
             raise NotFoundError(f"unknown node {name!r}") from None
 
-    def nodes(self) -> list[str]:
-        return sorted(self._kinds, key=natural_key)
-
     def nodes_of_kind(self, kind: NodeKind) -> list[str]:
         return sorted((n for n, k in self._kinds.items() if k is kind), key=natural_key)
 

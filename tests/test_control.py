@@ -322,3 +322,37 @@ def test_cli_bench_writes_report(tmp_path):
     assert (out / "switch_counts.csv").exists()
     assert (out / "request_totals.csv").exists()
     assert (out / "summary.json").exists()
+
+
+def test_cli_writes_engine_config_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("FLIP_CONFIG_DIR", raising=False)
+    session_dir = tmp_path / "s"
+    config_file = session_dir / "engine_configs.json"
+    topo_file = str(harness.DATA_DIR / "experiment_topology.json")
+    script = str(harness.DATA_DIR / "requests_r1r9.flip")
+    assert cli_main(["--session", str(session_dir), "load", topo_file]) == 0
+    assert cli_main(["--session", str(session_dir), "run", script, "--keep-going"]) == 0
+    doc = json.loads((session_dir / "session.json").read_text())
+    replayed = Session.replay(build_experiment_topology(), doc["log"])
+    assert json.loads(config_file.read_text()) == replayed.state_doc()["configs"]
+    # a new load must not inherit the previous session's configs
+    assert cli_main(["--session", str(session_dir), "load", topo_file]) == 0
+    assert not config_file.exists()
+
+
+def test_cli_config_file_follows_the_log(tmp_path, monkeypatch):
+    monkeypatch.delenv("FLIP_CONFIG_DIR", raising=False)
+    session_dir = str(tmp_path / "s")
+    topo_file = str(harness.DATA_DIR / "demo_topology.json")
+    assert cli_main(["--session", session_dir, "load", topo_file]) == 0
+    config = {"compute": "sum", "source": ["bs1"], "destination": "user"}
+    base = ["--session", session_dir, "cmd"]
+    set_args = ["engine=e-sw1", "user=u", "--json", json.dumps({"config": config})]
+    assert cli_main(base + ["setconfig/user"] + set_args) == 0
+    module_args = ["engine=e-sw1", "user=u", "module=destination", "value=e-sw5"]
+    assert cli_main(base + ["setconfig/user/module"] + module_args) == 0
+    # each invocation replays the log; the file the previous one left must
+    # not add the config the destination change removed
+    assert cli_main(base + ["getconfig/user", "engine=e-sw1", "user=u"]) == 0
+    stored = json.loads((Path(session_dir) / "engine_configs.json").read_text())
+    assert [c["destination"] for c in stored["e-sw1"]["u"]] == ["e-sw5"]

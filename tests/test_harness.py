@@ -10,14 +10,13 @@ from flip.errors import AuditFailure
 from flip.harness import (
     Workload,
     build_experiment_topology,
-    demo_topology_document,
     evaluate_expression,
     export_report,
     requests_r1_r9,
     run_comparison,
     run_suite,
 )
-from flip.topology import NodeKind, load_topology
+from flip.topology import NodeKind, load_topology, load_topology_file
 
 
 @pytest.fixture(scope="module")
@@ -46,19 +45,14 @@ def test_every_bs_has_one_switch(bench):
         assert bench.kind(sw) is NodeKind.SWITCH
 
 
-def test_shipped_topology_files_match_builders():
-    for path, doc in (
-        ("data/demo_topology.json", demo_topology_document()),
-        ("data/experiment_topology.json", harness.experiment_topology_document()),
-    ):
-        with open(path, encoding="utf-8") as fh:
-            assert json.load(fh) == doc
-
-
-def test_shipped_request_script_matches():
-    with open("data/requests_r1r9.flip", encoding="utf-8") as fh:
-        lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
-    assert lines == harness.request_texts()
+def test_shipped_data_files_load():
+    for name in ("demo_topology.json", "experiment_topology.json"):
+        load_topology_file(harness.DATA_DIR / name)
+    requests = requests_r1_r9()
+    assert len(requests) == 9
+    for req in requests:
+        assert req.mode is dsl.RequestMode.AUTOMATED
+        assert req.destination == "user"
 
 
 def test_requests_parse_and_shapes():

@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
 from flip.errors import NotFoundError, ParseError, ValidationError
-from flip.harness import build_experiment_topology, demo_topology, demo_topology_document
+from flip.harness import DATA_DIR, build_experiment_topology, demo_topology
 from flip.topology import NodeKind, Topology, load_topology
 
 from _oracles import enumerate_shortest_path, random_connected_graph
@@ -39,7 +40,8 @@ def adj_topology(adj):
 
 
 def test_load_demo_document_counts():
-    t = load_topology(demo_topology_document())
+    doc = json.loads((DATA_DIR / "demo_topology.json").read_text(encoding="utf-8"))
+    t = load_topology(doc)
     assert len(t.nodes_of_kind(NodeKind.BASE_STATION)) == 300
     assert len(t.switches()) == 5
     assert len(t.nodes_of_kind(NodeKind.ENGINE)) == 5
