@@ -55,6 +55,27 @@ def test_shipped_data_files_load():
         assert req.destination == "user"
 
 
+def test_shipped_topology_files_match_builders():
+    for path, builder in (
+        ("data/demo_topology.json", harness.demo_topology),
+        ("data/experiment_topology.json", build_experiment_topology),
+    ):
+        with open(path, encoding="utf-8") as fh:
+            shipped = load_topology(json.load(fh))
+        built = builder()
+        for kind in NodeKind:
+            assert shipped.nodes_of_kind(kind) == built.nodes_of_kind(kind)
+        assert sorted((l.key(), l.delay_ms) for l in shipped.links()) == sorted(
+            (l.key(), l.delay_ms) for l in built.links()
+        )
+
+
+def test_shipped_request_script_matches():
+    with open("data/requests_r1r9.flip", encoding="utf-8") as fh:
+        lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
+    assert lines == harness.request_texts()
+
+
 def test_requests_parse_and_shapes():
     reqs = requests_r1_r9()
     assert len(reqs) == 9
