@@ -207,8 +207,10 @@ class Session:
 
     def _modflow(self, args) -> dict:
         sw, index = self._flow_index(args)
-        self.fabric.tables[sw].remove(index)
         rule = self._rule_from_args(sw, args)
+        # a bad rule must fail before the old one goes, or the edit half-applies
+        self.fabric.check_rules([rule])
+        self.fabric.tables[sw].remove(index)
         self.fabric.install_rules([rule])
         return {"modified": index}
 

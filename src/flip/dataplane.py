@@ -169,9 +169,9 @@ class Fabric:
 
     # -- commands --
 
-    def install_rules(self, rules: list[FlowRule]) -> int:
-        """Append rules, skipping exact duplicates. All-or-nothing on
-        validation: unknown switches fail the whole batch."""
+    def check_rules(self, rules: list[FlowRule]) -> None:
+        """Raise for a rule on an unknown switch or with a target that is
+        not adjacent to its switch."""
         for rule in rules:
             if rule.switch not in self.tables:
                 raise UnknownSwitchError(f"unknown switch {rule.switch!r}")
@@ -180,6 +180,11 @@ class Fabric:
                     raise UnknownSwitchError(
                         f"rule target {rule.target!r} is not adjacent to {rule.switch!r}"
                     )
+
+    def install_rules(self, rules: list[FlowRule]) -> int:
+        """Append rules, skipping exact duplicates. All-or-nothing on
+        validation: one bad rule fails the whole batch."""
+        self.check_rules(rules)
         added = 0
         for rule in rules:
             if self.tables[rule.switch].add(rule):

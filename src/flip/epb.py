@@ -16,7 +16,15 @@ did arrive, except for the order-sensitive ops (sub, mul) which reject the
 epoch instead.
 
 Configs persist to a JSON file shaped engine -> user -> [records], each
-record carrying compute, source list, destination, rate, and jitter.
+record carrying compute, source list, destination, rate, and jitter. A
+write re-encodes only the (engine, user) section it changed.
+
+An engine finds a packet's config through the store's lookup index, one
+dict per engine keyed (user, source, final destination). It is built on
+the first packet after a change from the engine's configs in (user,
+destination) order, keeping the first config for each key, so a packet
+gets the first config in that order whose user, sources and matched
+destinations cover it.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dsl import JITTER_MAX_MS, ORDER_SENSITIVE, OpKind
-from .errors import MissingSourceError, ShapeMismatchError, ValidationError
+from .errors import MissingSourceError, ParseError, ShapeMismatchError, ValidationError
 from .packets import Matrix, PacketRecord, Payload, Scalar, Vector
 
 TIMEOUT_RATE_FACTOR = 2.0
@@ -105,58 +113,136 @@ class EngineConfig:
 
 class ConfigStore:
     """Engine configuration file: one active config per (engine, user,
-    destination), hot-persisted on every change when given a path."""
+    destination), hot-persisted on every change when given a path.
+
+    The file is `json.dumps(self.to_doc(), indent=2, sort_keys=True)`. Each
+    (engine, user) section's text is cached, so a write re-encodes only the
+    section it changed and joins the rest as they are.
+    """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path else None
-        self._configs: dict[tuple[str, str, str], EngineConfig] = {}
+        # engine -> user -> destination -> config
+        self._configs: dict[str, dict[str, dict[str, EngineConfig]]] = {}
+        # engine -> user -> that section's records, rendered at file depth
+        self._sections: dict[str, dict[str, str]] = {}
+        # engine -> (user, source, final destination) -> config, built on
+        # first lookup and dropped when one of the engine's configs changes
+        self._index: dict[str, dict[tuple[str, str, str], EngineConfig]] = {}
         if self.path and self.path.exists():
             self._load()
 
     def set_config(self, cfg: EngineConfig) -> None:
         cfg.validate()
-        self._configs[cfg.key()] = cfg
+        self._insert(cfg)
+        self._changed(cfg.engine, cfg.user)
         self._save()
 
     def remove(self, key: tuple[str, str, str]) -> bool:
-        removed = self._configs.pop(key, None) is not None
-        if removed:
-            self._save()
-        return removed
+        engine, user, destination = key
+        users = self._configs.get(engine, {})
+        if users.get(user, {}).pop(destination, None) is None:
+            return False
+        if not users[user]:
+            del users[user]
+            if not users:
+                del self._configs[engine]
+        self._changed(engine, user)
+        self._save()
+        return True
 
     def configs_for(self, engine: str) -> list[EngineConfig]:
-        return sorted(
-            (c for c in self._configs.values() if c.engine == engine),
-            key=lambda c: (c.user, c.destination),
-        )
+        """The engine's configs in (user, destination) order."""
+        users = self._configs.get(engine, {})
+        return [c for user in sorted(users) for c in self.user_configs(engine, user)]
 
     def user_configs(self, engine: str, user: str) -> list[EngineConfig]:
-        return [c for c in self.configs_for(engine) if c.user == user]
+        configs = self._configs.get(engine, {}).get(user, {})
+        return [configs[destination] for destination in sorted(configs)]
 
     def get(self, key: tuple[str, str, str]) -> EngineConfig | None:
-        return self._configs.get(key)
+        engine, user, destination = key
+        return self._configs.get(engine, {}).get(user, {}).get(destination)
+
+    def lookup(
+        self, engine: str, user: str, source: str, final_destination: str
+    ) -> EngineConfig | None:
+        """The first config in configs_for(engine) order that belongs to
+        the user, lists the source and matches the final destination."""
+        index = self._index.get(engine)
+        if index is None:
+            index = self._index[engine] = {}
+            for cfg in self.configs_for(engine):
+                for match in cfg.effective_matches():
+                    for src in cfg.sources:
+                        index.setdefault((cfg.user, src, match), cfg)
+        return index.get((user, source, final_destination))
 
     def to_doc(self) -> dict:
-        doc: dict = {}
-        for cfg in sorted(self._configs.values(), key=lambda c: c.key()):
-            doc.setdefault(cfg.engine, {}).setdefault(cfg.user, []).append(cfg.to_doc())
-        return doc
+        return {
+            engine: {
+                user: [c.to_doc() for c in self.user_configs(engine, user)]
+                for user in sorted(users)
+            }
+            for engine, users in sorted(self._configs.items())
+        }
+
+    def _insert(self, cfg: EngineConfig) -> None:
+        self._configs.setdefault(cfg.engine, {}).setdefault(cfg.user, {})[cfg.destination] = cfg
+
+    def _changed(self, engine: str, user: str) -> None:
+        """Drop the engine's index and, for a store with a file, re-render
+        the (engine, user) section."""
+        self._index.pop(engine, None)
+        if not self.path:
+            return
+        sections = self._sections.setdefault(engine, {})
+        records = [c.to_doc() for c in self.user_configs(engine, user)]
+        if records:
+            # indented to the depth the section sits at in the whole file
+            text = json.dumps(records, indent=2, sort_keys=True)
+            sections[user] = text.replace("\n", "\n    ")
+        else:
+            sections.pop(user, None)
+            if not sections:
+                del self._sections[engine]
 
     def _save(self) -> None:
-        if self.path:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(
-                json.dumps(self.to_doc(), indent=2, sort_keys=True), encoding="utf-8"
+        if not self.path:
+            return
+        engines = []
+        for engine, users in sorted(self._sections.items()):
+            body = ",\n".join(
+                f"    {json.dumps(user)}: {users[user]}" for user in sorted(users)
             )
+            engines.append(f"  {json.dumps(engine)}: {{\n{body}\n  }}")
+        text = "{\n" + ",\n".join(engines) + "\n}" if engines else "{}"
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.write_text(text, encoding="utf-8")
 
     def _load(self) -> None:
-        doc = json.loads(self.path.read_text(encoding="utf-8"))
-        for engine, users in doc.items():
-            for user, records in users.items():
-                for record in records:
-                    cfg = EngineConfig.from_doc(engine, user, record)
-                    cfg.validate()
-                    self._configs[cfg.key()] = cfg
+        try:
+            doc = json.loads(self.path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"engine config file {self.path}: {exc}") from None
+        try:
+            for engine, users in _object_items(doc, "the file"):
+                for user, records in _object_items(users, f"engine {engine!r}"):
+                    if not isinstance(records, list):
+                        raise ValidationError(f"user {user!r} on {engine!r} is not a list")
+                    for record in records:
+                        cfg = EngineConfig.from_doc(engine, user, record)
+                        cfg.validate()
+                        self._insert(cfg)
+                    self._changed(engine, user)
+        except ValidationError as exc:
+            raise ValidationError(f"engine config file {self.path}: {exc}") from None
+
+
+def _object_items(doc, what: str):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} is not a JSON object")
+    return doc.items()
 
 
 # -- payload arithmetic --------------------------------------------------------
@@ -290,14 +376,7 @@ class Engine:
     # -- pipeline stages --
 
     def find_config(self, p: PacketRecord) -> EngineConfig | None:
-        for cfg in self.store.configs_for(self.engine_id):
-            if (
-                cfg.user == p.user
-                and p.source in cfg.sources
-                and p.final_destination in cfg.effective_matches()
-            ):
-                return cfg
-        return None
+        return self.store.lookup(self.engine_id, p.user, p.source, p.final_destination)
 
     def rate_filter(self, cfg: EngineConfig, p: PacketRecord) -> bool:
         """True when the packet is the first of its source's rate window."""

@@ -4,7 +4,9 @@ Everything here deliberately avoids the production code paths: shortest
 paths come from exhaustive simple-path enumeration, Steiner optima from
 node-subset enumeration with a Prim spanning tree, and the placement
 oracle is a line-by-line transcription of the mapping loop kept separate
-from the planner's implementation.
+from the planner's implementation. The engine config oracles work on a
+plain collection of configs: a sorted linear scan for the config a packet
+gets, and the file document grouped by sorting on the config key.
 """
 
 from __future__ import annotations
@@ -134,3 +136,27 @@ def placement_transcription(tg, topo):
                 claimed.append(chosen)
             pnode = tg.parent(pnode)
     return {**edgeswitch, **interswitch}
+
+
+def scan_config(configs, engine: str, user: str, source: str, final_destination: str):
+    """First config of the engine, in (user, destination) order, whose
+    user, sources and matched destinations cover the packet."""
+    ordered = sorted(
+        (c for c in configs if c.engine == engine), key=lambda c: (c.user, c.destination)
+    )
+    for cfg in ordered:
+        if (
+            cfg.user == user
+            and source in cfg.sources
+            and final_destination in cfg.effective_matches()
+        ):
+            return cfg
+    return None
+
+
+def config_doc(configs) -> dict:
+    """engine -> user -> [records], in (engine, user, destination) order."""
+    doc: dict = {}
+    for cfg in sorted(configs, key=lambda c: c.key()):
+        doc.setdefault(cfg.engine, {}).setdefault(cfg.user, []).append(cfg.to_doc())
+    return doc

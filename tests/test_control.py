@@ -7,6 +7,7 @@ import pytest
 from flip import harness
 from flip.cli import main as cli_main
 from flip.control import CommandServer, Session, send_command
+from flip.errors import ParseError
 from flip.harness import build_experiment_topology, demo_topology
 
 EQ1 = (
@@ -188,6 +189,47 @@ def test_replay_reproduces_state(demo_session):
     assert replayed.state_json() == demo_session.state_json()
 
 
+def test_modflow_replaces_the_rule(demo_session):
+    demo_session.execute("datapath_a", {"request": EQ1})
+    rule = {
+        "match": {"final_destination": "user", "sources": ["bs1"]},
+        "action": {"type": "forward", "target": "sw4"},
+    }
+    result = demo_session.execute("modflow", {"dpid": "sw1", "index": 0, **rule})
+    assert result.ok
+    flows = demo_session.execute("getflows", {"dpid": "sw1"}).body["flows"]
+    assert len(flows) == 2 and flows[-1]["action"] == rule["action"]
+    replayed = Session.replay(demo_topology(), demo_session.command_log)
+    assert replayed.state_json() == demo_session.state_json()
+
+
+@pytest.mark.parametrize(
+    "action, code",
+    [
+        ({"type": "frob"}, "compile_error"),
+        ({"type": "forward", "target": "sw5"}, "unknown_switch"),  # not adjacent to sw1
+    ],
+)
+def test_bad_modflow_changes_nothing(demo_session, action, code):
+    demo_session.execute("datapath_a", {"request": EQ1})
+    flows = demo_session.execute("getflows", {"dpid": "sw1"}).body["flows"]
+    log = list(demo_session.command_log)
+    result = demo_session.execute(
+        "modflow",
+        {
+            "dpid": "sw1",
+            "index": 0,
+            "match": {"final_destination": "user", "sources": ["bs1"]},
+            "action": action,
+        },
+    )
+    assert not result.ok and result.code == code
+    assert demo_session.execute("getflows", {"dpid": "sw1"}).body["flows"] == flows
+    assert demo_session.command_log == log
+    replayed = Session.replay(demo_topology(), log)
+    assert replayed.state_json() == demo_session.state_json()
+
+
 def test_concurrent_mutations_linearize(session):
     def worker(start):
         for i in range(start, start + 10):
@@ -283,6 +325,13 @@ def test_config_dir_env(tmp_path, monkeypatch):
         },
     )
     assert (tmp_path / "engine_configs.json").exists()
+
+
+def test_corrupt_config_file_is_a_typed_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLIP_CONFIG_DIR", str(tmp_path))
+    (tmp_path / "engine_configs.json").write_text("{not json", encoding="utf-8")
+    with pytest.raises(ParseError, match="engine_configs.json"):
+        Session(demo_topology())
 
 
 # -- CLI ------------------------------------------------------------------------

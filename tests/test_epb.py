@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
+from _oracles import config_doc, scan_config
 from flip.dsl import OpKind
 from flip.epb import (
     ConfigStore,
@@ -13,7 +15,7 @@ from flip.epb import (
     aggregate_and_compute,
     combine_payloads,
 )
-from flip.errors import MissingSourceError, ShapeMismatchError, ValidationError
+from flip.errors import MissingSourceError, ParseError, ShapeMismatchError, ValidationError
 from flip.packets import Matrix, PacketRecord, Scalar, Vector
 
 
@@ -74,6 +76,127 @@ def test_same_triple_replaces():
 def test_jitter_cap_enforced():
     with pytest.raises(ValidationError):
         ConfigStore().set_config(make_config(jitter_ms=26.0))
+
+
+ENGINES = ("e-sw1", "e-sw2", "e-sw3", "e-sw10")
+USERS = ("maya", 'u"q', "\u00e9", "zed")
+DESTINATIONS = ("dest", "cloud", "e-sw2")
+SOURCES = ("bs1", "bs2", "bs3", "bs10", "bs11")
+
+
+def random_config(rng, engine=None, user=None):
+    return EngineConfig(
+        engine=engine or rng.choice(ENGINES),
+        user=user or rng.choice(USERS),
+        compute=rng.choice(list(OpKind)),
+        sources=tuple(rng.sample(SOURCES, rng.randint(1, 3))),
+        destination=rng.choice(DESTINATIONS),
+        rate_ms=rng.choice((None, 100.0, 250.5)),
+        jitter_ms=rng.choice((None, 0.0, 5.0)),
+        match_destinations=rng.choice(((), ("dest",), ("cloud", "e-sw2"))),
+    )
+
+
+def test_store_matches_the_old_store_over_random_edits(tmp_path):
+    """Set and remove at random, emptying a user, an engine and the whole
+    store on the way; after every step the file, a reload of it and every
+    lookup agree with a plain dict of configs and the old sorted scan."""
+    rng = random.Random(11)
+    path = tmp_path / "engine_configs.json"
+    store = ConfigStore(path)
+    model: dict = {}
+
+    def probe():
+        if model and rng.random() < 0.5:
+            cfg = model[rng.choice(sorted(model))]
+            return (
+                cfg.engine,
+                rng.choice((cfg.user, rng.choice(USERS))),
+                rng.choice(cfg.sources),
+                rng.choice(cfg.effective_matches()),
+            )
+        engine = rng.choice(ENGINES)
+        return engine, rng.choice(USERS), rng.choice(SOURCES), rng.choice(DESTINATIONS + (engine,))
+
+    def check():
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            store.to_doc(), indent=2, sort_keys=True
+        )
+        assert store.to_doc() == config_doc(model.values())
+        assert ConfigStore(path).to_doc() == store.to_doc()
+        for _ in range(10):
+            query = probe()
+            assert store.lookup(*query) == scan_config(model.values(), *query)
+
+    def put(cfg):
+        store.set_config(cfg)
+        model[cfg.key()] = cfg
+        check()
+
+    def remove(key):
+        assert store.remove(key) == (model.pop(key, None) is not None)
+        check()
+
+    for step in range(400):
+        if step % 100 == 50:
+            # continue from a store that read its state back from the file
+            store = ConfigStore(path)
+        if not model or rng.random() < 0.6:
+            put(random_config(rng))
+        elif rng.random() < 0.8:
+            remove(rng.choice(sorted(model)))
+        else:
+            remove((rng.choice(ENGINES), rng.choice(USERS), rng.choice(DESTINATIONS)))
+        if step == 150:
+            engine, user, _ = rng.choice(sorted(model))
+            for key in [k for k in sorted(model) if k[:2] == (engine, user)]:
+                remove(key)
+            assert user not in store.to_doc().get(engine, {})
+        if step == 250:
+            engine = rng.choice(sorted(model))[0]
+            for key in [k for k in sorted(model) if k[0] == engine]:
+                remove(key)
+            assert engine not in store.to_doc()
+            put(random_config(rng, engine=engine, user='u"q'))
+    for key in sorted(model):
+        remove(key)
+    assert path.read_text(encoding="utf-8") == "{}"
+    put(random_config(rng, user="\u00e9"))
+
+
+def test_replacing_or_removing_a_config_changes_the_next_lookup():
+    store = ConfigStore()
+    engine = Engine("e-sw1", store)
+    store.set_config(make_config(sources=("bs1", "bs2")))
+    assert engine.find_config(packet("bs1", ts=0.0)).sources == ("bs1", "bs2")
+    store.set_config(make_config(sources=("bs3",)))
+    assert engine.find_config(packet("bs1", ts=0.0)) is None
+    assert engine.find_config(packet("bs3", ts=0.0)).sources == ("bs3",)
+    # an earlier config in (user, destination) order takes the packet over
+    earlier = make_config(sources=("bs3",), destination="cloud", match_destinations=("dest",))
+    store.set_config(earlier)
+    assert engine.find_config(packet("bs3", ts=0.0)) == earlier
+    store.remove(earlier.key())
+    assert engine.find_config(packet("bs3", ts=0.0)).destination == "dest"
+    store.remove(make_config().key())
+    assert engine.find_config(packet("bs3", ts=0.0)) is None
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("{not json", ParseError),
+        ("[1,2]", ValidationError),
+        ('{"e-sw1": [1]}', ValidationError),
+        ('{"e-sw1": {"maya": 5}}', ValidationError),
+        ('{"e-sw1": {"maya": [{"compute": "sum"}]}}', ValidationError),
+    ],
+)
+def test_corrupt_config_file_raises_typed_error(tmp_path, text, error):
+    path = tmp_path / "engine_configs.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match="engine_configs.json"):
+        ConfigStore(path)
 
 
 # -- rate filter ----------------------------------------------------------------
