@@ -7,6 +7,9 @@ oracle is a line-by-line transcription of the mapping loop kept separate
 from the planner's implementation. The engine config oracles work on a
 plain collection of configs: a sorted linear scan for the config a packet
 gets, and the file document grouped by sorting on the config key.
+`kmb_steiner_tree` is the planner's earlier Steiner construction kept as
+it was (the full metric closure sorted by Kruskal), against which the
+current one must give the same tree.
 """
 
 from __future__ import annotations
@@ -160,3 +163,86 @@ def config_doc(configs) -> dict:
     for cfg in sorted(configs, key=lambda c: c.key()):
         doc.setdefault(cfg.engine, {}).setdefault(cfg.user, []).append(cfg.to_doc())
     return doc
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict[str, str] = {}
+
+    def find(self, x: str) -> str:
+        self.parent.setdefault(x, x)
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: str, b: str) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def _kruskal(edges: list[tuple[float, str, str]]) -> list[tuple[float, str, str]]:
+    uf = _UnionFind()
+    return [e for e in sorted(edges) if uf.union(e[1], e[2])]
+
+
+def kmb_steiner_tree(t, terminals):
+    """Metric-closure approximation of the minimum Steiner tree.
+
+    Deterministic throughout: shortest paths break ties lexicographically
+    and both spanning-tree passes sort edges by (weight, endpoints).
+    """
+    from flip.errors import UnknownNodeError
+    from flip.planner import SteinerTree
+    from flip.topology import Link, natural_key
+
+    terms = sorted(set(terminals), key=natural_key)
+    if len(terms) < 2:
+        raise ValueError("steiner_tree needs at least two terminals")
+    for term in terms:
+        if not t.has_node(term):
+            raise UnknownNodeError(f"terminal {term!r} not in topology")
+
+    closure: list[tuple[float, str, str]] = []
+    paths: dict[tuple[str, str], list[str]] = {}
+    for i, a in enumerate(terms):
+        dist, path = t.shortest_paths_from(a)
+        for b in terms[i + 1 :]:
+            closure.append((dist[b], a, b))
+            paths[(a, b)] = list(path[b])
+
+    expanded: dict[tuple[str, str], float] = {}
+    for _, a, b in _kruskal(closure):
+        path = paths[(a, b)]
+        for u, v in zip(path, path[1:]):
+            key = (u, v) if u <= v else (v, u)
+            expanded[key] = t.link_delay(u, v)
+
+    mst = _kruskal([(w, a, b) for (a, b), w in expanded.items()])
+
+    # prune non-terminal leaves until fixpoint
+    adj: dict[str, set[str]] = {}
+    weights: dict[tuple[str, str], float] = {}
+    for w, a, b in mst:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+        weights[(a, b) if a <= b else (b, a)] = w
+    term_set = set(terms)
+    changed = True
+    while changed:
+        changed = False
+        for node in sorted(adj):
+            if node not in term_set and len(adj[node]) == 1:
+                (peer,) = adj[node]
+                adj[peer].discard(node)
+                del adj[node]
+                del weights[(node, peer) if node <= peer else (peer, node)]
+                changed = True
+
+    links = tuple(Link(a, b, weights[(a, b)]) for a, b in sorted(weights))
+    return SteinerTree(
+        edges=links, terminals=tuple(terms), weight=sum(l.delay_ms for l in links)
+    )

@@ -5,9 +5,11 @@ them on purpose updates the digests here and says why.
 """
 
 import hashlib
+import random
 
 from flip import harness, planner
 from flip.dsl import parse_request
+from flip.topology import load_topology
 
 EQ1 = (
     "datapath_a(max(avg(bs1:bs10),avg(bs11:bs100),"
@@ -17,6 +19,11 @@ EQ1 = (
 SUMMARY_SEED0_SHA256 = "af07ea63279c4e84605fe179b5152d29223162b4d3f4e97db74f4659ffc14287"
 EQ1_DEMO_PLAN_SHA256 = "b8ae1d6f410ebba9ed27d249d31bcd953c6a51dac684290df5e67ecb4a2eab12"
 R9_EXPERIMENT_PLAN_SHA256 = "76571f65e4efab077b802e8e8e01c28711a3b885cb065b0debcda1e0ae59b97a"
+WIDE_FLAT_PLAN_SHA256 = "9c4143a47a0c87dc521b79fdb7423c4ed798b0f5c738bd7706864eff0e2d51e4"
+WIDE_GROUPED_PLAN_SHA256 = "e7921b599173cc72d61cd71e7f3489fb383df254112b8c4a537a7d0b48fd05cc"
+
+EDGE_SWITCHES = 10
+STATIONS_PER_EDGE = 40
 
 
 def _sha256(data: bytes) -> str:
@@ -37,3 +44,56 @@ def test_r9_experiment_plan_bytes():
     r9 = harness.requests_r1_r9()[8]
     plan = planner.plan(r9, harness.build_experiment_topology())
     assert _sha256(plan.to_json().encode()) == R9_EXPERIMENT_PLAN_SHA256
+
+
+def _wide_fabric():
+    """10 edge switches with 40 base stations each under 3 aggregation
+    switches and one core. Delays come from a fixed seed and are drawn from
+    a few fractional values, so equal-delay ties and sums whose float value
+    depends on the order of addition are both common."""
+    rng = random.Random("golden-wide-fabric")
+    delays = (0.1, 0.2, 0.3, 0.7, 1, 1.5)
+    switches = [f"sw{i}" for i in range(1, EDGE_SWITCHES + 5)]
+    edge, agg, core = switches[:EDGE_SWITCHES], switches[EDGE_SWITCHES:-1], switches[-1]
+    nodes = [{"id": s, "kind": "switch"} for s in switches]
+    nodes += [{"id": f"e-{s}", "kind": "engine"} for s in switches]
+    nodes.append({"id": "user", "kind": "destination"})
+    links = [{"a": f"e-{s}", "b": s} for s in switches]
+    links.append({"a": "user", "b": core, "delay_ms": 1})
+    for k, s in enumerate(edge):
+        lo = k * STATIONS_PER_EDGE + 1
+        nodes.append(
+            {"range": f"bs{lo}:bs{lo + STATIONS_PER_EDGE - 1}", "kind": "basestation", "switch": s}
+        )
+        links.append({"a": s, "b": agg[k % len(agg)], "delay_ms": rng.choice(delays)})
+        if k:
+            links.append({"a": edge[k - 1], "b": s, "delay_ms": rng.choice(delays)})
+    for s in agg:
+        links.append({"a": s, "b": core, "delay_ms": rng.choice(delays)})
+    return load_topology({"nodes": nodes, "links": links})
+
+
+def _wide_requests():
+    """One flat 320-leaf request and one grouping 200 leaves by edge switch."""
+    rng = random.Random("golden-wide-requests")
+    stations = range(1, EDGE_SWITCHES * STATIONS_PER_EDGE + 1)
+    flat = ",".join(f"bs{i}" for i in sorted(rng.sample(stations, 320)))
+    groups: dict[int, list[str]] = {}
+    for i in sorted(rng.sample(stations, 200)):
+        groups.setdefault((i - 1) // STATIONS_PER_EDGE, []).append(f"bs{i}")
+    ops = ("min", "max", "sum", "avg")
+    grouped = ",".join(f"{rng.choice(ops)}({','.join(g)})" for _, g in sorted(groups.items()))
+    return (
+        f"datapath_a(sum({flat}),destination<-user)",
+        f"datapath_a(max({grouped}),destination<-user)",
+    )
+
+
+def test_wide_request_plan_bytes():
+    t = _wide_fabric()
+    flat, grouped = _wide_requests()
+    assert _sha256(planner.plan(parse_request(flat), t).to_json().encode()) == WIDE_FLAT_PLAN_SHA256
+    assert (
+        _sha256(planner.plan(parse_request(grouped), t).to_json().encode())
+        == WIDE_GROUPED_PLAN_SHA256
+    )

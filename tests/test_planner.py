@@ -10,7 +10,12 @@ from flip.harness import demo_topology
 from flip.planner import ActionKind, compile_baseline, place_operations, plan, steiner_tree
 from flip.topology import Link, NodeKind, Topology, load_topology
 
-from _oracles import placement_transcription, random_connected_graph, steiner_optimum
+from _oracles import (
+    kmb_steiner_tree,
+    placement_transcription,
+    random_connected_graph,
+    steiner_optimum,
+)
 
 EQ1 = (
     "datapath_a(max(avg(bs1:bs10),avg(bs11:bs100),"
@@ -178,6 +183,41 @@ def test_steiner_quality_random_graphs():
         assert opt - 1e-9 <= tree.weight <= bound + 1e-9
         # tree-ness
         assert len(tree.edges) == len(tree.nodes()) - 1
+
+
+def test_steiner_tree_matches_kmb_oracle():
+    """Byte-identical trees to the full-closure Kruskal construction on
+    graphs where equal delays are common (max delay 1, 2 or 5), delays are
+    sometimes fractional (so a path's float sum depends on the direction it
+    is added in) and degree-1 pendant terminals hang off inner nodes, as
+    base stations hang off switches."""
+    from test_topology import adj_topology
+
+    rng = random.Random(20261018)
+    checked = 0
+    for max_delay in (1, 2, 5):
+        for _ in range(180):
+            n = rng.randint(3, 24)
+            adj = random_connected_graph(
+                rng, n, extra_edges=rng.randint(0, 2 * n), max_delay=max_delay
+            )
+            inner = sorted(adj)
+            for i in range(rng.randint(0, 2 * n)):
+                pendant = f"p{i}"
+                host = rng.choice(inner)
+                w = float(rng.randint(1, max_delay))
+                adj[pendant] = {host: w}
+                adj[host][pendant] = w
+            if rng.random() < 0.5:
+                scale = rng.choice((0.1, 0.3, 0.7))
+                adj = {u: {v: w * scale for v, w in nbs.items()} for u, nbs in adj.items()}
+            nodes = sorted(adj)
+            terminals = set(rng.sample(nodes, rng.randint(2, len(nodes))))
+            got = steiner_tree(adj_topology(adj), terminals).to_doc()
+            want = kmb_steiner_tree(adj_topology(adj), terminals).to_doc()
+            assert json.dumps(got) == json.dumps(want), (adj, terminals)
+            checked += 1
+    assert checked >= 500
 
 
 # -- delay admission ----------------------------------------------------------------
