@@ -73,6 +73,11 @@ class EngineConfig:
             raise ValidationError("config needs at least one source")
         if len(set(self.sources)) != len(self.sources):
             raise ValidationError(f"duplicate sources in config: {self.sources}")
+        for name, value in (("rate", self.rate_ms), ("jitter", self.jitter_ms)):
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         if self.rate_ms is not None and self.rate_ms <= 0:
             raise ValidationError(f"rate must be positive, got {self.rate_ms:g}")
         if self.jitter_ms is not None and not (0 <= self.jitter_ms <= JITTER_MAX_MS):
@@ -101,14 +106,21 @@ class EngineConfig:
                 engine=engine,
                 user=user,
                 compute=OpKind(doc["compute"]),
-                sources=tuple(doc["source"]),
+                sources=_names(doc["source"], "source"),
                 destination=doc["destination"],
                 rate_ms=doc.get("rate"),
                 jitter_ms=doc.get("jitter"),
-                match_destinations=tuple(doc.get("match", ())),
+                match_destinations=_names(doc.get("match", []), "match"),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ValidationError(f"bad engine config record: {exc}") from None
+
+
+def _names(value, field: str) -> tuple[str, ...]:
+    """A record's list of node names; a bare string is not split into letters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"bad engine config record: {field!r} must be a list of names")
+    return tuple(value)
 
 
 class ConfigStore:
@@ -445,7 +457,10 @@ class Engine:
             return EngineResult([], timeout_at, token if timeout_at else None)
         buf.arrivals[p.source] = (p.timestamp_ms, p.payload)
         emissions: list[PacketRecord] = []
-        if all(s in buf.arrivals for s in cfg.sources):
+        # sources are distinct, so fewer arrivals cannot cover them all
+        if len(buf.arrivals) >= len(cfg.sources) and all(
+            s in buf.arrivals for s in cfg.sources
+        ):
             emissions.append(self._close(token, cfg, buf, partial=False))
         return EngineResult(emissions, timeout_at, token if timeout_at else None)
 

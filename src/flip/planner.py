@@ -8,10 +8,14 @@ assignments. This is deliberately literal (an op sits with its leftmost
 leaf even when other children attach elsewhere); the trade of optimality
 for predictability is intentional.
 
-The datapath tree is the classic metric-closure Steiner approximation:
-complete graph over the terminals weighted by shortest-path delay, minimum
-spanning tree, expansion back to real paths, then pruning of non-terminal
-leaves. Its weight is within (2 - 2/t) of the optimal tree for t terminals.
+The datapath tree is the classic metric-closure Steiner approximation of
+Kou, Markowsky & Berman: complete graph over the terminals weighted by
+shortest-path delay, minimum spanning tree, expansion back to real paths,
+then pruning of non-terminal leaves. Its weight is within (2 - 2/t) of the
+optimal tree for t terminals. The complete graph is never built: Prim's
+algorithm keeps one best closure edge per terminal outside the tree, so the
+spanning tree costs O(t^2) time and O(t) memory beyond the shortest-path
+maps, and only its t - 1 paths are expanded.
 
 Compilation turns the tree into first-match flow rules. Source traffic is
 matched by (final destination, source) and redirected to the engine of its
@@ -73,10 +77,20 @@ class SteinerTree:
             out.add(link.b)
         return out
 
-    def path(self, a: str, b: str) -> list[str]:
-        """Unique a-b path inside the tree."""
+    @cached_property
+    def _paths(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        return {}
+
+    def path(self, a: str, b: str) -> tuple[str, ...]:
+        """Unique a-b path inside the tree, walked once per (a, b)."""
+        path = self._paths.get((a, b))
+        if path is None:
+            path = self._paths[(a, b)] = self._walk(a, b)
+        return path
+
+    def _walk(self, a: str, b: str) -> tuple[str, ...]:
         if a == b:
-            return [a]
+            return (a,)
         adj = self.adjacency()
         if a not in adj or b not in adj:
             raise CompileError(f"{a!r} or {b!r} not on the datapath tree")
@@ -95,7 +109,7 @@ class SteinerTree:
         path = [b]
         while prev[path[-1]] is not None:
             path.append(prev[path[-1]])
-        return path[::-1]
+        return tuple(path[::-1])
 
     def path_delay(self, a: str, b: str) -> float:
         adj = self.adjacency()
@@ -274,8 +288,14 @@ def _kruskal(edges: list[tuple[float, str, str]]) -> list[tuple[float, str, str]
 def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
     """Metric-closure approximation of the minimum Steiner tree.
 
-    Deterministic throughout: shortest paths break ties lexicographically
-    and both spanning-tree passes sort edges by (weight, endpoints).
+    Deterministic throughout: shortest paths break ties lexicographically,
+    and closure edges are ordered by (delay, a, b), with a the endpoint
+    first in natural order and the delay read from a's own distance map (a
+    float sum depends on the order of its terms, so b's map can differ in
+    the last bit). No two closure edges are equal under that order, so the
+    minimum spanning tree is unique: Prim's tree over the closure is the one
+    a Kruskal pass over all sorted closure edges would pick. The expanded
+    links then get a Kruskal pass sorted by (weight, endpoints).
     """
     terms = sorted(set(terminals), key=natural_key)
     if len(terms) < 2:
@@ -284,17 +304,28 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
         if not t.has_node(term):
             raise UnknownNodeError(f"terminal {term!r} not in topology")
 
-    closure: list[tuple[float, str, str]] = []
-    paths: dict[tuple[str, str], list[str]] = {}
-    for i, a in enumerate(terms):
-        dist, path = t.shortest_paths_from(a)
-        for b in terms[i + 1 :]:
-            closure.append((dist[b], a, b))
-            paths[(a, b)] = list(path[b])
+    # Prim over the metric closure: the closure edge between terms[i] and
+    # terms[j], i < j, is (delay from terms[i]'s own map, terms[i], terms[j]),
+    # and `outside` holds the least such edge from the tree to each terminal
+    # not yet in it
+    dists = [t.shortest_paths_from(a)[0] for a in terms]
+    outside = {k: (dists[0][b], terms[0], b) for k, b in enumerate(terms) if k}
+    chosen: list[tuple[float, str, str]] = []
+    while outside:
+        j = min(outside, key=outside.__getitem__)
+        chosen.append(outside.pop(j))
+        here, here_dist = terms[j], dists[j]
+        for k, best in outside.items():
+            there = terms[k]
+            delay = here_dist[there] if j < k else dists[k][here]
+            if delay <= best[0]:
+                edge = (delay, here, there) if j < k else (delay, there, here)
+                if edge < best:
+                    outside[k] = edge
 
     expanded: dict[tuple[str, str], float] = {}
-    for _, a, b in _kruskal(closure):
-        path = paths[(a, b)]
+    for _, a, b in chosen:
+        path = t.shortest_paths_from(a)[1][b]
         for u, v in zip(path, path[1:]):
             key = (u, v) if u <= v else (v, u)
             expanded[key] = t.link_delay(u, v)

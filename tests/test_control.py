@@ -121,6 +121,40 @@ def test_setconfig_and_getconfig(session):
     assert all_cfg["configs"][0]["user"] == "maya"
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"rate": "x"},
+        {"jitter": "x"},
+        {"rate": True},
+        {"jitter": [1]},
+        {"source": "bs1"},
+        {"source": ["bs1", 2]},
+        {"match": "user"},
+    ],
+)
+def test_setconfig_rejects_a_bad_value_type(session, overrides):
+    cfg = {"compute": "sum", "source": ["bs1", "bs2"], "destination": "user", **overrides}
+    result = session.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": cfg})
+    assert not result.ok
+    assert result.code == "validation_error"
+    assert session.store.to_doc() == {}
+    assert session.command_log == []
+
+
+@pytest.mark.parametrize("module,value", [("source", "bs1"), ("rate", "x"), ("jitter", "1")])
+def test_setconfig_module_rejects_a_bad_value_type(session, module, value):
+    cfg = {"compute": "sum", "source": ["bs1"], "destination": "user"}
+    session.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": cfg})
+    before = session.store.to_doc()
+    result = session.execute(
+        "setconfig/user/module",
+        {"engine": "e-sw1", "user": "u", "module": module, "value": value},
+    )
+    assert result.code == "validation_error"
+    assert session.store.to_doc() == before
+
+
 def test_setconfig_module_updates_section(session):
     cfg = {"compute": "sum", "source": ["bs1"], "destination": "user"}
     session.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": cfg})

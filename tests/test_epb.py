@@ -345,6 +345,25 @@ def test_process_buffers_until_complete():
     assert second.emissions[0].payload == Scalar(7.0)
 
 
+def test_replaced_config_closes_on_its_own_sources():
+    """A config replaced in the middle of an epoch keeps the epoch's buffer
+    and closes it once the new source list is covered, counting arrivals
+    from sources the new config no longer names."""
+    engine, _ = pipeline_engine(sources=("bs1", "bs2", "bs3"))
+    engine.process(packet("bs1", ts=100.0), now=100.0)
+    engine.process(packet("bs2", ts=100.0), now=100.0)
+    engine.store.set_config(make_config(sources=("bs3", "bs4")))
+    # three arrivals against two sources, but bs4 is still missing
+    assert engine.process(packet("bs3", ts=100.0), now=100.0).emissions == []
+    assert len(engine.process(packet("bs4", ts=100.0), now=100.0).emissions) == 1
+
+    engine, _ = pipeline_engine(sources=("bs1", "bs2"))
+    engine.process(packet("bs1", ts=100.0), now=100.0)
+    engine.store.set_config(make_config(sources=("bs1", "bs2", "bs3")))
+    assert engine.process(packet("bs2", ts=100.0), now=100.0).emissions == []
+    assert len(engine.process(packet("bs3", ts=100.0), now=100.0).emissions) == 1
+
+
 def test_process_passthrough_unconfigured_user():
     engine, _ = pipeline_engine()
     result = engine.process(packet("bs1", ts=0.0, user="intruder"), now=0.0)
