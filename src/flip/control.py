@@ -248,8 +248,8 @@ class Session:
     def _setconfig_user(self, args) -> dict:
         engine = self._engine_arg(args)
         user = args.get("user")
-        if not user:
-            raise ValidationError("setconfig/user needs a user")
+        if not user or not isinstance(user, str):
+            raise ValidationError("setconfig/user needs a user name")
         cfg = EngineConfig.from_doc(engine, user, args.get("config", {}))
         self.store.set_config(cfg)
         return {"engine": engine, "user": user, "set": cfg.to_doc()}

@@ -102,12 +102,15 @@ class EngineConfig:
     @classmethod
     def from_doc(cls, engine: str, user: str, doc: dict) -> "EngineConfig":
         try:
+            destination = doc["destination"]
+            if not isinstance(destination, str):
+                raise ValidationError("bad engine config record: 'destination' must be a name")
             return cls(
                 engine=engine,
                 user=user,
                 compute=OpKind(doc["compute"]),
                 sources=_names(doc["source"], "source"),
-                destination=doc["destination"],
+                destination=destination,
                 rate_ms=doc.get("rate"),
                 jitter_ms=doc.get("jitter"),
                 match_destinations=_names(doc.get("match", []), "match"),

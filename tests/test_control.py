@@ -131,18 +131,24 @@ def test_setconfig_and_getconfig(session):
         {"source": "bs1"},
         {"source": ["bs1", 2]},
         {"match": "user"},
+        {"destination": 5},
+        {"user": 5},
     ],
 )
 def test_setconfig_rejects_a_bad_value_type(session, overrides):
+    user = overrides.get("user", "u")
     cfg = {"compute": "sum", "source": ["bs1", "bs2"], "destination": "user", **overrides}
-    result = session.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": cfg})
+    cfg.pop("user", None)
+    result = session.execute("setconfig/user", {"engine": "e-sw1", "user": user, "config": cfg})
     assert not result.ok
     assert result.code == "validation_error"
     assert session.store.to_doc() == {}
     assert session.command_log == []
 
 
-@pytest.mark.parametrize("module,value", [("source", "bs1"), ("rate", "x"), ("jitter", "1")])
+@pytest.mark.parametrize(
+    "module,value", [("source", "bs1"), ("rate", "x"), ("jitter", "1"), ("destination", 5)]
+)
 def test_setconfig_module_rejects_a_bad_value_type(session, module, value):
     cfg = {"compute": "sum", "source": ["bs1"], "destination": "user"}
     session.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": cfg})
