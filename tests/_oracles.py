@@ -9,7 +9,10 @@ plain collection of configs: a sorted linear scan for the config a packet
 gets, and the file document grouped by sorting on the config key.
 `kmb_steiner_tree` is the planner's earlier Steiner construction kept as
 it was (the full metric closure sorted by Kruskal), against which the
-current one must give the same tree.
+current one must give the same tree. `compile_manual` is the planner's
+earlier compiler for one-operation manual commands, kept as it was (it
+shares the planner's rule book and path walkers), against which the one
+compile path must give the same rules, configs and ingress.
 """
 
 from __future__ import annotations
@@ -246,3 +249,51 @@ def kmb_steiner_tree(t, terminals):
     return SteinerTree(
         edges=links, terminals=tuple(terms), weight=sum(l.delay_ms for l in links)
     )
+
+
+def compile_manual(t, tg, placement, tree, destination, request):
+    """One-op manual command: route sources to the chosen switch, redirect
+    to its engine, and forward the output toward the destination.
+
+    Raw sources stamp the command's destination on their packets; engine
+    sources arrive stamped with this command's engine (their own upstream
+    config's destination), mirroring chained multi-part requests. When the
+    destination itself is an engine, the final redirect belongs to the
+    command configuring that engine, so forwarding stops at its switch.
+    """
+    from flip.epb import EngineConfig
+    from flip.planner import ActionKind, _deliver_along, _route_along, _RuleBook
+    from flip.topology import NodeKind
+
+    book = _RuleBook()
+    ingress: dict[str, str] = {}
+    own_engine = placement.engine
+    match_fds: list[str] = []
+    for source in tg.leaves():
+        fd = own_engine if t.kind(source) is NodeKind.ENGINE else destination
+        entry = t.connected_switch(source)
+        if fd not in match_fds:
+            match_fds.append(fd)
+        ingress[source] = fd
+        _route_along(book, tree, fd, source, entry, placement.switch, t)
+        book.add(placement.switch, fd, ActionKind.REDIRECT, own_engine, source)
+
+    cfg = EngineConfig(
+        engine=own_engine,
+        user=request.user,
+        compute=tg.root.kind,
+        sources=tuple(tg.leaves()),
+        destination=destination,
+        rate_ms=request.requirements.rate_ms,
+        jitter_ms=request.requirements.jitter_ms,
+        match_destinations=tuple(match_fds),
+    )
+
+    # output leg
+    if t.kind(destination) is NodeKind.ENGINE:
+        end_switch = t.connected_switch(destination)
+        _route_along(book, tree, destination, own_engine, placement.switch, end_switch, t)
+    else:
+        _deliver_along(book, tree, own_engine, placement.switch, destination, t)
+
+    return book.rules(), [cfg], ingress

@@ -1,4 +1,5 @@
-"""Golden pins: the R1-R9 report bytes and two plan serializations.
+"""Golden pins: the R1-R9 report bytes and the plan serializations of
+EQ1, R9, two wide requests and the six-command manual chain.
 
 Refactors must leave these byte for byte unchanged; a change that moves
 them on purpose updates the digests here and says why.
@@ -16,11 +17,22 @@ EQ1 = (
     "max(min(bs101:bs200),min(bs201:bs300))),destination<-user)"
 )
 
+# EQ1 decomposed into manual commands: engines feed engines up to the user
+MANUAL_CHAIN = (
+    "datapath_m({bs201:bs300},switch<-sw4,compute<-min,destination<-sw5[engine])",
+    "datapath_m({bs101:bs200},switch<-sw3,compute<-min,destination<-sw5[engine])",
+    "datapath_m(sw4[engine],sw3[engine],switch<-sw5,compute<-max,destination<-sw3[engine])",
+    "datapath_m({bs11:bs100},switch<-sw2,compute<-avg,destination<-sw3[engine])",
+    "datapath_m({bs1:bs10},switch<-sw1,compute<-avg,destination<-sw3[engine])",
+    "datapath_m(sw1[engine],sw2[engine],sw5[engine],switch<-sw3,compute<-max,destination<-user)",
+)
+
 SUMMARY_SEED0_SHA256 = "af07ea63279c4e84605fe179b5152d29223162b4d3f4e97db74f4659ffc14287"
 EQ1_DEMO_PLAN_SHA256 = "b8ae1d6f410ebba9ed27d249d31bcd953c6a51dac684290df5e67ecb4a2eab12"
 R9_EXPERIMENT_PLAN_SHA256 = "76571f65e4efab077b802e8e8e01c28711a3b885cb065b0debcda1e0ae59b97a"
 WIDE_FLAT_PLAN_SHA256 = "9c4143a47a0c87dc521b79fdb7423c4ed798b0f5c738bd7706864eff0e2d51e4"
 WIDE_GROUPED_PLAN_SHA256 = "e7921b599173cc72d61cd71e7f3489fb383df254112b8c4a537a7d0b48fd05cc"
+MANUAL_CHAIN_PLANS_SHA256 = "04be01dee238f3aa8d5d84e159be8a3817410183844295588fb7ed5a47e47608"
 
 EDGE_SWITCHES = 10
 STATIONS_PER_EDGE = 40
@@ -44,6 +56,12 @@ def test_r9_experiment_plan_bytes():
     r9 = harness.requests_r1_r9()[8]
     plan = planner.plan(r9, harness.build_experiment_topology())
     assert _sha256(plan.to_json().encode()) == R9_EXPERIMENT_PLAN_SHA256
+
+
+def test_manual_chain_plan_bytes():
+    t = harness.demo_topology()
+    plans = "\n".join(planner.plan(parse_request(c), t).to_json() for c in MANUAL_CHAIN)
+    assert _sha256(plans.encode()) == MANUAL_CHAIN_PLANS_SHA256
 
 
 def _wide_fabric():
