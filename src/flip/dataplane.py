@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .epb import ConfigStore, Engine, TIMEOUT_PARTIAL
+from .epb import ConfigStore, Engine
 from .errors import FlipError, UnknownNodeError, UnknownSwitchError
 from .packets import PacketRecord, payload_doc
 from .planner import ActionKind, FlowRule
@@ -120,13 +120,11 @@ class Fabric:
         topology: Topology,
         config_store: ConfigStore | None = None,
         trace: bool = False,
-        timeout_policy: str = TIMEOUT_PARTIAL,
     ):
         self.topology = topology
         self.store = config_store if config_store is not None else ConfigStore()
         self.engines = {
-            e: Engine(e, self.store, timeout_policy)
-            for e in topology.nodes_of_kind(NodeKind.ENGINE)
+            e: Engine(e, self.store) for e in topology.nodes_of_kind(NodeKind.ENGINE)
         }
         self.tables = {s: FlowTable(s) for s in topology.switches()}
         self._heap: list[tuple] = []
@@ -222,13 +220,11 @@ class Fabric:
             return self._on_engine(time_ms, *data)
         return self._on_timeout(time_ms, *data)
 
-    def run(self, max_events: int | None = None) -> int:
+    def run(self) -> int:
         n = 0
         while self._heap:
             self.step()
             n += 1
-            if max_events is not None and n >= max_events:
-                break
         return n
 
     def _on_arrive(self, now, node, p: PacketRecord, via, from_engine, skip_redirect):

@@ -11,9 +11,8 @@ stays within the configured threshold, boundary inclusive. Once every
 configured source has contributed to an epoch, the compute operation runs
 elementwise over the payloads and a single packet leaves the engine,
 stamped with the config's destination. Epochs that never complete are
-closed by a timeout: by default the aggregate runs over the sources that
-did arrive, except for the order-sensitive ops (sub, mul) which reject the
-epoch instead.
+closed by a timeout: the aggregate runs over the sources that did arrive,
+except for the order-sensitive ops (sub, mul), which reject the epoch.
 
 Configs persist to a JSON file shaped engine -> user -> [records], each
 record carrying compute, source list, destination, rate, and jitter. A
@@ -40,9 +39,6 @@ from .packets import Matrix, PacketRecord, Payload, Scalar, Vector
 
 TIMEOUT_RATE_FACTOR = 2.0
 NO_RATE_TIMEOUT_MS = 100.0
-
-TIMEOUT_PARTIAL = "partial"
-TIMEOUT_REJECT = "reject"
 
 
 @dataclass(frozen=True)
@@ -360,19 +356,9 @@ class EngineResult:
 class Engine:
     """One engine's runtime state: rate windows, epoch buffers, counters."""
 
-    def __init__(
-        self,
-        engine_id: str,
-        store: ConfigStore,
-        timeout_policy: str = TIMEOUT_PARTIAL,
-        no_rate_timeout_ms: float = NO_RATE_TIMEOUT_MS,
-    ):
-        if timeout_policy not in (TIMEOUT_PARTIAL, TIMEOUT_REJECT):
-            raise ValidationError(f"unknown timeout policy {timeout_policy!r}")
+    def __init__(self, engine_id: str, store: ConfigStore):
         self.engine_id = engine_id
         self.store = store
-        self.timeout_policy = timeout_policy
-        self.no_rate_timeout_ms = no_rate_timeout_ms
         self._rate_last: dict[tuple, int] = {}
         self._pending: dict[tuple, EpochBuffer] = {}
         self._emitted_epochs: set[tuple] = set()
@@ -419,7 +405,7 @@ class Engine:
     def _timeout_ms(self, cfg: EngineConfig) -> float:
         if cfg.rate_ms is not None:
             return TIMEOUT_RATE_FACTOR * cfg.rate_ms
-        return self.no_rate_timeout_ms
+        return NO_RATE_TIMEOUT_MS
 
     def process(self, p: PacketRecord, now: float) -> EngineResult:
         """Feed one redirected packet through the pipeline.
@@ -473,7 +459,7 @@ class Engine:
         if buf is None:
             return []
         cfg = self.store.get(buf.config_key)
-        if cfg is None or self.timeout_policy == TIMEOUT_REJECT or cfg.compute in ORDER_SENSITIVE:
+        if cfg is None or cfg.compute in ORDER_SENSITIVE:
             del self._pending[token]
             self.counters["rejected"] += len(buf.arrivals)
             return []

@@ -17,11 +17,16 @@ algorithm keeps one best closure edge per terminal outside the tree, so the
 spanning tree costs O(t^2) time and O(t) memory beyond the shortest-path
 maps, and only its t - 1 paths are expanded.
 
-Compilation turns the tree into first-match flow rules. Source traffic is
-matched by (final destination, source) and redirected to the engine of its
-operation's switch; an engine's output re-enters the fabric addressed to
-the parent operation's engine (or to the request destination at the root),
-so inter-stage steering needs nothing beyond the same match tuple.
+Compilation turns the tree into first-match flow rules, along one path
+for both request forms: a manual command is a one-operation task graph
+whose operation the user placed on a switch, and it may take engines as
+sources. Source traffic is matched by (final destination, source) and
+redirected to the engine of its operation's switch; an engine's output
+re-enters the fabric addressed to the parent operation's engine (or to the
+request destination at the root), so inter-stage steering needs nothing
+beyond the same match tuple. A destination that is an engine is reached
+the same way: the output is routed to that engine's switch, where the
+request configuring the engine redirects it in.
 """
 
 from __future__ import annotations
@@ -60,15 +65,12 @@ class SteinerTree:
     weight: float
 
     @cached_property
-    def _adjacency(self) -> dict[str, dict[str, float]]:
+    def adjacency(self) -> dict[str, dict[str, float]]:
         adj: dict[str, dict[str, float]] = {}
         for link in self.edges:
             adj.setdefault(link.a, {})[link.b] = link.delay_ms
             adj.setdefault(link.b, {})[link.a] = link.delay_ms
         return adj
-
-    def adjacency(self) -> dict[str, dict[str, float]]:
-        return self._adjacency
 
     def nodes(self) -> set[str]:
         out = set()
@@ -91,7 +93,7 @@ class SteinerTree:
     def _walk(self, a: str, b: str) -> tuple[str, ...]:
         if a == b:
             return (a,)
-        adj = self.adjacency()
+        adj = self.adjacency
         if a not in adj or b not in adj:
             raise CompileError(f"{a!r} or {b!r} not on the datapath tree")
         prev = {a: None}
@@ -110,11 +112,6 @@ class SteinerTree:
         while prev[path[-1]] is not None:
             path.append(prev[path[-1]])
         return tuple(path[::-1])
-
-    def path_delay(self, a: str, b: str) -> float:
-        adj = self.adjacency()
-        path = self.path(a, b)
-        return sum(adj[u][v] for u, v in zip(path, path[1:]))
 
     def to_doc(self) -> dict:
         return {
@@ -373,7 +370,7 @@ def check_delay(
     is vacuous when no delay bound was requested."""
     placed = {p.switch: p.engine for p in placements}
     # one traversal rooted at the destination covers every leaf path
-    adj = tree.adjacency()
+    adj = tree.adjacency
     if destination not in adj:
         raise CompileError(f"destination {destination!r} not on the datapath tree")
     dist = {destination: 0.0}
@@ -454,10 +451,15 @@ def compile_rules(
 ) -> tuple[list[FlowRule], list[EngineConfig], dict[str, str]]:
     """Flow rules plus engine configs realizing the placed task graph.
 
-    Raw leaf packets carry the request destination; every engine output is
-    addressed to the next engine up the chain (the request destination at
-    the root), which is also what its packets' source field and the first
-    matching rule steer by.
+    Every child of an operation is a source entering the fabric at a
+    switch: a child operation's engine at that operation's switch, a leaf at
+    its own switch. Its traffic is routed along the tree to the operation's
+    switch and redirected into the engine there. An engine source is
+    matched by the consuming engine, which is where its own config
+    addresses its output; a raw source by the request destination, which it
+    stamps on its packets (`source_ingress`). The root's output goes to the
+    destination: delivered to a host, or routed to an engine's switch, where
+    the redirect of the request configuring that engine takes it.
     """
     by_op = {p.op_node: p for p in placements}
     book = _RuleBook()
@@ -467,63 +469,46 @@ def compile_rules(
     for op in tg.ops():
         placement = by_op[op.node_id]
         parent = tg.parent(op)
-        out_dest = by_op[parent.node_id].engine if parent else destination
         cfg_sources: list[str] = []
         match_fds: list[str] = []
         for child in op.children:
-            if isinstance(child, OpNode):
-                child_pl = by_op[child.node_id]
-                if child_pl.engine in cfg_sources:
+            leaf = not isinstance(child, OpNode)
+            if leaf:
+                source, entry = child, t.connected_switch(child)
+            else:
+                source, entry = by_op[child.node_id].engine, by_op[child.node_id].switch
+                if source in cfg_sources:
                     raise CompileError(
-                        f"siblings {op.node_id} children share engine {child_pl.engine}; "
+                        f"siblings {op.node_id} children share engine {source}; "
                         "co-located sibling operations are not representable"
                     )
-                cfg_sources.append(child_pl.engine)
-                if placement.engine not in match_fds:
-                    match_fds.append(placement.engine)
-                _route_along(
-                    book,
-                    tree,
-                    placement.engine,
-                    child_pl.engine,
-                    child_pl.switch,
-                    placement.switch,
-                    t,
-                )
-                book.add(
-                    placement.switch,
-                    placement.engine,
-                    ActionKind.REDIRECT,
-                    placement.engine,
-                    child_pl.engine,
-                )
-            else:
-                cfg_sources.append(child)
-                if destination not in match_fds:
-                    match_fds.append(destination)
-                ingress[child] = destination
-                _route_along(
-                    book, tree, destination, child, t.connected_switch(child), placement.switch, t
-                )
-                book.add(
-                    placement.switch, destination, ActionKind.REDIRECT, placement.engine, child
-                )
+            fd = placement.engine if t.kind(source) is NodeKind.ENGINE else destination
+            cfg_sources.append(source)
+            if fd not in match_fds:
+                match_fds.append(fd)
+            if leaf:
+                ingress[source] = fd
+            _route_along(book, tree, fd, source, entry, placement.switch, t)
+            book.add(placement.switch, fd, ActionKind.REDIRECT, placement.engine, source)
         configs.append(
             EngineConfig(
                 engine=placement.engine,
                 user=request.user,
                 compute=op.kind,
                 sources=tuple(cfg_sources),
-                destination=out_dest,
+                destination=by_op[parent.node_id].engine if parent else destination,
                 rate_ms=request.requirements.rate_ms,
                 jitter_ms=request.requirements.jitter_ms,
                 match_destinations=tuple(match_fds),
             )
         )
 
-    # root output: engine -> destination host
-    root_pl = by_op[tg.root.node_id]
-    _deliver_along(book, tree, root_pl.engine, root_pl.switch, destination, t)
+    root = by_op[tg.root.node_id]
+    if t.kind(destination) is NodeKind.ENGINE:
+        end = t.connected_switch(destination)
+        _route_along(book, tree, destination, root.engine, root.switch, end, t)
+    else:
+        _deliver_along(book, tree, root.engine, root.switch, destination, t)
 
     return book.rules(), configs, ingress
 
@@ -551,7 +536,7 @@ def plan(request: Request, t: Topology, cov: CoverageMap | None = None) -> Datap
     """Expand, place, admit, and compile one request into a DatapathPlan.
 
     Automated requests run the placement heuristic; manual requests use the
-    user-supplied switch. Raises RejectedByDelay (and compiles nothing)
+    user-supplied switch. Both compile through `compile_rules`. Raises RejectedByDelay (and compiles nothing)
     when the worst leaf-to-destination path exceeds the delay requirement.
     """
     tg = expand_sources(request, t, cov)
@@ -573,10 +558,7 @@ def plan(request: Request, t: Topology, cov: CoverageMap | None = None) -> Datap
     if not admitted:
         raise RejectedByDelay(worst, request.requirements.delay_ms)
 
-    if request.mode is RequestMode.AUTOMATED:
-        rules, configs, ingress = compile_rules(t, tg, placements, tree, destination, request)
-    else:
-        rules, configs, ingress = _compile_manual(t, tg, placements[0], tree, destination, request)
+    rules, configs, ingress = compile_rules(t, tg, placements, tree, destination, request)
 
     return DatapathPlan(
         mode=request.mode,
@@ -590,53 +572,3 @@ def plan(request: Request, t: Topology, cov: CoverageMap | None = None) -> Datap
         source_ingress=ingress,
     )
 
-
-def _compile_manual(
-    t: Topology,
-    tg: TaskGraph,
-    placement: OpPlacement,
-    tree: SteinerTree,
-    destination: str,
-    request: Request,
-) -> tuple[list[FlowRule], list[EngineConfig], dict[str, str]]:
-    """One-op manual command: route sources to the chosen switch, redirect
-    to its engine, and forward the output toward the destination.
-
-    Raw sources stamp the command's destination on their packets; engine
-    sources arrive stamped with this command's engine (their own upstream
-    config's destination), mirroring chained multi-part requests. When the
-    destination itself is an engine, the final redirect belongs to the
-    command configuring that engine, so forwarding stops at its switch.
-    """
-    book = _RuleBook()
-    ingress: dict[str, str] = {}
-    own_engine = placement.engine
-    match_fds: list[str] = []
-    for source in tg.leaves():
-        fd = own_engine if t.kind(source) is NodeKind.ENGINE else destination
-        entry = t.connected_switch(source)
-        if fd not in match_fds:
-            match_fds.append(fd)
-        ingress[source] = fd
-        _route_along(book, tree, fd, source, entry, placement.switch, t)
-        book.add(placement.switch, fd, ActionKind.REDIRECT, own_engine, source)
-
-    cfg = EngineConfig(
-        engine=own_engine,
-        user=request.user,
-        compute=tg.root.kind,
-        sources=tuple(tg.leaves()),
-        destination=destination,
-        rate_ms=request.requirements.rate_ms,
-        jitter_ms=request.requirements.jitter_ms,
-        match_destinations=tuple(match_fds),
-    )
-
-    # output leg
-    if t.kind(destination) is NodeKind.ENGINE:
-        end_switch = t.connected_switch(destination)
-        _route_along(book, tree, destination, own_engine, placement.switch, end_switch, t)
-    else:
-        _deliver_along(book, tree, own_engine, placement.switch, destination, t)
-
-    return book.rules(), [cfg], ingress

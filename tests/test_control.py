@@ -331,6 +331,47 @@ def test_manual_chain_end_to_end(demo_session):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_automated_output_feeds_a_manual_engine(demo_session):
+    """An automated request addressed to an engine hands its value to the
+    manual command configured on that engine, not to the engine as a host."""
+    commands = [
+        ("datapath_a", "datapath_a(max(bs1:bs10),destination<-sw5[engine])"),
+        (
+            "datapath_m",
+            "datapath_m({bs201:bs300},switch<-sw4,compute<-min,destination<-sw5[engine])",
+        ),
+        (
+            "datapath_m",
+            "datapath_m(sw1[engine],sw4[engine],switch<-sw5,compute<-max,destination<-user)",
+        ),
+    ]
+    ingress: dict[str, str] = {}
+    for verb, text in commands:
+        result = demo_session.execute(verb, {"request": text})
+        assert result.ok, result.message
+        ingress.update(result.body["plan"]["source_ingress"])
+
+    from flip import dsl
+    from flip.harness import Workload, audit_delivered
+    from flip.packets import PacketRecord, Scalar
+
+    w = Workload(seed=23, horizon_ms=500.0)
+    samples = w.samples([f"bs{i}" for i in (*range(1, 11), *range(201, 301))])
+    fabric = demo_session.fabric
+    for s in samples:
+        fabric.inject(
+            PacketRecord(s.source, ingress[s.source], "default", s.epoch, s.publish_ms, Scalar(s.value)),
+            at=s.source,
+        )
+    fabric.run()
+    assert fabric.delivered_at("e-sw5") == []
+    composed = dsl.parse_request(
+        "datapath_a(max(max(bs1:bs10),min(bs201:bs300)),destination<-user)"
+    )
+    tg = dsl.expand_sources(composed, demo_session.topology)
+    assert audit_delivered(tg, fabric, samples, "user", w.epochs()) == 5
+
+
 def dsl_expand_eq1(topology):
     from flip import dsl
 

@@ -11,7 +11,6 @@ from flip.epb import (
     Engine,
     EngineConfig,
     EpochBuffer,
-    TIMEOUT_REJECT,
     aggregate_and_compute,
     combine_payloads,
 )
@@ -409,16 +408,6 @@ def test_timeout_partial_emits_for_min():
 
 def test_timeout_rejects_for_sub():
     engine, cfg = pipeline_engine(compute=OpKind.SUB, sources=("bs1", "bs2"))
-    result = engine.process(packet("bs1", ts=100.0), now=100.0)
-    assert engine.on_timeout(result.timeout_token, now=result.timeout_at) == []
-    assert engine.counters["rejected"] == 1
-
-
-def test_timeout_reject_policy():
-    store = ConfigStore()
-    cfg = make_config(compute=OpKind.MAX)
-    store.set_config(cfg)
-    engine = Engine("e-sw1", store, timeout_policy=TIMEOUT_REJECT)
     result = engine.process(packet("bs1", ts=100.0), now=100.0)
     assert engine.on_timeout(result.timeout_token, now=result.timeout_at) == []
     assert engine.counters["rejected"] == 1

@@ -5,12 +5,22 @@ import pytest
 
 from flip import dsl
 from flip.dsl import OpKind, parse_request
-from flip.errors import CompileError, PlacementError, RejectedByDelay
-from flip.harness import demo_topology
-from flip.planner import ActionKind, compile_baseline, place_operations, plan, steiner_tree
+from flip.errors import CompileError, FlipError, PlacementError, RejectedByDelay
+from flip.harness import DATA_DIR, build_experiment_topology, demo_topology
+from flip.planner import (
+    ActionKind,
+    OpPlacement,
+    compile_baseline,
+    compile_rules,
+    place_operations,
+    plan,
+    resolve_endpoint,
+    steiner_tree,
+)
 from flip.topology import Link, NodeKind, Topology, load_topology
 
 from _oracles import (
+    compile_manual,
     kmb_steiner_tree,
     placement_transcription,
     random_connected_graph,
@@ -385,6 +395,81 @@ def test_manual_chain_covers_manual_decomposition(demo):
     # the union of per-command rules reaches the user host
     delivers = [r for p in plans for r in p.rules if r.action is ActionKind.DELIVER]
     assert delivers and all(r.final_destination == "user" for r in delivers)
+
+
+def random_manual_request(rng, t, regions) -> str:
+    """A manual command over single stations, ranges, coverage regions and
+    engines, sent to a host or an engine, with random requirements."""
+    n_bs = len(t.nodes_of_kind(NodeKind.BASE_STATION))
+    switches = t.switches()
+    sources = []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.35:
+            sources.append(f"{rng.choice(switches)}[engine]")
+        elif roll < 0.6:
+            lo = rng.randint(1, n_bs)
+            sources.append(f"bs{lo}:bs{min(n_bs, lo + rng.randint(1, 30))}")
+        elif roll < 0.7:
+            sources.append(rng.choice(regions))
+        else:
+            sources.append(f"bs{rng.randint(1, n_bs)}")
+    hosts = sorted(t.nodes_of_kind(NodeKind.DESTINATION) + t.nodes_of_kind(NodeKind.CLOUD))
+    if rng.random() < 0.5:
+        destination = f"{rng.choice(switches)}[engine]"
+    else:
+        destination = rng.choice(hosts)
+    args = sources + [
+        f"switch<-{rng.choice(switches)}",
+        f"compute<-{rng.choice(('min', 'max', 'sum', 'avg'))}",
+        f"destination<-{destination}",
+    ]
+    reqs = [
+        f"{key}={value}"
+        for key, value in (("delay", "50ms"), ("rate", "100ms"), ("jitter", "5ms"))
+        if rng.random() < 0.4
+    ]
+    if reqs:
+        args.append(f"requirement<-{{{','.join(reqs)}}}")
+    if rng.random() < 0.3:
+        args.append(f"user<-u{rng.randint(1, 3)}")
+    return f"datapath_m({','.join(args)})"
+
+
+def _compiled_docs(rules, configs, ingress) -> str:
+    return json.dumps(
+        {
+            "rules": [r.to_doc() for r in rules],
+            "configs": [{"engine": c.engine, "user": c.user, **c.to_doc()} for c in configs],
+            "ingress": ingress,
+        },
+        sort_keys=True,
+    )
+
+
+def test_manual_requests_compile_like_the_manual_oracle():
+    """`compile_rules` with the user's switch as the only placement gives
+    the rules, engine configs and ingress the former one-operation manual
+    compiler gave, on random commands that mix engine sources, engine
+    destinations, ranges, regions and requirements."""
+    cov = dsl.load_coverage(json.loads((DATA_DIR / "coverage.json").read_text()))
+    rng = random.Random(20261018)
+    compared = 0
+    for t in (demo_topology(), build_experiment_topology()):
+        for _ in range(400):
+            req = parse_request(random_manual_request(rng, t, sorted(cov)))
+            try:
+                tg = dsl.expand_sources(req, t, cov)
+            except FlipError:
+                continue
+            destination = resolve_endpoint(t, req.destination)
+            placement = OpPlacement(tg.root.node_id, req.switch, t.engine_of(req.switch))
+            tree = steiner_tree(t, set(tg.leaves()) | {req.switch, destination})
+            got = compile_rules(t, tg, [placement], tree, destination, req)
+            want = compile_manual(t, tg, placement, tree, destination, req)
+            assert _compiled_docs(*got) == _compiled_docs(*want), dsl.canonical(req)
+            compared += 1
+    assert compared >= 500
 
 
 def test_colocated_sibling_ops_rejected():
