@@ -4,7 +4,10 @@ Events pop in (timestamp, insertion sequence) order, so a run is a pure
 function of the installed rules, the configs, and the injected workload.
 Switch lookup is first-match-wins over (final destination, source); a miss
 drops the packet and bumps a counter rather than erroring, since misses
-usually mean a plan bug worth surfacing in stats.
+usually mean a plan bug worth surfacing in stats. Every drop's trace event
+names its reason (`no_rule`, or `deliver_not_adjacent` for a deliver rule
+whose destination is not a neighbour) and the packet's user and final
+destination.
 
 Counting model: a switch's packet count is the number of packets entering
 it over network links. Re-entries from the switch's own engine are not
@@ -254,9 +257,7 @@ class Fabric:
         table = self.tables[node]
         m = table.match(p, skip_redirect=skip_redirect)
         if m is None:
-            self.counters["dropped"] += 1
-            self._drops[node] += 1
-            return self._trace(now, "drop", node=node, uid=p.uid, source=p.source)
+            return self._drop(now, node, p, "no_rule")
         index, rule = m
         table.counters[index] += 1
 
@@ -272,9 +273,7 @@ class Fabric:
         else:  # DELIVER
             target = p.final_destination
             if target not in self.topology.neighbors(node):
-                self.counters["dropped"] += 1
-                self._drops[node] += 1
-                return self._trace(now, "drop", node=node, uid=p.uid, reason="deliver_not_adjacent")
+                return self._drop(now, node, p, "deliver_not_adjacent")
         self._port_tx[node][target] = self._port_tx[node].get(target, 0) + 1
         self._push(
             now + self.topology.link_delay(node, target),
@@ -283,6 +282,20 @@ class Fabric:
             packet=True,
         )
         return self._trace(now, "forward", node=node, uid=p.uid, to=target)
+
+    def _drop(self, now, node, p: PacketRecord, reason: str):
+        self.counters["dropped"] += 1
+        self._drops[node] += 1
+        return self._trace(
+            now,
+            "drop",
+            node=node,
+            uid=p.uid,
+            source=p.source,
+            user=p.user,
+            final_destination=p.final_destination,
+            reason=reason,
+        )
 
     def _on_engine(self, now, engine_id, p: PacketRecord):
         result = self.engines[engine_id].process(p, now)

@@ -12,10 +12,16 @@ The datapath tree is the classic metric-closure Steiner approximation of
 Kou, Markowsky & Berman: complete graph over the terminals weighted by
 shortest-path delay, minimum spanning tree, expansion back to real paths,
 then pruning of non-terminal leaves. Its weight is within (2 - 2/t) of the
-optimal tree for t terminals. The complete graph is never built: Prim's
-algorithm keeps one best closure edge per terminal outside the tree, so the
-spanning tree costs O(t^2) time and O(t) memory beyond the shortest-path
-maps, and only its t - 1 paths are expanded.
+optimal tree for t terminals. Base-station terminals are collapsed onto
+their switches before the closure: a base station has one link, which
+every Steiner tree must contain, so the closure spans only the "hubs" (the
+leaves' switches plus the other terminals) and the leaf links are added
+back; the bound still holds because those links are forced. The complete
+graph is never built: Prim's algorithm keeps one best closure edge per hub
+outside the tree, so the spanning tree costs O(h^2) time and O(h) memory
+beyond the shortest-path maps for h hubs (at most the switch count plus
+the destination), only its h - 1 paths are expanded, and no shortest-path
+map is computed from a base station.
 
 Compilation turns the tree into first-match flow rules, along one path
 for both request forms: a manual command is a one-operation task graph
@@ -293,6 +299,14 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
     minimum spanning tree is unique: Prim's tree over the closure is the one
     a Kruskal pass over all sorted closure edges would pick. The expanded
     links then get a Kruskal pass sorted by (weight, endpoints).
+
+    Base-station terminals are collapsed onto their switches first: the
+    closure runs over hubs, which are those switches plus every other
+    terminal, and each base station's one link is added to the expanded
+    links. Every Steiner tree must contain those links, so the optimum is
+    the hub optimum plus their fixed weight, t does not grow, and the
+    (2 - 2/t) bound still holds. Non-terminal leaves are pruned against the
+    original terminals, which the tree keeps as `terminals`.
     """
     terms = sorted(set(terminals), key=natural_key)
     if len(terms) < 2:
@@ -301,19 +315,24 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
         if not t.has_node(term):
             raise UnknownNodeError(f"terminal {term!r} not in topology")
 
-    # Prim over the metric closure: the closure edge between terms[i] and
-    # terms[j], i < j, is (delay from terms[i]'s own map, terms[i], terms[j]),
-    # and `outside` holds the least such edge from the tree to each terminal
-    # not yet in it
-    dists = [t.shortest_paths_from(a)[0] for a in terms]
-    outside = {k: (dists[0][b], terms[0], b) for k, b in enumerate(terms) if k}
+    # hubs: each base-station terminal's switch in its place; the forced
+    # leaf links are added to the expanded links below
+    leaf_switch = {x: t.connected_switch(x) for x in terms if t.kind(x) is NodeKind.BASE_STATION}
+    hubs = sorted({leaf_switch.get(x, x) for x in terms}, key=natural_key)
+
+    # Prim over the metric closure of the hubs: the closure edge between
+    # hubs[i] and hubs[j], i < j, is (delay from hubs[i]'s own map, hubs[i],
+    # hubs[j]), and `outside` holds the least such edge from the tree to
+    # each hub not yet in it
+    dists = [t.shortest_paths_from(a)[0] for a in hubs]
+    outside = {k: (dists[0][b], hubs[0], b) for k, b in enumerate(hubs) if k}
     chosen: list[tuple[float, str, str]] = []
     while outside:
         j = min(outside, key=outside.__getitem__)
         chosen.append(outside.pop(j))
-        here, here_dist = terms[j], dists[j]
+        here, here_dist = hubs[j], dists[j]
         for k, best in outside.items():
-            there = terms[k]
+            there = hubs[k]
             delay = here_dist[there] if j < k else dists[k][here]
             if delay <= best[0]:
                 edge = (delay, here, there) if j < k else (delay, there, here)
@@ -326,6 +345,8 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
         for u, v in zip(path, path[1:]):
             key = (u, v) if u <= v else (v, u)
             expanded[key] = t.link_delay(u, v)
+    for leaf, switch in leaf_switch.items():
+        expanded[(leaf, switch) if leaf <= switch else (switch, leaf)] = t.link_delay(leaf, switch)
 
     mst = _kruskal([(w, a, b) for (a, b), w in expanded.items()])
 

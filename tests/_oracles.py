@@ -9,7 +9,9 @@ plain collection of configs: a sorted linear scan for the config a packet
 gets, and the file document grouped by sorting on the config key.
 `kmb_steiner_tree` is the planner's earlier Steiner construction kept as
 it was (the full metric closure sorted by Kruskal), against which the
-current one must give the same tree. `compile_manual` is the planner's
+current one must give the same tree, and `collapsed_kmb_steiner_tree` is
+that construction run over the base-station terminals' switches with the
+base stations' own links added. `compile_manual` is the planner's
 earlier compiler for one-operation manual commands, kept as it was (it
 shares the planner's rule book and path walkers), against which the one
 compile path must give the same rules, configs and ingress.
@@ -246,6 +248,31 @@ def kmb_steiner_tree(t, terminals):
                 changed = True
 
     links = tuple(Link(a, b, weights[(a, b)]) for a, b in sorted(weights))
+    return SteinerTree(
+        edges=links, terminals=tuple(terms), weight=sum(l.delay_ms for l in links)
+    )
+
+
+def collapsed_kmb_steiner_tree(t, terminals):
+    """`kmb_steiner_tree` over the hubs (each base-station terminal's switch
+    in its place, every other terminal as itself) plus each base-station
+    terminal's own link, keeping the original terminals."""
+    from flip.planner import SteinerTree
+    from flip.topology import Link, NodeKind, natural_key
+
+    terms = sorted(set(terminals), key=natural_key)
+    hubs = set()
+    leaf_links = []
+    for term in terms:
+        if t.kind(term) is NodeKind.BASE_STATION:
+            switch = t.connected_switch(term)
+            hubs.add(switch)
+            a, b = sorted((term, switch))
+            leaf_links.append(Link(a, b, t.link_delay(a, b)))
+        else:
+            hubs.add(term)
+    hub_links = kmb_steiner_tree(t, hubs).edges if len(hubs) > 1 else ()
+    links = tuple(sorted((*hub_links, *leaf_links), key=Link.key))
     return SteinerTree(
         edges=links, terminals=tuple(terms), weight=sum(l.delay_ms for l in links)
     )

@@ -226,6 +226,24 @@ def test_passthrough_skips_redirect_and_drops(demo, eq1_plan):
     assert "passthrough" in events
 
 
+def test_unconsumed_engine_destination_drops_with_a_reason(demo):
+    """An automated request to an engine no command consumes: each epoch's
+    value misses at that engine's switch, and the drop says why and whose."""
+    p = planner.plan(parse_request("datapath_a(max(bs1:bs10),destination<-sw5[engine])"), demo)
+    fabric = flip_fabric(demo, p, trace=True)
+    w = Workload(seed=3, horizon_ms=500.0)
+    for s in w.samples([f"bs{i}" for i in range(1, 11)]):
+        packet = make_packet(s.source, s.publish_ms, p.source_ingress[s.source], s.epoch, s.value)
+        fabric.inject(packet, at=s.source)
+    fabric.run()
+    drops = [e for e in fabric.trace if e["event"] == "drop"]
+    assert len(drops) == w.epochs() == fabric.counters["dropped"]
+    assert all("reason" in e for e in drops)
+    assert {(e["node"], e["reason"], e["user"], e["final_destination"]) for e in drops} == {
+        ("sw5", "no_rule", "default", "e-sw5")
+    }
+
+
 def test_stats_fresh_fabric_zero(demo):
     stats = Fabric(demo).stats()
     assert sum(stats.switch_counts.values()) == 0

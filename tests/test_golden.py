@@ -30,7 +30,7 @@ MANUAL_CHAIN = (
 SUMMARY_SEED0_SHA256 = "af07ea63279c4e84605fe179b5152d29223162b4d3f4e97db74f4659ffc14287"
 EQ1_DEMO_PLAN_SHA256 = "b8ae1d6f410ebba9ed27d249d31bcd953c6a51dac684290df5e67ecb4a2eab12"
 R9_EXPERIMENT_PLAN_SHA256 = "76571f65e4efab077b802e8e8e01c28711a3b885cb065b0debcda1e0ae59b97a"
-WIDE_FLAT_PLAN_SHA256 = "9c4143a47a0c87dc521b79fdb7423c4ed798b0f5c738bd7706864eff0e2d51e4"
+WIDE_FLAT_PLAN_SHA256 = "e8244f06825c3d6df6faa8deb29efa3a232567d005e0ccca197100e9fc4c33e6"
 WIDE_GROUPED_PLAN_SHA256 = "e7921b599173cc72d61cd71e7f3489fb383df254112b8c4a537a7d0b48fd05cc"
 MANUAL_CHAIN_PLANS_SHA256 = "04be01dee238f3aa8d5d84e159be8a3817410183844295588fb7ed5a47e47608"
 

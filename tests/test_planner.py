@@ -20,6 +20,7 @@ from flip.planner import (
 from flip.topology import Link, NodeKind, Topology, load_topology
 
 from _oracles import (
+    collapsed_kmb_steiner_tree,
     compile_manual,
     kmb_steiner_tree,
     placement_transcription,
@@ -228,6 +229,72 @@ def test_steiner_tree_matches_kmb_oracle():
             assert json.dumps(got) == json.dumps(want), (adj, terminals)
             checked += 1
     assert checked >= 500
+
+
+def test_steiner_tree_collapses_base_stations_like_the_kmb_oracle():
+    """With base-station pendants, the tree is the full-closure construction
+    over the hubs plus the leaf links, keeps every leaf terminal's link and
+    stays within (2 - 2/t) of the optimum over the original terminals."""
+    rng = random.Random("collapse-oracle")
+    worst_ratio = 0.0
+    for i in range(400):
+        max_delay = (1, 2, 5)[i % 3]
+        adj = random_connected_graph(
+            rng, rng.randint(2, 7), extra_edges=rng.randint(0, 6), max_delay=max_delay
+        )
+        switches = sorted(adj)
+        stations = [f"bs{k}" for k in range(1, rng.randint(1, 8) + 1)]
+        for bs in stations:
+            host = rng.choice(switches)
+            adj[bs] = {host: float(rng.randint(1, max_delay))}
+            adj[host][bs] = adj[bs][host]
+        if rng.random() < 0.5:
+            scale = rng.choice((0.1, 0.3, 0.7))
+            adj = {u: {v: w * scale for v, w in nbs.items()} for u, nbs in adj.items()}
+        nodes = {n: NodeKind.SWITCH for n in switches} | dict.fromkeys(
+            stations, NodeKind.BASE_STATION
+        )
+        links = [Link(u, v, w) for u, nbs in adj.items() for v, w in nbs.items() if u < v]
+        terms = set(rng.sample(stations, rng.randint(1, len(stations))))
+        terms |= set(rng.sample(switches, rng.randint(0 if len(terms) > 1 else 1, len(switches))))
+
+        tree = steiner_tree(Topology(nodes, links), terms)
+        want = collapsed_kmb_steiner_tree(Topology(nodes, links), terms)
+        assert json.dumps(tree.to_doc()) == json.dumps(want.to_doc()), (adj, terms)
+        assert set(tree.terminals) == terms
+        edges = {l.key() for l in tree.edges}
+        for bs in terms & set(stations):
+            (host,) = adj[bs]
+            assert tuple(sorted((bs, host))) in edges
+        # a base station that is not a terminal is never in an optimal tree,
+        # so the brute-force optimum skips them
+        unused = set(stations) - terms
+        kept = {
+            u: {v: w for v, w in nbs.items() if v not in unused}
+            for u, nbs in adj.items()
+            if u not in unused
+        }
+        opt = steiner_optimum(kept, terms)
+        assert opt - 1e-9 <= tree.weight <= (2 - 2 / len(terms)) * opt + 1e-9
+        worst_ratio = max(worst_ratio, tree.weight / opt)
+    assert worst_ratio > 1  # the sample reaches graphs where KMB is not exact
+
+
+def test_wide_plan_computes_no_shortest_paths_from_base_stations(monkeypatch):
+    """Cold planning of a flat request over every base station runs Dijkstra
+    from hubs only, never once per leaf."""
+    t = demo_topology()
+    sources = []
+    shortest_paths_from = Topology.shortest_paths_from
+
+    def recording(self, a):
+        sources.append(a)
+        return shortest_paths_from(self, a)
+
+    monkeypatch.setattr(Topology, "shortest_paths_from", recording)
+    p = plan(parse_request("datapath_a(sum(bs1:bs300),destination<-user)"), t)
+    assert p.admitted and len(p.tree.terminals) == 302
+    assert sources and set(sources) <= {*t.switches(), "user"}
 
 
 # -- delay admission ----------------------------------------------------------------
