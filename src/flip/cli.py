@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import control, dsl, harness
 from .control import Session
-from .errors import FlipError
+from .errors import FlipError, ParseError, ValidationError
 from .topology import load_topology
 
 DEFAULT_SESSION_DIR = ".flip"
@@ -33,11 +33,24 @@ def _drop_config_file(directory: str) -> None:
     (Path(directory) / control.CONFIG_FILE).unlink(missing_ok=True)
 
 
+def _read_json(path: str | Path):
+    """The document in a JSON file; an unreadable or malformed file is a
+    FlipError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise FlipError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_session(directory: str) -> tuple[Session, dict]:
     path = _session_path(directory)
     if not path.exists():
         raise FlipError(f"no session at {path}; run `flip load` first")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or "topology" not in doc:
+        raise ParseError(f"{path}: not a flip session; run `flip load` again")
     topology = load_topology(doc["topology"])
     coverage = dsl.load_coverage(doc["coverage"]) if doc.get("coverage") else None
     _drop_config_file(directory)
@@ -53,11 +66,11 @@ def _save_session(directory: str, doc: dict, session: Session) -> None:
 
 
 def _cmd_load(args) -> int:
-    topo_doc = json.loads(Path(args.topology).read_text(encoding="utf-8"))
+    topo_doc = _read_json(args.topology)
     load_topology(topo_doc)  # validate before persisting
     cov_doc = None
     if args.coverage:
-        cov_doc = json.loads(Path(args.coverage).read_text(encoding="utf-8"))
+        cov_doc = _read_json(args.coverage)
         dsl.load_coverage(cov_doc)
     doc = {"topology": topo_doc, "coverage": cov_doc, "log": []}
     path = _session_path(args.session)
@@ -90,16 +103,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_cmd(args) -> int:
-    session, doc = _load_session(args.session)
     cmd_args: dict = {}
     if args.json:
-        cmd_args.update(json.loads(args.json))
+        try:
+            cmd_args = json.loads(args.json)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"--json: {exc}") from None
+        if not isinstance(cmd_args, dict):
+            raise ValidationError(f"--json must be a JSON object, got {args.json!r}")
     for pair in args.args:
         key, _, value = pair.partition("=")
         try:
             cmd_args[key] = json.loads(value)
         except json.JSONDecodeError:
             cmd_args[key] = value
+    session, doc = _load_session(args.session)
     result = session.execute(args.verb, cmd_args)
     _save_session(args.session, doc, session)
     print(json.dumps(result.to_doc(), indent=2, sort_keys=True))

@@ -21,7 +21,13 @@ from pathlib import Path
 from . import dsl, planner
 from .dataplane import Fabric
 from .epb import ConfigStore, EngineConfig
-from .errors import FlipError, UnknownSwitchError, UnknownVerbError, ValidationError
+from .errors import (
+    FlipError,
+    ParseError,
+    UnknownSwitchError,
+    UnknownVerbError,
+    ValidationError,
+)
 from .dsl import RequestMode
 from .planner import FlowRule
 from .topology import NodeKind, Topology, natural_key
@@ -325,7 +331,12 @@ class Session:
         """Execute datapath commands line by line; `#` comments and blank
         lines are skipped. Stops at the first error unless keep_going."""
         if isinstance(source, Path) or "\n" not in str(source) and Path(str(source)).exists():
-            text = Path(source).read_text(encoding="utf-8")
+            try:
+                text = Path(source).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise FlipError(f"cannot read {source}: {exc.strerror or exc}") from None
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{source}: {exc}") from None
         else:
             text = str(source)
         results: list[CommandResult] = []

@@ -11,7 +11,7 @@ Grammar (one request per line, `#` starts a comment)::
     ARG   := EXPR | SRC
     SRC   := id | id:id (inclusive range) | sw[engine] | region name
     NODE  := id | sw[engine]
-    K=V   := delay=10ms | rate=1s | jitter=5ms | coverage=Name | datatype=vector
+    K=V   := delay=10ms | rate=1s | jitter=5ms
 
 Durations take `ms` or `s` suffixes. `computation<-` is accepted as an alias
 for `compute<-`. Manual commands may list engines as sources; automated
@@ -85,14 +85,9 @@ class Requirements:
     delay_ms: float | None = None
     rate_ms: float | None = None
     jitter_ms: float | None = None
-    coverage: str | None = None
-    data_type: str | None = None
 
     def is_empty(self) -> bool:
-        return all(
-            v is None
-            for v in (self.delay_ms, self.rate_ms, self.jitter_ms, self.coverage, self.data_type)
-        )
+        return all(v is None for v in (self.delay_ms, self.rate_ms, self.jitter_ms))
 
 
 @dataclass
@@ -352,13 +347,6 @@ class _Parser:
                     raise ValidationError(
                         f"jitter must be within 0..{JITTER_MAX_MS:g} ms, got {req.jitter_ms:g}"
                     )
-            elif key.value == "coverage":
-                req.coverage = self.expect("IDENT").value
-            elif key.value == "datatype":
-                value = self.expect("IDENT").value
-                if value not in ("scalar", "vector", "matrix"):
-                    raise DslSyntaxError(f"unknown datatype {value!r}", col=key.col)
-                req.data_type = value
             else:
                 raise DslSyntaxError(f"unknown requirement {key.value!r}", col=key.col)
             if self.peek().kind == ",":
@@ -407,10 +395,6 @@ def _format_requirements(req: Requirements) -> str:
         parts.append(f"rate={_format_duration(req.rate_ms)}")
     if req.jitter_ms is not None:
         parts.append(f"jitter={_format_duration(req.jitter_ms)}")
-    if req.coverage is not None:
-        parts.append(f"coverage={req.coverage}")
-    if req.data_type is not None:
-        parts.append(f"datatype={req.data_type}")
     return "{" + ",".join(parts) + "}"
 
 

@@ -32,7 +32,13 @@ re-enters the fabric addressed to the parent operation's engine (or to the
 request destination at the root), so inter-stage steering needs nothing
 beyond the same match tuple. A destination that is an engine is reached
 the same way: the output is routed to that engine's switch, where the
-request configuring the engine redirects it in.
+request configuring the engine redirects it in. Every rule, in both modes,
+comes from one loop over a node path (`_rules_along`): each switch on it
+forwards to the next switch or delivers into the next node. Baseline
+(send-everything) mode feeds that loop each source's link to its switch
+followed by the switch's shortest path to the destination, so every
+source on one switch shares one route and no shortest-path map is
+computed from a base station.
 """
 
 from __future__ import annotations
@@ -439,27 +445,17 @@ class _RuleBook:
         return out
 
 
-def _route_along(
-    book: _RuleBook, tree: SteinerTree, fd: str, source: str, start: str, end: str, t: Topology
+def _rules_along(
+    book: _RuleBook, path: tuple[str, ...], fd: str, source: str, t: Topology
 ) -> None:
-    """Forward rules for `source`'s traffic from switch `start` to switch `end`."""
-    path = tree.path(start, end)
+    """Rules for `source`'s traffic along `path`: at each switch, forward
+    to the next switch, or deliver into the next node when it is not one."""
     for here, nxt in zip(path, path[1:]):
         if t.kind(here) is NodeKind.SWITCH:
-            book.add(here, fd, ActionKind.FORWARD, nxt, source)
-
-
-def _deliver_along(
-    book: _RuleBook, tree: SteinerTree, source: str, start: str, destination: str, t: Topology
-) -> None:
-    """Forward rules for `source`'s output from switch `start` to the
-    destination host, delivering at the last switch."""
-    path = tree.path(start, destination)
-    for here, nxt in zip(path, path[1:]):
-        if t.kind(nxt) is NodeKind.SWITCH:
-            book.add(here, destination, ActionKind.FORWARD, nxt, source)
-        else:
-            book.add(here, destination, ActionKind.DELIVER, None, source)
+            if t.kind(nxt) is NodeKind.SWITCH:
+                book.add(here, fd, ActionKind.FORWARD, nxt, source)
+            else:
+                book.add(here, fd, ActionKind.DELIVER, None, source)
 
 
 def compile_rules(
@@ -509,7 +505,7 @@ def compile_rules(
                 match_fds.append(fd)
             if leaf:
                 ingress[source] = fd
-            _route_along(book, tree, fd, source, entry, placement.switch, t)
+            _rules_along(book, tree.path(entry, placement.switch), fd, source, t)
             book.add(placement.switch, fd, ActionKind.REDIRECT, placement.engine, source)
         configs.append(
             EngineConfig(
@@ -525,28 +521,22 @@ def compile_rules(
         )
 
     root = by_op[tg.root.node_id]
-    if t.kind(destination) is NodeKind.ENGINE:
-        end = t.connected_switch(destination)
-        _route_along(book, tree, destination, root.engine, root.switch, end, t)
-    else:
-        _deliver_along(book, tree, root.engine, root.switch, destination, t)
+    to_engine = t.kind(destination) is NodeKind.ENGINE
+    end = t.connected_switch(destination) if to_engine else destination
+    _rules_along(book, tree.path(root.switch, end), destination, root.engine, t)
 
     return book.rules(), configs, ingress
 
 
 def compile_baseline(t: Topology, sources: list[str], destination: str) -> list[FlowRule]:
     """Shortest-path rules from every source straight to the destination;
-    no engines involved, payloads pass through unmodified."""
+    no engines involved, payloads pass through unmodified. A source has one
+    link, to its switch, so its route is that link plus the switch's
+    shortest path, which every source on the switch shares."""
     book = _RuleBook()
     for source in sorted(set(sources), key=natural_key):
-        path, _ = t.shortest_path(source, destination)
-        for here, nxt in zip(path, path[1:]):
-            if t.kind(here) is not NodeKind.SWITCH:
-                continue
-            if nxt == destination:
-                book.add(here, destination, ActionKind.DELIVER, None, source)
-            else:
-                book.add(here, destination, ActionKind.FORWARD, nxt, source)
+        path = t.shortest_paths_from(t.connected_switch(source))[1][destination]
+        _rules_along(book, (source,) + path, destination, source, t)
     return book.rules()
 
 

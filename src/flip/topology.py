@@ -239,15 +239,6 @@ class Topology:
         self._sp_cache[a] = (dist, path)
         return dist, path
 
-    def shortest_path(self, a: str, b: str) -> tuple[list[str], float]:
-        if a == b:
-            self.kind(a)
-            return [a], 0.0
-        dist, path = self.shortest_paths_from(a)
-        if b not in dist:
-            raise NotFoundError(f"no path {a} -> {b}")
-        return list(path[b]), dist[b]
-
 
 # -- file format -------------------------------------------------------------
 

@@ -12,8 +12,9 @@ it was (the full metric closure sorted by Kruskal), against which the
 current one must give the same tree, and `collapsed_kmb_steiner_tree` is
 that construction run over the base-station terminals' switches with the
 base stations' own links added. `compile_manual` is the planner's
-earlier compiler for one-operation manual commands, kept as it was (it
-shares the planner's rule book and path walkers), against which the one
+earlier compiler for one-operation manual commands, kept as it was with
+its own copies of the planner's former path walkers (`_route_along`,
+`_deliver_along`; it shares only the rule book), against which the one
 compile path must give the same rules, configs and ingress.
 """
 
@@ -278,6 +279,31 @@ def collapsed_kmb_steiner_tree(t, terminals):
     )
 
 
+def _route_along(book, tree, fd, source, start, end, t):
+    """Forward rules for `source`'s traffic from switch `start` to switch `end`."""
+    from flip.planner import ActionKind
+    from flip.topology import NodeKind
+
+    path = tree.path(start, end)
+    for here, nxt in zip(path, path[1:]):
+        if t.kind(here) is NodeKind.SWITCH:
+            book.add(here, fd, ActionKind.FORWARD, nxt, source)
+
+
+def _deliver_along(book, tree, source, start, destination, t):
+    """Forward rules for `source`'s output from switch `start` to the
+    destination host, delivering at the last switch."""
+    from flip.planner import ActionKind
+    from flip.topology import NodeKind
+
+    path = tree.path(start, destination)
+    for here, nxt in zip(path, path[1:]):
+        if t.kind(nxt) is NodeKind.SWITCH:
+            book.add(here, destination, ActionKind.FORWARD, nxt, source)
+        else:
+            book.add(here, destination, ActionKind.DELIVER, None, source)
+
+
 def compile_manual(t, tg, placement, tree, destination, request):
     """One-op manual command: route sources to the chosen switch, redirect
     to its engine, and forward the output toward the destination.
@@ -289,7 +315,7 @@ def compile_manual(t, tg, placement, tree, destination, request):
     command configuring that engine, so forwarding stops at its switch.
     """
     from flip.epb import EngineConfig
-    from flip.planner import ActionKind, _deliver_along, _route_along, _RuleBook
+    from flip.planner import ActionKind, _RuleBook
     from flip.topology import NodeKind
 
     book = _RuleBook()

@@ -443,6 +443,46 @@ def test_cli_cmd_and_persistence(tmp_path):
     assert cli_main(["--session", session_dir, "cmd", "getflows", "dpid=sw1"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["load", "bad.json"],
+        ["load", "TOPO", "--coverage", "bad.json"],
+        ["load", "missing.json"],
+        ["run", "missing.flip"],
+        ["cmd", "getflows", "--json", "{bad"],
+        ["cmd", "getflows", "--json", "[1]"],
+        ["run", "binary.flip"],
+        ["--session", "other", "stats"],
+    ],
+    ids=[
+        "topology-not-json",
+        "coverage-not-json",
+        "missing-topology",
+        "missing-script",
+        "json-malformed",
+        "json-not-object",
+        "script-not-utf8",
+        "session-not-a-session",
+    ],
+)
+def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
+    """A missing or malformed input file, or a --json value that is not a
+    JSON object, exits 1 with an `error:` line instead of a traceback."""
+    topo_file = str(Path("data/demo_topology.json").resolve())
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text("not json\n")
+    Path("binary.flip").write_bytes(b"\xd0\xcf\x11\xe0")
+    Path("other").mkdir()
+    Path("other", "session.json").write_text("[1]\n")
+    assert cli_main(["--session", "s", "load", topo_file]) == 0
+    capsys.readouterr()
+    argv = [topo_file if arg == "TOPO" else arg for arg in argv]
+    assert cli_main(["--session", "s", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
 def test_cli_bench_writes_report(tmp_path):
     out = tmp_path / "report"
     code = cli_main(

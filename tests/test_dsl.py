@@ -64,14 +64,18 @@ def test_mul_arity_enforced():
 def test_requirements_parsing():
     req = parse_request(
         "datapath_a(max(bs1:bs10),destination<-user,"
-        "requirement<-{delay=10ms,rate=1s,jitter=5ms,coverage=Seoul,datatype=vector})"
+        "requirement<-{delay=10ms,rate=1s,jitter=5ms})"
     )
     r = req.requirements
     assert r.delay_ms == 10.0
     assert r.rate_ms == 1000.0
     assert r.jitter_ms == 5.0
-    assert r.coverage == "Seoul"
-    assert r.data_type == "vector"
+    # nothing reads a coverage or a data type, so neither is a requirement
+    for removed in ("coverage=Seoul", "datatype=vector"):
+        with pytest.raises(DslSyntaxError, match="unknown requirement"):
+            parse_request(
+                f"datapath_a(max(bs1:bs10),destination<-user,requirement<-{{{removed}}})"
+            )
 
 
 def test_jitter_bound_enforced():

@@ -122,7 +122,7 @@ def test_r1_closed_form_hop_counts(bench):
     # baseline: every source packet visits every switch on its path
     expected_base = 0
     for leaf in tg.leaves():
-        path, _ = bench.shortest_path(leaf, "user")
+        path = bench.shortest_paths_from(leaf)[1]["user"]
         expected_base += epochs * sum(1 for n in path if bench.kind(n) is NodeKind.SWITCH)
     assert row.baseline_total_hops == expected_base
     # engine-assisted: raw packets stop at sw1, one aggregate per epoch goes on

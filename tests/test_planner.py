@@ -4,6 +4,7 @@ import random
 import pytest
 
 from flip import dsl
+from flip.control import Session
 from flip.dsl import OpKind, parse_request
 from flip.errors import CompileError, FlipError, PlacementError, RejectedByDelay
 from flip.harness import DATA_DIR, build_experiment_topology, demo_topology
@@ -22,6 +23,7 @@ from flip.topology import Link, NodeKind, Topology, load_topology
 from _oracles import (
     collapsed_kmb_steiner_tree,
     compile_manual,
+    enumerate_shortest_path,
     kmb_steiner_tree,
     placement_transcription,
     random_connected_graph,
@@ -151,7 +153,8 @@ def test_placement_covers_every_op_once(demo):
 
 def test_two_terminals_is_shortest_path(demo):
     tree = steiner_tree(demo, {"bs1", "user"})
-    path, delay = demo.shortest_path("bs1", "user")
+    dist, paths = demo.shortest_paths_from("bs1")
+    path, delay = paths["user"], dist["user"]
     assert tree.weight == delay
     edges = {l.key() for l in tree.edges}
     assert edges == {tuple(sorted(p)) for p in zip(path, path[1:])}
@@ -282,7 +285,7 @@ def test_steiner_tree_collapses_base_stations_like_the_kmb_oracle():
 
 def test_wide_plan_computes_no_shortest_paths_from_base_stations(monkeypatch):
     """Cold planning of a flat request over every base station runs Dijkstra
-    from hubs only, never once per leaf."""
+    from hubs only, never once per leaf, and so does its baseline install."""
     t = demo_topology()
     sources = []
     shortest_paths_from = Topology.shortest_paths_from
@@ -295,6 +298,15 @@ def test_wide_plan_computes_no_shortest_paths_from_base_stations(monkeypatch):
     p = plan(parse_request("datapath_a(sum(bs1:bs300),destination<-user)"), t)
     assert p.admitted and len(p.tree.terminals) == 302
     assert sources and set(sources) <= {*t.switches(), "user"}
+
+    # the send-everything install of the same request routes from switches too
+    sources.clear()
+    result = Session(t).execute(
+        "datapath_a",
+        {"request": "datapath_a(sum(bs1:bs300),destination<-user)", "baseline": True},
+    )
+    assert result.ok and result.body["installed_rules"]
+    assert sources and set(sources) <= set(t.switches())
 
 
 # -- delay admission ----------------------------------------------------------------
@@ -439,6 +451,61 @@ def test_baseline_rules_deliver_everywhere(demo):
     assert all(r.final_destination == "user" for r in rules)
     assert any(r.action is ActionKind.DELIVER for r in rules)
     assert not any(r.action is ActionKind.REDIRECT for r in rules)
+
+
+def test_baseline_routes_are_shortest_and_shared_per_switch():
+    """Followed hop by hop from its switch, each source's installed baseline
+    rules take a route as short as the enumeration oracle's and end in
+    DELIVER at the destination's switch, and all sources on one switch take
+    one route, with integer and with fractional link delays."""
+    rng = random.Random("baseline-routes")
+    for i in range(300):
+        max_delay = (1, 2, 3, 5)[i % 4]
+        adj = random_connected_graph(
+            rng, rng.randint(2, 8), extra_edges=rng.randint(0, 8), max_delay=max_delay
+        )
+        switches = sorted(adj)
+        stations = [f"bs{k}" for k in range(1, rng.randint(2, 16) + 1)]
+        for node in [*stations, "user"]:
+            host = rng.choice(switches)
+            adj[node] = {host: float(rng.randint(1, max_delay))}
+            adj[host][node] = adj[node][host]
+        if i % 2:
+            scale = rng.choice((0.1, 0.3, 0.7))
+            adj = {u: {v: w * scale for v, w in nbs.items()} for u, nbs in adj.items()}
+        nodes = {n: NodeKind.SWITCH for n in switches} | dict.fromkeys(
+            stations, NodeKind.BASE_STATION
+        )
+        nodes["user"] = NodeKind.DESTINATION
+        links = [Link(u, v, w) for u, nbs in adj.items() for v, w in nbs.items() if u < v]
+        session = Session(Topology(nodes, links))
+        request = f"datapath_a(sum(bs1:bs{len(stations)}),destination<-user)"
+        result = session.execute("datapath_a", {"request": request, "baseline": True})
+        assert result.ok, result.message
+
+        (user_switch,) = adj["user"]
+        routes: dict[str, set] = {}
+        for bs in stations:
+            (switch,) = adj[bs]
+            route, delay = [switch], adj[bs][switch]
+            while True:
+                rule = next(
+                    (r for r in session.fabric.tables[route[-1]].rules if r.matches("user", bs)),
+                    None,
+                )
+                assert rule is not None, (adj, bs, route)
+                if rule.action is ActionKind.DELIVER:
+                    break
+                assert rule.action is ActionKind.FORWARD
+                delay += adj[route[-1]][rule.target]
+                route.append(rule.target)
+                assert len(route) <= len(switches), (adj, bs, route)
+            assert route[-1] == user_switch
+            delay += adj[user_switch]["user"]
+            # equal-delay routes may round differently in the last bit
+            assert delay == pytest.approx(enumerate_shortest_path(adj, bs, "user")[0], abs=1e-9)
+            routes.setdefault(switch, set()).add(tuple(route))
+        assert all(len(r) == 1 for r in routes.values()), routes
 
 
 def test_manual_chain_covers_manual_decomposition(demo):

@@ -178,7 +178,9 @@ def test_adjacent_switch_is_pure():
 
 def test_shortest_path_identity():
     t = load_topology(MINIMAL)
-    assert t.shortest_path("bs1", "bs1") == (["bs1"], 0.0)
+    dist, path = t.shortest_paths_from("bs1")
+    assert path["bs1"] == ("bs1",)
+    assert dist["bs1"] == 0.0
 
 
 def test_shortest_path_three_node_line():
@@ -194,7 +196,9 @@ def test_shortest_path_three_node_line():
         ],
     }
     t = load_topology(doc)
-    assert t.shortest_path("a", "b") == (["a", "m", "b"], 3.0)
+    dist, path = t.shortest_paths_from("a")
+    assert path["b"] == ("a", "m", "b")
+    assert dist["b"] == 3.0
 
 
 def test_shortest_path_matches_enumeration():
@@ -206,9 +210,9 @@ def test_shortest_path_matches_enumeration():
         for _ in range(6):
             a, b = rng.sample(nodes, 2)
             delay, path = enumerate_shortest_path(adj, a, b)
-            got_path, got_delay = t.shortest_path(a, b)
-            assert got_delay == delay
-            assert tuple(got_path) == path
+            got_delay, got_path = t.shortest_paths_from(a)
+            assert got_delay[b] == delay
+            assert got_path[b] == path
 
 
 def test_shortest_path_symmetric_delay():
@@ -218,7 +222,7 @@ def test_shortest_path_symmetric_delay():
         t = adj_topology(adj)
         nodes = sorted(adj)
         a, b = rng.sample(nodes, 2)
-        assert t.shortest_path(a, b)[1] == t.shortest_path(b, a)[1]
+        assert t.shortest_paths_from(a)[0][b] == t.shortest_paths_from(b)[0][a]
 
 
 def test_every_basestation_has_switch():
