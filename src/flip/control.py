@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import socket
 import socketserver
 import threading
@@ -62,21 +61,21 @@ class CommandResult:
 
 
 class Session:
-    """One loaded topology plus its running fabric and config store."""
+    """One loaded topology plus its running fabric and config store;
+    `execute` is the one path from a request to installed rules and configs.
+    The store is `config_dir/engine_configs.json`, or in memory without one."""
 
     def __init__(
         self,
         topology: Topology,
         coverage: dsl.CoverageMap | None = None,
         config_dir: str | Path | None = None,
-        trace: bool = False,
     ):
-        config_dir = config_dir or os.environ.get("FLIP_CONFIG_DIR")
         store_path = Path(config_dir) / CONFIG_FILE if config_dir else None
         self.topology = topology
         self.coverage = coverage or {}
         self.store = ConfigStore(store_path)
-        self.fabric = Fabric(topology, self.store, trace=trace)
+        self.fabric = Fabric(topology, self.store)
         self.command_log: list[dict] = []
         self._lock = threading.Lock()
         self._dpids = {sw: i + 1 for i, sw in enumerate(topology.switches())}
@@ -134,12 +133,12 @@ class Session:
 
     def _resolve_dpid(self, args) -> str:
         dpid = args.get("dpid")
-        if isinstance(dpid, int):
+        if isinstance(dpid, int) and not isinstance(dpid, bool):
             for sw, n in self._dpids.items():
                 if n == dpid:
                     return sw
             raise UnknownSwitchError(f"unknown dpid {dpid}")
-        if dpid in self.fabric.tables:
+        if isinstance(dpid, str) and dpid in self.fabric.tables:
             return dpid
         raise UnknownSwitchError(f"unknown switch {dpid!r}")
 
@@ -233,9 +232,15 @@ class Session:
 
     def _engine_arg(self, args) -> str:
         engine = args.get("engine")
-        if engine not in self.fabric.engines:
+        if not isinstance(engine, str) or engine not in self.fabric.engines:
             raise UnknownSwitchError(f"unknown engine {engine!r}")
         return engine
+
+    def _user_arg(self, args) -> str:
+        user = args.get("user", "")
+        if not isinstance(user, str):
+            raise ValidationError(f"user must be a string, got {user!r}")
+        return user
 
     def _getconfig(self, args) -> dict:
         engine = self._engine_arg(args)
@@ -247,14 +252,14 @@ class Session:
 
     def _getconfig_user(self, args) -> dict:
         engine = self._engine_arg(args)
-        user = args.get("user", "")
+        user = self._user_arg(args)
         configs = self.store.user_configs(engine, user)
         return {"engine": engine, "user": user, "configs": [c.to_doc() for c in configs]}
 
     def _setconfig_user(self, args) -> dict:
         engine = self._engine_arg(args)
-        user = args.get("user")
-        if not user or not isinstance(user, str):
+        user = self._user_arg(args)
+        if not user:
             raise ValidationError("setconfig/user needs a user name")
         cfg = EngineConfig.from_doc(engine, user, args.get("config", {}))
         self.store.set_config(cfg)
@@ -264,10 +269,10 @@ class Session:
         """Update one named section (one of CONFIG_MODULES) of an existing
         config."""
         engine = self._engine_arg(args)
-        user = args.get("user")
+        user = self._user_arg(args)
         module = args.get("module")
         value = args.get("value")
-        configs = self.store.user_configs(engine, user or "")
+        configs = self.store.user_configs(engine, user)
         if args.get("destination"):
             configs = [c for c in configs if c.destination == args["destination"]]
         if not configs:
@@ -297,7 +302,10 @@ class Session:
         expected = RequestMode.AUTOMATED if verb == "datapath_a" else RequestMode.MANUAL
         if request.mode is not expected:
             raise ValidationError(f"{verb} got a {request.mode.value} request")
-        if args.get("baseline"):
+        baseline = args.get("baseline", False)
+        if not isinstance(baseline, bool):
+            raise ValidationError(f"baseline must be true or false, got {baseline!r}")
+        if baseline:
             return self._install_baseline(request)
         plan = planner.plan(request, self.topology, self.coverage)
         installed = self.fabric.install_rules(plan.rules)
@@ -329,16 +337,17 @@ class Session:
         self, source: str | Path, keep_going: bool = False, baseline: bool = False
     ) -> list[CommandResult]:
         """Execute datapath commands line by line; `#` comments and blank
-        lines are skipped. Stops at the first error unless keep_going."""
-        if isinstance(source, Path) or "\n" not in str(source) and Path(str(source)).exists():
+        lines are skipped. Stops at the first error unless keep_going.
+        A `Path` is read as the script file; a `str` is the script text."""
+        if isinstance(source, Path):
             try:
-                text = Path(source).read_text(encoding="utf-8")
+                text = source.read_text(encoding="utf-8")
             except OSError as exc:
                 raise FlipError(f"cannot read {source}: {exc.strerror or exc}") from None
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{source}: {exc}") from None
         else:
-            text = str(source)
+            text = source
         results: list[CommandResult] = []
         for line_no, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()

@@ -22,6 +22,7 @@ expand_sources resolves them against a topology and coverage map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 
 from .errors import (
@@ -384,7 +385,8 @@ def parse_request(text: str) -> Request:
 
 
 def _format_duration(ms: float) -> str:
-    return f"{ms:g}ms"
+    # every digit and no exponent, so the text parses back to the same float
+    return f"{Decimal(repr(ms)).normalize():f}ms"
 
 
 def _format_requirements(req: Requirements) -> str:

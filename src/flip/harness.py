@@ -15,9 +15,11 @@ links), with the user on sw12 and a cloud host on sw11. Absolute packet
 counts depend on this wiring; the reproducible claims are the relative
 ones (large reduction, edge switches exempt).
 
-Every delivered value is audited against a direct evaluation of the
-request expression over the recorded per-epoch source values; an audit
-mismatch fails the run rather than the report.
+Each request is installed on a fresh `control.Session` by the command
+`flip run` executes, in flip or baseline (send-everything) mode. Every
+delivered value is audited against a direct evaluation of the request
+expression over the recorded per-epoch source values; an audit mismatch
+fails the run rather than the report.
 """
 
 from __future__ import annotations
@@ -29,15 +31,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl, planner
+from .control import Session
 from .dataplane import Fabric
-from .dsl import OpKind, OpNode, Request, TaskGraph
-from .epb import ConfigStore
-from .errors import AuditFailure
+from .dsl import OpKind, OpNode, Request, RequestMode, TaskGraph
+from .errors import AuditFailure, FlipError
 from .packets import PacketRecord, Scalar
-from .planner import DatapathPlan
 from .topology import Topology, load_topology_file, natural_key
-
-DESTINATION = "user"
 
 
 # -- authored topologies and requests ------------------------------------------
@@ -184,55 +183,36 @@ class ComparisonRow:
         }
 
 
-def _inject_all(fabric: Fabric, samples: list[Sample], ingress: dict[str, str], user: str):
-    for s in samples:
-        fabric.inject(
-            PacketRecord(
-                source=s.source,
-                final_destination=ingress[s.source],
-                user=user,
-                epoch=s.epoch,
-                timestamp_ms=s.publish_ms,
-                payload=Scalar(s.value),
-            ),
-            at=s.source,
-        )
-
-
-def run_flip(
+def simulate(
     t: Topology,
     request: Request,
     workload: Workload,
     cov: dsl.CoverageMap | None = None,
-) -> tuple[DatapathPlan, Fabric, list[Sample]]:
-    """Plan, install, and simulate one request with engines active."""
-    plan = planner.plan(request, t, cov)
-    fabric = Fabric(t, ConfigStore())
-    fabric.install_rules(plan.rules)
-    for cfg in plan.engine_configs:
-        fabric.store.set_config(cfg)
-    tg = dsl.expand_sources(request, t, cov)
-    samples = workload.samples(tg.leaves())
-    _inject_all(fabric, samples, plan.source_ingress, request.user)
-    fabric.run()
-    return plan, fabric, samples
-
-
-def run_baseline(
-    t: Topology,
-    request: Request,
-    workload: Workload,
-    cov: dsl.CoverageMap | None = None,
+    baseline: bool = False,
 ) -> tuple[Fabric, list[Sample]]:
-    """Simulate the same workload with plain shortest-path delivery."""
-    tg = dsl.expand_sources(request, t, cov)
-    destination = planner.resolve_endpoint(t, request.destination)
-    fabric = Fabric(t, ConfigStore())
-    fabric.install_rules(planner.compile_baseline(t, tg.leaves(), destination))
-    samples = workload.samples(tg.leaves())
-    _inject_all(fabric, samples, {s: destination for s in tg.leaves()}, request.user)
-    fabric.run()
-    return fabric, samples
+    """Install one request on a fresh session, engine-assisted or (with
+    `baseline`) send-everything, then publish the workload and run the
+    fabric. A rejected request raises a FlipError with the command's code."""
+    session = Session(t, cov)
+    verb = "datapath_a" if request.mode is RequestMode.AUTOMATED else "datapath_m"
+    result = session.execute(verb, {"request": dsl.canonical(request), "baseline": baseline})
+    if not result.ok:
+        error = FlipError(result.message)
+        error.code = result.code
+        raise error
+    body = result.body
+    if baseline:
+        ingress = {source: body["destination"] for source in body["sources"]}
+    else:
+        ingress = body["plan"]["source_ingress"]
+    samples = workload.samples(list(ingress))
+    for s in samples:
+        packet = PacketRecord(
+            s.source, ingress[s.source], request.user, s.epoch, s.publish_ms, Scalar(s.value)
+        )
+        session.fabric.inject(packet, at=s.source)
+    session.fabric.run()
+    return session.fabric, samples
 
 
 def audit_delivered(
@@ -274,9 +254,9 @@ def run_comparison(
     """One request, one workload, both modes; audited and summarized."""
     tg = dsl.expand_sources(request, t, cov)
     destination = planner.resolve_endpoint(t, request.destination)
-    plan, flip_fabric, samples = run_flip(t, request, workload, cov)
+    flip_fabric, samples = simulate(t, request, workload, cov)
     delivered = audit_delivered(tg, flip_fabric, samples, destination, workload.epochs())
-    base_fabric, _ = run_baseline(t, request, workload, cov)
+    base_fabric, _ = simulate(t, request, workload, cov, baseline=True)
 
     flip_hops = flip_fabric.stats().total_packet_hops
     base_hops = base_fabric.stats().total_packet_hops

@@ -81,7 +81,7 @@ def test_criterion_3_oracle_equivalence():
         request = requests[i % len(requests)]
         workload = Workload(seed=rng.randint(0, 1_000_000), horizon_ms=300.0)
         tg = dsl.expand_sources(request, topology)
-        _, fabric, samples = harness.run_flip(topology, request, workload)
+        fabric, samples = harness.simulate(topology, request, workload)
         by_epoch: dict[int, dict[str, float]] = {}
         for s in samples:
             by_epoch.setdefault(s.epoch, {})[s.source] = s.value
@@ -169,7 +169,7 @@ def test_criterion_5_rate_and_jitter_semantics():
         "datapath_a(sum(bs1,bs2),destination<-user,requirement<-{rate=1s})"
     )
     w = Workload(seed=5, horizon_ms=horizon, jitter_range_ms=(0.0, 3.0))
-    _, fabric, _ = harness.run_flip(t, req, w)
+    fabric, _ = harness.simulate(t, req, w)
     delivered = fabric.delivered_at("user")
     assert abs(len(delivered) - expected) <= 1
 

@@ -179,6 +179,11 @@ def test_run_script_r1_r9(tmp_path, session):
     results = session.run_script(script)
     assert len(results) == 9
     assert all(r.ok for r in results)
+    # a str is script text, even one line longer than a file name may be
+    wide = f"datapath_a(sum({','.join(f'bs{i}' for i in range(1, 79))}),destination<-user)"
+    assert len(wide) > 255
+    [result] = Session(build_experiment_topology()).run_script(wide)
+    assert result.ok
 
 
 def test_run_script_baseline_mode(tmp_path, session):
@@ -394,25 +399,59 @@ def test_socket_server_roundtrip(tmp_path, demo_session):
         server.server_close()
 
 
-def test_config_dir_env(tmp_path, monkeypatch):
+def test_session_reads_no_config_dir_from_the_environment(tmp_path, monkeypatch):
+    config = {"compute": "sum", "source": ["bs1"], "destination": "user"}
+    stored = Session(demo_topology(), config_dir=tmp_path)
+    stored.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": config})
+    config_file = tmp_path / "engine_configs.json"
+    before = config_file.read_bytes()
     monkeypatch.setenv("FLIP_CONFIG_DIR", str(tmp_path))
     session = Session(demo_topology())
-    session.execute(
-        "setconfig/user",
-        {
-            "engine": "e-sw1",
-            "user": "u",
-            "config": {"compute": "sum", "source": ["bs1"], "destination": "user"},
-        },
-    )
-    assert (tmp_path / "engine_configs.json").exists()
+    assert session.store.to_doc() == {}
+    session.execute("setconfig/user", {"engine": "e-sw2", "user": "v", "config": config})
+    assert config_file.read_bytes() == before
 
 
-def test_corrupt_config_file_is_a_typed_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLIP_CONFIG_DIR", str(tmp_path))
+def test_corrupt_config_file_is_a_typed_error(tmp_path):
     (tmp_path / "engine_configs.json").write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError, match="engine_configs.json"):
-        Session(demo_topology())
+        Session(demo_topology(), config_dir=tmp_path)
+
+
+FLOW = {"match": {"final_destination": "user"}, "action": {"type": "forward", "target": "sw2"}}
+CONFIG = {"compute": "sum", "source": ["bs1"], "destination": "user"}
+
+
+@pytest.mark.parametrize(
+    "verb, args, code",
+    [
+        ("getflows", {"dpid": [1]}, "unknown_switch"),
+        ("getports", {"dpid": {"id": "sw1"}}, "unknown_switch"),
+        ("getswdesc", {"dpid": ["sw1"]}, "unknown_switch"),
+        ("gettables", {"dpid": True}, "unknown_switch"),
+        ("addflow", {"dpid": ["sw1"], **FLOW}, "unknown_switch"),
+        ("modflow", {"dpid": ["sw1"], "index": 0, **FLOW}, "unknown_switch"),
+        ("delflow", {"dpid": {"id": "sw1"}, "index": 0}, "unknown_switch"),
+        ("delflowall", {"dpid": [1]}, "unknown_switch"),
+        ("getconfig", {"engine": ["e-sw1"]}, "unknown_switch"),
+        ("getconfig/user", {"engine": {"id": "e-sw1"}, "user": "u"}, "unknown_switch"),
+        ("getconfig/user", {"engine": "e-sw1", "user": ["u"]}, "validation_error"),
+        ("setconfig/user", {"engine": ["e-sw1"], "user": "u", "config": CONFIG}, "unknown_switch"),
+        (
+            "setconfig/user/module",
+            {"engine": "e-sw1", "user": {"name": "u"}, "module": "rate", "value": "1s"},
+            "validation_error",
+        ),
+        ("datapath_a", {"request": EQ1, "baseline": "no"}, "validation_error"),
+        ("datapath_a", {"request": EQ1, "baseline": 1}, "validation_error"),
+    ],
+)
+def test_wrongly_typed_arguments_are_typed_errors(demo_session, verb, args, code):
+    before = demo_session.state_json()
+    result = demo_session.execute(verb, args)
+    assert not result.ok and result.code == code, result
+    assert demo_session.state_json() == before
+    assert demo_session.command_log == []
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -483,6 +522,19 @@ def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err, err
 
 
+def test_cli_wrongly_typed_argument_is_an_error_reply(tmp_path, capsys):
+    """`dpid=[1]` parses as a JSON list: the command fails with exit code 1
+    and a typed error reply, not a traceback."""
+    session_dir = str(tmp_path / "s")
+    assert cli_main(["--session", session_dir, "load", str(harness.DATA_DIR / "demo_topology.json")]) == 0
+    capsys.readouterr()
+    assert cli_main(["--session", session_dir, "cmd", "getflows", "dpid=[1]"]) == 1
+    out, err = capsys.readouterr()
+    reply = json.loads(out)
+    assert reply["status"] == "error" and reply["code"] == "unknown_switch"
+    assert "Traceback" not in err
+
+
 def test_cli_bench_writes_report(tmp_path):
     out = tmp_path / "report"
     code = cli_main(
@@ -494,8 +546,7 @@ def test_cli_bench_writes_report(tmp_path):
     assert (out / "summary.json").exists()
 
 
-def test_cli_writes_engine_config_file(tmp_path, monkeypatch):
-    monkeypatch.delenv("FLIP_CONFIG_DIR", raising=False)
+def test_cli_writes_engine_config_file(tmp_path):
     session_dir = tmp_path / "s"
     config_file = session_dir / "engine_configs.json"
     topo_file = str(harness.DATA_DIR / "experiment_topology.json")
@@ -510,8 +561,7 @@ def test_cli_writes_engine_config_file(tmp_path, monkeypatch):
     assert not config_file.exists()
 
 
-def test_cli_config_file_follows_the_log(tmp_path, monkeypatch):
-    monkeypatch.delenv("FLIP_CONFIG_DIR", raising=False)
+def test_cli_config_file_follows_the_log(tmp_path):
     session_dir = str(tmp_path / "s")
     topo_file = str(harness.DATA_DIR / "demo_topology.json")
     assert cli_main(["--session", session_dir, "load", topo_file]) == 0

@@ -206,10 +206,33 @@ def test_roundtrip_canonical_random_requests():
                 children.append(f"bs{lo}:bs{hi}" if rng.random() < 0.5 else f"bs{lo}")
         return f"{op}({','.join(children)})"
 
-    for _ in range(30):
-        text = f"datapath_a({gen_expr(0)},destination<-user)"
+    def many_digits():  # 7 to 12 significant digits
+        digits = str(rng.randint(10**6, 10**12))
+        point = rng.randint(1, len(digits) - 1)
+        return f"{digits[:point]}.{digits[point:]}{rng.choice(['ms', 's'])}"
+
+    def tiny():  # under 1e-4 ms
+        return f"0.0000{rng.randint(1, 10**6)}{rng.choice(['ms', 's'])}"
+
+    durations = [
+        many_digits,
+        tiny,
+        lambda: f"{rng.randint(1000, 10**7)}s",  # at least 1e6 ms
+        lambda: f"{rng.randint(1, 500) / 4}ms",
+    ]
+    jitters = [tiny, lambda: f"{rng.randint(1, 25 * 10**6) / 10**6}ms"]
+
+    def gen_requirement():
+        keys = [k for k in ("delay", "rate", "jitter") if rng.random() < 0.6] or ["rate"]
+        rng.shuffle(keys)
+        pairs = [f"{k}={rng.choice(jitters if k == 'jitter' else durations)()}" for k in keys]
+        return ",requirement<-{" + ",".join(pairs) + "}"
+
+    for i in range(60):
+        tail = gen_requirement() if i % 2 else ""
+        text = f"datapath_a({gen_expr(0)},destination<-user{tail})"
         req = parse_request(text)
-        assert parse_request(canonical(req)) == req
+        assert parse_request(canonical(req)) == req, text
 
 
 def test_expand_range_and_counts():

@@ -6,7 +6,8 @@ import pytest
 
 from flip import dsl, harness
 from flip.dsl import OpKind, parse_request
-from flip.errors import AuditFailure
+from flip.control import Session
+from flip.errors import AuditFailure, FlipError
 from flip.harness import (
     Workload,
     build_experiment_topology,
@@ -184,11 +185,31 @@ def test_same_seed_identical_report_bytes(bench):
 def test_audit_catches_tampered_values(bench):
     req = requests_r1_r9()[0]
     w = Workload(seed=2, horizon_ms=300.0)
-    plan, fabric, samples = harness.run_flip(bench, req, w)
+    fabric, samples = harness.simulate(bench, req, w)
     tg = dsl.expand_sources(req, bench)
     fabric.delivered[0]["payload"]["scalar"] += 1.0
     with pytest.raises(AuditFailure):
         harness.audit_delivered(tg, fabric, samples, "user", w.epochs())
+
+
+def test_simulate_installs_what_the_request_text_installs(bench):
+    """simulate sends the canonical text, which must keep every digit of a
+    long or many-digit duration."""
+    text = (
+        "datapath_a(max(bs1:bs10),destination<-user,"
+        "requirement<-{rate=2000s,jitter=1.23456789ms})"
+    )
+    fabric, _ = harness.simulate(bench, parse_request(text), Workload(seed=1, horizon_ms=300.0))
+    session = Session(bench)
+    assert session.execute("datapath_a", {"request": text}).ok
+    assert json.dumps(fabric.state_doc(), sort_keys=True, separators=(",", ":")) == session.state_json()
+
+
+def test_simulate_raises_the_command_error(bench):
+    req = parse_request("datapath_a(max(bs1:bs10),destination<-user,requirement<-{delay=0.001ms})")
+    with pytest.raises(FlipError) as info:
+        harness.simulate(bench, req, Workload(seed=1, horizon_ms=300.0))
+    assert info.value.code == "rejected_by_delay"
 
 
 def test_export_report_files(tmp_path, quick_report):
