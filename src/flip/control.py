@@ -206,7 +206,8 @@ class Session:
     def _flow_index(self, args) -> tuple[str, int]:
         sw = self._resolve_dpid(args)
         index = args.get("index")
-        if not isinstance(index, int) or not (0 <= index < len(self.fabric.tables[sw].rules)):
+        rules = self.fabric.tables[sw].rules
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(rules):
             raise ValidationError(f"no flow at index {index!r} on {sw}")
         return sw, index
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .epb import ConfigStore, Engine
 from .errors import FlipError, UnknownNodeError, UnknownSwitchError
-from .packets import PacketRecord, payload_doc
+from .packets import PacketRecord
 from .planner import ActionKind, FlowRule
 from .topology import NodeKind, Topology, natural_key
 
@@ -241,7 +241,7 @@ class Fabric:
                 "source": p.source,
                 "user": p.user,
                 "epoch": p.epoch,
-                "payload": payload_doc(p.payload),
+                "payload": p.payload.to_doc(),
             }
             self.delivered.append(record)
             return self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)

@@ -21,6 +21,7 @@ expand_sources resolves them against a topology and coverage map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -371,6 +372,8 @@ class _Parser:
             raise DslSyntaxError(
                 f"{key.value} needs an ms or s suffix, got {tok.value}{tok.unit}", col=tok.col
             )
+        if not math.isfinite(ms):
+            raise ValidationError(f"{key.value} must be finite, got {ms:g} ms")
         if ms < 0 or (ms == 0 and not allow_zero):
             raise ValidationError(f"{key.value} must be positive, got {ms:g} ms")
         return ms
@@ -470,10 +473,10 @@ class TaskGraph:
     """Rooted operation tree: leaves are source node ids, the root operation
     feeds the destination."""
 
-    def __init__(self, root: OpNode, destination: str):
+    def __init__(self, root: OpNode):
         self.root = root
-        self.destination = destination
         self._ops: list[OpNode] = []
+        self._leaves: list[str] = []
         self._parent: dict[str, OpNode | None] = {}
         self._walk(root, None)
 
@@ -483,6 +486,8 @@ class TaskGraph:
         for child in node.children:
             if isinstance(child, OpNode):
                 self._walk(child, node)
+            else:
+                self._leaves.append(child)
 
     def ops(self) -> list[OpNode]:
         """Operation nodes in pre-order (document order)."""
@@ -498,30 +503,11 @@ class TaskGraph:
         ]
 
     def leaves(self) -> list[str]:
-        out: list[str] = []
-
-        def rec(node: OpNode):
-            for child in node.children:
-                if isinstance(child, OpNode):
-                    rec(child)
-                else:
-                    out.append(child)
-
-        rec(self.root)
-        return out
+        """Leaf source ids in pre-order (document order)."""
+        return list(self._leaves)
 
     def op_count(self) -> int:
         return len(self._ops)
-
-    def to_doc(self) -> dict:
-        def rec(node: OpNode):
-            return {
-                "id": node.node_id,
-                "op": node.kind.value,
-                "children": [rec(c) if isinstance(c, OpNode) else c for c in node.children],
-            }
-
-        return {"destination": self.destination, "root": rec(self.root)}
 
 
 def _resolve_leaf(
@@ -588,4 +574,4 @@ def expand_sources(request: Request, t: Topology, cov: CoverageMap | None = None
                     children.append(leaf)
         return OpNode(node_id, node.kind, children)
 
-    return TaskGraph(build(request.expr), request.destination)
+    return TaskGraph(build(request.expr))

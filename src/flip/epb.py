@@ -71,9 +71,11 @@ class EngineConfig:
             raise ValidationError(f"duplicate sources in config: {self.sources}")
         for name, value in (("rate", self.rate_ms), ("jitter", self.jitter_ms)):
             if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
             ):
-                raise ValidationError(f"{name} must be a number, got {value!r}")
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if self.rate_ms is not None and self.rate_ms <= 0:
             raise ValidationError(f"rate must be positive, got {self.rate_ms:g}")
         if self.jitter_ms is not None and not (0 <= self.jitter_ms <= JITTER_MAX_MS):

@@ -51,10 +51,6 @@ class Matrix:
 Payload = Scalar | Vector | Matrix
 
 
-def payload_doc(p: Payload) -> dict:
-    return p.to_doc()
-
-
 @dataclass
 class PacketRecord:
     source: str
@@ -74,6 +70,6 @@ class PacketRecord:
             "user": self.user,
             "epoch": self.epoch,
             "timestamp_ms": self.timestamp_ms,
-            "payload": payload_doc(self.payload),
+            "payload": self.payload.to_doc(),
             "hop_count": self.hop_count,
         }

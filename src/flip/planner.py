@@ -11,17 +11,24 @@ for predictability is intentional.
 The datapath tree is the classic metric-closure Steiner approximation of
 Kou, Markowsky & Berman: complete graph over the terminals weighted by
 shortest-path delay, minimum spanning tree, expansion back to real paths,
-then pruning of non-terminal leaves. Its weight is within (2 - 2/t) of the
-optimal tree for t terminals. Base-station terminals are collapsed onto
-their switches before the closure: a base station has one link, which
-every Steiner tree must contain, so the closure spans only the "hubs" (the
-leaves' switches plus the other terminals) and the leaf links are added
-back; the bound still holds because those links are forced. The complete
+then pruning to the subtree that connects the terminals. Its weight is
+within (2 - 2/t) of the optimal tree for t terminals. Base-station
+terminals are collapsed onto their switches before the closure: a base
+station has one link, which every Steiner tree must contain, so the
+closure spans only the "hubs" (the leaves' switches plus the other
+terminals) and the leaf links are added back; the bound still holds
+because those links are forced. The complete
 graph is never built: Prim's algorithm keeps one best closure edge per hub
 outside the tree, so the spanning tree costs O(h^2) time and O(h) memory
 beyond the shortest-path maps for h hubs (at most the switch count plus
 the destination), only its h - 1 paths are expanded, and no shortest-path
 map is computed from a base station.
+
+A tree is walked by one primitive, `SteinerTree.rooted`: one walk outward
+from a root giving each node its parent, depth and delay to the root. The
+prune keeps each terminal's climb to the first terminal; admission climbs
+the destination's walk from each leaf, and `SteinerTree.path` climbs both
+ends of that same walk, so a plan walks its final tree once.
 
 Compilation turns the tree into first-match flow rules, along one path
 for both request forms: a manual command is a one-operation task graph
@@ -47,6 +54,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .dsl import CoverageMap, OpNode, Request, RequestMode, TaskGraph, expand_sources
 from .epb import EngineConfig
@@ -70,6 +78,14 @@ class OpPlacement:
         return {"op": self.op_node, "switch": self.switch, "engine": self.engine}
 
 
+class Rooted(NamedTuple):
+    """A tree walked outward from one root: parent, depth and delay to it."""
+
+    parent: dict[str, str | None]
+    depth: dict[str, int]
+    delay: dict[str, float]
+
+
 @dataclass(frozen=True)
 class SteinerTree:
     edges: tuple[Link, ...]  # sorted by endpoint pair
@@ -85,45 +101,54 @@ class SteinerTree:
         return adj
 
     def nodes(self) -> set[str]:
-        out = set()
-        for link in self.edges:
-            out.add(link.a)
-            out.add(link.b)
-        return out
+        return set(self.adjacency)
+
+    @cached_property
+    def _walks(self) -> dict[str, Rooted]:
+        return {}
+
+    def rooted(self, root: str) -> Rooted:
+        """The tree walked once outward from `root`: each node's parent,
+        depth and delay to `root`, summed outward (memoised per root)."""
+        walk = self._walks.get(root)
+        if walk is None:
+            adj = self.adjacency
+            if root not in adj:
+                raise CompileError(f"{root!r} not on the datapath tree")
+            walk = self._walks[root] = Rooted({root: None}, {root: 0}, {root: 0.0})
+            parent, depth, delay = walk
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                for nb, w in adj[node].items():
+                    if nb not in parent:
+                        parent[nb] = node
+                        depth[nb] = depth[node] + 1
+                        delay[nb] = delay[node] + w
+                        stack.append(nb)
+        return walk
 
     @cached_property
     def _paths(self) -> dict[tuple[str, str], tuple[str, ...]]:
         return {}
 
     def path(self, a: str, b: str) -> tuple[str, ...]:
-        """Unique a-b path inside the tree, walked once per (a, b)."""
+        """Unique a-b path inside the tree, memoised per (a, b): both ends
+        climb an existing walk until they meet, and every root gives the
+        same path."""
         path = self._paths.get((a, b))
         if path is None:
-            path = self._paths[(a, b)] = self._walk(a, b)
+            parent, depth, _ = next(iter(self._walks.values()), None) or self.rooted(a)
+            if a not in parent or b not in parent:
+                raise CompileError(f"{a!r} or {b!r} not on the datapath tree")
+            up, down = [a], [b]
+            while up[-1] != down[-1]:
+                if depth[up[-1]] >= depth[down[-1]]:
+                    up.append(parent[up[-1]])
+                else:
+                    down.append(parent[down[-1]])
+            path = self._paths[(a, b)] = tuple(up + down[-2::-1])
         return path
-
-    def _walk(self, a: str, b: str) -> tuple[str, ...]:
-        if a == b:
-            return (a,)
-        adj = self.adjacency
-        if a not in adj or b not in adj:
-            raise CompileError(f"{a!r} or {b!r} not on the datapath tree")
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            if node == b:
-                break
-            for nb in sorted(adj[node]):
-                if nb not in prev:
-                    prev[nb] = node
-                    stack.append(nb)
-        if b not in prev:
-            raise CompileError(f"no tree path {a} -> {b}")
-        path = [b]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])
-        return tuple(path[::-1])
 
     def to_doc(self) -> dict:
         return {
@@ -163,14 +188,17 @@ class FlowRule:
     @classmethod
     def from_doc(cls, doc: dict) -> "FlowRule":
         try:
-            return cls(
-                switch=doc["switch"],
-                final_destination=doc["match"]["final_destination"],
-                sources=tuple(doc["match"]["sources"]),
-                action=ActionKind(doc["action"]["type"]),
-                target=doc["action"].get("target"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            match, action = doc["match"], doc["action"]
+            sources, fd = match["sources"], match["final_destination"]
+            target = action.get("target")
+            if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
+                raise TypeError("'sources' must be a list of names")
+            if not isinstance(fd, str):
+                raise TypeError("'final_destination' must be a name")
+            if target is not None and not isinstance(target, str):
+                raise TypeError("'target' must be a name or null")
+            return cls(doc["switch"], fd, tuple(sources), ActionKind(action["type"]), target)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CompileError(f"bad flow rule document: {exc}") from None
 
 
@@ -311,7 +339,7 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
     terminal, and each base station's one link is added to the expanded
     links. Every Steiner tree must contain those links, so the optimum is
     the hub optimum plus their fixed weight, t does not grow, and the
-    (2 - 2/t) bound still holds. Non-terminal leaves are pruned against the
+    (2 - 2/t) bound still holds. The spanning tree is pruned to the
     original terminals, which the tree keeps as `terminals`.
     """
     terms = sorted(set(terminals), key=natural_key)
@@ -354,28 +382,22 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
     for leaf, switch in leaf_switch.items():
         expanded[(leaf, switch) if leaf <= switch else (switch, leaf)] = t.link_delay(leaf, switch)
 
+    # the spanning tree, pruned to every node on some terminal's climb to
+    # the first terminal: the smallest subtree that connects the terminals
     mst = _kruskal([(w, a, b) for (a, b), w in expanded.items()])
+    spanning = SteinerTree(
+        tuple(sorted((Link(a, b, w) for w, a, b in mst), key=Link.key)),
+        tuple(terms),
+        sum(w for w, _, _ in mst),
+    )
+    parent = spanning.rooted(terms[0]).parent
+    kept = {terms[0]}
+    for node in terms:
+        while node not in kept:
+            kept.add(node)
+            node = parent[node]
 
-    # prune non-terminal leaves until fixpoint
-    adj: dict[str, set[str]] = {}
-    weights: dict[tuple[str, str], float] = {}
-    for w, a, b in mst:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-        weights[(a, b) if a <= b else (b, a)] = w
-    term_set = set(terms)
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(adj):
-            if node not in term_set and len(adj[node]) == 1:
-                (peer,) = adj[node]
-                adj[peer].discard(node)
-                del adj[node]
-                del weights[(node, peer) if node <= peer else (peer, node)]
-                changed = True
-
-    links = tuple(Link(a, b, weights[(a, b)]) for a, b in sorted(weights))
+    links = tuple(l for l in spanning.edges if l.a in kept and l.b in kept)
     return SteinerTree(
         edges=links, terminals=tuple(terms), weight=sum(l.delay_ms for l in links)
     )
@@ -396,20 +418,7 @@ def check_delay(
     in-and-out engine detour at every placed switch on the path. Admission
     is vacuous when no delay bound was requested."""
     placed = {p.switch: p.engine for p in placements}
-    # one traversal rooted at the destination covers every leaf path
-    adj = tree.adjacency
-    if destination not in adj:
-        raise CompileError(f"destination {destination!r} not on the datapath tree")
-    dist = {destination: 0.0}
-    parent: dict[str, str | None] = {destination: None}
-    stack = [destination]
-    while stack:
-        node = stack.pop()
-        for nb, w in adj[node].items():
-            if nb not in dist:
-                dist[nb] = dist[node] + w
-                parent[nb] = node
-                stack.append(nb)
+    parent, _, dist = tree.rooted(destination)
     worst = 0.0
     for leaf in leaves:
         if leaf not in dist:
@@ -547,8 +556,9 @@ def plan(request: Request, t: Topology, cov: CoverageMap | None = None) -> Datap
     """Expand, place, admit, and compile one request into a DatapathPlan.
 
     Automated requests run the placement heuristic; manual requests use the
-    user-supplied switch. Both compile through `compile_rules`. Raises RejectedByDelay (and compiles nothing)
-    when the worst leaf-to-destination path exceeds the delay requirement.
+    user-supplied switch. Both compile through `compile_rules`. Raises
+    RejectedByDelay (and compiles nothing) when the worst leaf-to-destination
+    path exceeds the delay requirement.
     """
     tg = expand_sources(request, t, cov)
     destination = resolve_endpoint(t, request.destination)
@@ -561,10 +571,12 @@ def plan(request: Request, t: Topology, cov: CoverageMap | None = None) -> Datap
             raise UnknownNodeError(f"unknown switch {request.switch!r}")
         placements = [OpPlacement(tg.root.node_id, switch, t.engine_of(switch))]
 
-    terminals = set(tg.leaves()) | {p.switch for p in placements} | {destination}
-    tree = steiner_tree(t, terminals)
+    leaves = tg.leaves()
+    tree = steiner_tree(t, set(leaves) | {p.switch for p in placements} | {destination})
+    # admission walks the tree from the destination; compilation's paths
+    # climb that same walk
     admitted, worst = check_delay(
-        t, tree, tg.leaves(), placements, destination, request.requirements.delay_ms
+        t, tree, leaves, placements, destination, request.requirements.delay_ms
     )
     if not admitted:
         raise RejectedByDelay(worst, request.requirements.delay_ms)

@@ -16,6 +16,11 @@ earlier compiler for one-operation manual commands, kept as it was with
 its own copies of the planner's former path walkers (`_route_along`,
 `_deliver_along`; it shares only the rule book), against which the one
 compile path must give the same rules, configs and ingress.
+`tree_walk_path` and `check_delay_search` are the planner's earlier tree
+walks kept as they were: a depth-first search with sorted neighbours per
+path pair, and admission's own search from the destination, against which
+the one rooted walk must give the same paths and the same worst delay to
+the last bit.
 """
 
 from __future__ import annotations
@@ -350,3 +355,64 @@ def compile_manual(t, tg, placement, tree, destination, request):
         _deliver_along(book, tree, own_engine, placement.switch, destination, t)
 
     return book.rules(), [cfg], ingress
+
+
+def tree_walk_path(tree, a, b):
+    """Unique a-b path inside the tree by a depth-first search from `a`."""
+    from flip.errors import CompileError
+
+    if a == b:
+        return (a,)
+    adj = tree.adjacency
+    if a not in adj or b not in adj:
+        raise CompileError(f"{a!r} or {b!r} not on the datapath tree")
+    prev = {a: None}
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        if node == b:
+            break
+        for nb in sorted(adj[node]):
+            if nb not in prev:
+                prev[nb] = node
+                stack.append(nb)
+    if b not in prev:
+        raise CompileError(f"no tree path {a} -> {b}")
+    path = [b]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return tuple(path[::-1])
+
+
+def check_delay_search(t, tree, leaves, placements, destination, delay_ms):
+    """Worst tree-path delay from any leaf to the destination, counting the
+    in-and-out engine detour at every placed switch on the path, from one
+    search of the tree rooted at the destination."""
+    from flip.errors import CompileError
+
+    placed = {p.switch: p.engine for p in placements}
+    adj = tree.adjacency
+    if destination not in adj:
+        raise CompileError(f"destination {destination!r} not on the datapath tree")
+    dist = {destination: 0.0}
+    parent = {destination: None}
+    stack = [destination]
+    while stack:
+        node = stack.pop()
+        for nb, w in adj[node].items():
+            if nb not in dist:
+                dist[nb] = dist[node] + w
+                parent[nb] = node
+                stack.append(nb)
+    worst = 0.0
+    for leaf in leaves:
+        if leaf not in dist:
+            raise CompileError(f"leaf {leaf!r} not on the datapath tree")
+        delay = dist[leaf]
+        node = leaf
+        while node is not None:
+            if node in placed:
+                delay += 2 * t.link_delay(node, placed[node])
+            node = parent[node]
+        worst = max(worst, delay)
+    return (delay_ms is None or worst <= delay_ms), worst

@@ -420,6 +420,12 @@ def test_corrupt_config_file_is_a_typed_error(tmp_path):
 
 FLOW = {"match": {"final_destination": "user"}, "action": {"type": "forward", "target": "sw2"}}
 CONFIG = {"compute": "sum", "source": ["bs1"], "destination": "user"}
+# 400 nines overflow a float to inf
+OVERFLOW = (
+    "datapath_a(max(bs1:bs10),destination<-user,requirement<-{{{key}="
+    + "9" * 400
+    + "{unit}}})"
+)
 
 
 @pytest.mark.parametrize(
@@ -444,6 +450,18 @@ CONFIG = {"compute": "sum", "source": ["bs1"], "destination": "user"}
         ),
         ("datapath_a", {"request": EQ1, "baseline": "no"}, "validation_error"),
         ("datapath_a", {"request": EQ1, "baseline": 1}, "validation_error"),
+        ("datapath_a", {"request": OVERFLOW.format(key="rate", unit="ms")}, "validation_error"),
+        ("datapath_a", {"request": OVERFLOW.format(key="delay", unit="s")}, "validation_error"),
+        (
+            "setconfig/user",
+            {"engine": "e-sw1", "user": "u", "config": {**CONFIG, "rate": float("nan")}},
+            "validation_error",
+        ),
+        (
+            "setconfig/user",
+            {"engine": "e-sw1", "user": "u", "config": {**CONFIG, "jitter": float("inf")}},
+            "validation_error",
+        ),
     ],
 )
 def test_wrongly_typed_arguments_are_typed_errors(demo_session, verb, args, code):
@@ -452,6 +470,43 @@ def test_wrongly_typed_arguments_are_typed_errors(demo_session, verb, args, code
     assert not result.ok and result.code == code, result
     assert demo_session.state_json() == before
     assert demo_session.command_log == []
+
+
+def _flow(**match) -> dict:
+    """A forward rule toward sw1's neighbour sw3, with `match` overrides."""
+    return {
+        "match": {"final_destination": "user", "sources": ["bs1"], **match},
+        "action": {"type": "forward", "target": "sw3"},
+    }
+
+
+@pytest.mark.parametrize(
+    "verb, args, code",
+    [
+        ("addflow", {"dpid": "sw1", **_flow(sources="bs1")}, "compile_error"),
+        ("addflow", {"dpid": "sw1", **_flow(sources=["bs1", 1])}, "compile_error"),
+        ("addflow", {"dpid": "sw1", **_flow(final_destination=["user"])}, "compile_error"),
+        (
+            "addflow",
+            {"dpid": "sw1", **_flow(), "action": {"type": "forward", "target": ["sw3"]}},
+            "compile_error",
+        ),
+        ("addflow", {"dpid": "sw1", **_flow(), "match": ["user"]}, "compile_error"),
+        ("addflow", {"dpid": "sw1", **_flow(), "action": "forward"}, "compile_error"),
+        ("delflow", {"dpid": "sw1", "index": True}, "validation_error"),
+        ("modflow", {"dpid": "sw1", "index": True, **_flow()}, "validation_error"),
+    ],
+)
+def test_malformed_flow_rule_documents_are_typed_errors(demo_session, verb, args, code):
+    """A flow document's names must be names, not a string split into
+    letters or a list installed as one name, and a bool is no flow index
+    (sw1 holds two flows after EQ1, so `True` would pick flow 1)."""
+    assert demo_session.execute("datapath_a", {"request": EQ1}).ok
+    before = demo_session.state_json()
+    result = demo_session.execute(verb, args)
+    assert not result.ok and result.code == code, result
+    assert demo_session.state_json() == before
+    assert len(demo_session.command_log) == 1
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -189,6 +189,11 @@ def test_replacing_or_removing_a_config_changes_the_next_lookup():
         ('{"e-sw1": [1]}', ValidationError),
         ('{"e-sw1": {"maya": 5}}', ValidationError),
         ('{"e-sw1": {"maya": [{"compute": "sum"}]}}', ValidationError),
+        (
+            '{"e-sw1": {"maya": [{"compute": "sum", "source": ["bs1"], '
+            '"destination": "user", "rate": NaN}]}}',
+            ValidationError,
+        ),
     ],
 )
 def test_corrupt_config_file_raises_typed_error(tmp_path, text, error):

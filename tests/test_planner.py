@@ -11,6 +11,7 @@ from flip.harness import DATA_DIR, build_experiment_topology, demo_topology
 from flip.planner import (
     ActionKind,
     OpPlacement,
+    check_delay,
     compile_baseline,
     compile_rules,
     place_operations,
@@ -21,6 +22,7 @@ from flip.planner import (
 from flip.topology import Link, NodeKind, Topology, load_topology
 
 from _oracles import (
+    check_delay_search,
     collapsed_kmb_steiner_tree,
     compile_manual,
     enumerate_shortest_path,
@@ -28,6 +30,7 @@ from _oracles import (
     placement_transcription,
     random_connected_graph,
     steiner_optimum,
+    tree_walk_path,
 )
 
 EQ1 = (
@@ -199,6 +202,26 @@ def test_steiner_quality_random_graphs():
         assert len(tree.edges) == len(tree.nodes()) - 1
 
 
+def random_pendant_graph(rng, max_delay):
+    """Random graph of 3-24 inner nodes where equal delays are common,
+    delays are sometimes fractional (so a path's float sum depends on the
+    direction it is added in) and degree-1 pendants `p<i>` hang off inner
+    nodes, as base stations hang off switches."""
+    n = rng.randint(3, 24)
+    adj = random_connected_graph(rng, n, extra_edges=rng.randint(0, 2 * n), max_delay=max_delay)
+    inner = sorted(adj)
+    for i in range(rng.randint(0, 2 * n)):
+        pendant = f"p{i}"
+        host = rng.choice(inner)
+        w = float(rng.randint(1, max_delay))
+        adj[pendant] = {host: w}
+        adj[host][pendant] = w
+    if rng.random() < 0.5:
+        scale = rng.choice((0.1, 0.3, 0.7))
+        adj = {u: {v: w * scale for v, w in nbs.items()} for u, nbs in adj.items()}
+    return adj
+
+
 def test_steiner_tree_matches_kmb_oracle():
     """Byte-identical trees to the full-closure Kruskal construction on
     graphs where equal delays are common (max delay 1, 2 or 5), delays are
@@ -211,20 +234,7 @@ def test_steiner_tree_matches_kmb_oracle():
     checked = 0
     for max_delay in (1, 2, 5):
         for _ in range(180):
-            n = rng.randint(3, 24)
-            adj = random_connected_graph(
-                rng, n, extra_edges=rng.randint(0, 2 * n), max_delay=max_delay
-            )
-            inner = sorted(adj)
-            for i in range(rng.randint(0, 2 * n)):
-                pendant = f"p{i}"
-                host = rng.choice(inner)
-                w = float(rng.randint(1, max_delay))
-                adj[pendant] = {host: w}
-                adj[host][pendant] = w
-            if rng.random() < 0.5:
-                scale = rng.choice((0.1, 0.3, 0.7))
-                adj = {u: {v: w * scale for v, w in nbs.items()} for u, nbs in adj.items()}
+            adj = random_pendant_graph(rng, max_delay)
             nodes = sorted(adj)
             terminals = set(rng.sample(nodes, rng.randint(2, len(nodes))))
             got = steiner_tree(adj_topology(adj), terminals).to_doc()
@@ -232,6 +242,41 @@ def test_steiner_tree_matches_kmb_oracle():
             assert json.dumps(got) == json.dumps(want), (adj, terminals)
             checked += 1
     assert checked >= 500
+
+
+def test_rooted_walk_matches_the_pair_walk_and_delay_search_oracles():
+    """Every tree path equals the per-pair depth-first search, whichever
+    root the climb runs on, and check_delay's worst equals the destination
+    search to the last bit, with engine detours at random placed nodes."""
+    from test_topology import adj_topology
+
+    rng = random.Random("rooted-walk")
+    for max_delay in (1, 2, 5):
+        for _ in range(40):
+            adj = random_pendant_graph(rng, max_delay)
+            t = adj_topology(adj)
+            terminals = set(rng.sample(sorted(adj), rng.randint(2, len(adj))))
+            destination = rng.choice(sorted(terminals))
+            leaves = sorted(terminals - {destination})
+            tree = steiner_tree(t, terminals)
+            nodes = sorted(tree.nodes())
+            pairs = [(a, b) for a in nodes for b in nodes]
+            # no walk yet: the climb runs on the walk from the first node
+            first = [tree.path(a, b) for a, b in pairs]
+            assert first == [tree_walk_path(tree, a, b) for a, b in pairs]
+            placements = [
+                OpPlacement(f"op{i}", switch, rng.choice(sorted(adj[switch])))
+                for i, switch in enumerate(rng.sample(nodes, rng.randint(0, len(nodes))))
+            ]
+            delay_ms = rng.choice((None, 5.0))
+            admitted, worst = check_delay(t, tree, leaves, placements, destination, delay_ms)
+            want = check_delay_search(t, tree, leaves, placements, destination, delay_ms)
+            assert (admitted, worst.hex()) == (want[0], want[1].hex())
+            # a fresh tree whose first walk is rooted elsewhere
+            again = steiner_tree(t, terminals)
+            again.rooted(rng.choice(nodes))
+            assert [again.path(a, b) for a, b in pairs] == first
+            assert [tree.path(a, b) for a, b in pairs] == first
 
 
 def test_steiner_tree_collapses_base_stations_like_the_kmb_oracle():
