@@ -63,7 +63,8 @@ class CommandResult:
 class Session:
     """One loaded topology plus its running fabric and config store;
     `execute` is the one path from a request to installed rules and configs.
-    The store is `config_dir/engine_configs.json`, or in memory without one."""
+    The store is `config_dir/engine_configs.json`, written once at the end
+    of each command, or in memory without one."""
 
     def __init__(
         self,
@@ -92,6 +93,10 @@ class Session:
                 body = handler(self, args)
             except FlipError as exc:
                 return CommandResult("error", {}, code=exc.code, message=str(exc))
+            finally:
+                # the one write of the config file, also after a command that
+                # failed part way, so the file always shows the store
+                self.store.flush()
             if mutates:
                 self.command_log.append({"verb": verb, "args": args})
             return CommandResult("ok", body)

@@ -15,8 +15,9 @@ closed by a timeout: the aggregate runs over the sources that did arrive,
 except for the order-sensitive ops (sub, mul), which reject the epoch.
 
 Configs persist to a JSON file shaped engine -> user -> [records], each
-record carrying compute, source list, destination, rate, and jitter. A
-write re-encodes only the (engine, user) section it changed.
+record carrying compute, source list, destination, rate, and jitter. The
+file is written by `ConfigStore.flush()`, once per command; a change
+re-encodes only the (engine, user) section it touched.
 
 An engine finds a packet's config through the store's lookup index, one
 dict per engine keyed (user, source, final destination). It is built on
@@ -126,19 +127,26 @@ def _names(value, field: str) -> tuple[str, ...]:
 
 class ConfigStore:
     """Engine configuration file: one active config per (engine, user,
-    destination), hot-persisted on every change when given a path.
+    destination). With a path, the file is written by `flush()`, once per
+    command; `set_config` and `remove` change only memory.
 
     The file is `json.dumps(self.to_doc(), indent=2, sort_keys=True)`. Each
-    (engine, user) section's text is cached, so a write re-encodes only the
-    section it changed and joins the rest as they are.
+    (engine, user) section's text and each engine's block are cached, so a
+    change re-encodes only the section it touched and a flush re-joins only
+    the blocks of the engines that changed.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path else None
         # engine -> user -> destination -> config
         self._configs: dict[str, dict[str, dict[str, EngineConfig]]] = {}
-        # engine -> user -> that section's records, rendered at file depth
+        # engine -> user -> that section's key line and records, rendered at
+        # file depth
         self._sections: dict[str, dict[str, str]] = {}
+        # engine -> that engine's block of the file, joined from its sections
+        self._blocks: dict[str, str] = {}
+        # engines whose sections changed since the last flush
+        self._dirty: set[str] = set()
         # engine -> (user, source, final destination) -> config, built on
         # first lookup and dropped when one of the engine's configs changes
         self._index: dict[str, dict[tuple[str, str, str], EngineConfig]] = {}
@@ -149,7 +157,6 @@ class ConfigStore:
         cfg.validate()
         self._insert(cfg)
         self._changed(cfg.engine, cfg.user)
-        self._save()
 
     def remove(self, key: tuple[str, str, str]) -> bool:
         engine, user, destination = key
@@ -161,8 +168,19 @@ class ConfigStore:
             if not users:
                 del self._configs[engine]
         self._changed(engine, user)
-        self._save()
         return True
+
+    def flush(self) -> None:
+        """Write the file if anything changed since the last write."""
+        if not self._dirty:
+            return
+        for engine in self._dirty:
+            self._render_block(engine)
+        blocks = [self._blocks[engine] for engine in sorted(self._blocks)]
+        text = "{\n" + ",\n".join(blocks) + "\n}" if blocks else "{}"
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.write_text(text, encoding="utf-8")
+        self._dirty.clear()
 
     def configs_for(self, engine: str) -> list[EngineConfig]:
         """The engine's configs in (user, destination) order."""
@@ -205,7 +223,7 @@ class ConfigStore:
 
     def _changed(self, engine: str, user: str) -> None:
         """Drop the engine's index and, for a store with a file, re-render
-        the (engine, user) section."""
+        the (engine, user) section and mark the engine for the next flush."""
         self._index.pop(engine, None)
         if not self.path:
             return
@@ -214,24 +232,20 @@ class ConfigStore:
         if records:
             # indented to the depth the section sits at in the whole file
             text = json.dumps(records, indent=2, sort_keys=True)
-            sections[user] = text.replace("\n", "\n    ")
+            sections[user] = f"    {json.dumps(user)}: " + text.replace("\n", "\n    ")
         else:
             sections.pop(user, None)
             if not sections:
                 del self._sections[engine]
+        self._dirty.add(engine)
 
-    def _save(self) -> None:
-        if not self.path:
+    def _render_block(self, engine: str) -> None:
+        sections = self._sections.get(engine)
+        if not sections:
+            self._blocks.pop(engine, None)
             return
-        engines = []
-        for engine, users in sorted(self._sections.items()):
-            body = ",\n".join(
-                f"    {json.dumps(user)}: {users[user]}" for user in sorted(users)
-            )
-            engines.append(f"  {json.dumps(engine)}: {{\n{body}\n  }}")
-        text = "{\n" + ",\n".join(engines) + "\n}" if engines else "{}"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(text, encoding="utf-8")
+        body = ",\n".join(sections[user] for user in sorted(sections))
+        self._blocks[engine] = f"  {json.dumps(engine)}: {{\n{body}\n  }}"
 
     def _load(self) -> None:
         try:
@@ -250,6 +264,10 @@ class ConfigStore:
                     self._changed(engine, user)
         except ValidationError as exc:
             raise ValidationError(f"engine config file {self.path}: {exc}") from None
+        # the file already holds what was read: render, do not write
+        for engine in self._dirty:
+            self._render_block(engine)
+        self._dirty.clear()
 
 
 def _object_items(doc, what: str):

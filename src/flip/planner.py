@@ -447,9 +447,12 @@ class _RuleBook:
         self._rules.setdefault(key, []).append(source)
 
     def rules(self) -> list[FlowRule]:
+        # one natural_key per distinct source, not one per source per rule
+        every = {s for sources in self._rules.values() for s in sources}
+        rank = {s: i for i, s in enumerate(sorted(every, key=natural_key))}
         out = []
         for (switch, fd, action, target), sources in self._rules.items():
-            ordered = tuple(sorted(set(sources), key=natural_key))
+            ordered = tuple(sorted(set(sources), key=rank.__getitem__))
             out.append(FlowRule(switch, fd, ordered, action, target))
         return out
 

@@ -42,8 +42,6 @@ _KIND_NAMES = {
     "cloud": NodeKind.CLOUD,
 }
 
-_HOST_KINDS = (NodeKind.DESTINATION, NodeKind.CLOUD)
-
 
 def natural_key(name: str):
     """Sort key that puts bs2 before bs10."""

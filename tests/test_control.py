@@ -1,4 +1,5 @@
 import json
+import random
 import threading
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from flip import harness
 from flip.cli import main as cli_main
 from flip.control import CommandServer, Session, send_command
+from flip.epb import ConfigStore
 from flip.errors import ParseError
 from flip.harness import build_experiment_topology, demo_topology
 
@@ -416,6 +418,105 @@ def test_corrupt_config_file_is_a_typed_error(tmp_path):
     (tmp_path / "engine_configs.json").write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError, match="engine_configs.json"):
         Session(demo_topology(), config_dir=tmp_path)
+
+
+def test_a_command_writes_the_config_file_at_most_once(tmp_path, monkeypatch):
+    writes = []
+    write_text = Path.write_text
+
+    def spy(path, *args, **kwargs):
+        if path.name == "engine_configs.json":
+            writes.append(path)
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", spy)
+    session = Session(build_experiment_topology(), config_dir=tmp_path)
+    result = session.execute("datapath_a", {"request": harness.request_texts()[8]})
+    assert result.ok and result.body["configs_set"] > 1
+    assert writes == [tmp_path / "engine_configs.json"]
+    rule = {"final_destination": "user", "sources": ["bs1"]}
+    forward = {"type": "forward", "target": "sw2"}
+    assert session.execute("getswitches").ok
+    assert session.execute("addflow", {"dpid": "sw1", "match": rule, "action": forward}).ok
+    assert len(writes) == 1
+
+
+def test_config_file_shows_the_store_after_every_command(tmp_path):
+    """A seeded mix of installs, config edits, reads and failing commands;
+    after each one the file is the store's document and reloads to it."""
+    rng = random.Random(5)
+    path = tmp_path / "engine_configs.json"
+    session = Session(build_experiment_topology(), config_dir=tmp_path)
+    users = ("maya", 'u"q', "\u00e9", "zed")
+    engines = ("e-sw1", "e-sw2", "e-sw9", "e-sw12")
+    requests = harness.request_texts()
+
+    def config():
+        sources = rng.sample(["bs1", "bs2", "bs11", "bs21"], rng.randint(1, 3))
+        doc = {"compute": rng.choice(("sum", "max", "sub")), "source": sources}
+        doc["destination"] = rng.choice(("user", "e-sw12"))
+        doc["rate"] = rng.choice((100.0, 250.5, "x", -1))
+        return doc
+
+    def command():
+        engine, user = rng.choice(engines), rng.choice(users)
+        request = rng.choice(requests)[:-1] + f",user<-u{rng.randint(1, 4)})"
+        return rng.choice(
+            [
+                ("datapath_a", {"request": request}),
+                ("datapath_a", {"request": "datapath_a(frob(bs1),destination<-user)"}),
+                ("datapath_a", {"request": requests[0], "baseline": True}),
+                ("setconfig/user", {"engine": engine, "user": user, "config": config()}),
+                ("setconfig/user", {"engine": "e-sw99", "user": user, "config": config()}),
+                (
+                    "setconfig/user/module",
+                    {
+                        "engine": engine,
+                        "user": user,
+                        "module": "destination",
+                        "value": rng.choice(("user", "e-sw12", "cloud")),
+                        "destination": rng.choice(("user", "e-sw12")),
+                    },
+                ),
+                (
+                    "setconfig/user/module",
+                    {"engine": engine, "user": user, "module": "rate", "value": rng.choice((50, "x"))},
+                ),
+                ("getconfig", {"engine": engine}),
+                ("getconfig/user", {"engine": engine, "user": user}),
+                ("getswitches", {}),
+                ("frob", {}),
+            ]
+        )
+
+    outcomes = set()
+    for _ in range(150):
+        verb, args = command()
+        outcomes.add((verb, session.execute(verb, args).ok))
+        doc = session.store.to_doc()
+        if path.exists():
+            assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True)
+            assert ConfigStore(path).to_doc() == doc
+        else:
+            assert doc == {}
+    assert path.exists()
+    # every kind of command ran, and the editing ones both passed and failed
+    assert {verb for verb, _ in outcomes} == {
+        "datapath_a", "setconfig/user", "setconfig/user/module", "getconfig",
+        "getconfig/user", "getswitches", "frob",
+    }
+    for verb in ("datapath_a", "setconfig/user", "setconfig/user/module"):
+        assert {(verb, True), (verb, False)} <= outcomes
+
+
+def test_opening_a_session_over_its_file_writes_nothing(tmp_path):
+    path = tmp_path / "engine_configs.json"
+    first = Session(build_experiment_topology(), config_dir=tmp_path)
+    assert first.execute("datapath_a", {"request": harness.request_texts()[8]}).ok
+    before = path.read_bytes(), path.stat().st_mtime_ns
+    session = Session(build_experiment_topology(), config_dir=tmp_path)
+    assert session.execute("getconfig", {"engine": "e-sw1"}).ok
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
 
 
 FLOW = {"match": {"final_destination": "user"}, "action": {"type": "forward", "target": "sw2"}}

@@ -50,6 +50,7 @@ def test_set_config_roundtrip(tmp_path):
     store = ConfigStore(tmp_path / "engine_configs.json")
     cfg = make_config(rate_ms=1000.0)
     store.set_config(cfg)
+    store.flush()
     again = ConfigStore(tmp_path / "engine_configs.json")
     assert again.configs_for("e-sw1") == [cfg]
     doc = again.to_doc()
@@ -118,6 +119,7 @@ def test_store_matches_the_old_store_over_random_edits(tmp_path):
         return engine, rng.choice(USERS), rng.choice(SOURCES), rng.choice(DESTINATIONS + (engine,))
 
     def check():
+        store.flush()
         assert path.read_text(encoding="utf-8") == json.dumps(
             store.to_doc(), indent=2, sort_keys=True
         )
