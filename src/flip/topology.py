@@ -2,8 +2,18 @@
 
 Nodes are base stations, switches, per-switch engines, and endpoint hosts
 (destination/cloud). Links are undirected with a delay weight in
-milliseconds. A loaded topology is validated once and then treated as
-immutable; every query below is a pure function of it.
+milliseconds: a finite, non-negative number. A loaded topology is validated
+once and then treated as immutable; every query below is a pure function of
+it.
+
+Most nodes of a large fabric have one link: every base station and engine,
+and usually the destination. Shortest paths treat such a node as a pendant
+of its neighbour. From a source `a`, Dijkstra runs over the multi-link
+nodes and `a` only, and a one-link node `v` is read from its neighbour `s`
+as `(dist[s] + w, path[s] + (v,))`. This is exact: in a heap run over every
+node, that tuple is the only entry `v` can ever get, and `v` relaxes no
+other node, so leaving it out changes no other entry. A source's maps then
+cost O(multi-link nodes), not O(nodes).
 """
 
 from __future__ import annotations
@@ -11,8 +21,11 @@ from __future__ import annotations
 import heapq
 import json
 import re
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .errors import NotFoundError, ParseError, ValidationError
@@ -86,7 +99,7 @@ class Topology:
         for link in links:
             self._add_link(link)
         self._validate()
-        self._sp_cache: dict[str, tuple[dict, dict]] = {}
+        self._sp_cache: dict[str, tuple[Mapping, Mapping]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -176,15 +189,26 @@ class Topology:
 
     # -- planning queries --------------------------------------------------
 
+    @cached_property
+    def _one_link(self) -> dict[str, tuple[str, float]]:
+        """Each node with exactly one link: (its neighbour, the link's delay)."""
+        return {n: next(iter(nbs.items())) for n, nbs in self._adj.items() if len(nbs) == 1}
+
+    @cached_property
+    def _multi_link_neighbors(self) -> dict[str, tuple[tuple[str, float], ...]]:
+        """Each node's neighbours that have more than one link, with the
+        link delays, sorted by neighbour."""
+        return {
+            n: tuple(sorted((nb, w) for nb, w in nbs.items() if len(self._adj[nb]) > 1))
+            for n, nbs in self._adj.items()
+        }
+
     def connected_switch(self, n: str) -> str:
         """The unique switch adjacent to a base station or engine."""
         kind = self.kind(n)
         if kind not in (NodeKind.BASE_STATION, NodeKind.ENGINE):
             raise NotFoundError(f"{n!r} is a {kind.value}, not a base station or engine")
-        for peer in self._adj[n]:
-            if self._kinds[peer] is NodeKind.SWITCH:
-                return peer
-        raise NotFoundError(f"{n!r} has no switch neighbor")
+        return self._one_link[n][0]
 
     def engine_of(self, switch: str) -> str:
         """The engine attached to a switch."""
@@ -211,16 +235,23 @@ class Topology:
             raise NotFoundError(f"no unvisited switch adjacent to {s!r}")
         return min(candidates)[1]
 
-    def shortest_paths_from(self, a: str) -> tuple[dict[str, float], dict[str, tuple[str, ...]]]:
-        """Dijkstra from `a`: (delay map, path map).
+    def shortest_paths_from(self, a: str) -> tuple[Mapping[str, float], Mapping[str, tuple[str, ...]]]:
+        """Dijkstra from `a`: read-only (delay map, path map) over every node.
 
         Equal-delay ties resolve to the lexicographically smallest node
         sequence, so results are reproducible across runs.
+
+        Only `a` and the multi-link nodes go through the heap. Each map
+        answers a one-link node `v` from its neighbour `s`: delay
+        `dist[s] + w` and path `path[s] + (v,)`, the only entry a heap run
+        over every node could give `v`, so both maps hold the same floats
+        and tuples as that run. The maps are cached per source.
         """
         if a not in self._kinds:
             raise NotFoundError(f"unknown node {a!r}")
         if a in self._sp_cache:
             return self._sp_cache[a]
+        neighbors = self._multi_link_neighbors
         dist: dict[str, float] = {}
         path: dict[str, tuple[str, ...]] = {}
         heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (a,))]
@@ -231,11 +262,61 @@ class Topology:
                 continue
             dist[node] = d
             path[node] = p
-            for nb in sorted(self._adj[node]):
+            for nb, w in neighbors[node]:
                 if nb not in dist:
-                    heapq.heappush(heap, (d + self._adj[node][nb], p + (nb,)))
-        self._sp_cache[a] = (dist, path)
-        return dist, path
+                    heapq.heappush(heap, (d + w, p + (nb,)))
+        size, one_link = len(self._kinds), self._one_link
+        maps = (_DelayMap(dist, one_link, size), _PathMap(path, one_link, size))
+        self._sp_cache[a] = maps
+        return maps
+
+
+class _FromOneSource(Mapping):
+    """A read-only map over every node of a connected topology, from one
+    source: `core` holds the nodes the heap reached, and a one-link node
+    outside it is answered from its neighbour's entry by `_extend`."""
+
+    __slots__ = ("_core", "_one_link", "_size")
+
+    def __init__(self, core: dict, one_link: dict[str, tuple[str, float]], size: int):
+        self._core = core
+        self._one_link = one_link
+        self._size = size
+
+    def __getitem__(self, node):
+        value = self._core.get(node)
+        if value is None:
+            peer, delay = self._one_link[node]
+            value = self._extend(self._core[peer], node, delay)
+        return value
+
+    def __contains__(self, node) -> bool:
+        return node in self._core or node in self._one_link
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        yield from self._core
+        for node in self._one_link:
+            if node not in self._core:
+                yield node
+
+
+class _DelayMap(_FromOneSource):
+    __slots__ = ()
+
+    @staticmethod
+    def _extend(delay_to_peer: float, node: str, delay: float) -> float:
+        return delay_to_peer + delay
+
+
+class _PathMap(_FromOneSource):
+    __slots__ = ()
+
+    @staticmethod
+    def _extend(path_to_peer: tuple[str, ...], node: str, delay: float) -> tuple[str, ...]:
+        return path_to_peer + (node,)
 
 
 # -- file format -------------------------------------------------------------
@@ -251,7 +332,8 @@ def load_topology(doc: dict) -> Topology:
          "links": [{"a": "bs1", "b": "sw1", "delay_ms": 1}]}
 
     Range entries expand to one node per id plus a link to the named switch.
-    Omitted delays default to 1 ms (0 ms for engine links).
+    Omitted delays default to 1 ms (0 ms for engine links). A given delay
+    must be a finite, non-negative int or float (not a bool).
     """
     if not isinstance(doc, dict):
         raise ParseError("topology document must be an object")
@@ -262,6 +344,15 @@ def load_topology(doc: dict) -> Topology:
 
     nodes: dict[str, NodeKind] = {}
     links: list[Link] = []
+
+    def delay_of(value, a, b) -> float:
+        # bool is excluded by type; the bound rejects NaN, infinities and
+        # ints that do not fit a float
+        if type(value) in (int, float) and 0 <= value <= sys.float_info.max:
+            return float(value)
+        raise ValidationError(
+            f"delay_ms on link {a}-{b} must be a finite, non-negative number, got {value!r}"
+        )
 
     def add_node(name, kind):
         if not isinstance(name, str) or not NODE_ID_RE.match(name):
@@ -287,7 +378,7 @@ def load_topology(doc: dict) -> Topology:
                 names = expand_range(entry["range"])
             except ValueError as exc:
                 raise ParseError(str(exc)) from None
-            delay = float(entry.get("delay_ms", DEFAULT_LINK_DELAY_MS))
+            delay = delay_of(entry.get("delay_ms", DEFAULT_LINK_DELAY_MS), names[0], switch)
             for name in names:
                 add_node(name, kind)
                 links.append(Link(name, switch, delay))
@@ -300,8 +391,10 @@ def load_topology(doc: dict) -> Topology:
         if not isinstance(entry, dict) or "a" not in entry or "b" not in entry:
             raise ParseError(f"link entry needs 'a' and 'b': {entry!r}")
         a, b = entry["a"], entry["b"]
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise ParseError(f"link endpoints must be node ids: {entry!r}")
         if "delay_ms" in entry:
-            delay = float(entry["delay_ms"])
+            delay = delay_of(entry["delay_ms"], a, b)
         elif NodeKind.ENGINE in (nodes.get(a), nodes.get(b)):
             delay = DEFAULT_ENGINE_LINK_DELAY_MS
         else:

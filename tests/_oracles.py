@@ -20,11 +20,16 @@ compile path must give the same rules, configs and ingress.
 walks kept as they were: a depth-first search with sorted neighbours per
 path pair, and admission's own search from the destination, against which
 the one rooted walk must give the same paths and the same worst delay to
-the last bit.
+the last bit. `heap_shortest_paths_from` is the earlier
+`Topology.shortest_paths_from` kept as it was: every node, one-link nodes
+included, goes through the heap and both maps are plain dicts, against
+which the one-link maps must give the same floats and tuples for every
+(source, target) pair.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
 
@@ -78,6 +83,28 @@ def steiner_optimum(adj: dict[str, dict[str, float]], terminals: set[str]) -> fl
             if w is not None and (best is None or w < best):
                 best = w
     return best
+
+
+def heap_shortest_paths_from(t, a: str):
+    """Dijkstra from `a` over every node: (delay map, path map).
+
+    Equal-delay ties resolve to the lexicographically smallest node
+    sequence, so results are reproducible across runs.
+    """
+    dist: dict[str, float] = {}
+    path: dict[str, tuple[str, ...]] = {}
+    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (a,))]
+    while heap:
+        d, p = heapq.heappop(heap)
+        node = p[-1]
+        if node in dist:
+            continue
+        dist[node] = d
+        path[node] = p
+        for nb in sorted(t._adj[node]):
+            if nb not in dist:
+                heapq.heappush(heap, (d + t._adj[node][nb], p + (nb,)))
+    return dist, path
 
 
 def random_connected_graph(rng: random.Random, n_nodes: int, extra_edges: int, max_delay: int = 5):

@@ -678,6 +678,25 @@ def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize(
+    "delay",
+    ["NaN", "Infinity", "-1", '"2"', "true", "[1]"],
+    ids=["nan", "infinity", "negative", "string", "bool", "list"],
+)
+def test_cli_load_rejects_a_bad_link_delay(tmp_path, capsys, delay):
+    """A link delay that is not a finite, non-negative number fails `flip
+    load` with one `error:` line naming the link, and no session is saved."""
+    topo = tmp_path / "topology.json"
+    topo.write_text(
+        '{"nodes": [{"id": "sw1", "kind": "switch"}, {"id": "sw2", "kind": "switch"}],'
+        ' "links": [{"a": "sw1", "b": "sw2", "delay_ms": %s}]}' % delay
+    )
+    assert cli_main(["--session", str(tmp_path / "s"), "load", str(topo)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "link sw1-sw2" in err, err
+    assert not (tmp_path / "s" / "session.json").exists()
+
+
 def test_cli_wrongly_typed_argument_is_an_error_reply(tmp_path, capsys):
     """`dpid=[1]` parses as a JSON list: the command fails with exit code 1
     and a typed error reply, not a traceback."""

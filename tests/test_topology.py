@@ -1,13 +1,14 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from flip.errors import NotFoundError, ParseError, ValidationError
 from flip.harness import DATA_DIR, build_experiment_topology, demo_topology
-from flip.topology import NodeKind, Topology, load_topology
+from flip.topology import Link, NodeKind, Topology, load_topology
 
-from _oracles import enumerate_shortest_path, random_connected_graph
+from _oracles import enumerate_shortest_path, heap_shortest_paths_from, random_connected_graph
 
 MINIMAL = {
     "nodes": [
@@ -87,10 +88,41 @@ def test_bad_node_id_rejected():
         load_topology(doc)
 
 
+def test_link_endpoint_that_is_not_an_id_is_parse_error():
+    doc = {
+        "nodes": [{"id": "sw1", "kind": "switch"}, {"id": "sw2", "kind": "switch"}],
+        "links": [{"a": ["sw1"], "b": "sw2"}],
+    }
+    with pytest.raises(ParseError, match="link endpoints"):
+        load_topology(doc)
+
+
 def test_unknown_kind_is_parse_error():
     doc = {"nodes": [{"id": "sw1", "kind": "router"}], "links": []}
     with pytest.raises(ParseError):
         load_topology(doc)
+
+
+BAD_DELAYS = [float("nan"), float("inf"), -1, "2", True, [1], 10**400]
+
+
+@pytest.mark.parametrize(
+    "delay", BAD_DELAYS, ids=["nan", "infinity", "negative", "string", "bool", "list", "huge-int"]
+)
+@pytest.mark.parametrize("form", ["link", "range"])
+def test_bad_link_delay_is_rejected_naming_the_link(form, delay):
+    """A delay must be a finite, non-negative int or float: NaN made every
+    path through the link weigh 0.0 in admission, a string or bool was
+    converted, and a list raised a raw TypeError."""
+    nodes = [{"id": "sw1", "kind": "switch"}, {"id": "sw2", "kind": "switch"}]
+    links = [{"a": "sw1", "b": "sw2", "delay_ms": delay}]
+    label = "sw1-sw2"
+    if form == "range":
+        nodes.append({"range": "bs1:bs3", "kind": "basestation", "switch": "sw1", "delay_ms": delay})
+        links = [{"a": "sw1", "b": "sw2"}]
+        label = "bs1-sw1"
+    with pytest.raises(ValidationError, match=f"link {label} "):
+        load_topology({"nodes": nodes, "links": links})
 
 
 def test_engine_link_defaults_to_zero_delay():
@@ -128,8 +160,11 @@ def test_connected_switch_demo_and_experiment():
 
 def test_connected_switch_rejects_switches():
     t = demo_topology()
-    with pytest.raises(NotFoundError):
-        t.connected_switch("sw1")
+    assert t.connected_switch("e-sw2") == "sw2"
+    # the destination has one link too, but is not a base station or engine
+    for node in ("sw1", "user", "nope"):
+        with pytest.raises(NotFoundError):
+            t.connected_switch(node)
 
 
 def test_adjacent_switch_picks_min_delay():
@@ -229,3 +264,149 @@ def test_every_basestation_has_switch():
     t = build_experiment_topology()
     for bs in t.nodes_of_kind(NodeKind.BASE_STATION):
         assert t.kind(t.connected_switch(bs)) is NodeKind.SWITCH
+
+
+# -- shortest paths against the heap over every node ----------------------------
+
+# zero delays and tied fractional sums (0.1 + 0.2 is not 0.3 as a float)
+DELAYS = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5)
+
+
+def random_pendant_topology(rng: random.Random) -> Topology:
+    """Switches on a random connected graph, each with base stations and
+    maybe an engine; a one-link destination and sometimes a cloud host
+    with one or two links."""
+    switches = [f"sw{i}" for i in range(1, rng.randint(1, 7) + 1)]
+    nodes = {s: NodeKind.SWITCH for s in switches}
+    links = []
+    for i, s in enumerate(switches[1:], 1):
+        links.append(Link(s, rng.choice(switches[:i]), rng.choice(DELAYS)))
+    pairs = [(u, v) for i, u in enumerate(switches) for v in switches[i + 1 :]]
+    linked = {link.key() for link in links}
+    for u, v in rng.sample(pairs, min(len(pairs), rng.randint(0, 4))):
+        if (u, v) not in linked:
+            links.append(Link(u, v, rng.choice(DELAYS)))
+    station = 0
+    for s in switches:
+        if rng.random() < 0.5:
+            nodes[f"e-{s}"] = NodeKind.ENGINE
+            links.append(Link(f"e-{s}", s, rng.choice((0.0, 0.5))))
+        for _ in range(rng.randint(0, 4)):
+            station += 1
+            nodes[f"bs{station}"] = NodeKind.BASE_STATION
+            links.append(Link(f"bs{station}", s, rng.choice(DELAYS)))
+    nodes["user"] = NodeKind.DESTINATION
+    links.append(Link("user", rng.choice(switches), rng.choice(DELAYS)))
+    if rng.random() < 0.5:
+        nodes["cloud"] = NodeKind.CLOUD
+        for s in rng.sample(switches, min(len(switches), rng.randint(1, 2))):
+            links.append(Link("cloud", s, rng.choice(DELAYS)))
+    return Topology(nodes, links)
+
+
+def wide_fabric_doc(stations_per_edge: int) -> dict:
+    """The wide_fanin fabric's shape: 16 edge switches with base stations,
+    4 aggregation switches, 2 core switches, an engine per switch and the
+    user, with seeded two-decimal delays."""
+    rng = random.Random("wide-fabric")
+    edge = [f"sw{i}" for i in range(1, 17)]
+    agg = [f"sw{i}" for i in range(17, 21)]
+    core = ["sw21", "sw22"]
+    nodes = [{"id": s, "kind": "switch"} for s in edge + agg + core]
+    nodes += [{"id": f"e-{s}", "kind": "engine"} for s in edge + agg + core]
+    nodes.append({"id": "user", "kind": "destination"})
+    links = [{"a": f"e-{s}", "b": s} for s in edge + agg + core]
+    for k, s in enumerate(edge):
+        lo = k * stations_per_edge + 1
+        nodes.append({"range": f"bs{lo}:bs{lo + stations_per_edge - 1}", "kind": "basestation", "switch": s})
+        links.append({"a": s, "b": agg[k // 4], "delay_ms": round(rng.uniform(1, 2), 2)})
+        if k % 2:
+            links.append({"a": edge[k - 1], "b": s, "delay_ms": round(rng.uniform(3, 4), 2)})
+    for k, s in enumerate(agg):
+        links.append({"a": s, "b": core[k // 2], "delay_ms": round(rng.uniform(1, 2), 2)})
+    links += [{"a": "sw21", "b": "sw22", "delay_ms": 1}, {"a": "user", "b": "sw22", "delay_ms": 1}]
+    return {"nodes": nodes, "links": links}
+
+
+def assert_maps_match_the_heap_over_every_node(t: Topology) -> int:
+    """Compare the maps from every source with the oracle's, to the last
+    bit; returns the number of (source, target) pairs compared."""
+    pairs = 0
+    for source in [n for kind in NodeKind for n in t.nodes_of_kind(kind)]:
+        dist, path = t.shortest_paths_from(source)
+        want_dist, want_path = heap_shortest_paths_from(t, source)
+        for got, want in ((dist, want_dist), (path, want_path)):
+            assert set(got) == set(want) == set(got.keys())
+            assert len(got) == len(want) == t.node_count()
+        for target, delay in want_dist.items():
+            assert target in dist and target in path
+            assert dist[target].hex() == delay.hex(), (source, target)
+            assert path[target] == want_path[target], (source, target)
+            pairs += 1
+    return pairs
+
+
+def test_shortest_paths_match_the_heap_over_every_node_on_random_pendant_graphs():
+    rng = random.Random(12)
+    pairs = 0
+    for _ in range(300):
+        pairs += assert_maps_match_the_heap_over_every_node(random_pendant_topology(rng))
+    assert pairs > 50_000
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"nodes": [{"id": "sw1", "kind": "switch"}], "links": []},
+        {
+            "nodes": [{"id": "bs1", "kind": "basestation"}, {"id": "sw1", "kind": "switch"}],
+            "links": [{"a": "bs1", "b": "sw1", "delay_ms": 0.3}],
+        },
+        {
+            "nodes": [{"id": "sw1", "kind": "switch"}, {"id": "sw2", "kind": "switch"}],
+            "links": [{"a": "sw1", "b": "sw2", "delay_ms": 0}],
+        },
+        "demo_topology.json",
+        "experiment_topology.json",
+        wide_fabric_doc(stations_per_edge=8),
+    ],
+    ids=["one-node", "two-node-station", "two-node-switches", "demo", "experiment", "wide"],
+)
+def test_shortest_paths_match_the_heap_over_every_node(doc):
+    if isinstance(doc, str):
+        doc = json.loads((DATA_DIR / doc).read_text(encoding="utf-8"))
+    t = load_topology(doc)
+    assert assert_maps_match_the_heap_over_every_node(t) == t.node_count() ** 2
+
+
+def test_shortest_path_maps_are_read_only():
+    t = demo_topology()
+    for source in ("bs1", "sw1", "user"):
+        dist, path = t.shortest_paths_from(source)
+        for m, value in ((dist, 0.0), (path, ("bs1",))):
+            with pytest.raises(TypeError):
+                m["bs2"] = value
+            with pytest.raises(TypeError):
+                del m["bs2"]
+            with pytest.raises(KeyError):
+                m["nope"]
+            assert "nope" not in m
+    # the cache hands out the same maps, unchanged
+    assert t.shortest_paths_from("bs1")[0]["bs2"] == 2.0
+
+
+def test_warm_shortest_paths_from_every_node_retain_little_memory():
+    """Maps from all 1,069 nodes of a 1,024-station fabric; a heap over
+    every node kept a path tuple per (source, target) pair, over 100 MB."""
+    t = load_topology(wide_fabric_doc(stations_per_edge=64))
+    every = [n for kind in NodeKind for n in t.nodes_of_kind(kind)]
+    assert len(every) == 1069 and len(t.nodes_of_kind(NodeKind.BASE_STATION)) == 1024
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for node in every:
+            t.shortest_paths_from(node)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * 2**20, f"{retained / 2**20:.1f} MB"
