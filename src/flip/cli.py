@@ -67,7 +67,7 @@ def _save_session(directory: str, doc: dict, session: Session) -> None:
 
 def _cmd_load(args) -> int:
     topo_doc = _read_json(args.topology)
-    load_topology(topo_doc)  # validate before persisting
+    topology = load_topology(topo_doc)  # validate before persisting
     cov_doc = None
     if args.coverage:
         cov_doc = _read_json(args.coverage)
@@ -77,7 +77,6 @@ def _cmd_load(args) -> int:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     _drop_config_file(args.session)
-    topology = load_topology(topo_doc)
     print(
         f"loaded {topology.node_count()} nodes "
         f"({len(topology.switches())} switches) into {path}"

@@ -2,12 +2,13 @@
 
 Events pop in (timestamp, insertion sequence) order, so a run is a pure
 function of the installed rules, the configs, and the injected workload.
-Switch lookup is first-match-wins over (final destination, source); a miss
-drops the packet and bumps a counter rather than erroring, since misses
-usually mean a plan bug worth surfacing in stats. Every drop's trace event
-names its reason (`no_rule`, or `deliver_not_adjacent` for a deliver rule
-whose destination is not a neighbour) and the packet's user and final
-destination.
+Switch lookup is first-match-wins over (final destination, source),
+answered from a per-table index built on first use and dropped whenever the
+table's rules change. A miss drops the packet and bumps a counter rather
+than erroring, since misses usually mean a plan bug worth surfacing in
+stats. Every drop's trace event names its reason (`no_rule`, or
+`deliver_not_adjacent` for a deliver rule whose destination is not a
+neighbour) and the packet's user and final destination.
 
 Counting model: a switch's packet count is the number of packets entering
 it over network links. Re-entries from the switch's own engine are not
@@ -40,38 +41,67 @@ _TIMEOUT = "timeout"
 
 
 class FlowTable:
-    """Ordered rule list with per-rule match counters; first match wins."""
+    """Ordered rule list with per-rule match counters; first match wins.
+
+    The first matching rule for each (final destination, source) is read
+    from an index built on the first match after a change and dropped by
+    every change, so a lookup costs one dict access however many rules and
+    sources the table holds. The index keeps two maps: one over all rules,
+    and one that skips redirect rules for packets coming back from an
+    engine that could not consume them.
+    """
 
     def __init__(self, switch: str):
         self.switch = switch
         self.rules: list[FlowRule] = []
         self.counters: list[int] = []
+        self._installed: set[FlowRule] = set()
+        self._first: tuple[dict, dict] | None = None
 
     def add(self, rule: FlowRule) -> bool:
         """Append unless an identical rule is already present."""
-        if rule in self.rules:
+        if rule in self._installed:
             return False
+        self._installed.add(rule)
         self.rules.append(rule)
         self.counters.append(0)
+        self._first = None
         return True
 
     def match(self, packet: PacketRecord, skip_redirect: bool = False):
+        first = self._first or self._index()
+        # False/True pick the map over all rules / over non-redirects
+        index = first[skip_redirect].get((packet.final_destination, packet.source))
+        return None if index is None else (index, self.rules[index])
+
+    def _index(self) -> tuple[dict, dict]:
+        """(final destination, source) -> position of its first matching
+        rule, over all rules and over the rules that are not redirects."""
+        first: dict[tuple[str, str], int] = {}
+        first_not_redirect: dict[tuple[str, str], int] = {}
         for index, rule in enumerate(self.rules):
-            if skip_redirect and rule.action is ActionKind.REDIRECT:
-                continue
-            if rule.matches(packet.final_destination, packet.source):
-                return index, rule
-        return None
+            keys = [(rule.final_destination, source) for source in rule.sources]
+            for key in keys:
+                first.setdefault(key, index)
+            if rule.action is not ActionKind.REDIRECT:
+                for key in keys:
+                    first_not_redirect.setdefault(key, index)
+        self._first = (first, first_not_redirect)
+        return self._first
 
     def remove(self, index: int) -> FlowRule:
         rule = self.rules.pop(index)
         self.counters.pop(index)
+        self._installed.discard(rule)
+        self._first = None
         return rule
 
     def clear(self) -> int:
         n = len(self.rules)
         self.rules.clear()
         self.counters.clear()
+        self._installed.clear()
+        self._first = None
         return n
 
 

@@ -74,7 +74,7 @@ class EngineConfig:
             if value is not None and (
                 isinstance(value, bool)
                 or not isinstance(value, (int, float))
-                or not math.isfinite(value)
+                or not _finite(value)
             ):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if self.rate_ms is not None and self.rate_ms <= 0:
@@ -250,7 +250,7 @@ class ConfigStore:
     def _load(self) -> None:
         try:
             doc = json.loads(self.path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or an int of more digits than int() takes
             raise ParseError(f"engine config file {self.path}: {exc}") from None
         try:
             for engine, users in _object_items(doc, "the file"):
@@ -268,6 +268,13 @@ class ConfigStore:
         for engine in self._dirty:
             self._render_block(engine)
         self._dirty.clear()
+
+
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range, as json.loads gives for 401 digits
+        return False
 
 
 def _object_items(doc, what: str):

@@ -175,9 +175,6 @@ class FlowRule:
     action: ActionKind
     target: str | None = None  # next hop switch or engine; None for deliver
 
-    def matches(self, final_destination: str, source: str) -> bool:
-        return final_destination == self.final_destination and source in self.sources
-
     def to_doc(self) -> dict:
         return {
             "switch": self.switch,

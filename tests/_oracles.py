@@ -24,7 +24,11 @@ the last bit. `heap_shortest_paths_from` is the earlier
 `Topology.shortest_paths_from` kept as it was: every node, one-link nodes
 included, goes through the heap and both maps are plain dicts, against
 which the one-link maps must give the same floats and tuples for every
-(source, target) pair.
+(source, target) pair. `scan_rules` is the earlier `FlowTable.match`
+kept as it was, with the earlier `FlowRule.matches` written in: a linear
+scan of the rule list, skipping redirect rules for a passthrough packet,
+against which the table's (final destination, source) index must give the
+same (position, rule) or miss.
 """
 
 from __future__ import annotations
@@ -192,6 +196,18 @@ def scan_config(configs, engine: str, user: str, source: str, final_destination:
             and final_destination in cfg.effective_matches()
         ):
             return cfg
+    return None
+
+
+def scan_rules(rules, packet, skip_redirect: bool = False):
+    """First rule of the list that matches the packet, with its position."""
+    from flip.planner import ActionKind
+
+    for index, rule in enumerate(rules):
+        if skip_redirect and rule.action is ActionKind.REDIRECT:
+            continue
+        if packet.final_destination == rule.final_destination and packet.source in rule.sources:
+            return index, rule
     return None
 
 

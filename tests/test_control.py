@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from flip import harness
+from flip import cli, harness
 from flip.cli import main as cli_main
 from flip.control import CommandServer, Session, send_command
 from flip.epb import ConfigStore
 from flip.errors import ParseError
 from flip.harness import build_experiment_topology, demo_topology
+from flip.topology import load_topology
 
 EQ1 = (
     "datapath_a(max(avg(bs1:bs10),avg(bs11:bs100),"
@@ -563,6 +564,17 @@ OVERFLOW = (
             {"engine": "e-sw1", "user": "u", "config": {**CONFIG, "jitter": float("inf")}},
             "validation_error",
         ),
+        # json.loads gives an int beyond float range for a 401-digit number
+        (
+            "setconfig/user",
+            {"engine": "e-sw1", "user": "u", "config": {**CONFIG, "rate": json.loads("1" + "0" * 400)}},
+            "validation_error",
+        ),
+        (
+            "setconfig/user",
+            {"engine": "e-sw1", "user": "u", "config": {**CONFIG, "jitter": -(10**400)}},
+            "validation_error",
+        ),
     ],
 )
 def test_wrongly_typed_arguments_are_typed_errors(demo_session, verb, args, code):
@@ -695,6 +707,30 @@ def test_cli_load_rejects_a_bad_link_delay(tmp_path, capsys, delay):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "link sw1-sw2" in err, err
     assert not (tmp_path / "s" / "session.json").exists()
+
+
+def test_cli_load_builds_the_topology_once(tmp_path, monkeypatch, capsys):
+    """`flip load` validates the topology by building it, before anything is
+    written, and prints its node count from that one build; a topology that
+    does not build leaves no session behind."""
+    built = []
+
+    def counting_load(doc):
+        built.append(doc)
+        return load_topology(doc)
+
+    monkeypatch.setattr(cli, "load_topology", counting_load)
+    demo = str(Path("data/demo_topology.json").resolve())
+    assert cli_main(["--session", str(tmp_path / "s"), "load", demo]) == 0
+    assert len(built) == 1
+    out = capsys.readouterr().out
+    assert out == f"loaded 311 nodes (5 switches) into {tmp_path / 's' / 'session.json'}\n"
+
+    topo = tmp_path / "topology.json"
+    topo.write_text('{"nodes": [{"id": "sw1", "kind": "switch"}, {"id": "sw1", "kind": "switch"}], "links": []}')
+    assert cli_main(["--session", str(tmp_path / "bad"), "load", str(topo)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "bad" / "session.json").exists()
 
 
 def test_cli_wrongly_typed_argument_is_an_error_reply(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from _oracles import scan_rules
 from flip import dsl, planner
-from flip.dataplane import Fabric
+from flip.dataplane import Fabric, FlowTable
 from flip.dsl import parse_request
 from flip.epb import ConfigStore
 from flip.errors import UnknownNodeError, UnknownSwitchError
@@ -71,6 +74,101 @@ def test_install_idempotent(demo, eq1_plan):
     before = {sw: len(t.rules) for sw, t in fabric.tables.items()}
     assert fabric.install_rules(eq1_plan.rules) == 0
     assert {sw: len(t.rules) for sw, t in fabric.tables.items()} == before
+
+
+# -- flow table -----------------------------------------------------------------
+
+TABLE_SWITCHES = ("sw1", "sw2")
+TABLE_DESTINATIONS = ("user", "cloud", "e-sw1")
+TABLE_SOURCES = ("bs1", "bs2", "bs3", "bs4", "bs5")
+
+
+def random_rule(rng: random.Random, switch: str) -> FlowRule:
+    action = rng.choice(list(ActionKind))
+    target = {ActionKind.FORWARD: "sw3", ActionKind.REDIRECT: "e-" + switch}.get(action)
+    sources = tuple(rng.sample(TABLE_SOURCES, rng.randint(1, 3)))
+    if rng.random() < 0.1:
+        sources += (sources[0],)  # a source listed twice
+    return FlowRule(switch, rng.choice(TABLE_DESTINATIONS), sources, action, target)
+
+
+def test_table_lookup_matches_the_old_scan_over_random_edits():
+    """Add (duplicates included), remove at any position, clear and
+    modflow-style replace at random; after every step each (final
+    destination, source) gets the same first rule as a scan of the list,
+    with and without redirect rules, and the counters follow their rules."""
+    rng = random.Random(13)
+    tables = {sw: FlowTable(sw) for sw in TABLE_SWITCHES}
+    models: dict[str, list] = {sw: [] for sw in TABLE_SWITCHES}
+    counts: dict[str, list] = {sw: [] for sw in TABLE_SWITCHES}
+    keys = [(fd, src) for fd in TABLE_DESTINATIONS for src in TABLE_SOURCES]
+    keys.append(("nowhere", "bs9"))
+
+    def check(sw):
+        table, model = tables[sw], models[sw]
+        assert table.rules == model
+        assert len(table.rules) == len(table.counters)
+        for fd, src in keys:
+            p = make_packet(src, fd=fd)
+            for skip_redirect in (False, True):
+                got = table.match(p, skip_redirect=skip_redirect)
+                assert got == scan_rules(model, p, skip_redirect), (sw, fd, src, skip_redirect)
+                if got is not None and rng.random() < 0.3:
+                    table.counters[got[0]] += 1
+                    counts[sw][got[0]] += 1
+        assert table.counters == counts[sw]
+
+    def add(sw, rule):
+        expected = rule not in models[sw]
+        assert tables[sw].add(rule) is expected
+        if expected:
+            models[sw].append(rule)
+            counts[sw].append(0)
+
+    middle_removes = peak = 0
+
+    def remove(sw, index):
+        nonlocal middle_removes
+        middle_removes += 0 < index < len(models[sw]) - 1
+        assert tables[sw].remove(index) == models[sw].pop(index)
+        counts[sw].pop(index)
+
+    # a forward and a redirect for one key, in both orders
+    forward = FlowRule("sw1", "user", ("bs1", "bs2"), ActionKind.FORWARD, "sw3")
+    redirect = FlowRule("sw1", "user", ("bs2", "bs3"), ActionKind.REDIRECT, "e-sw1")
+    for sw_rules in ((forward, redirect), (redirect, forward)):
+        for rule in sw_rules:
+            add("sw1", rule)
+            check("sw1")
+        p = make_packet("bs2")
+        assert tables["sw1"].match(p)[1] == sw_rules[0]
+        assert tables["sw1"].match(p, skip_redirect=True)[1] == forward
+        assert tables["sw1"].clear() == 2
+        models["sw1"].clear()
+        counts["sw1"].clear()
+        check("sw1")
+
+    for _ in range(600):
+        sw = rng.choice(TABLE_SWITCHES)
+        model = models[sw]
+        roll = rng.random()
+        if not model or roll < 0.45:
+            add(sw, random_rule(rng, sw))
+        elif roll < 0.55:
+            add(sw, rng.choice(model))  # an identical rule is refused
+        elif roll < 0.75:
+            remove(sw, rng.randrange(len(model)))
+        elif roll < 0.97:
+            # modflow: the old rule goes, the new one is appended
+            remove(sw, rng.randrange(len(model)))
+            add(sw, random_rule(rng, sw))
+        else:
+            assert tables[sw].clear() == len(model)
+            model.clear()
+            counts[sw].clear()
+        check(sw)
+        peak = max(peak, len(model))
+    assert peak >= 8 and middle_removes >= 50, (peak, middle_removes)
 
 
 # -- inject ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -202,6 +203,26 @@ def test_corrupt_config_file_raises_typed_error(tmp_path, text, error):
     path = tmp_path / "engine_configs.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(error, match="engine_configs.json"):
+        ConfigStore(path)
+
+
+@pytest.mark.parametrize("field, sign", [("rate", ""), ("jitter", "-")])
+def test_config_file_with_an_int_beyond_float_range_raises_validation_error(tmp_path, field, sign):
+    path = tmp_path / "engine_configs.json"
+    record = '{"compute": "sum", "source": ["bs1"], "destination": "user", "%s": %s1%s}'
+    path.write_text('{"e-sw1": {"maya": [%s]}}' % (record % (field, sign, "0" * 400)), encoding="utf-8")
+    with pytest.raises(ValidationError, match="engine_configs.json"):
+        ConfigStore(path)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+def test_config_file_with_an_int_json_cannot_convert_raises_parse_error(tmp_path):
+    path = tmp_path / "engine_configs.json"
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text('{"e-sw1": {"maya": [{"rate": %s}]}}' % digits, encoding="utf-8")
+    with pytest.raises(ParseError, match="engine_configs.json"):
         ConfigStore(path)
 
 

@@ -535,7 +535,11 @@ def test_baseline_routes_are_shortest_and_shared_per_switch():
             route, delay = [switch], adj[bs][switch]
             while True:
                 rule = next(
-                    (r for r in session.fabric.tables[route[-1]].rules if r.matches("user", bs)),
+                    (
+                        r
+                        for r in session.fabric.tables[route[-1]].rules
+                        if r.final_destination == "user" and bs in r.sources
+                    ),
                     None,
                 )
                 assert rule is not None, (adj, bs, route)
