@@ -4,11 +4,12 @@ import pytest
 
 from _oracles import scan_rules
 from flip import dsl, planner
+from flip.control import Session
 from flip.dataplane import Fabric, FlowTable
 from flip.dsl import parse_request
 from flip.epb import ConfigStore
 from flip.errors import UnknownNodeError, UnknownSwitchError
-from flip.harness import Workload, demo_topology
+from flip.harness import Workload, build_experiment_topology, demo_topology, request_texts
 from flip.packets import PacketRecord, Scalar
 from flip.planner import ActionKind, FlowRule
 
@@ -375,3 +376,43 @@ def test_trace_export(tmp_path, demo, eq1_plan):
     n = fabric.export_trace(out)
     lines = out.read_text().strip().splitlines()
     assert len(lines) == n and n >= 2
+
+
+# -- drain equivalence ----------------------------------------------------------
+
+
+def test_run_and_step_drains_agree_with_and_without_tracing():
+    """R1-R9 for nine users installed on one session's fabric, published
+    for five epochs from fixed seeds, then drained four ways: run() or a
+    step() loop, each with tracing on and off. Every way gives the same
+    deliveries, stats and conservation books."""
+    t = build_experiment_topology()
+    session = Session(t)
+    flows = []
+    for i, text in enumerate(request_texts(), 1):
+        result = session.execute("datapath_a", {"request": f"{text[:-1]},user<-u{i})"})
+        assert result.ok, result.message
+        flows.append((f"u{i}", result.body["plan"]["source_ingress"]))
+    rules = [rule for table in session.fabric.tables.values() for rule in table.rules]
+
+    def drained(trace: bool, stepwise: bool) -> Fabric:
+        fabric = Fabric(t, session.store, trace=trace)
+        fabric.install_rules(rules)
+        for seed, (user, ingress) in enumerate(flows):
+            for s in Workload(seed=seed, horizon_ms=500.0).samples(list(ingress)):
+                fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value, user), at=s.source)
+        if stepwise:
+            while fabric.pending_events():
+                fabric.step()
+        else:
+            fabric.run()
+        return fabric
+
+    runs = [drained(trace, stepwise) for trace in (False, True) for stepwise in (False, True)]
+    first = runs[0]
+    assert first.delivered and first.conservation()["balanced"]
+    for other in runs[1:]:
+        assert other.delivered == first.delivered
+        assert other.stats().to_json() == first.stats().to_json()
+        assert other.conservation() == first.conservation()
+    assert runs[2].trace == runs[3].trace

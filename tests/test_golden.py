@@ -1,5 +1,6 @@
 """Golden pins: the R1-R9 report bytes and the plan serializations of
-EQ1, R9, two wide requests and the six-command manual chain.
+EQ1, R9, two wide requests and the six-command manual chain, and the
+trace of a seeded traced run.
 
 Refactors must leave these byte for byte unchanged; a change that moves
 them on purpose updates the digests here and says why.
@@ -9,7 +10,10 @@ import hashlib
 import random
 
 from flip import harness, planner
+from flip.dataplane import Fabric
 from flip.dsl import parse_request
+from flip.epb import ConfigStore
+from flip.packets import PacketRecord, Scalar
 from flip.topology import load_topology
 
 EQ1 = (
@@ -115,3 +119,48 @@ def test_wide_request_plan_bytes():
         _sha256(planner.plan(parse_request(grouped), t).to_json().encode())
         == WIDE_GROUPED_PLAN_SHA256
     )
+
+
+TRACE_R9_EXPERIMENT_SHA256 = "e6675c9fc59a444f228d315f1875502b091a607aba4e636dec1c7c7753592fab"
+
+# a second user's request with rate and jitter requirements, on sources R9
+# does not read, so rate drops and jitter discards show in the trace too
+RATED = "datapath_a(sum(bs61:bs65),destination<-cloud,user<-rated,requirement<-{rate=200ms,jitter=2ms})"
+
+
+def _traced_r9_fabric():
+    """R9 and RATED on one traced experiment-topology fabric, published for
+    ten epochs from fixed seeds. One R9 sample is withheld (its epoch closes
+    on the timeout), one packet comes from a user no config serves (it
+    passes through the engine and is dropped) and one is addressed where no
+    rule leads (dropped as no_rule)."""
+    t = harness.build_experiment_topology()
+    fabric = Fabric(t, ConfigStore(), trace=True)
+    for text in (harness.request_texts()[8], RATED):
+        p = planner.plan(parse_request(text), t)
+        fabric.install_rules(p.rules)
+        for cfg in p.engine_configs:
+            fabric.store.set_config(cfg)
+        user = parse_request(text).user
+        w = harness.Workload(seed=len(text), horizon_ms=1000.0)
+        for s in w.samples(list(p.source_ingress)):
+            if (s.source, s.epoch) == ("bs7", 3):
+                continue
+            packet = PacketRecord(s.source, p.source_ingress[s.source], user, s.epoch, s.publish_ms, Scalar(s.value))
+            fabric.inject(packet, at=s.source)
+    fabric.inject(PacketRecord("bs2", "user", "intruder", 4, 400.5, Scalar(1.0)), at="bs2")
+    fabric.inject(PacketRecord("bs3", "cloud", "default", 5, 500.5, Scalar(1.0)), at="bs3")
+    fabric.run()
+    return fabric
+
+
+def test_traced_r9_run_trace_bytes(tmp_path):
+    fabric = _traced_r9_fabric()
+    events = {e["event"] for e in fabric.trace}
+    assert events == {"inject", "forward", "redirect", "engine", "deliver", "timeout", "passthrough", "drop"}
+    counters = {k: sum(e.counters[k] for e in fabric.engines.values()) for k in ("rate_dropped", "jitter_discarded")}
+    assert all(counters.values()), counters
+    assert fabric.conservation()["balanced"]
+    out = tmp_path / "trace.jsonl"
+    fabric.export_trace(out)
+    assert _sha256(out.read_bytes()) == TRACE_R9_EXPERIMENT_SHA256
