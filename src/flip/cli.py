@@ -40,7 +40,7 @@ def _read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FlipError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int of more digits than int() takes
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -106,7 +106,7 @@ def _cmd_cmd(args) -> int:
     if args.json:
         try:
             cmd_args = json.loads(args.json)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or an int of more digits than int() takes
             raise ParseError(f"--json: {exc}") from None
         if not isinstance(cmd_args, dict):
             raise ValidationError(f"--json must be a JSON object, got {args.json!r}")
@@ -114,7 +114,7 @@ def _cmd_cmd(args) -> int:
         key, _, value = pair.partition("=")
         try:
             cmd_args[key] = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an int of more digits than int() takes
             cmd_args[key] = value
     session, doc = _load_session(args.session)
     result = session.execute(args.verb, cmd_args)

@@ -428,7 +428,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 doc = json.loads(line)
                 result = self.server.session.execute(doc.get("verb", ""), doc.get("args"))
                 out = result.to_doc()
-            except (json.JSONDecodeError, AttributeError) as exc:
+            # ValueError: not JSON, or an int of more digits than int() takes;
+            # AttributeError: the line or its args are not an object
+            except (ValueError, AttributeError) as exc:
                 out = {"status": "error", "code": "bad_request", "message": str(exc), "body": {}}
             self.wfile.write(json.dumps(out, sort_keys=True).encode() + b"\n")
 

@@ -2,11 +2,23 @@
 
 Events pop in (timestamp, insertion sequence) order, so a run is a pure
 function of the installed rules, the configs, and the injected workload.
-Switch lookup is first-match-wins over (final destination, source),
-answered from a per-table index built on first use and dropped whenever the
-table's rules change. A miss drops the packet and bumps a counter rather
-than erroring, since misses usually mean a plan bug worth surfacing in
-stats. Every drop's trace event names its reason (`no_rule`, or
+`run()` and `step()` handle each event alike, so draining either way gives
+the same result.
+
+A hop costs table lookups, not topology calls. Switch lookup is
+first-match-wins over (final destination, source): one dict access into
+a per-table index, built on first use and dropped whenever the table's
+rules change, returns the rule and its position together. An arrival
+tells a switch from a host by whether the node has a table, and the hop
+limit and each switch's neighbour delays are held on the fabric. Where a
+base station or engine attaches (its switch, the link's delay, whether it
+is an engine) comes from the topology's read-only attachment table, built
+on first use; injection and engine output read it. Trace records are
+built only when tracing is on.
+
+A miss drops the packet and bumps a counter rather than erroring, since
+misses usually mean a plan bug worth surfacing in stats. Every drop's
+trace event names its reason (`no_rule`, or
 `deliver_not_adjacent` for a deliver rule whose destination is not a
 neighbour) and the packet's user and final destination.
 
@@ -69,23 +81,25 @@ class FlowTable:
         return True
 
     def match(self, packet: PacketRecord, skip_redirect: bool = False):
+        """The first matching rule as (its position, the rule), or None."""
         first = self._first or self._index()
         # False/True pick the map over all rules / over non-redirects
-        index = first[skip_redirect].get((packet.final_destination, packet.source))
-        return None if index is None else (index, self.rules[index])
+        return first[skip_redirect].get((packet.final_destination, packet.source))
 
     def _index(self) -> tuple[dict, dict]:
-        """(final destination, source) -> position of its first matching
-        rule, over all rules and over the rules that are not redirects."""
-        first: dict[tuple[str, str], int] = {}
-        first_not_redirect: dict[tuple[str, str], int] = {}
+        """(final destination, source) -> (position, rule) of its first
+        matching rule, over all rules and over the rules that are not
+        redirects."""
+        first: dict[tuple[str, str], tuple[int, FlowRule]] = {}
+        first_not_redirect: dict[tuple[str, str], tuple[int, FlowRule]] = {}
         for index, rule in enumerate(self.rules):
+            hit = (index, rule)
             keys = [(rule.final_destination, source) for source in rule.sources]
             for key in keys:
-                first.setdefault(key, index)
+                first.setdefault(key, hit)
             if rule.action is not ActionKind.REDIRECT:
                 for key in keys:
-                    first_not_redirect.setdefault(key, index)
+                    first_not_redirect.setdefault(key, hit)
         self._first = (first, first_not_redirect)
         return self._first
 
@@ -160,6 +174,9 @@ class Fabric:
             e: Engine(e, self.store) for e in topology.nodes_of_kind(NodeKind.ENGINE)
         }
         self.tables = {s: FlowTable(s) for s in topology.switches()}
+        # per switch: neighbour -> link delay (the topology's own read-only map)
+        self._delays = {s: topology.neighbors(s) for s in self.tables}
+        self._hop_limit = topology.node_count()
         self._heap: list[tuple] = []
         self._seq = 0
         self._uid = 0
@@ -188,11 +205,11 @@ class Fabric:
             self.counters["in_flight"] += 1
         return self._seq
 
-    def _trace(self, time_ms: float, event: str, **detail) -> dict | None:
-        entry = None
-        if self.trace is not None:
-            entry = {"t": time_ms, "event": event, **detail}
-            self.trace.append(entry)
+    def _trace(self, time_ms: float, event: str, **detail) -> dict:
+        """Record one trace event. Callers check that tracing is on first,
+        so a run without it builds no event details."""
+        entry = {"t": time_ms, "event": event, **detail}
+        self.trace.append(entry)
         return entry
 
     def pending_events(self) -> int:
@@ -225,17 +242,17 @@ class Fabric:
     def inject(self, p: PacketRecord, at: str) -> int:
         """Enqueue a packet published by a base station or engine output; it
         reaches the attached switch one link delay later."""
-        kind = self.topology.kind(at)
-        if kind not in (NodeKind.BASE_STATION, NodeKind.ENGINE):
+        attached = self.topology.attachments.get(at)
+        if attached is None:
+            kind = self.topology.kind(at)  # NotFoundError for an unknown node
             raise UnknownNodeError(f"{at!r} is a {kind.value}; packets enter at base stations or engines")
-        switch = self.topology.connected_switch(at)
+        switch, delay, from_engine = attached
         self._uid += 1
         p.uid = self._uid
         self.counters["injected"] += 1
-        arrive_at = p.timestamp_ms + self.topology.link_delay(at, switch)
-        from_engine = kind is NodeKind.ENGINE
-        self._trace(p.timestamp_ms, "inject", node=at, uid=p.uid, source=p.source)
-        return self._push(arrive_at, _ARRIVE, (switch, p, at, from_engine, False), packet=True)
+        if self.trace is not None:
+            self._trace(p.timestamp_ms, "inject", node=at, uid=p.uid, source=p.source)
+        return self._push(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine, False), packet=True)
 
     # -- event execution --
 
@@ -245,24 +262,23 @@ class Fabric:
             return None
         time_ms, _, kind, data = heapq.heappop(self._heap)
         self.now = time_ms
-        if kind == _ARRIVE:
-            self.counters["in_flight"] -= 1
-            return self._on_arrive(time_ms, *data)
-        if kind == _ENGINE:
-            self.counters["in_flight"] -= 1
-            return self._on_engine(time_ms, *data)
-        return self._on_timeout(time_ms, *data)
+        return _HANDLERS[kind](self, time_ms, *data)
 
     def run(self) -> int:
+        """Process events until none is left; returns how many ran."""
+        heap, pop, handlers = self._heap, heapq.heappop, _HANDLERS
         n = 0
-        while self._heap:
-            self.step()
+        while heap:
+            time_ms, _, kind, data = pop(heap)
+            self.now = time_ms
+            handlers[kind](self, time_ms, *data)
             n += 1
         return n
 
     def _on_arrive(self, now, node, p: PacketRecord, via, from_engine, skip_redirect):
-        node_kind = self.topology.kind(node)
-        if node_kind is not NodeKind.SWITCH:
+        self.counters["in_flight"] -= 1
+        table = self.tables.get(node)
+        if table is None:  # a host
             self.counters["delivered"] += 1
             record = {
                 "time_ms": now,
@@ -274,48 +290,54 @@ class Fabric:
                 "payload": p.payload.to_doc(),
             }
             self.delivered.append(record)
+            if self.trace is None:
+                return None
             return self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
 
         p.hop_count += 1
-        if p.hop_count > self.topology.node_count():
-            raise FlipError(f"forwarding loop: packet {p.uid} exceeded {self.topology.node_count()} hops")
-        self._port_rx[node][via] = self._port_rx[node].get(via, 0) + 1
+        if p.hop_count > self._hop_limit:
+            raise FlipError(f"forwarding loop: packet {p.uid} exceeded {self._hop_limit} hops")
+        rx = self._port_rx[node]
+        rx[via] = rx.get(via, 0) + 1
         if not from_engine:
             by_fd = self._ingress[node]
             by_fd[p.final_destination] = by_fd.get(p.final_destination, 0) + 1
 
-        table = self.tables[node]
-        m = table.match(p, skip_redirect=skip_redirect)
-        if m is None:
+        hit = table.match(p, skip_redirect)
+        if hit is None:
             return self._drop(now, node, p, "no_rule")
-        index, rule = m
+        index, rule = hit
         table.counters[index] += 1
 
-        if rule.action is ActionKind.FORWARD:
-            target = rule.target
-        elif rule.action is ActionKind.REDIRECT:
-            target = rule.target
-            self._port_tx[node][target] = self._port_tx[node].get(target, 0) + 1
-            self._push(
-                now + self.topology.link_delay(node, target), _ENGINE, (target, p), packet=True
-            )
-            return self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
-        else:  # DELIVER
+        delays = self._delays[node]
+        action = rule.action
+        if action is ActionKind.DELIVER:
             target = p.final_destination
-            if target not in self.topology.neighbors(node):
+            if target not in delays:
                 return self._drop(now, node, p, "deliver_not_adjacent")
-        self._port_tx[node][target] = self._port_tx[node].get(target, 0) + 1
-        self._push(
-            now + self.topology.link_delay(node, target),
-            _ARRIVE,
-            (target, p, node, False, False),
-            packet=True,
+        else:
+            target = rule.target
+        tx = self._port_tx[node]
+        tx[target] = tx.get(target, 0) + 1
+        self._seq += 1
+        self.counters["in_flight"] += 1
+        if action is ActionKind.REDIRECT:
+            heapq.heappush(self._heap, (now + delays[target], self._seq, _ENGINE, (target, p)))
+            if self.trace is None:
+                return None
+            return self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
+        heapq.heappush(
+            self._heap, (now + delays[target], self._seq, _ARRIVE, (target, p, node, False, False))
         )
+        if self.trace is None:
+            return None
         return self._trace(now, "forward", node=node, uid=p.uid, to=target)
 
     def _drop(self, now, node, p: PacketRecord, reason: str):
         self.counters["dropped"] += 1
         self._drops[node] += 1
+        if self.trace is None:
+            return None
         return self._trace(
             now,
             "drop",
@@ -328,41 +350,41 @@ class Fabric:
         )
 
     def _on_engine(self, now, engine_id, p: PacketRecord):
+        self.counters["in_flight"] -= 1
         result = self.engines[engine_id].process(p, now)
         if result.timeout_at is not None:
             self._push(result.timeout_at, _TIMEOUT, (engine_id, result.timeout_token), packet=False)
         if result.passthrough:
-            switch = self.topology.connected_switch(engine_id)
-            self._push(
-                now + self.topology.link_delay(engine_id, switch),
-                _ARRIVE,
-                (switch, p, engine_id, True, True),
-                packet=True,
-            )
+            switch, delay, _ = self.topology.attachments[engine_id]
+            self._push(now + delay, _ARRIVE, (switch, p, engine_id, True, True), packet=True)
+            if self.trace is None:
+                return None
             return self._trace(now, "passthrough", engine=engine_id, uid=p.uid)
         emitted = self._emit(now, engine_id, result.emissions)
+        if self.trace is None:
+            return None
         return self._trace(
             now, "engine", engine=engine_id, uid=p.uid, emitted=emitted, epoch=p.epoch
         )
 
     def _on_timeout(self, now, engine_id, token):
         emitted = self._emit(now, engine_id, self.engines[engine_id].on_timeout(token, now))
-        if not emitted and self.trace is None:
+        if self.trace is None:
             return None
         return self._trace(now, "timeout", engine=engine_id, emitted=emitted)
 
     def _emit(self, now, engine_id, emissions: list[PacketRecord]) -> list[int]:
         """Number an engine's output packets and send them back to its
         switch; returns their uids."""
-        switch = self.topology.connected_switch(engine_id)
-        back_delay = self.topology.link_delay(engine_id, switch)
         emitted = []
-        for em in emissions:
-            self._uid += 1
-            em.uid = self._uid
-            self.counters["emitted"] += 1
-            emitted.append(em.uid)
-            self._push(now + back_delay, _ARRIVE, (switch, em, engine_id, True, False), packet=True)
+        if emissions:
+            switch, delay, _ = self.topology.attachments[engine_id]
+            for em in emissions:
+                self._uid += 1
+                em.uid = self._uid
+                self.counters["emitted"] += 1
+                emitted.append(em.uid)
+                self._push(now + delay, _ARRIVE, (switch, em, engine_id, True, False), packet=True)
         return emitted
 
     # -- reporting --
@@ -438,3 +460,8 @@ class Fabric:
             },
             "configs": self.store.to_doc(),
         }
+
+
+# event kind -> its handler; module-level, so a fabric holds no reference
+# to its own bound methods and is freed by reference counting alone
+_HANDLERS = {_ARRIVE: Fabric._on_arrive, _ENGINE: Fabric._on_engine, _TIMEOUT: Fabric._on_timeout}

@@ -408,14 +408,15 @@ class Engine:
 
     def rate_filter(self, cfg: EngineConfig, p: PacketRecord) -> bool:
         """True when the packet is the first of its source's rate window."""
-        if cfg.rate_ms is None:
-            return True
-        window = math.floor(p.timestamp_ms / cfg.rate_ms)
-        key = (cfg.key(), p.source)
-        last = self._rate_last.get(key)
+        return cfg.rate_ms is None or self._first_in_window(cfg.key(), p.source, self.epoch_of(cfg, p))
+
+    def _first_in_window(self, key: tuple[str, str, str], source: str, window: int) -> bool:
+        """The rate rule: a source's first packet in each window passes, and
+        so does nothing else of that window or an earlier one."""
+        last = self._rate_last.get((key, source))
         if last is not None and window <= last:
             return False
-        self._rate_last[key] = window
+        self._rate_last[(key, source)] = window
         return True
 
     def dejitter(self, buf: EpochBuffer, cfg: EngineConfig, p: PacketRecord) -> bool:
@@ -446,11 +447,13 @@ class Engine:
         if cfg is None:
             self.counters["no_config"] += 1
             return EngineResult([], passthrough=True)
-        if not self.rate_filter(cfg, p):
+        key = cfg.key()
+        # with a rate, the epoch is the packet's rate window
+        epoch = self.epoch_of(cfg, p)
+        if cfg.rate_ms is not None and not self._first_in_window(key, p.source, epoch):
             self.counters["rate_dropped"] += 1
             return EngineResult([])
-        epoch = self.epoch_of(cfg, p)
-        token = (cfg.key(), epoch)
+        token = (key, epoch)
         if token in self._emitted_epochs:
             self.counters["late_discarded"] += 1
             return EngineResult([])
@@ -458,7 +461,7 @@ class Engine:
         timeout_at = None
         if buf is None:
             buf = EpochBuffer(
-                config_key=cfg.key(),
+                config_key=key,
                 epoch=epoch,
                 leader_ts=p.timestamp_ms,
                 timeout_at=now + self._timeout_ms(cfg),

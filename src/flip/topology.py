@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import NotFoundError, ParseError, ValidationError
 
@@ -203,12 +204,23 @@ class Topology:
             for n, nbs in self._adj.items()
         }
 
+    @cached_property
+    def attachments(self) -> Mapping[str, tuple[str, float, bool]]:
+        """Read-only table of each base station and engine: (its switch,
+        the link's delay, whether it is an engine). Built on first use."""
+        # validation gave each of them exactly one link, to a switch
+        return MappingProxyType({
+            n: (*next(iter(self._adj[n].items())), kind is NodeKind.ENGINE)
+            for n, kind in self._kinds.items()
+            if kind in (NodeKind.BASE_STATION, NodeKind.ENGINE)
+        })
+
     def connected_switch(self, n: str) -> str:
         """The unique switch adjacent to a base station or engine."""
-        kind = self.kind(n)
-        if kind not in (NodeKind.BASE_STATION, NodeKind.ENGINE):
-            raise NotFoundError(f"{n!r} is a {kind.value}, not a base station or engine")
-        return self._one_link[n][0]
+        attached = self.attachments.get(n)
+        if attached is None:
+            raise NotFoundError(f"{n!r} is a {self.kind(n).value}, not a base station or engine")
+        return attached[0]
 
     def engine_of(self, switch: str) -> str:
         """The engine attached to a switch."""

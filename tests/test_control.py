@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 import threading
 from pathlib import Path
 
@@ -402,6 +403,34 @@ def test_socket_server_roundtrip(tmp_path, demo_session):
         server.server_close()
 
 
+# a JSON number json.loads refuses with a plain ValueError, not a
+# JSONDecodeError: it has more digits than int() converts by default
+LONG_INT = "1" * 5000
+
+
+def test_socket_bad_number_is_bad_request_and_the_next_line_is_served(tmp_path, demo_session):
+    sock_path = tmp_path / "flip.sock"
+    server = CommandServer(demo_session, sock_path)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10)
+            sock.connect(str(sock_path))
+            lines = sock.makefile("rb")
+            sock.sendall(f'{{"verb": "getswitches", "args": {{"n": {LONG_INT}}}}}\n'.encode())
+            bad = json.loads(lines.readline())
+            assert (bad["status"], bad["code"]) == ("error", "bad_request")
+            sock.sendall(b'{"verb": "getswitches", "args": {}}\n')
+            reply = json.loads(lines.readline())
+            assert reply["status"] == "ok" and len(reply["body"]["switches"]) == 5
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 def test_session_reads_no_config_dir_from_the_environment(tmp_path, monkeypatch):
     config = {"compute": "sum", "source": ["bs1"], "destination": "user"}
     stored = Session(demo_topology(), config_dir=tmp_path)
@@ -686,6 +715,30 @@ def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
     capsys.readouterr()
     argv = [topo_file if arg == "TOPO" else arg for arg in argv]
     assert cli_main(["--session", "s", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_cli_bad_number_in_a_file_is_a_parse_error(tmp_path, capsys):
+    topo = tmp_path / "topology.json"
+    topo.write_text(f'{{"nodes": [{{"id": "sw1", "kind": "switch", "n": {LONG_INT}}}], "links": []}}')
+    with pytest.raises(ParseError):
+        cli._read_json(topo)
+    assert cli_main(["--session", str(tmp_path / "s"), "load", str(topo)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_cli_bad_number_argument_falls_back_to_a_string(tmp_path, capsys):
+    """A key=value argument json.loads refuses is passed on as the string;
+    in --json it is a parse error."""
+    session_dir = str(tmp_path / "s")
+    assert cli_main(["--session", session_dir, "load", str(Path("data/demo_topology.json").resolve())]) == 0
+    capsys.readouterr()
+    assert cli_main(["--session", session_dir, "cmd", "getflows", f"dpid={LONG_INT}"]) == 1
+    reply = json.loads(capsys.readouterr().out)
+    assert reply["code"] == "unknown_switch" and f"'{LONG_INT}'" in reply["message"]
+    assert cli_main(["--session", session_dir, "cmd", "getflows", "--json", f'{{"dpid": {LONG_INT}}}']) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
 

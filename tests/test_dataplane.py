@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -8,7 +10,7 @@ from flip.control import Session
 from flip.dataplane import Fabric, FlowTable
 from flip.dsl import parse_request
 from flip.epb import ConfigStore
-from flip.errors import UnknownNodeError, UnknownSwitchError
+from flip.errors import FlipError, NotFoundError, UnknownNodeError, UnknownSwitchError
 from flip.harness import Workload, build_experiment_topology, demo_topology, request_texts
 from flip.packets import PacketRecord, Scalar
 from flip.planner import ActionKind, FlowRule
@@ -192,9 +194,16 @@ def test_inject_tie_break_is_injection_order(demo):
 
 
 def test_inject_from_destination_rejected(demo):
+    """Packets enter only at base stations and engines: a host or a switch
+    is an UnknownNodeError, a node the topology lacks a NotFoundError, and
+    nothing is counted or queued."""
     fabric = Fabric(demo)
-    with pytest.raises(UnknownNodeError):
-        fabric.inject(make_packet("user"), at="user")
+    for node in ("user", "sw1"):
+        with pytest.raises(UnknownNodeError):
+            fabric.inject(make_packet(node), at=node)
+    with pytest.raises(NotFoundError):
+        fabric.inject(make_packet("nope"), at="nope")
+    assert fabric.counters["injected"] == fabric.pending_events() == 0
 
 
 # -- step -----------------------------------------------------------------------
@@ -237,6 +246,29 @@ def test_table_miss_drops_and_counts(demo):
     fabric.run()
     assert fabric.counters["dropped"] == 1
     assert fabric.stats().drops["sw1"] == 1
+
+
+def test_deliver_rule_off_the_destination_drops_with_its_reason(demo):
+    fabric = Fabric(demo, trace=True)
+    fabric.install_rules([FlowRule("sw1", "user", ("bs1",), ActionKind.DELIVER, None)])
+    fabric.inject(make_packet("bs1"), at="bs1")
+    fabric.run()
+    assert fabric.counters["dropped"] == fabric.stats().drops["sw1"] == 1
+    [drop] = [e for e in fabric.trace if e["event"] == "drop"]
+    assert (drop["node"], drop["reason"]) == ("sw1", "deliver_not_adjacent")
+    assert fabric.conservation()["balanced"]
+
+
+def test_forwarding_loop_is_an_error_past_the_hop_limit(demo):
+    fabric = Fabric(demo)
+    fabric.install_rules([
+        FlowRule("sw1", "user", ("bs1",), ActionKind.FORWARD, "sw3"),
+        FlowRule("sw3", "user", ("bs1",), ActionKind.FORWARD, "sw1"),
+    ])
+    fabric.inject(make_packet("bs1"), at="bs1")
+    with pytest.raises(FlipError, match="forwarding loop"):
+        fabric.run()
+    assert fabric.stats().total_packet_hops == demo.node_count()
 
 
 def test_full_run_traces_end_at_engine_or_destination(demo, eq1_plan):
@@ -416,3 +448,23 @@ def test_run_and_step_drains_agree_with_and_without_tracing():
         assert other.stats().to_json() == first.stats().to_json()
         assert other.conservation() == first.conservation()
     assert runs[2].trace == runs[3].trace
+
+
+def test_a_session_and_its_fabric_are_freed_without_the_collector():
+    """No reference cycle holds a fabric: with the garbage collector off,
+    dropping the last reference to a session that ran traffic frees both."""
+    gc.disable()
+    try:
+        session = Session(build_experiment_topology())
+        result = session.execute("datapath_a", {"request": request_texts()[8]})
+        assert result.ok, result.message
+        ingress = result.body["plan"]["source_ingress"]
+        for s in Workload(seed=4, horizon_ms=300.0).samples(list(ingress)):
+            session.fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value), at=s.source)
+        session.fabric.run()
+        assert len(session.fabric.delivered) == 3
+        session_ref, fabric_ref = weakref.ref(session), weakref.ref(session.fabric)
+        del session, result
+        assert session_ref() is None and fabric_ref() is None
+    finally:
+        gc.enable()

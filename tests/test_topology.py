@@ -165,6 +165,23 @@ def test_connected_switch_rejects_switches():
     for node in ("sw1", "user", "nope"):
         with pytest.raises(NotFoundError):
             t.connected_switch(node)
+    # the cloud host of the experiment topology, also one link
+    with pytest.raises(NotFoundError):
+        build_experiment_topology().connected_switch("cloud")
+
+
+def test_attachments_hold_each_base_station_and_engine():
+    """(switch, link delay, is engine) for every base station and engine and
+    nothing else, read-only, built once per topology."""
+    t = build_experiment_topology()
+    attached = [n for kind in (NodeKind.BASE_STATION, NodeKind.ENGINE) for n in t.nodes_of_kind(kind)]
+    assert sorted(t.attachments) == sorted(attached)
+    for n in attached:
+        switch = t.connected_switch(n)
+        assert t.attachments[n] == (switch, t.link_delay(n, switch), t.kind(n) is NodeKind.ENGINE)
+    assert t.attachments is t.attachments
+    with pytest.raises(TypeError):
+        t.attachments["bs1"] = ("sw2", 0.0, False)
 
 
 def test_adjacent_switch_picks_min_delay():
