@@ -319,16 +319,12 @@ class Fabric:
             target = rule.target
         tx = self._port_tx[node]
         tx[target] = tx.get(target, 0) + 1
-        self._seq += 1
-        self.counters["in_flight"] += 1
         if action is ActionKind.REDIRECT:
-            heapq.heappush(self._heap, (now + delays[target], self._seq, _ENGINE, (target, p)))
+            self._push(now + delays[target], _ENGINE, (target, p), packet=True)
             if self.trace is None:
                 return None
             return self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
-        heapq.heappush(
-            self._heap, (now + delays[target], self._seq, _ARRIVE, (target, p, node, False, False))
-        )
+        self._push(now + delays[target], _ARRIVE, (target, p, node, False, False), packet=True)
         if self.trace is None:
             return None
         return self._trace(now, "forward", node=node, uid=p.uid, to=target)

@@ -411,8 +411,8 @@ class Engine:
         return cfg.rate_ms is None or self._first_in_window(cfg.key(), p.source, self.epoch_of(cfg, p))
 
     def _first_in_window(self, key: tuple[str, str, str], source: str, window: int) -> bool:
-        """The rate rule: a source's first packet in each window passes, and
-        so does nothing else of that window or an earlier one."""
+        """The rate rule: a source's first packet in a rate window passes;
+        a later packet of that window or of an earlier one does not."""
         last = self._rate_last.get((key, source))
         if last is not None and window <= last:
             return False
