@@ -137,16 +137,16 @@ def _traced_r9_fabric():
     t = harness.build_experiment_topology()
     fabric = Fabric(t, ConfigStore(), trace=True)
     for text in (harness.request_texts()[8], RATED):
-        p = planner.plan(parse_request(text), t)
+        request = parse_request(text)
+        p = planner.plan(request, t)
         fabric.install_rules(p.rules)
         for cfg in p.engine_configs:
             fabric.store.set_config(cfg)
-        user = parse_request(text).user
         w = harness.Workload(seed=len(text), horizon_ms=1000.0)
         for s in w.samples(list(p.source_ingress)):
             if (s.source, s.epoch) == ("bs7", 3):
                 continue
-            packet = PacketRecord(s.source, p.source_ingress[s.source], user, s.epoch, s.publish_ms, Scalar(s.value))
+            packet = PacketRecord(s.source, p.source_ingress[s.source], request.user, s.epoch, s.publish_ms, Scalar(s.value))
             fabric.inject(packet, at=s.source)
     fabric.inject(PacketRecord("bs2", "user", "intruder", 4, 400.5, Scalar(1.0)), at="bs2")
     fabric.inject(PacketRecord("bs3", "cloud", "default", 5, 500.5, Scalar(1.0)), at="bs3")
