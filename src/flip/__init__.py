@@ -27,7 +27,7 @@ from .harness import (
     run_comparison,
     run_suite,
 )
-from .packets import Matrix, PacketRecord, Scalar, Vector
+from .packets import PacketRecord, Scalar
 from .planner import DatapathPlan, FlowRule, OpPlacement, SteinerTree, plan, steiner_tree
 from .topology import Link, NodeKind, Topology, load_topology, load_topology_file
 
@@ -45,7 +45,6 @@ __all__ = [
     "FlipError",
     "FlowRule",
     "Link",
-    "Matrix",
     "NodeKind",
     "OpKind",
     "OpPlacement",
@@ -60,7 +59,6 @@ __all__ = [
     "SteinerTree",
     "TaskGraph",
     "Topology",
-    "Vector",
     "Workload",
     "build_experiment_topology",
     "canonical",

@@ -179,8 +179,8 @@ class Session:
 
     def _getports(self, args) -> dict:
         sw = self._resolve_dpid(args)
-        rx = self.fabric.stats().port_rx[sw]
-        tx = self.fabric.stats().port_tx[sw]
+        stats = self.fabric.stats()
+        rx, tx = stats.port_rx[sw], stats.port_tx[sw]
         ports = []
         for port_no, peer in enumerate(sorted(self.topology.neighbors(sw), key=natural_key), 1):
             ports.append(
@@ -219,10 +219,8 @@ class Session:
     def _modflow(self, args) -> dict:
         sw, index = self._flow_index(args)
         rule = self._rule_from_args(sw, args)
-        # a bad rule must fail before the old one goes, or the edit half-applies
         self.fabric.check_rules([rule])
-        self.fabric.tables[sw].remove(index)
-        self.fabric.install_rules([rule])
+        self.fabric.tables[sw].replace(index, rule)
         return {"modified": index}
 
     def _delflow(self, args) -> dict:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .epb import ConfigStore, Engine
-from .errors import FlipError, UnknownNodeError, UnknownSwitchError
+from .errors import FlipError, UnknownNodeError, UnknownSwitchError, ValidationError
 from .packets import PacketRecord
 from .planner import ActionKind, FlowRule
 from .topology import NodeKind, Topology, natural_key
@@ -102,6 +102,20 @@ class FlowTable:
                     first_not_redirect.setdefault(key, hit)
         self._first = (first, first_not_redirect)
         return self._first
+
+    def replace(self, index: int, rule: FlowRule) -> None:
+        """Put rule at index in place of the rule there, with a zeroed
+        counter. A rule installed at another index is refused."""
+        old = self.rules[index]
+        if rule != old and rule in self._installed:
+            raise ValidationError(
+                f"rule already installed on {self.switch} at index {self.rules.index(rule)}"
+            )
+        self._installed.discard(old)
+        self._installed.add(rule)
+        self.rules[index] = rule
+        self.counters[index] = 0
+        self._first = None
 
     def remove(self, index: int) -> FlowRule:
         rule = self.rules.pop(index)

@@ -270,14 +270,7 @@ class _Parser:
             except ValueError as exc:
                 raise DslSyntaxError(str(exc), col=tok.col) from None
             return SourceRef(text)
-        if self.peek().kind == "[":
-            self.next()
-            inner = self.expect("IDENT")
-            if inner.value != "engine":
-                raise DslSyntaxError(f"expected [engine], got [{inner.value}]", col=inner.col)
-            self.expect("]")
-            return SourceRef(f"{tok.value}[engine]")
-        return SourceRef(tok.value)
+        return SourceRef(self._engine_suffix(tok.value))
 
     def _parse_source_list(self) -> list[SourceRef]:
         # manual sources, optionally wrapped in braces: {bs1:bs10}
@@ -319,15 +312,18 @@ class _Parser:
         return kwargs
 
     def _parse_node_token(self) -> str:
-        tok = self.expect("IDENT")
-        if self.peek().kind == "[":
-            self.next()
-            inner = self.expect("IDENT")
-            if inner.value != "engine":
-                raise DslSyntaxError(f"expected [engine], got [{inner.value}]", col=inner.col)
-            self.expect("]")
-            return f"{tok.value}[engine]"
-        return tok.value
+        return self._engine_suffix(self.expect("IDENT").value)
+
+    def _engine_suffix(self, name: str) -> str:
+        """The name, with an "[engine]" suffix when one follows it."""
+        if self.peek().kind != "[":
+            return name
+        self.next()
+        inner = self.expect("IDENT")
+        if inner.value != "engine":
+            raise DslSyntaxError(f"expected [engine], got [{inner.value}]", col=inner.col)
+        self.expect("]")
+        return f"{name}[engine]"
 
     def _parse_requirements(self) -> Requirements:
         self.expect("{")
@@ -505,9 +501,6 @@ class TaskGraph:
     def leaves(self) -> list[str]:
         """Leaf source ids in pre-order (document order)."""
         return list(self._leaves)
-
-    def op_count(self) -> int:
-        return len(self._ops)
 
 
 def _resolve_leaf(

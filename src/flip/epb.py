@@ -8,8 +8,8 @@ Rate filtering passes the first packet a source publishes in each
 floor(timestamp / rate) window and drops the rest. De-jitter keeps arrivals
 whose timestamp offset from the epoch leader (the first accepted arrival)
 stays within the configured threshold, boundary inclusive. Once every
-configured source has contributed to an epoch, the compute operation runs
-elementwise over the payloads and a single packet leaves the engine,
+configured source has contributed to an epoch, the compute operation folds
+the scalar payloads and a single packet leaves the engine,
 stamped with the config's destination. Epochs that never complete are
 closed by a timeout: the aggregate runs over the sources that did arrive,
 except for the order-sensitive ops (sub, mul), which reject the epoch.
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dsl import JITTER_MAX_MS, ORDER_SENSITIVE, OpKind
-from .errors import MissingSourceError, ParseError, ShapeMismatchError, ValidationError
-from .packets import Matrix, PacketRecord, Payload, Scalar, Vector
+from .errors import MissingSourceError, ParseError, ValidationError
+from .packets import PacketRecord, Scalar
 
 TIMEOUT_RATE_FACTOR = 2.0
 NO_RATE_TIMEOUT_MS = 100.0
@@ -307,31 +307,6 @@ def _fold(kind: OpKind, values: list[float]) -> float:
     return acc
 
 
-def combine_payloads(kind: OpKind, payloads: list[Payload]) -> Payload:
-    """Combine payloads elementwise. All operands must share one shape."""
-    if not payloads:
-        raise MissingSourceError("nothing to aggregate")
-    first = payloads[0]
-    if any(type(p) is not type(first) for p in payloads):
-        raise ShapeMismatchError("mixed payload types in one epoch")
-    if isinstance(first, Scalar):
-        return Scalar(_fold(kind, [p.value for p in payloads]))
-    if isinstance(first, Vector):
-        lengths = {len(p.values) for p in payloads}
-        if len(lengths) != 1:
-            raise ShapeMismatchError(f"vector lengths differ: {sorted(lengths)}")
-        cols = zip(*(p.values for p in payloads))
-        return Vector(tuple(_fold(kind, list(col)) for col in cols))
-    shapes = {(len(p.rows), len(p.rows[0])) for p in payloads}
-    if len(shapes) != 1:
-        raise ShapeMismatchError(f"matrix shapes differ: {sorted(shapes)}")
-    rows = []
-    for r in range(len(first.rows)):
-        cols = zip(*(p.rows[r] for p in payloads))
-        rows.append(tuple(_fold(kind, list(col)) for col in cols))
-    return Matrix(tuple(rows))
-
-
 # -- per-epoch buffering -------------------------------------------------------
 
 
@@ -340,8 +315,7 @@ class EpochBuffer:
     config_key: tuple[str, str, str]
     epoch: int
     leader_ts: float
-    timeout_at: float
-    arrivals: dict[str, tuple[float, Payload]] = field(default_factory=dict)
+    arrivals: dict[str, tuple[float, Scalar]] = field(default_factory=dict)
 
 
 def aggregate_and_compute(
@@ -359,8 +333,9 @@ def aggregate_and_compute(
         raise MissingSourceError(
             f"epoch {buf.epoch} missing sources {missing} for {cfg.compute.value}"
         )
-    payloads = [buf.arrivals[s][1] for s in present]
-    result = combine_payloads(cfg.compute, payloads)
+    if not present:
+        raise MissingSourceError("nothing to aggregate")
+    result = Scalar(_fold(cfg.compute, [buf.arrivals[s][1].value for s in present]))
     ts = max(buf.arrivals[s][0] for s in present)
     return PacketRecord(
         source=cfg.engine,
@@ -403,13 +378,6 @@ class Engine:
 
     # -- pipeline stages --
 
-    def find_config(self, p: PacketRecord) -> EngineConfig | None:
-        return self.store.lookup(self.engine_id, p.user, p.source, p.final_destination)
-
-    def rate_filter(self, cfg: EngineConfig, p: PacketRecord) -> bool:
-        """True when the packet is the first of its source's rate window."""
-        return cfg.rate_ms is None or self._first_in_window(cfg.key(), p.source, self.epoch_of(cfg, p))
-
     def _first_in_window(self, key: tuple[str, str, str], source: str, window: int) -> bool:
         """The rate rule: a source's first packet in a rate window passes;
         a later packet of that window or of an earlier one does not."""
@@ -443,7 +411,7 @@ class Engine:
         untouched because no config matched.
         """
         self.counters["arrivals"] += 1
-        cfg = self.find_config(p)
+        cfg = self.store.lookup(self.engine_id, p.user, p.source, p.final_destination)
         if cfg is None:
             self.counters["no_config"] += 1
             return EngineResult([], passthrough=True)
@@ -460,20 +428,15 @@ class Engine:
         buf = self._pending.get(token)
         timeout_at = None
         if buf is None:
-            buf = EpochBuffer(
-                config_key=key,
-                epoch=epoch,
-                leader_ts=p.timestamp_ms,
-                timeout_at=now + self._timeout_ms(cfg),
-            )
+            buf = EpochBuffer(config_key=key, epoch=epoch, leader_ts=p.timestamp_ms)
             self._pending[token] = buf
-            timeout_at = buf.timeout_at
+            timeout_at = now + self._timeout_ms(cfg)
         elif not self.dejitter(buf, cfg, p):
             self.counters["jitter_discarded"] += 1
-            return EngineResult([], timeout_at, token if timeout_at else None)
-        if p.source in buf.arrivals:
+            return EngineResult([])
+        elif p.source in buf.arrivals:
             self.counters["duplicate_discarded"] += 1
-            return EngineResult([], timeout_at, token if timeout_at else None)
+            return EngineResult([])
         buf.arrivals[p.source] = (p.timestamp_ms, p.payload)
         emissions: list[PacketRecord] = []
         # sources are distinct, so fewer arrivals cannot cover them all

@@ -87,10 +87,6 @@ class UnknownVerbError(FlipError):
     code = "unknown_verb"
 
 
-class ShapeMismatchError(FlipError):
-    code = "shape_mismatch"
-
-
 class MissingSourceError(FlipError):
     code = "missing_source"
 

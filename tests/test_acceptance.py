@@ -136,13 +136,11 @@ def test_criterion_5_rate_and_jitter_semantics():
         )
     )
     engine = Engine("e-sw1", store)
-    cfg = store.configs_for("e-sw1")[0]
-    passes = 0
     ts = 0.0
     while ts < horizon:
-        p = PacketRecord("bs1", "user", "default", 0, ts, Scalar(1.0))
-        passes += engine.rate_filter(cfg, p)
+        engine.process(PacketRecord("bs1", "user", "default", 0, ts, Scalar(1.0)), now=ts)
         ts += 100.0
+    passes = engine.counters["arrivals"] - engine.counters["rate_dropped"]
     import math
 
     expected = math.ceil(horizon / 1000.0)

@@ -12,6 +12,7 @@ from flip.control import CommandServer, Session, send_command
 from flip.epb import ConfigStore
 from flip.errors import ParseError
 from flip.harness import build_experiment_topology, demo_topology
+from flip.packets import PacketRecord, Scalar
 from flip.topology import load_topology
 
 EQ1 = (
@@ -247,9 +248,36 @@ def test_modflow_replaces_the_rule(demo_session):
     result = demo_session.execute("modflow", {"dpid": "sw1", "index": 0, **rule})
     assert result.ok
     flows = demo_session.execute("getflows", {"dpid": "sw1"}).body["flows"]
-    assert len(flows) == 2 and flows[-1]["action"] == rule["action"]
+    assert len(flows) == 2 and flows[0]["action"] == rule["action"]
     replayed = Session.replay(demo_topology(), demo_session.command_log)
     assert replayed.state_json() == demo_session.state_json()
+
+
+def test_modflow_keeps_the_rule_in_its_place(session):
+    """An edited rule keeps its index, so it still matches ahead of the
+    rules installed after it; a replacement equal to another installed
+    rule is refused and changes nothing."""
+    a = {
+        "match": {"final_destination": "user", "sources": ["bs1"]},
+        "action": {"type": "forward", "target": "sw9"},
+    }
+    b = {
+        "match": {"final_destination": "user", "sources": ["bs1", "bs2"]},
+        "action": {"type": "deliver"},
+    }
+    for rule in (a, b):
+        assert session.execute("addflow", {"dpid": "sw1", **rule}).ok
+    result = session.execute("modflow", {"dpid": "sw1", "index": 0, **a})
+    assert result.ok and result.body == {"modified": 0}
+    flows = session.execute("getflows", {"dpid": "sw1"}).body["flows"]
+    assert [f["action"]["type"] for f in flows] == ["forward", "deliver"]
+    packet = PacketRecord("bs1", "user", "default", 0, 0.0, Scalar(1.0))
+    assert session.fabric.tables["sw1"].match(packet)[0] == 0
+
+    before, log = session.state_json(), list(session.command_log)
+    refused = session.execute("modflow", {"dpid": "sw1", "index": 0, **b})
+    assert not refused.ok and refused.code == "validation_error"
+    assert session.state_json() == before and session.command_log == log
 
 
 @pytest.mark.parametrize(

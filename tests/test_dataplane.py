@@ -10,7 +10,13 @@ from flip.control import Session
 from flip.dataplane import Fabric, FlowTable
 from flip.dsl import parse_request
 from flip.epb import ConfigStore
-from flip.errors import FlipError, NotFoundError, UnknownNodeError, UnknownSwitchError
+from flip.errors import (
+    FlipError,
+    NotFoundError,
+    UnknownNodeError,
+    UnknownSwitchError,
+    ValidationError,
+)
 from flip.harness import Workload, build_experiment_topology, demo_topology, request_texts
 from flip.packets import PacketRecord, Scalar
 from flip.planner import ActionKind, FlowRule
@@ -97,7 +103,7 @@ def random_rule(rng: random.Random, switch: str) -> FlowRule:
 
 def test_table_lookup_matches_the_old_scan_over_random_edits():
     """Add (duplicates included), remove at any position, clear and
-    modflow-style replace at random; after every step each (final
+    replace in place at random; after every step each (final
     destination, source) gets the same first rule as a scan of the list,
     with and without redirect rules, and the counters follow their rules."""
     rng = random.Random(13)
@@ -136,6 +142,17 @@ def test_table_lookup_matches_the_old_scan_over_random_edits():
         assert tables[sw].remove(index) == models[sw].pop(index)
         counts[sw].pop(index)
 
+    def replace(sw, index, rule):
+        model = models[sw]
+        if rule in model and model.index(rule) != index:
+            # a rule installed at another index is refused, nothing changes
+            with pytest.raises(ValidationError):
+                tables[sw].replace(index, rule)
+            return
+        tables[sw].replace(index, rule)
+        model[index] = rule
+        counts[sw][index] = 0
+
     # a forward and a redirect for one key, in both orders
     forward = FlowRule("sw1", "user", ("bs1", "bs2"), ActionKind.FORWARD, "sw3")
     redirect = FlowRule("sw1", "user", ("bs2", "bs3"), ActionKind.REDIRECT, "e-sw1")
@@ -162,9 +179,8 @@ def test_table_lookup_matches_the_old_scan_over_random_edits():
         elif roll < 0.75:
             remove(sw, rng.randrange(len(model)))
         elif roll < 0.97:
-            # modflow: the old rule goes, the new one is appended
-            remove(sw, rng.randrange(len(model)))
-            add(sw, random_rule(rng, sw))
+            rule = rng.choice(model) if rng.random() < 0.3 else random_rule(rng, sw)
+            replace(sw, rng.randrange(len(model)), rule)
         else:
             assert tables[sw].clear() == len(model)
             model.clear()

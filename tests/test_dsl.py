@@ -240,7 +240,7 @@ def test_expand_range_and_counts():
     req = parse_request(EQ1)
     tg = dsl.expand_sources(req, t)
     assert len(tg.leaves()) == 300
-    assert tg.op_count() == 6
+    assert len(tg.ops()) == 6
     assert [op.node_id for op in tg.ops()] == ["max1", "avg1", "avg2", "max2", "min1", "min2"]
 
 

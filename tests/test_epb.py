@@ -13,10 +13,9 @@ from flip.epb import (
     EngineConfig,
     EpochBuffer,
     aggregate_and_compute,
-    combine_payloads,
 )
-from flip.errors import MissingSourceError, ParseError, ShapeMismatchError, ValidationError
-from flip.packets import Matrix, PacketRecord, Scalar, Vector
+from flip.errors import MissingSourceError, ParseError, ValidationError
+from flip.packets import PacketRecord, Scalar
 
 
 def make_config(**overrides):
@@ -168,20 +167,19 @@ def test_store_matches_the_old_store_over_random_edits(tmp_path):
 
 def test_replacing_or_removing_a_config_changes_the_next_lookup():
     store = ConfigStore()
-    engine = Engine("e-sw1", store)
     store.set_config(make_config(sources=("bs1", "bs2")))
-    assert engine.find_config(packet("bs1", ts=0.0)).sources == ("bs1", "bs2")
+    assert store.lookup("e-sw1", "maya", "bs1", "dest").sources == ("bs1", "bs2")
     store.set_config(make_config(sources=("bs3",)))
-    assert engine.find_config(packet("bs1", ts=0.0)) is None
-    assert engine.find_config(packet("bs3", ts=0.0)).sources == ("bs3",)
+    assert store.lookup("e-sw1", "maya", "bs1", "dest") is None
+    assert store.lookup("e-sw1", "maya", "bs3", "dest").sources == ("bs3",)
     # an earlier config in (user, destination) order takes the packet over
     earlier = make_config(sources=("bs3",), destination="cloud", match_destinations=("dest",))
     store.set_config(earlier)
-    assert engine.find_config(packet("bs3", ts=0.0)) == earlier
+    assert store.lookup("e-sw1", "maya", "bs3", "dest") == earlier
     store.remove(earlier.key())
-    assert engine.find_config(packet("bs3", ts=0.0)).destination == "dest"
+    assert store.lookup("e-sw1", "maya", "bs3", "dest").destination == "dest"
     store.remove(make_config().key())
-    assert engine.find_config(packet("bs3", ts=0.0)) is None
+    assert store.lookup("e-sw1", "maya", "bs3", "dest") is None
 
 
 @pytest.mark.parametrize(
@@ -229,38 +227,39 @@ def test_config_file_with_an_int_json_cannot_convert_raises_parse_error(tmp_path
 # -- rate filter ----------------------------------------------------------------
 
 
+def passes_rate(engine, p):
+    """Feed p through the engine; True unless the rate rule dropped it."""
+    dropped = engine.counters["rate_dropped"]
+    engine.process(p, now=p.timestamp_ms)
+    return engine.counters["rate_dropped"] == dropped
+
+
 def test_rate_filter_one_in_ten():
-    engine = Engine("e-sw1", ConfigStore())
-    cfg = make_config(sources=("bs1",), rate_ms=1000.0)
-    passed = sum(
-        engine.rate_filter(cfg, packet("bs1", ts=100.0 * k)) for k in range(100)
-    )
+    engine, _ = pipeline_engine(sources=("bs1",), rate_ms=1000.0)
+    passed = sum(passes_rate(engine, packet("bs1", ts=100.0 * k)) for k in range(100))
     assert passed == 10
 
 
 def test_rate_filter_vacuous_without_rate():
-    engine = Engine("e-sw1", ConfigStore())
-    cfg = make_config(sources=("bs1",))
-    assert all(engine.rate_filter(cfg, packet("bs1", ts=10.0 * k)) for k in range(20))
+    engine, _ = pipeline_engine(sources=("bs1",))
+    assert all(passes_rate(engine, packet("bs1", ts=10.0 * k)) for k in range(20))
 
 
 def test_rate_filter_window_rule():
-    engine = Engine("e-sw1", ConfigStore())
-    cfg = make_config(sources=("bs1",), rate_ms=1000.0)
-    assert engine.rate_filter(cfg, packet("bs1", ts=100.0))
-    assert not engine.rate_filter(cfg, packet("bs1", ts=900.0))
-    assert engine.rate_filter(cfg, packet("bs1", ts=1000.0))
+    engine, _ = pipeline_engine(sources=("bs1",), rate_ms=1000.0)
+    assert passes_rate(engine, packet("bs1", ts=100.0))
+    assert not passes_rate(engine, packet("bs1", ts=900.0))
+    assert passes_rate(engine, packet("bs1", ts=1000.0))
 
 
 def test_rate_filter_throughput_bound():
     rng = random.Random(9)
-    engine = Engine("e-sw1", ConfigStore())
-    cfg = make_config(sources=("bs1",), rate_ms=250.0)
+    engine, _ = pipeline_engine(sources=("bs1",), rate_ms=250.0)
     horizon = 5000.0
     ts = 0.0
     passed = 0
     while ts < horizon:
-        passed += engine.rate_filter(cfg, packet("bs1", ts=ts))
+        passed += passes_rate(engine, packet("bs1", ts=ts))
         ts += rng.uniform(10.0, 120.0)
     assert passed <= math.ceil(horizon / 250.0) + 1
 
@@ -271,7 +270,7 @@ def test_rate_filter_throughput_bound():
 def dejitter_probe(jitter_ms, offsets):
     engine = Engine("e-sw1", ConfigStore())
     cfg = make_config(jitter_ms=jitter_ms)
-    buf = EpochBuffer(config_key=cfg.key(), epoch=0, leader_ts=100.0, timeout_at=0.0)
+    buf = EpochBuffer(config_key=cfg.key(), epoch=0, leader_ts=100.0)
     return [engine.dejitter(buf, cfg, packet("bs2", ts=100.0 + off)) for off in offsets]
 
 
@@ -290,44 +289,35 @@ def test_dejitter_boundary_inclusive():
 # -- aggregation ----------------------------------------------------------------
 
 
+def aggregate(kind, values):
+    """The payload aggregate_and_compute emits for one complete epoch whose
+    sources bs1, bs2, ... published values in that order."""
+    cfg = make_config(compute=kind, sources=tuple(f"bs{i}" for i in range(1, len(values) + 1)))
+    buf = EpochBuffer(config_key=cfg.key(), epoch=0, leader_ts=0.0)
+    for source, value in zip(cfg.sources, values):
+        buf.arrivals[source] = (0.0, Scalar(value))
+    return aggregate_and_compute(buf, cfg).payload
+
+
 def test_sum_scalars():
-    assert combine_payloads(OpKind.SUM, [Scalar(3.0), Scalar(4.0)]) == Scalar(7.0)
-
-
-def test_avg_vectors_elementwise():
-    out = combine_payloads(OpKind.AVG, [Vector((1.0, 3.0)), Vector((3.0, 5.0))])
-    assert out == Vector((2.0, 4.0))
+    assert aggregate(OpKind.SUM, [3.0, 4.0]) == Scalar(7.0)
 
 
 def test_min_matches_flat_reference():
     rng = random.Random(1)
     values = [rng.uniform(0, 100) for _ in range(10)]
-    got = combine_payloads(OpKind.MIN, [Scalar(v) for v in values])
-    assert got == Scalar(min(values))
+    assert aggregate(OpKind.MIN, values) == Scalar(min(values))
 
 
 def test_sub_mul_left_fold_order():
-    vals = [Scalar(10.0), Scalar(3.0), Scalar(2.0)]
-    assert combine_payloads(OpKind.SUB, vals) == Scalar((10.0 - 3.0) - 2.0)
-    assert combine_payloads(OpKind.MUL, vals) == Scalar(60.0)
-
-
-def test_vector_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        combine_payloads(OpKind.SUM, [Vector((1.0,)), Vector((1.0, 2.0))])
-    with pytest.raises(ShapeMismatchError):
-        combine_payloads(OpKind.SUM, [Scalar(1.0), Vector((1.0,))])
-
-
-def test_matrix_elementwise():
-    a = Matrix(((1.0, 2.0), (3.0, 4.0)))
-    b = Matrix(((5.0, 6.0), (7.0, 8.0)))
-    assert combine_payloads(OpKind.MAX, [a, b]) == b
+    vals = [10.0, 3.0, 2.0]
+    assert aggregate(OpKind.SUB, vals) == Scalar((10.0 - 3.0) - 2.0)
+    assert aggregate(OpKind.MUL, vals) == Scalar(60.0)
 
 
 def test_aggregate_emission_fields():
     cfg = make_config()
-    buf = EpochBuffer(config_key=cfg.key(), epoch=7, leader_ts=100.0, timeout_at=0.0)
+    buf = EpochBuffer(config_key=cfg.key(), epoch=7, leader_ts=100.0)
     buf.arrivals["bs1"] = (100.0, Scalar(3.0))
     buf.arrivals["bs2"] = (103.0, Scalar(4.0))
     out = aggregate_and_compute(buf, cfg)
@@ -340,13 +330,13 @@ def test_aggregate_emission_fields():
 
 def test_aggregate_partial_rules():
     cfg = make_config(compute=OpKind.MAX, sources=("bs1", "bs2", "bs3"))
-    buf = EpochBuffer(config_key=cfg.key(), epoch=0, leader_ts=0.0, timeout_at=0.0)
+    buf = EpochBuffer(config_key=cfg.key(), epoch=0, leader_ts=0.0)
     buf.arrivals["bs1"] = (0.0, Scalar(1.0))
     with pytest.raises(MissingSourceError):
         aggregate_and_compute(buf, cfg)
     assert aggregate_and_compute(buf, cfg, allow_partial=True).payload == Scalar(1.0)
     sub_cfg = make_config(compute=OpKind.SUB, sources=("bs1", "bs2"))
-    sub_buf = EpochBuffer(config_key=sub_cfg.key(), epoch=0, leader_ts=0.0, timeout_at=0.0)
+    sub_buf = EpochBuffer(config_key=sub_cfg.key(), epoch=0, leader_ts=0.0)
     sub_buf.arrivals["bs1"] = (0.0, Scalar(1.0))
     with pytest.raises(MissingSourceError):
         aggregate_and_compute(sub_buf, sub_cfg, allow_partial=True)

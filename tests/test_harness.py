@@ -82,11 +82,11 @@ def test_requests_parse_and_shapes():
     assert len(reqs) == 9
     t = build_experiment_topology()
     r1 = dsl.expand_sources(reqs[0], t)
-    assert r1.op_count() == 1
+    assert len(r1.ops()) == 1
     assert r1.root.kind is OpKind.MAX
     assert len(r1.leaves()) == 10
     r9 = dsl.expand_sources(reqs[8], t)
-    assert r9.op_count() == 7
+    assert len(r9.ops()) == 7
     kinds = [op.kind for op in r9.ops()]
     assert kinds == [
         OpKind.MAX,
