@@ -12,7 +12,9 @@ configured source has contributed to an epoch, the compute operation folds
 the scalar payloads and a single packet leaves the engine,
 stamped with the config's destination. Epochs that never complete are
 closed by a timeout: the aggregate runs over the sources that did arrive,
-except for the order-sensitive ops (sub, mul), which reject the epoch.
+except for the order-sensitive ops (sub, mul), which reject the epoch. An
+epoch whose config was removed, or replaced by one that lists none of the
+sources that arrived, is rejected too.
 
 Configs persist to a JSON file shaped engine -> user -> [records], each
 record carrying compute, source list, destination, rate, and jitter. The
@@ -447,12 +449,18 @@ class Engine:
         return EngineResult(emissions, timeout_at, token if timeout_at else None)
 
     def on_timeout(self, token: tuple, now: float) -> list[PacketRecord]:
-        """Close an epoch whose timer fired; stale timers are ignored."""
+        """Close an epoch whose timer fired; stale timers are ignored. The
+        epoch is rejected when its config is gone, needs every operand, or
+        was replaced by one that lists none of the buffered sources."""
         buf = self._pending.get(token)
         if buf is None:
             return []
         cfg = self.store.get(buf.config_key)
-        if cfg is None or cfg.compute in ORDER_SENSITIVE:
+        if (
+            cfg is None
+            or cfg.compute in ORDER_SENSITIVE
+            or not any(s in buf.arrivals for s in cfg.sources)
+        ):
             del self._pending[token]
             self.counters["rejected"] += len(buf.arrivals)
             return []

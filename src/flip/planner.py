@@ -15,21 +15,24 @@ then pruning to the subtree that connects the terminals. Its weight is
 within (2 - 2/t) of the optimal tree for t terminals. Base-station
 terminals are collapsed onto their switches before the closure: a base
 station has one link, which every Steiner tree must contain, so the
-closure spans only the "hubs" (the leaves' switches plus the other
-terminals) and the leaf links are added back; the bound still holds
-because those links are forced. The complete
+closure, the spanning tree and the prune run over only the "hubs" (the
+leaves' switches plus the other terminals), and each leaf's link is
+appended to the pruned hub tree. A leaf link is a bridge, which a spanning
+tree over hubs and leaves together keeps too, so the tree is the same, and
+the bound still holds because those links are forced. The complete
 graph is never built: Prim's algorithm keeps one best closure edge per hub
 outside the tree, so the spanning tree costs O(h^2) time and O(h) memory
 beyond the shortest-path maps for h hubs (at most the switch count plus
 the destination), only its h - 1 paths are expanded, and no shortest-path
-map is computed from a base station. Each of those h maps costs
+map is computed from a base station. A base-station leaf costs the tree
+O(1) beyond its sort: no union-find step, walk or climb. Each of those h maps costs
 O(switches) to build and hold, not O(nodes): `Topology.shortest_paths_from`
 runs its heap over the multi-link nodes only and reads every one-link node
 (base stations, engines, usually the destination) from its neighbour.
 
 A tree is walked by one primitive, `SteinerTree.rooted`: one walk outward
 from a root giving each node its parent, depth and delay to the root. The
-prune keeps each terminal's climb to the first terminal; admission climbs
+prune keeps each hub's climb to the first hub; admission climbs
 the destination's walk from each leaf, and `SteinerTree.path` climbs both
 ends of that same walk, so a plan walks its final tree once.
 
@@ -44,11 +47,17 @@ beyond the same match tuple. A destination that is an engine is reached
 the same way: the output is routed to that engine's switch, where the
 request configuring the engine redirects it in. Every rule, in both modes,
 comes from one loop over a node path (`_rules_along`): each switch on it
-forwards to the next switch or delivers into the next node. Baseline
-(send-everything) mode feeds that loop each source's link to its switch
-followed by the switch's shortest path to the destination, so every
-source on one switch shares one route and no shortest-path map is
-computed from a base station.
+forwards to the next switch or delivers into the next node. Children of
+an operation that enter at the same switch with the same final
+destination take the same path, so the loop runs once per (entry switch,
+final destination) and adds the whole group's sources to each rule; the
+rule keys come out in the order a walk per child would add them. Baseline
+(send-everything) mode feeds that loop each switch's shortest path to the
+destination, once for all the sources on the switch, so no shortest-path
+map is computed from a base station.
+
+Names are put in natural order (bs2 before bs10) by `Topology.rank`,
+computed once per topology, not by a `natural_key` split per sort.
 """
 
 from __future__ import annotations
@@ -335,24 +344,37 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
     links then get a Kruskal pass sorted by (weight, endpoints).
 
     Base-station terminals are collapsed onto their switches first: the
-    closure runs over hubs, which are those switches plus every other
-    terminal, and each base station's one link is added to the expanded
-    links. Every Steiner tree must contain those links, so the optimum is
-    the hub optimum plus their fixed weight, t does not grow, and the
-    (2 - 2/t) bound still holds. The spanning tree is pruned to the
-    original terminals, which the tree keeps as `terminals`.
+    closure, the spanning tree and the prune run over hubs, which are those
+    switches plus every other terminal, and each base station's one link is
+    appended at the end. Every Steiner tree must contain those links, so
+    the optimum is the hub optimum plus their fixed weight, t does not
+    grow, and the (2 - 2/t) bound still holds. A leaf link is a bridge: it
+    closes no cycle in the Kruskal pass and the prune keeps it, so the tree
+    is the one a spanning tree over hubs and leaves together would give.
+    The tree keeps the original terminals as `terminals`.
     """
-    terms = sorted(set(terminals), key=natural_key)
-    if len(terms) < 2:
+    names = set(terminals)
+    if len(names) < 2:
         raise ValueError("steiner_tree needs at least two terminals")
-    for term in terms:
-        if not t.has_node(term):
-            raise UnknownNodeError(f"terminal {term!r} not in topology")
+    unknown = [x for x in names if not t.has_node(x)]
+    if unknown:
+        raise UnknownNodeError(f"terminal {min(unknown, key=natural_key)!r} not in topology")
+    rank = t.rank.__getitem__
+    terms = sorted(names, key=rank)
 
     # hubs: each base-station terminal's switch in its place; the forced
-    # leaf links are added to the expanded links below
-    leaf_switch = {x: t.connected_switch(x) for x in terms if t.kind(x) is NodeKind.BASE_STATION}
-    hubs = sorted({leaf_switch.get(x, x) for x in terms}, key=natural_key)
+    # leaf links are appended to the pruned hub tree below
+    hub_set: set[str] = set()
+    leaf_links: list[Link] = []
+    for x in terms:
+        attached = t.attachments.get(x)
+        if attached is None or attached[2]:  # not a base station
+            hub_set.add(x)
+            continue
+        switch, delay, _ = attached
+        hub_set.add(switch)
+        leaf_links.append(Link(x, switch, delay) if x <= switch else Link(switch, x, delay))
+    hubs = sorted(hub_set, key=rank)
 
     # Prim over the metric closure of the hubs: the closure edge between
     # hubs[i] and hubs[j], i < j, is (delay from hubs[i]'s own map, hubs[i],
@@ -379,27 +401,24 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
         for u, v in zip(path, path[1:]):
             key = (u, v) if u <= v else (v, u)
             expanded[key] = t.link_delay(u, v)
-    for leaf, switch in leaf_switch.items():
-        expanded[(leaf, switch) if leaf <= switch else (switch, leaf)] = t.link_delay(leaf, switch)
 
-    # the spanning tree, pruned to every node on some terminal's climb to
-    # the first terminal: the smallest subtree that connects the terminals
+    # the hub spanning tree, pruned to every node on some hub's climb to
+    # the first hub: the smallest subtree that connects the hubs
     mst = _kruskal([(w, a, b) for (a, b), w in expanded.items()])
-    spanning = SteinerTree(
-        tuple(sorted((Link(a, b, w) for w, a, b in mst), key=Link.key)),
-        tuple(terms),
-        sum(w for w, _, _ in mst),
-    )
-    parent = spanning.rooted(terms[0]).parent
-    kept = {terms[0]}
-    for node in terms:
-        while node not in kept:
-            kept.add(node)
-            node = parent[node]
+    hub_links = [Link(a, b, w) for w, a, b in mst]
+    kept = {hubs[0]}
+    if hub_links:
+        spanning = SteinerTree(tuple(hub_links), tuple(hubs), sum(w for w, _, _ in mst))
+        parent = spanning.rooted(hubs[0]).parent
+        for node in hubs:
+            while node not in kept:
+                kept.add(node)
+                node = parent[node]
 
-    links = tuple(l for l in spanning.edges if l.a in kept and l.b in kept)
+    links = [l for l in hub_links if l.a in kept and l.b in kept] + leaf_links
+    links.sort(key=Link.key)
     return SteinerTree(
-        edges=links, terminals=tuple(terms), weight=sum(l.delay_ms for l in links)
+        edges=tuple(links), terminals=tuple(terms), weight=sum(l.delay_ms for l in links)
     )
 
 
@@ -437,37 +456,39 @@ def check_delay(
 
 
 class _RuleBook:
-    """Accumulates rules, merging source sets per (switch, match, action)."""
+    """Accumulates rules, merging source sets per (switch, match, action);
+    each rule's sources come out in the topology's natural order."""
 
-    def __init__(self):
-        self._rules: dict[tuple, list] = {}
+    def __init__(self, t: Topology):
+        self._rank = t.rank
+        self._rules: dict[tuple, list[str]] = {}
 
-    def add(self, switch: str, fd: str, action: ActionKind, target: str | None, source: str):
+    def add(
+        self, switch: str, fd: str, action: ActionKind, target: str | None, sources: list[str]
+    ) -> None:
         key = (switch, fd, action, target)
-        self._rules.setdefault(key, []).append(source)
+        self._rules.setdefault(key, []).extend(sources)
 
     def rules(self) -> list[FlowRule]:
-        # one natural_key per distinct source, not one per source per rule
-        every = {s for sources in self._rules.values() for s in sources}
-        rank = {s: i for i, s in enumerate(sorted(every, key=natural_key))}
-        out = []
-        for (switch, fd, action, target), sources in self._rules.items():
-            ordered = tuple(sorted(set(sources), key=rank.__getitem__))
-            out.append(FlowRule(switch, fd, ordered, action, target))
-        return out
+        rank = self._rank.__getitem__
+        return [
+            FlowRule(switch, fd, tuple(sorted(set(sources), key=rank)), action, target)
+            for (switch, fd, action, target), sources in self._rules.items()
+        ]
 
 
 def _rules_along(
-    book: _RuleBook, path: tuple[str, ...], fd: str, source: str, t: Topology
+    book: _RuleBook, path: tuple[str, ...], fd: str, sources: list[str], t: Topology
 ) -> None:
-    """Rules for `source`'s traffic along `path`: at each switch, forward
-    to the next switch, or deliver into the next node when it is not one."""
+    """Rules for the traffic of `sources` along `path`: at each switch,
+    forward to the next switch, or deliver into the next node when it is
+    not one."""
     for here, nxt in zip(path, path[1:]):
         if t.kind(here) is NodeKind.SWITCH:
             if t.kind(nxt) is NodeKind.SWITCH:
-                book.add(here, fd, ActionKind.FORWARD, nxt, source)
+                book.add(here, fd, ActionKind.FORWARD, nxt, sources)
             else:
-                book.add(here, fd, ActionKind.DELIVER, None, source)
+                book.add(here, fd, ActionKind.DELIVER, None, sources)
 
 
 def compile_rules(
@@ -489,36 +510,44 @@ def compile_rules(
     stamps on its packets (`source_ingress`). The root's output goes to the
     destination: delivered to a host, or routed to an engine's switch, where
     the redirect of the request configuring that engine takes it.
+
+    Children that enter at the same switch with the same final destination
+    take the same path, so each operation walks one path per (entry switch,
+    final destination) group, in first-seen order, for the whole group. The
+    rule keys then appear in the order a walk per child would add them.
     """
     by_op = {p.op_node: p for p in placements}
-    book = _RuleBook()
+    book = _RuleBook(t)
     configs: list[EngineConfig] = []
     ingress: dict[str, str] = {}
+    attachments = t.attachments
 
     for op in tg.ops():
         placement = by_op[op.node_id]
         parent = tg.parent(op)
         cfg_sources: list[str] = []
         match_fds: list[str] = []
+        groups: dict[tuple[str, str], list[str]] = {}
         for child in op.children:
-            leaf = not isinstance(child, OpNode)
-            if leaf:
-                source, entry = child, t.connected_switch(child)
-            else:
+            if isinstance(child, OpNode):
                 source, entry = by_op[child.node_id].engine, by_op[child.node_id].switch
                 if source in cfg_sources:
                     raise CompileError(
                         f"siblings {op.node_id} children share engine {source}; "
                         "co-located sibling operations are not representable"
                     )
-            fd = placement.engine if t.kind(source) is NodeKind.ENGINE else destination
+                fd = placement.engine
+            else:
+                source, entry = child, t.connected_switch(child)
+                fd = placement.engine if attachments[source][2] else destination
+                ingress[source] = fd
             cfg_sources.append(source)
             if fd not in match_fds:
                 match_fds.append(fd)
-            if leaf:
-                ingress[source] = fd
-            _rules_along(book, tree.path(entry, placement.switch), fd, source, t)
-            book.add(placement.switch, fd, ActionKind.REDIRECT, placement.engine, source)
+            groups.setdefault((entry, fd), []).append(source)
+        for (entry, fd), sources in groups.items():
+            _rules_along(book, tree.path(entry, placement.switch), fd, sources, t)
+            book.add(placement.switch, fd, ActionKind.REDIRECT, placement.engine, sources)
         configs.append(
             EngineConfig(
                 engine=placement.engine,
@@ -535,7 +564,7 @@ def compile_rules(
     root = by_op[tg.root.node_id]
     to_engine = t.kind(destination) is NodeKind.ENGINE
     end = t.connected_switch(destination) if to_engine else destination
-    _rules_along(book, tree.path(root.switch, end), destination, root.engine, t)
+    _rules_along(book, tree.path(root.switch, end), destination, [root.engine], t)
 
     return book.rules(), configs, ingress
 
@@ -544,11 +573,16 @@ def compile_baseline(t: Topology, sources: list[str], destination: str) -> list[
     """Shortest-path rules from every source straight to the destination;
     no engines involved, payloads pass through unmodified. A source has one
     link, to its switch, so its route is that link plus the switch's
-    shortest path, which every source on the switch shares."""
-    book = _RuleBook()
-    for source in sorted(set(sources), key=natural_key):
-        path = t.shortest_paths_from(t.connected_switch(source))[1][destination]
-        _rules_along(book, (source,) + path, destination, source, t)
+    shortest path, which every source on the switch shares: one walk per
+    switch, in the natural order of each switch's first source."""
+    switch_of = {source: t.connected_switch(source) for source in set(sources)}
+    by_switch: dict[str, list[str]] = {}
+    for source in sorted(switch_of, key=t.rank.__getitem__):
+        by_switch.setdefault(switch_of[source], []).append(source)
+    book = _RuleBook(t)
+    for switch, group in by_switch.items():
+        path = t.shortest_paths_from(switch)[1][destination]
+        _rules_along(book, path, destination, group, t)
     return book.rules()
 
 

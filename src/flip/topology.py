@@ -215,6 +215,14 @@ class Topology:
             if kind in (NodeKind.BASE_STATION, NodeKind.ENGINE)
         })
 
+    @cached_property
+    def rank(self) -> Mapping[str, int]:
+        """Read-only position of every node in `natural_key` order, so a
+        sort of node names needs no regex split. Built on first use; names
+        with equal keys ("bs01", "bs1") are ordered by the name itself."""
+        ordered = sorted(self._kinds, key=lambda n: (natural_key(n), n))
+        return MappingProxyType({n: i for i, n in enumerate(ordered)})
+
     def connected_switch(self, n: str) -> str:
         """The unique switch adjacent to a base station or engine."""
         attached = self.attachments.get(n)

@@ -11,11 +11,16 @@ gets, and the file document grouped by sorting on the config key.
 it was (the full metric closure sorted by Kruskal), against which the
 current one must give the same tree, and `collapsed_kmb_steiner_tree` is
 that construction run over the base-station terminals' switches with the
-base stations' own links added. `compile_manual` is the planner's
-earlier compiler for one-operation manual commands, kept as it was with
-its own copies of the planner's former path walkers (`_route_along`,
-`_deliver_along`; it shares only the rule book), against which the one
-compile path must give the same rules, configs and ingress.
+base stations' own links added. `RuleBook` is the planner's earlier
+rule book, which the compiler oracles use instead of the planner's.
+`compile_manual` is the planner's earlier compiler for one-operation
+manual commands, kept as it was with its own copies of the planner's
+former path walkers (`_route_along`, `_deliver_along`), against which
+the one compile path must give the same rules, configs and ingress.
+`compile_per_leaf` is the planner's earlier compiler for every request
+form, which walked each child's path on its own, against which the walk
+per (entry switch, final destination) must give the same rules, configs
+and ingress.
 `tree_walk_path` and `check_delay_search` are the planner's earlier tree
 walks kept as they were: a depth-first search with sorted neighbours per
 path pair, and admission's own search from the destination, against which
@@ -327,6 +332,27 @@ def collapsed_kmb_steiner_tree(t, terminals):
     )
 
 
+class RuleBook:
+    """The planner's earlier rule book kept as it was: rules accumulated
+    per (switch, final destination, action, target), one source at a
+    time, each rule's sources sorted by `natural_key`."""
+
+    def __init__(self):
+        self._rules: dict[tuple, list] = {}
+
+    def add(self, switch, fd, action, target, source):
+        self._rules.setdefault((switch, fd, action, target), []).append(source)
+
+    def rules(self):
+        from flip.planner import FlowRule
+        from flip.topology import natural_key
+
+        return [
+            FlowRule(switch, fd, tuple(sorted(set(sources), key=natural_key)), action, target)
+            for (switch, fd, action, target), sources in self._rules.items()
+        ]
+
+
 def _route_along(book, tree, fd, source, start, end, t):
     """Forward rules for `source`'s traffic from switch `start` to switch `end`."""
     from flip.planner import ActionKind
@@ -363,10 +389,10 @@ def compile_manual(t, tg, placement, tree, destination, request):
     command configuring that engine, so forwarding stops at its switch.
     """
     from flip.epb import EngineConfig
-    from flip.planner import ActionKind, _RuleBook
+    from flip.planner import ActionKind
     from flip.topology import NodeKind
 
-    book = _RuleBook()
+    book = RuleBook()
     ingress: dict[str, str] = {}
     own_engine = placement.engine
     match_fds: list[str] = []
@@ -398,6 +424,81 @@ def compile_manual(t, tg, placement, tree, destination, request):
         _deliver_along(book, tree, own_engine, placement.switch, destination, t)
 
     return book.rules(), [cfg], ingress
+
+
+def _leaf_rules_along(book, path, fd, source, t):
+    """Rules for one source's traffic along `path`: at each switch, forward
+    to the next switch, or deliver into the next node when it is not one."""
+    from flip.planner import ActionKind
+    from flip.topology import NodeKind
+
+    for here, nxt in zip(path, path[1:]):
+        if t.kind(here) is NodeKind.SWITCH:
+            if t.kind(nxt) is NodeKind.SWITCH:
+                book.add(here, fd, ActionKind.FORWARD, nxt, source)
+            else:
+                book.add(here, fd, ActionKind.DELIVER, None, source)
+
+
+def compile_per_leaf(t, tg, placements, tree, destination, request):
+    """The planner's compiler with one path walk per child of every
+    operation: each child is routed along the tree to its operation's
+    switch and redirected into the engine there, and the root's output
+    goes on to the destination."""
+    from flip.dsl import OpNode
+    from flip.epb import EngineConfig
+    from flip.errors import CompileError
+    from flip.planner import ActionKind
+    from flip.topology import NodeKind
+
+    by_op = {p.op_node: p for p in placements}
+    book = RuleBook()
+    configs = []
+    ingress: dict[str, str] = {}
+
+    for op in tg.ops():
+        placement = by_op[op.node_id]
+        parent = tg.parent(op)
+        cfg_sources: list[str] = []
+        match_fds: list[str] = []
+        for child in op.children:
+            leaf = not isinstance(child, OpNode)
+            if leaf:
+                source, entry = child, t.connected_switch(child)
+            else:
+                source, entry = by_op[child.node_id].engine, by_op[child.node_id].switch
+                if source in cfg_sources:
+                    raise CompileError(
+                        f"siblings {op.node_id} children share engine {source}; "
+                        "co-located sibling operations are not representable"
+                    )
+            fd = placement.engine if t.kind(source) is NodeKind.ENGINE else destination
+            cfg_sources.append(source)
+            if fd not in match_fds:
+                match_fds.append(fd)
+            if leaf:
+                ingress[source] = fd
+            _leaf_rules_along(book, tree.path(entry, placement.switch), fd, source, t)
+            book.add(placement.switch, fd, ActionKind.REDIRECT, placement.engine, source)
+        configs.append(
+            EngineConfig(
+                engine=placement.engine,
+                user=request.user,
+                compute=op.kind,
+                sources=tuple(cfg_sources),
+                destination=by_op[parent.node_id].engine if parent else destination,
+                rate_ms=request.requirements.rate_ms,
+                jitter_ms=request.requirements.jitter_ms,
+                match_destinations=tuple(match_fds),
+            )
+        )
+
+    root = by_op[tg.root.node_id]
+    to_engine = t.kind(destination) is NodeKind.ENGINE
+    end = t.connected_switch(destination) if to_engine else destination
+    _leaf_rules_along(book, tree.path(root.switch, end), destination, root.engine, t)
+
+    return book.rules(), configs, ingress
 
 
 def tree_walk_path(tree, a, b):

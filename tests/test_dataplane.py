@@ -323,6 +323,40 @@ def test_determinism_identical_stats(demo, eq1_plan):
     assert run_once() == run_once()
 
 
+def test_timer_rejects_an_epoch_its_replaced_config_no_longer_reads():
+    """A config replaced while one of its epochs is open, by one that lists
+    none of the buffered sources: the timer rejects the epoch and emits
+    nothing, instead of raising out of the event loop."""
+    session = Session(build_experiment_topology())
+
+    def setconfig(sources):
+        config = {"compute": "min", "source": sources, "destination": "user"}
+        result = session.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": config})
+        assert result.ok, result.message
+
+    setconfig(["bs1", "bs2"])
+    redirect = session.execute(
+        "addflow",
+        {
+            "dpid": "sw1",
+            "match": {"final_destination": "user", "sources": ["bs1"]},
+            "action": {"type": "redirect", "target": "e-sw1"},
+        },
+    )
+    assert redirect.ok, redirect.message
+    fabric = session.fabric
+    fabric.inject(make_packet("bs1", user="u"), at="bs1")
+    fabric.step()
+    fabric.step()
+    assert fabric.engines["e-sw1"].pending_arrivals() == 1
+    setconfig(["bs3", "bs4"])
+    fabric.run()
+    books = fabric.conservation()
+    assert books["balanced"] and books["rejected"] == 1
+    assert fabric.engines["e-sw1"].counters["emitted"] == 0
+    assert fabric.delivered_at("user") == []
+
+
 def test_conservation_every_step(demo, eq1_plan):
     fabric = flip_fabric(demo, eq1_plan)
     w = Workload(seed=6, horizon_ms=100.0)

@@ -1,12 +1,19 @@
 import json
 import random
+import re
 
 import pytest
 
 from flip import dsl
 from flip.control import Session
 from flip.dsl import OpKind, parse_request
-from flip.errors import CompileError, FlipError, PlacementError, RejectedByDelay
+from flip.errors import (
+    CompileError,
+    FlipError,
+    PlacementError,
+    RejectedByDelay,
+    UnknownNodeError,
+)
 from flip.harness import DATA_DIR, build_experiment_topology, demo_topology
 from flip.planner import (
     ActionKind,
@@ -25,6 +32,7 @@ from _oracles import (
     check_delay_search,
     collapsed_kmb_steiner_tree,
     compile_manual,
+    compile_per_leaf,
     enumerate_shortest_path,
     kmb_steiner_tree,
     placement_transcription,
@@ -277,6 +285,14 @@ def test_rooted_walk_matches_the_pair_walk_and_delay_search_oracles():
             again.rooted(rng.choice(nodes))
             assert [again.path(a, b) for a, b in pairs] == first
             assert [tree.path(a, b) for a, b in pairs] == first
+
+
+def test_steiner_tree_names_the_first_unknown_terminal_in_natural_order(demo):
+    """bs999 comes before bs1000 in natural order, not in string order."""
+    with pytest.raises(UnknownNodeError, match=r"^terminal 'bs999' not in topology$"):
+        steiner_tree(demo, {"bs1", "bs1000", "sw5", "bs999", "user"})
+    with pytest.raises(UnknownNodeError, match=r"^terminal 'bs1000' not in topology$"):
+        steiner_tree(demo, ["bs1000", "bs1"])
 
 
 def test_steiner_tree_collapses_base_stations_like_the_kmb_oracle():
@@ -653,6 +669,72 @@ def test_manual_requests_compile_like_the_manual_oracle():
             assert _compiled_docs(*got) == _compiled_docs(*want), dsl.canonical(req)
             compared += 1
     assert compared >= 500
+
+
+def random_nested_request(rng, t) -> str:
+    """An automated request of nested operations, sent to the user or to
+    an engine. Each leaf group takes several stations of one or two
+    switches, and no station is used twice."""
+    unused: dict[str, list[str]] = {}
+    for bs in t.nodes_of_kind(NodeKind.BASE_STATION):
+        unused.setdefault(t.connected_switch(bs), []).append(bs)
+    ops = ("min", "max", "sum", "avg")
+
+    def stations() -> list[str]:
+        picks = []
+        for switch in rng.sample(sorted(unused), min(len(unused), rng.randint(1, 2))):
+            pool = unused[switch]
+            for bs in rng.sample(pool, min(len(pool), rng.randint(1, 6))):
+                pool.remove(bs)
+                picks.append(bs)
+            if not pool:
+                del unused[switch]
+        return picks
+
+    def expr(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.25:
+            children = stations()
+        else:
+            children = [expr(depth - 1) for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.2:
+                children += stations()
+        return f"{rng.choice(ops)}({','.join(children)})"
+
+    switches = t.switches()
+    destination = rng.choice(("user", f"{rng.choice(switches)}[engine]"))
+    return f"datapath_a({expr(rng.randint(1, 3))},destination<-{destination})"
+
+
+def test_automated_requests_compile_like_the_per_leaf_oracle():
+    """One path walk per (entry switch, final destination) gives the rules,
+    engine configs and ingress of one walk per child, on random nested
+    requests whose leaf groups share switches, sent to the user or to an
+    engine; a compile error is the same error."""
+    rng = random.Random("per-leaf-oracle")
+    compared = refused = 0
+    for t in (demo_topology(), build_experiment_topology()):
+        for _ in range(400):
+            text = random_nested_request(rng, t)
+            try:
+                req = parse_request(text)
+                tg = dsl.expand_sources(req, t)
+                placements = place_operations(tg, t)
+            except FlipError:
+                continue
+            destination = resolve_endpoint(t, req.destination)
+            terminals = set(tg.leaves()) | {p.switch for p in placements} | {destination}
+            tree = steiner_tree(t, terminals)
+            try:
+                want = _compiled_docs(*compile_per_leaf(t, tg, placements, tree, destination, req))
+            except CompileError as exc:
+                with pytest.raises(CompileError, match=re.escape(str(exc))):
+                    compile_rules(t, tg, placements, tree, destination, req)
+                refused += 1
+                continue
+            got = _compiled_docs(*compile_rules(t, tg, placements, tree, destination, req))
+            assert got == want, text
+            compared += 1
+    assert compared >= 300 and refused > 0
 
 
 def test_colocated_sibling_ops_rejected():

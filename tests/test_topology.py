@@ -6,7 +6,7 @@ import pytest
 
 from flip.errors import NotFoundError, ParseError, ValidationError
 from flip.harness import DATA_DIR, build_experiment_topology, demo_topology
-from flip.topology import Link, NodeKind, Topology, load_topology
+from flip.topology import Link, NodeKind, Topology, load_topology, natural_key
 
 from _oracles import enumerate_shortest_path, heap_shortest_paths_from, random_connected_graph
 
@@ -182,6 +182,27 @@ def test_attachments_hold_each_base_station_and_engine():
     assert t.attachments is t.attachments
     with pytest.raises(TypeError):
         t.attachments["bs1"] = ("sw2", 0.0, False)
+
+
+@pytest.mark.parametrize("doc", ["demo_topology.json", "experiment_topology.json", "wide"])
+def test_rank_is_the_natural_order_of_every_node(doc):
+    if doc == "wide":
+        doc = wide_fabric_doc(stations_per_edge=50)
+    else:
+        doc = json.loads((DATA_DIR / doc).read_text(encoding="utf-8"))
+    t = load_topology(doc)
+    every = [n for kind in NodeKind for n in t.nodes_of_kind(kind)]
+    assert sorted(t.rank, key=t.rank.__getitem__) == sorted(every, key=natural_key)
+    assert sorted(t.rank.values()) == list(range(t.node_count()))
+    assert t.rank is t.rank
+    with pytest.raises(TypeError):
+        t.rank["user"] = 0
+
+
+def test_rank_orders_names_with_equal_natural_keys_by_name():
+    nodes = {"sw1": NodeKind.SWITCH, "bs1": NodeKind.BASE_STATION, "bs01": NodeKind.BASE_STATION}
+    t = Topology(nodes, [Link("bs1", "sw1", 1.0), Link("bs01", "sw1", 1.0)])
+    assert sorted(t.rank, key=t.rank.__getitem__) == ["bs01", "bs1", "sw1"]
 
 
 def test_adjacent_switch_picks_min_delay():
