@@ -25,10 +25,11 @@ outside the tree, so the spanning tree costs O(h^2) time and O(h) memory
 beyond the shortest-path maps for h hubs (at most the switch count plus
 the destination), only its h - 1 paths are expanded, and no shortest-path
 map is computed from a base station. A base-station leaf costs the tree
-O(1) beyond its sort: no union-find step, walk or climb. Each of those h maps costs
-O(switches) to build and hold, not O(nodes): `Topology.shortest_paths_from`
-runs its heap over the multi-link nodes only and reads every one-link node
-(base stations, engines, usually the destination) from its neighbour.
+O(1) beyond its sort: no union-find step, walk or climb. Each of those h
+maps costs O(switches) to build and hold, not O(nodes):
+`Topology.shortest_paths_from` runs its heap over the multi-link nodes
+only and reads every one-link node (base stations, engines, usually the
+destination) from its neighbour.
 
 A tree is walked by one primitive, `SteinerTree.rooted`: one walk outward
 from a root giving each node its parent, depth and delay to the root. The
