@@ -92,14 +92,21 @@ class Session:
                 handler, mutates = VERB_TABLE[verb]
                 body = handler(self, args)
             except FlipError as exc:
-                return CommandResult("error", {}, code=exc.code, message=str(exc))
+                result = CommandResult("error", {}, code=exc.code, message=str(exc))
+            else:
+                if mutates:
+                    self.command_log.append({"verb": verb, "args": args})
+                result = CommandResult("ok", body)
             finally:
                 # the one write of the config file, also after a command that
-                # failed part way, so the file always shows the store
-                self.store.flush()
-            if mutates:
-                self.command_log.append({"verb": verb, "args": args})
-            return CommandResult("ok", body)
+                # failed part way, so the file always shows the store; a
+                # failed write is the command's error, but a command that
+                # succeeded stays in the log, as its rules stay installed
+                try:
+                    self.store.flush()
+                except FlipError as exc:
+                    result = CommandResult("error", {}, code=exc.code, message=str(exc))
+            return result
 
     # -- topology verbs --
 

@@ -18,8 +18,11 @@ sources that arrived, is rejected too.
 
 Configs persist to a JSON file shaped engine -> user -> [records], each
 record carrying compute, source list, destination, rate, and jitter. The
-file is written by `ConfigStore.flush()`, once per command; a change
-re-encodes only the (engine, user) section it touched.
+file is written by `ConfigStore.flush()`, once per command, in place: the
+new bytes overwrite the old ones and the file is cut to their length, so
+an interrupted write can leave the new text followed by a tail of the old.
+A change re-renders only the (engine, user) section it touched, and each
+engine's block is kept as encoded bytes until one of its sections changes.
 
 An engine finds a packet's config through the store's lookup index, one
 dict per engine keyed (user, source, final destination). It is built on
@@ -33,11 +36,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from .dsl import JITTER_MAX_MS, ORDER_SENSITIVE, OpKind
-from .errors import MissingSourceError, ParseError, ValidationError
+from .errors import FlipError, MissingSourceError, ParseError, ValidationError
 from .packets import PacketRecord, Scalar
 
 TIMEOUT_RATE_FACTOR = 2.0
@@ -133,9 +138,12 @@ class ConfigStore:
     command; `set_config` and `remove` change only memory.
 
     The file is `json.dumps(self.to_doc(), indent=2, sort_keys=True)`. Each
-    (engine, user) section's text and each engine's block are cached, so a
-    change re-encodes only the section it touched and a flush re-joins only
-    the blocks of the engines that changed.
+    (engine, user) section's text and each engine's block, as encoded
+    bytes, are cached, so a change re-renders only the section it touched
+    and a flush re-encodes only the blocks of the engines that changed. The
+    flush overwrites the file in place and cuts it to the new length; it is
+    not atomic, and an interrupted write can leave the new bytes followed by
+    the old file's tail.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -146,7 +154,8 @@ class ConfigStore:
         # file depth
         self._sections: dict[str, dict[str, str]] = {}
         # engine -> that engine's block of the file, joined from its sections
-        self._blocks: dict[str, str] = {}
+        # and encoded
+        self._blocks: dict[str, bytes] = {}
         # engines whose sections changed since the last flush
         self._dirty: set[str] = set()
         # engine -> (user, source, final destination) -> config, built on
@@ -173,16 +182,33 @@ class ConfigStore:
         return True
 
     def flush(self) -> None:
-        """Write the file if anything changed since the last write."""
+        """Write the file if anything changed since the last write. A failed
+        write is a FlipError naming the file, and the store stays dirty, so
+        the next flush writes the whole document again."""
         if not self._dirty:
             return
         for engine in self._dirty:
             self._render_block(engine)
         blocks = [self._blocks[engine] for engine in sorted(self._blocks)]
-        text = "{\n" + ",\n".join(blocks) + "\n}" if blocks else "{}"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(text, encoding="utf-8")
+        data = b"{\n%s\n}" % b",\n".join(blocks) if blocks else b"{}"
+        try:
+            self._overwrite(data)
+        except OSError as exc:
+            raise FlipError(f"cannot write {self.path}: {exc.strerror or exc}") from None
         self._dirty.clear()
+
+    def _overwrite(self, data: bytes) -> None:
+        """Write data over the file's old bytes and cut it to their length.
+        Truncating first would free every block of the file, and the write
+        would then allocate them all again."""
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+            fh.truncate()
 
     def configs_for(self, engine: str) -> list[EngineConfig]:
         """The engine's configs in (user, destination) order."""
@@ -230,11 +256,10 @@ class ConfigStore:
         if not self.path:
             return
         sections = self._sections.setdefault(engine, {})
-        records = [c.to_doc() for c in self.user_configs(engine, user)]
+        records = [_render_record(c.to_doc()) for c in self.user_configs(engine, user)]
         if records:
-            # indented to the depth the section sits at in the whole file
-            text = json.dumps(records, indent=2, sort_keys=True)
-            sections[user] = f"    {json.dumps(user)}: " + text.replace("\n", "\n    ")
+            body = ",\n".join(records)
+            sections[user] = f"    {_string(user)}: [\n{body}\n    ]"
         else:
             sections.pop(user, None)
             if not sections:
@@ -246,8 +271,8 @@ class ConfigStore:
         if not sections:
             self._blocks.pop(engine, None)
             return
-        body = ",\n".join(sections[user] for user in sorted(sections))
-        self._blocks[engine] = f"  {json.dumps(engine)}: {{\n{body}\n  }}"
+        body = ",\n".join([sections[user] for user in sorted(sections)])
+        self._blocks[engine] = f"  {_string(engine)}: {{\n{body}\n  }}".encode("ascii")
 
     def _load(self) -> None:
         try:
@@ -270,6 +295,28 @@ class ConfigStore:
         for engine in self._dirty:
             self._render_block(engine)
         self._dirty.clear()
+
+
+def _render_record(doc: dict) -> str:
+    """One record as `json.dumps(..., indent=2, sort_keys=True)` renders it
+    at its depth in the file. A record is flat: its values are strings,
+    finite numbers that are not bools (see `EngineConfig.validate`) and
+    non-empty lists of strings, which `json` writes as these calls do."""
+    fields = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, str):
+            text = _string(value)
+        elif isinstance(value, list):
+            items = ",\n".join(["          " + _string(v) for v in value])
+            text = f"[\n{items}\n        ]"
+        elif isinstance(value, int):
+            text = int.__repr__(value)
+        else:
+            text = float.__repr__(value)
+        fields.append(f"        {_string(key)}: {text}")
+    body = ",\n".join(fields)
+    return f"      {{\n{body}\n      }}"
 
 
 def _finite(value: int | float) -> bool:

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import socket
 import threading
@@ -480,14 +481,14 @@ def test_corrupt_config_file_is_a_typed_error(tmp_path):
 
 def test_a_command_writes_the_config_file_at_most_once(tmp_path, monkeypatch):
     writes = []
-    write_text = Path.write_text
+    os_open = os.open
 
-    def spy(path, *args, **kwargs):
-        if path.name == "engine_configs.json":
-            writes.append(path)
-        return write_text(path, *args, **kwargs)
+    def spy(path, flags, *args, **kwargs):
+        if Path(path).name == "engine_configs.json" and flags & os.O_WRONLY:
+            writes.append(Path(path))
+        return os_open(path, flags, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", spy)
+    monkeypatch.setattr(os, "open", spy)
     session = Session(build_experiment_topology(), config_dir=tmp_path)
     result = session.execute("datapath_a", {"request": harness.request_texts()[8]})
     assert result.ok and result.body["configs_set"] > 1
@@ -565,6 +566,55 @@ def test_config_file_shows_the_store_after_every_command(tmp_path):
     }
     for verb in ("datapath_a", "setconfig/user", "setconfig/user/module"):
         assert {(verb, True), (verb, False)} <= outcomes
+
+
+def test_a_command_cuts_a_longer_config_file_to_its_new_length(tmp_path):
+    """A file written with wider indents than the store's is longer than
+    the store's document; the next write leaves no stale tail."""
+    path = tmp_path / "engine_configs.json"
+    first = Session(build_experiment_topology(), config_dir=tmp_path)
+    assert first.execute("datapath_a", {"request": harness.request_texts()[8]}).ok
+    path.write_text(json.dumps(first.store.to_doc(), indent=4, sort_keys=True), encoding="utf-8")
+    longer = path.stat().st_size
+    session = Session(build_experiment_topology(), config_dir=tmp_path)
+    cfg = {"compute": "max", "source": ["bs1"], "destination": "user"}
+    result = session.execute("setconfig/user", {"engine": "e-sw1", "user": "zed", "config": cfg})
+    assert result.ok
+    doc = session.store.to_doc()
+    assert "zed" in doc["e-sw1"]
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert len(text) < longer
+    assert path.read_bytes() == text.encode("ascii")
+    assert ConfigStore(path).to_doc() == doc
+
+
+def test_a_failed_config_write_is_an_error_result_and_keeps_the_command(tmp_path):
+    """An unwritable config file is a typed error, not an exception out of
+    execute; the installed command stays in the log, and the next command
+    writes the whole document once the path is writable."""
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("", encoding="utf-8")
+    topology = build_experiment_topology()
+    session = Session(topology, config_dir=blocker)
+    args = {"request": "datapath_a(max(bs1:bs10),destination<-user)"}
+    result = session.execute("datapath_a", args)
+    assert not result.ok and result.code == "error"
+    assert result.message.startswith(f"cannot write {blocker / 'engine_configs.json'}: ")
+    assert session.command_log == [{"verb": "datapath_a", "args": args}]
+    assert sum(len(session.fabric.tables[sw].rules) for sw in topology.switches()) == 5
+    assert [len(rs) for users in session.store.to_doc().values() for rs in users.values()] == [1]
+    assert Session.replay(topology, session.command_log).state_json() == session.state_json()
+    # still unwritable: the pending write fails again, and nothing is logged
+    result = session.execute("getswitches")
+    assert not result.ok and result.message.startswith("cannot write ")
+    assert len(session.command_log) == 1
+    blocker.unlink()
+    blocker.mkdir()
+    assert session.execute("getswitches").ok
+    path = blocker / "engine_configs.json"
+    doc = session.store.to_doc()
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True)
+    assert ConfigStore(path).to_doc() == doc
 
 
 def test_opening_a_session_over_its_file_writes_nothing(tmp_path):

@@ -165,6 +165,42 @@ def test_store_matches_the_old_store_over_random_edits(tmp_path):
     put(random_config(rng, user="\u00e9"))
 
 
+def test_each_section_is_the_json_dumps_text_of_its_records(tmp_path):
+    """Each (engine, user) section is the text `json.dumps` gives for its
+    records, indented to the section's depth, over names that need
+    escaping and numbers at the edges of float formatting."""
+    rng = random.Random(17)
+    names = ('u"q', "\u00e9", " ", "back\\slash", "tab\t", "\U0001f600", "bs1", "bs2")
+    rates = (None, 1, 250, 0.1, 100.0, 1e16, 5e-324, 2**53 + 1)
+    jitters = (None, 0, 3, 0.1, 5e-324, 25.0)
+    store = ConfigStore(tmp_path / "engine_configs.json")
+    for _ in range(300):
+        store.set_config(
+            EngineConfig(
+                engine=rng.choice(("e-sw1", "e-sw\u00e9")),
+                user=rng.choice(names),
+                compute=rng.choice(list(OpKind)),
+                sources=tuple(rng.sample(names, rng.randint(1, 4))),
+                destination=rng.choice(names),
+                rate_ms=rng.choice(rates),
+                jitter_ms=rng.choice(jitters),
+                match_destinations=rng.choice(((), tuple(rng.sample(names, 2)))),
+            )
+        )
+    doc = store.to_doc()
+    assert {"match" in r for users in doc.values() for rs in users.values() for r in rs} == {
+        True, False,
+    }
+    for engine, users in doc.items():
+        for user, records in users.items():
+            text = json.dumps(records, indent=2, sort_keys=True)
+            expected = f"    {json.dumps(user)}: " + text.replace("\n", "\n    ")
+            assert store._sections[engine][user] == expected
+    store.flush()
+    assert store.path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True)
+    assert ConfigStore(store.path).to_doc() == doc
+
+
 def test_replacing_or_removing_a_config_changes_the_next_lookup():
     store = ConfigStore()
     store.set_config(make_config(sources=("bs1", "bs2")))
