@@ -16,12 +16,27 @@ Grammar (one request per line, `#` starts a comment)::
 Durations take `ms` or `s` suffixes. `computation<-` is accepted as an alias
 for `compute<-`. Manual commands may list engines as sources; automated
 requests expand to base stations only. Ranges stay symbolic until
-expand_sources resolves them against a topology and coverage map.
+expand_sources resolves them against a topology and coverage map; the
+parser checks a range's endpoints without building its names.
+
+The tokenizer is one compiled pattern scanned over the text, giving plain
+(kind, value, col, unit) tuples that the parser reads by index. An
+identifier starts with a letter (`str.isalpha`) and goes on over letters,
+digits, "_" and "-"; a number starts with a digit (`str.isdigit`), goes on
+over digits and ".", and takes the letters after it as its unit. `re`
+has no class for `isalpha`, and its `\\d` is the narrower `isdecimal`, so
+the pattern for a text with characters outside ASCII names that text's
+own letters and non-decimal digits in its classes.
+
+Operations nest at most MAX_NESTING deep: a deeper request is a
+DslSyntaxError at the first operation past the bound, since the parser,
+expansion and the task graph all recurse once per level.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -36,9 +51,13 @@ from .errors import (
     UnknownRegionError,
     ValidationError,
 )
-from .topology import NodeKind, Topology, expand_range, natural_key
+from .topology import Topology, expand_range, natural_key, parse_range
 
 JITTER_MAX_MS = 25.0  # upper bound accepted for the jitter requirement
+
+# operations nested deeper than this are a syntax error: every stage walks a
+# request's operations recursively, and no real request comes near it
+MAX_NESTING = 100
 
 DEFAULT_USER = "default"
 
@@ -106,48 +125,56 @@ class Request:
 
 _ARROW = "<-"
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT NUMBER ARROW ( ) { } [ ] , : = EOF
-    value: str
-    col: int
-    unit: str = ""
+# A token is a plain tuple (kind, value, col, unit): kind is IDENT, NUMBER,
+# ARROW, EOF or the punctuation character itself; unit is a NUMBER's suffix.
+Token = tuple[str, str, int, str]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if c == "<" and text[i : i + 2] == _ARROW:
-            tokens.append(_Token("ARROW", _ARROW, col))
-            i += 2
-        elif c in "(){}[],:=":
-            tokens.append(_Token(c, c, col))
-            i += 1
-        elif c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], col))
-            i = j
-        elif c.isdigit():
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            k = j
-            while k < n and text[k].isalpha():
-                k += 1
-            tokens.append(_Token("NUMBER", text[i:j], col, unit=text[j:k]))
-            i = k
+def _token_pattern(letters: str, digits: str) -> re.Pattern:
+    """One token per match; a position no alternative matches is
+    whitespace, which `finditer` skips.
+
+    `\\w` is exactly `isalnum()` or "_" and `\\S` exactly not `isspace()`,
+    but `\\d` is `isdecimal()`, narrower than `isdigit()`, and no class is
+    `isalpha()`. So a letter is A-Z, a-z or one of `letters`, and a digit is
+    `\\d` or one of `digits`: a text's own letters outside ASCII and its
+    digits that are not decimal. Groups: 1 arrow, 2 punctuation,
+    3 identifier, 4 number and 5 its unit, 6 any other character.
+    """
+    letter = f"[A-Za-z{letters}]"
+    return re.compile(
+        rf"({_ARROW})|([(){{}}\[\],:=])|({letter}[\w-]*)"
+        rf"|([\d{digits}][\d.{digits}]*)({letter}*)|(\S)"
+    )
+
+
+_ASCII_TOKEN = _token_pattern("", "")
+
+
+def _tokenize(text: str) -> list[Token]:
+    if text.isascii():
+        pattern = _ASCII_TOKEN
+    else:
+        chars = set(text)
+        pattern = _token_pattern(
+            re.escape("".join(sorted(c for c in chars if c.isalpha() and not c.isascii()))),
+            re.escape("".join(sorted(c for c in chars if c.isdigit() and not c.isdecimal()))),
+        )
+    tokens: list[Token] = []
+    append = tokens.append
+    for m in pattern.finditer(text):
+        group = m.lastindex
+        if group == 3:
+            append(("IDENT", m[3], m.start() + 1, ""))
+        elif group == 2:
+            append((m[2], m[2], m.start() + 1, ""))
+        elif group == 5:
+            append(("NUMBER", m[4], m.start() + 1, m[5]))
+        elif group == 1:
+            append(("ARROW", _ARROW, m.start() + 1, ""))
         else:
-            raise DslSyntaxError(f"unexpected character {c!r}", col=col)
-    tokens.append(_Token("EOF", "", n + 1))
+            raise DslSyntaxError(f"unexpected character {m[6]!r}", col=m.start() + 1)
+    append(("EOF", "", len(text) + 1, ""))
     return tokens
 
 
@@ -156,31 +183,26 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def next(self) -> _Token:
+    def expect(self, kind: str) -> Token:
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise DslSyntaxError(f"expected {kind!r}, got {tok[1]!r}", col=tok[2])
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise DslSyntaxError(f"expected {kind!r}, got {tok.value!r}", col=tok.col)
         return tok
 
     # request := ident "(" body ")"
     def parse_request(self) -> Request:
-        head = self.expect("IDENT")
-        if head.value == "datapath_a":
+        _, head, col, _ = self.expect("IDENT")
+        if head == "datapath_a":
             mode = RequestMode.AUTOMATED
-        elif head.value == "datapath_m":
+        elif head == "datapath_m":
             mode = RequestMode.MANUAL
         else:
-            raise DslSyntaxError(
-                f"expected datapath_a or datapath_m, got {head.value!r}", col=head.col
-            )
+            raise DslSyntaxError(f"expected datapath_a or datapath_m, got {head!r}", col=col)
         self.expect("(")
         if mode is RequestMode.AUTOMATED:
             req = self._parse_automated()
@@ -191,7 +213,7 @@ class _Parser:
         return req
 
     def _parse_automated(self) -> Request:
-        expr = self._parse_expr()
+        expr = self._parse_expr(1)
         kwargs = self._parse_kwargs()
         for forbidden in ("switch", "compute", "computation"):
             if forbidden in kwargs:
@@ -240,55 +262,67 @@ class _Parser:
                 col=col,
             )
 
-    def _parse_expr(self) -> ExprNode:
-        tok = self.expect("IDENT")
-        kind = self._op_kind(tok.value, tok.col)
+    def _parse_expr(self, depth: int) -> ExprNode:
+        _, name, col, _ = self.expect("IDENT")
+        kind = self._op_kind(name, col)
+        if depth > MAX_NESTING:
+            raise DslSyntaxError(f"operations nested deeper than {MAX_NESTING}", col=col)
         self.expect("(")
-        children = []
+        tokens = self.tokens
+        children: list = []
         while True:
-            if self.peek().kind == "IDENT" and self.tokens[self.pos + 1].kind == "(":
-                children.append(self._parse_expr())
+            tok = tokens[self.pos]
+            if tok[0] == "IDENT":
+                follow = tokens[self.pos + 1][0]
+                if follow == "(":
+                    children.append(self._parse_expr(depth + 1))
+                elif follow == "," or follow == ")":
+                    # a plain node name, the common leaf
+                    self.pos += 1
+                    children.append(SourceRef(tok[1]))
+                else:
+                    children.append(self._parse_source())
             else:
                 children.append(self._parse_source())
-            if self.peek().kind == ",":
-                self.next()
+            if tokens[self.pos][0] == ",":
+                self.pos += 1
                 continue
             break
         self.expect(")")
         node = ExprNode(kind, children)
-        self._check_arity(node, tok.col)
+        self._check_arity(node, col)
         return node
 
     def _parse_source(self) -> SourceRef:
-        tok = self.expect("IDENT")
-        if self.peek().kind == ":":
-            self.next()
-            hi = self.expect("IDENT")
-            text = f"{tok.value}:{hi.value}"
+        _, name, col, _ = self.expect("IDENT")
+        if self.peek() == ":":
+            self.pos += 1
+            text = f"{name}:{self.expect('IDENT')[1]}"
             try:
-                expand_range(text)
+                parse_range(text)
             except ValueError as exc:
-                raise DslSyntaxError(str(exc), col=tok.col) from None
+                raise DslSyntaxError(str(exc), col=col) from None
             return SourceRef(text)
-        return SourceRef(self._engine_suffix(tok.value))
+        return SourceRef(self._engine_suffix(name))
 
     def _parse_source_list(self) -> list[SourceRef]:
         # manual sources, optionally wrapped in braces: {bs1:bs10}
         sources: list[SourceRef] = []
-        braced = self.peek().kind == "{"
+        braced = self.peek() == "{"
         if braced:
-            self.next()
+            self.pos += 1
+        tokens = self.tokens
         while True:
             sources.append(self._parse_source())
-            if self.peek().kind == ",":
+            if self.peek() == ",":
                 # stop before the keyword section (ident followed by <-)
                 if (
                     not braced
-                    and self.tokens[self.pos + 1].kind == "IDENT"
-                    and self.tokens[self.pos + 2].kind == "ARROW"
+                    and tokens[self.pos + 1][0] == "IDENT"
+                    and tokens[self.pos + 2][0] == "ARROW"
                 ):
                     break
-                self.next()
+                self.pos += 1
                 continue
             break
         if braced:
@@ -297,31 +331,31 @@ class _Parser:
 
     def _parse_kwargs(self) -> dict:
         kwargs: dict = {}
-        while self.peek().kind == ",":
-            self.next()
-            name = self.expect("IDENT")
+        while self.peek() == ",":
+            self.pos += 1
+            _, name, col, _ = self.expect("IDENT")
             self.expect("ARROW")
-            if name.value in kwargs:
-                raise DslSyntaxError(f"duplicate keyword {name.value!r}", col=name.col)
-            if name.value == "requirement":
-                kwargs[name.value] = self._parse_requirements()
-            elif name.value in ("destination", "switch", "user", "compute", "computation"):
-                kwargs[name.value] = self._parse_node_token()
+            if name in kwargs:
+                raise DslSyntaxError(f"duplicate keyword {name!r}", col=col)
+            if name == "requirement":
+                kwargs[name] = self._parse_requirements()
+            elif name in ("destination", "switch", "user", "compute", "computation"):
+                kwargs[name] = self._parse_node_token()
             else:
-                raise DslSyntaxError(f"unknown keyword {name.value!r}", col=name.col)
+                raise DslSyntaxError(f"unknown keyword {name!r}", col=col)
         return kwargs
 
     def _parse_node_token(self) -> str:
-        return self._engine_suffix(self.expect("IDENT").value)
+        return self._engine_suffix(self.expect("IDENT")[1])
 
     def _engine_suffix(self, name: str) -> str:
         """The name, with an "[engine]" suffix when one follows it."""
-        if self.peek().kind != "[":
+        if self.peek() != "[":
             return name
-        self.next()
-        inner = self.expect("IDENT")
-        if inner.value != "engine":
-            raise DslSyntaxError(f"expected [engine], got [{inner.value}]", col=inner.col)
+        self.pos += 1
+        _, inner, col, _ = self.expect("IDENT")
+        if inner != "engine":
+            raise DslSyntaxError(f"expected [engine], got [{inner}]", col=col)
         self.expect("]")
         return f"{name}[engine]"
 
@@ -330,48 +364,46 @@ class _Parser:
         req = Requirements()
         seen = set()
         while True:
-            key = self.expect("IDENT")
+            _, key, col, _ = self.expect("IDENT")
             self.expect("=")
-            if key.value in seen:
-                raise DslSyntaxError(f"duplicate requirement {key.value!r}", col=key.col)
-            seen.add(key.value)
-            if key.value == "delay":
+            if key in seen:
+                raise DslSyntaxError(f"duplicate requirement {key!r}", col=col)
+            seen.add(key)
+            if key == "delay":
                 req.delay_ms = self._parse_duration(key)
-            elif key.value == "rate":
+            elif key == "rate":
                 req.rate_ms = self._parse_duration(key)
-            elif key.value == "jitter":
+            elif key == "jitter":
                 req.jitter_ms = self._parse_duration(key, allow_zero=True)
                 if req.jitter_ms > JITTER_MAX_MS:
                     raise ValidationError(
                         f"jitter must be within 0..{JITTER_MAX_MS:g} ms, got {req.jitter_ms:g}"
                     )
             else:
-                raise DslSyntaxError(f"unknown requirement {key.value!r}", col=key.col)
-            if self.peek().kind == ",":
-                self.next()
+                raise DslSyntaxError(f"unknown requirement {key!r}", col=col)
+            if self.peek() == ",":
+                self.pos += 1
                 continue
             break
         self.expect("}")
         return req
 
-    def _parse_duration(self, key: _Token, allow_zero: bool = False) -> float:
-        tok = self.expect("NUMBER")
+    def _parse_duration(self, key: str, allow_zero: bool = False) -> float:
+        _, number, col, unit = self.expect("NUMBER")
         try:
-            value = float(tok.value)
+            value = float(number)
         except ValueError:
-            raise DslSyntaxError(f"bad number {tok.value!r}", col=tok.col) from None
-        if tok.unit == "ms":
+            raise DslSyntaxError(f"bad number {number!r}", col=col) from None
+        if unit == "ms":
             ms = value
-        elif tok.unit == "s":
+        elif unit == "s":
             ms = value * 1000.0
         else:
-            raise DslSyntaxError(
-                f"{key.value} needs an ms or s suffix, got {tok.value}{tok.unit}", col=tok.col
-            )
+            raise DslSyntaxError(f"{key} needs an ms or s suffix, got {number}{unit}", col=col)
         if not math.isfinite(ms):
-            raise ValidationError(f"{key.value} must be finite, got {ms:g} ms")
+            raise ValidationError(f"{key} must be finite, got {ms:g} ms")
         if ms < 0 or (ms == 0 and not allow_zero):
-            raise ValidationError(f"{key.value} must be positive, got {ms:g} ms")
+            raise ValidationError(f"{key} must be positive, got {ms:g} ms")
         return ms
 
 
@@ -506,18 +538,24 @@ class TaskGraph:
 def _resolve_leaf(
     ref: SourceRef, t: Topology, cov: CoverageMap | None, allow_engines: bool
 ) -> list[str]:
+    """The leaves of a range, an engine reference or a region, or the error
+    for a source that is none of these; `expand_sources` takes a base
+    station, or an engine where engines are sources, as it stands."""
     text = ref.text
+    # a base station is the node of the topology's attachment table that
+    # is not an engine
+    attachments = t.attachments
     if ref.is_range():
         try:
             names = expand_range(text)
         except ValueError:
             raise EmptyRangeError(f"empty or malformed range {text!r}") from None
         for name in names:
-            if not t.has_node(name):
-                raise UnknownNodeError(f"range {text!r} includes unknown node {name!r}")
-        kinds_ok = (NodeKind.BASE_STATION,)
-        for name in names:
-            if t.kind(name) not in kinds_ok:
+            attached = attachments.get(name)
+            if attached is None or attached[2]:
+                unknown = next((n for n in names if not t.has_node(n)), None)
+                if unknown is not None:
+                    raise UnknownNodeError(f"range {text!r} includes unknown node {unknown!r}")
                 raise UnknownNodeError(f"{name!r} in range {text!r} is not a base station")
         return names
     if ref.is_engine_ref():
@@ -526,16 +564,12 @@ def _resolve_leaf(
         switch = text[: -len("[engine]")]
         return [t.engine_of(switch)]
     if t.has_node(text):
-        kind = t.kind(text)
-        if kind is NodeKind.BASE_STATION:
-            return [text]
-        if kind is NodeKind.ENGINE and allow_engines:
-            return [text]
-        raise UnknownNodeError(f"{text!r} is a {kind.value}, not a valid source")
+        raise UnknownNodeError(f"{text!r} is a {t.kind(text).value}, not a valid source")
     if cov and text in cov:
         names = sorted(translate_coverage(text, cov), key=natural_key)
         for name in names:
-            if not t.has_node(name) or t.kind(name) is not NodeKind.BASE_STATION:
+            attached = attachments.get(name)
+            if attached is None or attached[2]:
                 raise UnknownNodeError(f"region {text!r} includes unknown node {name!r}")
         return names
     raise UnknownNodeError(f"{text!r} is neither a node nor a known region")
@@ -549,6 +583,7 @@ def expand_sources(request: Request, t: Topology, cov: CoverageMap | None = None
     source can feed only one operation.
     """
     allow_engines = request.mode is RequestMode.MANUAL
+    attachments = t.attachments
     counters: dict[str, int] = {}
     seen_leaves: set[str] = set()
 
@@ -560,7 +595,14 @@ def expand_sources(request: Request, t: Topology, cov: CoverageMap | None = None
             if isinstance(child, ExprNode):
                 children.append(build(child))
             else:
-                for leaf in _resolve_leaf(child, t, cov, allow_engines):
+                # a base station, or an engine where engines are sources,
+                # is its own leaf: the common case, one table read
+                attached = attachments.get(child.text)
+                if attached is not None and (allow_engines or not attached[2]):
+                    leaves = (child.text,)
+                else:
+                    leaves = _resolve_leaf(child, t, cov, allow_engines)
+                for leaf in leaves:
                     if leaf in seen_leaves:
                         raise ValidationError(f"source {leaf!r} appears more than once")
                     seen_leaves.add(leaf)

@@ -33,9 +33,14 @@ destination) from its neighbour.
 
 A tree is walked by one primitive, `SteinerTree.rooted`: one walk outward
 from a root giving each node its parent, depth and delay to the root. The
-prune keeps each hub's climb to the first hub; admission climbs
-the destination's walk from each leaf, and `SteinerTree.path` climbs both
-ends of that same walk, so a plan walks its final tree once.
+prune keeps each hub's climb to the first hub; admission climbs the
+destination's walk once per parent switch of the leaves, from its
+farthest leaf (every leaf under one parent adds the same detours in the
+same order, and float addition is monotonic, so that leaf's delay is the
+group's worst), and `SteinerTree.path` climbs both ends of that same walk,
+so a plan walks its final tree once. A leaf is one table read and a few
+dict and set operations in each stage: its base-station link comes from
+`Topology.station_links` and its switch from `Topology.attachments`.
 
 Compilation turns the tree into first-match flow rules, along one path
 for both request forms: a manual command is a one-operation task graph
@@ -67,6 +72,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 from .dsl import CoverageMap, OpNode, Request, RequestMode, TaskGraph, expand_sources
@@ -133,12 +139,15 @@ class SteinerTree:
             stack = [root]
             while stack:
                 node = stack.pop()
+                below, here = depth[node] + 1, delay[node]
                 for nb, w in adj[node].items():
                     if nb not in parent:
                         parent[nb] = node
-                        depth[nb] = depth[node] + 1
-                        delay[nb] = delay[node] + w
-                        stack.append(nb)
+                        depth[nb] = below
+                        delay[nb] = here + w
+                        # a node with one link (a leaf) has nothing beyond it
+                        if len(adj[nb]) > 1:
+                            stack.append(nb)
         return walk
 
     @cached_property
@@ -357,7 +366,7 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
     names = set(terminals)
     if len(names) < 2:
         raise ValueError("steiner_tree needs at least two terminals")
-    unknown = [x for x in names if not t.has_node(x)]
+    unknown = names - t.rank.keys()
     if unknown:
         raise UnknownNodeError(f"terminal {min(unknown, key=natural_key)!r} not in topology")
     rank = t.rank.__getitem__
@@ -365,16 +374,16 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
 
     # hubs: each base-station terminal's switch in its place; the forced
     # leaf links are appended to the pruned hub tree below
+    stations = t.station_links
     hub_set: set[str] = set()
     leaf_links: list[Link] = []
     for x in terms:
-        attached = t.attachments.get(x)
-        if attached is None or attached[2]:  # not a base station
+        station = stations.get(x)
+        if station is None:
             hub_set.add(x)
-            continue
-        switch, delay, _ = attached
-        hub_set.add(switch)
-        leaf_links.append(Link(x, switch, delay) if x <= switch else Link(switch, x, delay))
+        else:
+            hub_set.add(station[0])
+            leaf_links.append(station[1])
     hubs = sorted(hub_set, key=rank)
 
     # Prim over the metric closure of the hubs: the closure edge between
@@ -416,10 +425,11 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
                 kept.add(node)
                 node = parent[node]
 
+    # every link here has a <= b, so its endpoints are its `Link.key`
     links = [l for l in hub_links if l.a in kept and l.b in kept] + leaf_links
-    links.sort(key=Link.key)
+    links.sort(key=attrgetter("a", "b"))
     return SteinerTree(
-        edges=tuple(links), terminals=tuple(terms), weight=sum(l.delay_ms for l in links)
+        edges=tuple(links), terminals=tuple(terms), weight=sum(map(attrgetter("delay_ms"), links))
     )
 
 
@@ -439,17 +449,32 @@ def check_delay(
     is vacuous when no delay bound was requested."""
     placed = {p.switch: p.engine for p in placements}
     parent, _, dist = tree.rooted(destination)
-    worst = 0.0
-    for leaf in leaves:
-        if leaf not in dist:
-            raise CompileError(f"leaf {leaf!r} not on the datapath tree")
-        delay = dist[leaf]
-        node: str | None = leaf
+
+    def climb(node: str | None, delay: float) -> float:
         while node is not None:
             if node in placed:
                 delay += 2 * t.link_delay(node, placed[node])
             node = parent[node]
-        worst = max(worst, delay)
+        return delay
+
+    # leaves under one parent add the same terms in the same order above
+    # it, and float addition is monotonic, so the farthest one is the worst:
+    # one climb per parent, from its farthest leaf's distance. A placed
+    # leaf adds a term of its own and the root has no parent; they climb
+    # alone.
+    farthest: dict[str, float] = {}
+    worst = 0.0
+    for leaf in leaves:
+        delay = dist.get(leaf)
+        if delay is None:
+            raise CompileError(f"leaf {leaf!r} not on the datapath tree")
+        up = parent[leaf]
+        if up is None or leaf in placed:
+            worst = max(worst, climb(leaf, delay))
+        elif delay > farthest.get(up, -1.0):
+            farthest[up] = delay
+    for up, delay in farthest.items():
+        worst = max(worst, climb(up, delay))
     return (delay_ms is None or worst <= delay_ms), worst
 
 
@@ -539,8 +564,12 @@ def compile_rules(
                     )
                 fd = placement.engine
             else:
-                source, entry = child, t.connected_switch(child)
-                fd = placement.engine if attachments[source][2] else destination
+                attached = attachments.get(child)
+                if attached is None:
+                    t.connected_switch(child)  # raises: not a base station or engine
+                source = child
+                entry, _, is_engine = attached
+                fd = placement.engine if is_engine else destination
                 ingress[source] = fd
             cfg_sources.append(source)
             if fd not in match_fds:

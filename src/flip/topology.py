@@ -62,8 +62,9 @@ def natural_key(name: str):
     return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
 
 
-def expand_range(text: str) -> list[str]:
-    """Expand "bs1:bs10" to [bs1, ..., bs10] inclusive.
+def parse_range(text: str) -> tuple[str, int, int]:
+    """The prefix and inclusive bounds of "bs1:bs10", ("bs", 1, 10), checked
+    without building the names.
 
     Raises ValueError when the endpoints do not share an alphabetic prefix
     or the range is empty (lo > hi).
@@ -73,10 +74,16 @@ def expand_range(text: str) -> list[str]:
     m_hi = re.fullmatch(r"([A-Za-z][A-Za-z_-]*)(\d+)", hi)
     if not m_lo or not m_hi or m_lo.group(1) != m_hi.group(1):
         raise ValueError(f"malformed range {text!r}")
-    prefix = m_lo.group(1)
     a, b = int(m_lo.group(2)), int(m_hi.group(2))
     if a > b:
         raise ValueError(f"empty range {text!r}")
+    return m_lo.group(1), a, b
+
+
+def expand_range(text: str) -> list[str]:
+    """Expand "bs1:bs10" to [bs1, ..., bs10] inclusive; raises ValueError
+    as `parse_range` does."""
+    prefix, a, b = parse_range(text)
     return [f"{prefix}{i}" for i in range(a, b + 1)]
 
 
@@ -214,6 +221,19 @@ class Topology:
             for n, kind in self._kinds.items()
             if kind in (NodeKind.BASE_STATION, NodeKind.ENGINE)
         })
+
+    @cached_property
+    def station_links(self) -> Mapping[str, tuple[str, Link]]:
+        """Read-only table of each base station: (its switch, its one link
+        with the endpoints in string order, a <= b). Built on first use."""
+        table = {}
+        for n, (switch, _, is_engine) in self.attachments.items():
+            if not is_engine:
+                link = self._links[(n, switch) if n <= switch else (switch, n)]
+                if link.a > link.b:
+                    link = Link(link.b, link.a, link.delay_ms)
+                table[n] = (switch, link)
+        return MappingProxyType(table)
 
     @cached_property
     def rank(self) -> Mapping[str, int]:

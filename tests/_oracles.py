@@ -33,13 +33,17 @@ which the one-link maps must give the same floats and tuples for every
 kept as it was, with the earlier `FlowRule.matches` written in: a linear
 scan of the rule list, skipping redirect rules for a passthrough packet,
 against which the table's (final destination, source) index must give the
-same (position, rule) or miss.
+same (position, rule) or miss. `tokenize` is the earlier `dsl._tokenize`
+kept as it was: a character loop building one frozen `Token` per token,
+against which the one-pattern scan must give the same (kind, value, col,
+unit) tuples, or the same error and column, for every text.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -560,3 +564,52 @@ def check_delay_search(t, tree, leaves, placements, destination, delay_ms):
             node = parent[node]
         worst = max(worst, delay)
     return (delay_ms is None or worst <= delay_ms), worst
+
+
+_ARROW = "<-"
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # IDENT NUMBER ARROW ( ) { } [ ] , : = EOF
+    value: str
+    col: int
+    unit: str = ""
+
+
+def tokenize(text: str) -> list[Token]:
+    from flip.errors import DslSyntaxError
+
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        col = i + 1
+        if c == "<" and text[i : i + 2] == _ARROW:
+            tokens.append(Token("ARROW", _ARROW, col))
+            i += 2
+        elif c in "(){}[],:=":
+            tokens.append(Token(c, c, col))
+            i += 1
+        elif c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_-"):
+                j += 1
+            tokens.append(Token("IDENT", text[i:j], col))
+            i = j
+        elif c.isdigit():
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            k = j
+            while k < n and text[k].isalpha():
+                k += 1
+            tokens.append(Token("NUMBER", text[i:j], col, unit=text[j:k]))
+            i = k
+        else:
+            raise DslSyntaxError(f"unexpected character {c!r}", col=col)
+    tokens.append(Token("EOF", "", n + 1))
+    return tokens

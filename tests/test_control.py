@@ -460,6 +460,40 @@ def test_socket_bad_number_is_bad_request_and_the_next_line_is_served(tmp_path, 
     assert not thread.is_alive()
 
 
+def _nested(depth: int) -> str:
+    return "datapath_a(" + "sum(" * depth + "bs1" + ")" * depth + ",destination<-user)"
+
+
+def test_deeply_nested_request_is_a_syntax_error_and_the_session_goes_on(demo_session):
+    from flip.dsl import MAX_NESTING
+
+    deep = demo_session.execute("datapath_a", {"request": _nested(1200)})
+    assert (deep.status, deep.code) == ("error", "syntax_error")
+    assert "nested deeper" in deep.message
+    # at the bound the request parses and fails later, as a typed error
+    bounded = demo_session.execute("datapath_a", {"request": _nested(MAX_NESTING)})
+    assert (bounded.status, bounded.code) == ("error", "placement_error")
+    assert demo_session.command_log == []
+    assert demo_session.execute("datapath_a", {"request": EQ1}).ok
+
+
+def test_socket_deeply_nested_request_is_a_syntax_error_reply(tmp_path, demo_session):
+    sock = tmp_path / "flip.sock"
+    server = CommandServer(demo_session, sock)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        deep = send_command(sock, "datapath_a", {"request": _nested(1200)})
+        assert (deep["status"], deep["code"]) == ("error", "syntax_error")
+        reply = send_command(sock, "datapath_a", {"request": EQ1})
+        assert reply["status"] == "ok"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 def test_session_reads_no_config_dir_from_the_environment(tmp_path, monkeypatch):
     config = {"compute": "sum", "source": ["bs1"], "destination": "user"}
     stored = Session(demo_topology(), config_dir=tmp_path)

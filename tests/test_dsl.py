@@ -16,6 +16,8 @@ from flip.errors import (
 )
 from flip.harness import demo_topology
 
+from _oracles import tokenize
+
 EQ1 = (
     "datapath_a(max(avg(bs1:bs10),avg(bs11:bs100),"
     "max(min(bs101:bs200),min(bs201:bs300))),destination<-user)"
@@ -175,6 +177,90 @@ def test_parser_never_raises_unstructured():
             pass  # structured failure is the contract
 
 
+# every character class the tokenizer tells apart: ASCII letters and digits,
+# punctuation, a letter outside ASCII (\u00e9, \u00df), a digit that is
+# not decimal (\u00b2), numerics that are neither (\u00bd, \u216b), and
+# whitespace, \x1c included
+TOKEN_ALPHABET = (
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+    "_-.<>:=(){}[],\u00e9\u00df\u00b2\u00bd\u216b \x1c\t\n"
+)
+
+
+def _oracle_tokens(text):
+    return [(tok.kind, tok.value, tok.col, tok.unit) for tok in tokenize(text)]
+
+
+def _tokens_or_error(scan, text):
+    try:
+        return [tuple(tok) for tok in scan(text)]
+    except DslSyntaxError as exc:
+        return (type(exc), str(exc), exc.col)
+
+
+def test_tokenizer_matches_the_character_loop_oracle():
+    rng = random.Random(18)
+    texts = [EQ1, "datapath_a(max(bs1),destination<-user,requirement<-{delay=1.5ms,rate=2s})"]
+    for i in range(6000):
+        if i % 3:
+            size = rng.choice((1, 2, 3, 5, 8, 13, 30))
+            texts.append("".join(rng.choice(TOKEN_ALPHABET) for _ in range(size)))
+        else:  # a request with a few characters replaced or inserted
+            text = list(rng.choice(texts[:2]))
+            for _ in range(rng.randint(1, 4)):
+                text.insert(rng.randrange(len(text) + 1), rng.choice(TOKEN_ALPHABET))
+            texts.append("".join(text))
+    errors = 0
+    for text in texts:
+        expected = _tokens_or_error(_oracle_tokens, text)
+        assert _tokens_or_error(dsl._tokenize, text) == expected, repr(text)
+        errors += isinstance(expected, tuple)
+    # both outcomes are well represented
+    assert 1000 < errors < len(texts) - 1000
+
+
+def test_tokenizer_edge_cases_match_the_oracle():
+    cases = [
+        "", " ", "\x1c\t\n", "<", "<-", "<<-", "-", ".", ".5ms", "_a",
+        "1.5.2ms", "1\u00b2ms", "\u00b2", "\u00b2.1s", "1\u00bd", "1ms\u00b2", "1m\u00e9s",
+        "\u00e9\u00df-1_\u00b2\u216b", "\u216b", "a\u216b", "10ms5", "10m_s", "bs1:bs2",
+        "sw1[engine]", "x<y", "a\u00a0b", "\u0663\u0661ms",
+    ]
+    for text in cases:
+        assert _tokens_or_error(dsl._tokenize, text) == _tokens_or_error(_oracle_tokens, text), repr(text)
+
+
+def _nested(depth: int) -> str:
+    return "datapath_a(" + "sum(" * depth + "bs1" + ")" * depth + ",destination<-user)"
+
+
+def test_nesting_deeper_than_the_bound_is_a_syntax_error_at_its_operation():
+    parse_request(_nested(dsl.MAX_NESTING))
+    with pytest.raises(DslSyntaxError) as info:
+        parse_request(_nested(dsl.MAX_NESTING + 1))
+    # the first operation past the bound: "datapath_a(" then 4 columns each
+    assert info.value.col == len("datapath_a(") + 4 * dsl.MAX_NESTING + 1
+    with pytest.raises(DslSyntaxError):
+        parse_request(_nested(5000))
+
+
+def test_range_is_checked_without_building_its_names(monkeypatch):
+    def build(text):
+        raise AssertionError(f"the parser built the names of {text!r}")
+
+    monkeypatch.setattr(dsl, "expand_range", build)
+    req = parse_request("datapath_a(sum(bs1:bs1000000000),destination<-user)")
+    assert req.expr.children == [SourceRef("bs1:bs1000000000")]
+    for text, message, col in [
+        ("datapath_a(max(bs10:bs1),destination<-user)", "empty range 'bs10:bs1'", 16),
+        ("datapath_a(max(bs1,bs1:h10),destination<-user)", "malformed range 'bs1:h10'", 20),
+        ("datapath_m({sw1:sw1x},switch<-sw1,compute<-max,destination<-user)", "malformed range 'sw1:sw1x'", 13),
+    ]:
+        with pytest.raises(DslSyntaxError) as info:
+            parse_request(text)
+        assert (str(info.value), info.value.col) == (f"{message} (line 1, col {col})", col)
+
+
 def test_roundtrip_canonical_fixed_cases():
     cases = [
         EQ1,
@@ -264,6 +350,35 @@ def test_expand_unknown_node():
     req = parse_request("datapath_a(max(bs290:bs310),destination<-user)")
     with pytest.raises(UnknownNodeError):
         dsl.expand_sources(req, t)
+
+
+def test_expand_names_the_offending_source():
+    """Each way a source can fail names it, and a range names its first
+    unknown node before its first node that is not a base station."""
+    from flip.topology import Link, NodeKind, Topology
+
+    kinds = {"sw1": NodeKind.SWITCH, "e-sw1": NodeKind.ENGINE, "user": NodeKind.DESTINATION}
+    kinds |= {"bs1": NodeKind.BASE_STATION, "bs2": NodeKind.DESTINATION, "bs4": NodeKind.BASE_STATION}
+    t = Topology(kinds, [Link(n, "sw1", 1.0) for n in kinds if n != "sw1"])
+    cov = {"North": ("bs1", "bs2"), "South": ("bs1", "bs9")}
+    cases = {
+        "bs1:bs4": "range 'bs1:bs4' includes unknown node 'bs3'",
+        "bs1:bs2": "'bs2' in range 'bs1:bs2' is not a base station",
+        "sw1": "'sw1' is a switch, not a valid source",
+        "e-sw1": "'e-sw1' is a engine, not a valid source",
+        "bs2": "'bs2' is a destination, not a valid source",
+        "sw1[engine]": "engine source 'sw1[engine]' is only valid in manual requests",
+        "North": "region 'North' includes unknown node 'bs2'",
+        "South": "region 'South' includes unknown node 'bs9'",
+        "West": "'West' is neither a node nor a known region",
+    }
+    for source, message in cases.items():
+        req = parse_request(f"datapath_a(max(bs4,{source}),destination<-user)")
+        with pytest.raises(UnknownNodeError) as info:
+            dsl.expand_sources(req, t, cov)
+        assert str(info.value) == message
+    manual = parse_request("datapath_m(e-sw1,bs1,switch<-sw1,compute<-max,destination<-user)")
+    assert dsl.expand_sources(manual, t).leaves() == ["e-sw1", "bs1"]
 
 
 def test_expand_duplicate_leaf_rejected():

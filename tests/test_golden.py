@@ -1,5 +1,6 @@
 """Golden pins: the R1-R9 report bytes and the plan serializations of
-EQ1, R9, two wide requests and the six-command manual chain, and the
+EQ1, R9, two wide requests, the six-command manual chain and 338 more
+requests (320 wide ones and R1-R9 on both data/ topologies), and the
 trace of a seeded traced run.
 
 Refactors must leave these byte for byte unchanged; a change that moves
@@ -13,6 +14,7 @@ from flip import harness, planner
 from flip.dataplane import Fabric
 from flip.dsl import parse_request
 from flip.epb import ConfigStore
+from flip.errors import FlipError
 from flip.packets import PacketRecord, Scalar
 from flip.topology import load_topology
 
@@ -164,3 +166,49 @@ def test_traced_r9_run_trace_bytes(tmp_path):
     out = tmp_path / "trace.jsonl"
     fabric.export_trace(out)
     assert _sha256(out.read_bytes()) == TRACE_R9_EXPERIMENT_SHA256
+
+
+MANY_PLANS_SHA256 = "79c0a72f92f71a6e493a6f9e4fe32b2bcfd0c57ce942cb06e7c28c8247023a14"
+
+
+def _many_wide_requests(rng: random.Random, stations: int, switches: int) -> list[str]:
+    """320 requests shaped like the wide_fanin benchmark's: 2-400 leaves,
+    one flat operation or one operation per block of 200 stations under a
+    root, sent to the user or to a random switch's engine."""
+    ops = ("min", "max", "sum", "avg", "sub", "mul")
+    texts = []
+    for _ in range(320):
+        ids = sorted(rng.sample(range(1, stations + 1), rng.randint(2, 400)))
+        if rng.random() < 0.5:
+            expr = f"{rng.choice(ops)}({','.join(f'bs{i}' for i in ids)})"
+        else:
+            groups: dict[int, list[str]] = {}
+            for i in ids:
+                groups.setdefault((i - 1) // 200, []).append(f"bs{i}")
+            children = [f"{rng.choice(ops)}({','.join(g)})" for _, g in sorted(groups.items())]
+            expr = f"{rng.choice(ops)}({','.join(children)})" if len(children) > 1 else children[0]
+        destination = "user" if rng.random() < 0.6 else f"sw{rng.randint(1, switches)}[engine]"
+        texts.append(f"datapath_a({expr},destination<-{destination})")
+    return texts
+
+
+def test_many_plan_bytes():
+    """One digest over the plan, or the typed error, of 320 wide requests on
+    the wide_fanin fabric's shape and of R1-R9 on both data/ topologies."""
+    from test_topology import wide_fabric_doc
+
+    wide = load_topology(wide_fabric_doc(50))
+    cases = [(wide, text) for text in _many_wide_requests(random.Random("many-plans"), 800, 22)]
+    for t in (harness.demo_topology(), harness.build_experiment_topology()):
+        cases += [(t, text) for text in harness.request_texts()]
+    digest = hashlib.sha256()
+    errors = 0
+    for t, text in cases:
+        try:
+            out = planner.plan(parse_request(text), t).to_json()
+        except FlipError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+            errors += 1
+        digest.update(out.encode() + b"\n")
+    assert 0 < errors < len(cases) // 4
+    assert digest.hexdigest() == MANY_PLANS_SHA256

@@ -184,6 +184,32 @@ def test_attachments_hold_each_base_station_and_engine():
         t.attachments["bs1"] = ("sw2", 0.0, False)
 
 
+def test_station_links_hold_each_base_station_with_its_link_in_string_order():
+    """(switch, link with a <= b) for every base station and nothing else,
+    read-only, built once per topology; a link written switch first, or
+    to a switch named before the station, comes out turned round."""
+    nodes = {"sw1": NodeKind.SWITCH, "a1": NodeKind.SWITCH, "e-sw1": NodeKind.ENGINE}
+    nodes |= {name: NodeKind.BASE_STATION for name in ("bs1", "bs2", "zz")}
+    links = [Link("sw1", "a1", 1.0), Link("e-sw1", "sw1", 0.0), Link("bs1", "sw1", 0.5)]
+    links += [Link("sw1", "bs2", 0.25), Link("zz", "a1", 2.0)]
+    t = Topology(nodes, links)
+    assert dict(t.station_links) == {
+        "bs1": ("sw1", Link("bs1", "sw1", 0.5)),
+        "bs2": ("sw1", Link("bs2", "sw1", 0.25)),
+        "zz": ("a1", Link("a1", "zz", 2.0)),
+    }
+    experiment = build_experiment_topology()
+    stations = experiment.nodes_of_kind(NodeKind.BASE_STATION)
+    assert sorted(experiment.station_links) == sorted(stations)
+    for n in stations:
+        switch, link = experiment.station_links[n]
+        assert switch == experiment.connected_switch(n)
+        assert link == Link(*sorted((n, switch)), experiment.link_delay(n, switch))
+    assert experiment.station_links is experiment.station_links
+    with pytest.raises(TypeError):
+        experiment.station_links["bs1"] = ("sw2", Link("bs1", "sw2", 0.0))
+
+
 @pytest.mark.parametrize("doc", ["demo_topology.json", "experiment_topology.json", "wide"])
 def test_rank_is_the_natural_order_of_every_node(doc):
     if doc == "wide":
