@@ -3,8 +3,9 @@
 Session state between invocations is a JSON file holding the loaded
 topology, optional coverage map, and the command log; each invocation
 rebuilds the fabric by replaying the log, so state is exactly as
-reproducible as the log itself. The replay also rewrites the engine
-configuration file (`engine_configs.json`) in the session directory.
+reproducible as the log itself. The replay also writes the engine
+configuration file (`engine_configs.json`) in the session directory; that
+file is output only, and no invocation reads it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ def _session_path(directory: str) -> Path:
     return Path(directory) / SESSION_FILE
 
 
-def _drop_config_file(directory: str) -> None:
-    """The engine configuration file is rebuilt from the command log, so
-    whatever an earlier invocation left there must not be loaded."""
-    (Path(directory) / control.CONFIG_FILE).unlink(missing_ok=True)
-
-
 def _read_json(path: str | Path):
     """The document in a JSON file; an unreadable or malformed file is a
     FlipError naming the file."""
@@ -53,7 +48,6 @@ def _load_session(directory: str) -> tuple[Session, dict]:
         raise ParseError(f"{path}: not a flip session; run `flip load` again")
     topology = load_topology(doc["topology"])
     coverage = dsl.load_coverage(doc["coverage"]) if doc.get("coverage") else None
-    _drop_config_file(directory)
     session = Session.replay(topology, doc.get("log", []), coverage, directory)
     return session, doc
 
@@ -76,7 +70,8 @@ def _cmd_load(args) -> int:
     path = _session_path(args.session)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    _drop_config_file(args.session)
+    # a new session must not show the previous session's configs
+    (Path(args.session) / control.CONFIG_FILE).unlink(missing_ok=True)
     print(
         f"loaded {topology.node_count()} nodes "
         f"({len(topology.switches())} switches) into {path}"

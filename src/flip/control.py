@@ -5,6 +5,8 @@ config management, and the two datapath request forms) either in process,
 from a script file, or over a newline-delimited JSON socket protocol.
 Every mutation is serialized under one lock and appended to a command log;
 replaying the log onto a fresh session reproduces the same fabric state.
+The log is the only source of a session's state: the engine configuration
+file a session writes is output only, and no session reads it.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ class CommandResult:
 class Session:
     """One loaded topology plus its running fabric and config store;
     `execute` is the one path from a request to installed rules and configs.
-    The store is `config_dir/engine_configs.json`, written once at the end
-    of each command, or in memory without one."""
+    A session's inputs are its arguments: it starts with no rules and no
+    configs. With a config_dir, the store is written to
+    `config_dir/engine_configs.json` at the end of each command, over
+    whatever the file held; the file is never read."""
 
     def __init__(
         self,
@@ -84,11 +88,14 @@ class Session:
     # -- dispatch --
 
     def execute(self, verb: str, args: dict | None = None) -> CommandResult:
-        args = args or {}
+        args = {} if args is None else args
         with self._lock:
             try:
-                if verb not in VERB_TABLE:
+                if not isinstance(verb, str) or verb not in VERB_TABLE:
                     raise UnknownVerbError(f"unknown verb {verb!r}")
+                if not isinstance(args, dict):
+                    kind = type(args).__name__
+                    raise ValidationError(f"{verb} arguments must be an object, got {kind}")
                 handler, mutates = VERB_TABLE[verb]
                 body = handler(self, args)
             except FlipError as exc:
@@ -387,9 +394,18 @@ class Session:
         coverage: dsl.CoverageMap | None = None,
         config_dir: str | Path | None = None,
     ) -> "Session":
-        """Rebuild a session by re-executing a command log in order."""
+        """Rebuild a session by re-executing a command log in order. A log
+        that is not a list of {"verb": str, "args": object} is a ParseError."""
+        if not isinstance(log, list):
+            raise ParseError(f"command log must be a list, got {type(log).__name__}")
         session = cls(topology, coverage, config_dir)
-        for entry in log:
+        for i, entry in enumerate(log):
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("verb"), str)
+                and isinstance(entry.get("args"), dict)
+            ):
+                raise ParseError(f'command log entry {i} is not {{"verb": str, "args": object}}')
             result = session.execute(entry["verb"], entry["args"])
             if not result.ok:
                 raise FlipError(f"replay failed on {entry['verb']}: {result.message}")
@@ -434,7 +450,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 result = self.server.session.execute(doc.get("verb", ""), doc.get("args"))
                 out = result.to_doc()
             # ValueError: not JSON, or an int of more digits than int() takes;
-            # AttributeError: the line or its args are not an object
+            # AttributeError: the line is not an object
             except (ValueError, AttributeError) as exc:
                 out = {"status": "error", "code": "bad_request", "message": str(exc), "body": {}}
             self.wfile.write(json.dumps(out, sort_keys=True).encode() + b"\n")

@@ -16,13 +16,15 @@ except for the order-sensitive ops (sub, mul), which reject the epoch. An
 epoch whose config was removed, or replaced by one that lists none of the
 sources that arrived, is rejected too.
 
-Configs persist to a JSON file shaped engine -> user -> [records], each
-record carrying compute, source list, destination, rate, and jitter. The
-file is written by `ConfigStore.flush()`, once per command, in place: the
-new bytes overwrite the old ones and the file is cut to their length, so
-an interrupted write can leave the new text followed by a tail of the old.
-A change re-renders only the (engine, user) section it touched, and each
-engine's block is kept as encoded bytes until one of its sections changes.
+Configs are written to a JSON file shaped engine -> user -> [records],
+each record carrying compute, source list, destination, rate, and jitter.
+The file is output only: nothing reads it back, and a store always starts
+empty. It is written by `ConfigStore.flush()`, once per command, in place:
+the new bytes overwrite the old ones and the file is cut to their length,
+so an interrupted write can leave the new text followed by a tail of the
+old. A change re-renders only the (engine, user) section it touched, and
+each engine's block is kept as encoded bytes until one of its sections
+changes.
 
 An engine finds a packet's config through the store's lookup index, one
 dict per engine keyed (user, source, final destination). It is built on
@@ -34,7 +36,6 @@ destinations cover it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from .dsl import JITTER_MAX_MS, ORDER_SENSITIVE, OpKind
-from .errors import FlipError, MissingSourceError, ParseError, ValidationError
+from .errors import FlipError, MissingSourceError, ValidationError
 from .packets import PacketRecord, Scalar
 
 TIMEOUT_RATE_FACTOR = 2.0
@@ -133,9 +134,11 @@ def _names(value, field: str) -> tuple[str, ...]:
 
 
 class ConfigStore:
-    """Engine configuration file: one active config per (engine, user,
-    destination). With a path, the file is written by `flush()`, once per
-    command; `set_config` and `remove` change only memory.
+    """Engine configs: one active config per (engine, user, destination).
+    The store starts empty. With a path, `flush()` writes the configuration
+    file, once per command; `set_config` and `remove` change only memory.
+    The first write replaces whatever the file held, and nothing reads the
+    file back.
 
     The file is `json.dumps(self.to_doc(), indent=2, sort_keys=True)`. Each
     (engine, user) section's text and each engine's block, as encoded
@@ -161,12 +164,10 @@ class ConfigStore:
         # engine -> (user, source, final destination) -> config, built on
         # first lookup and dropped when one of the engine's configs changes
         self._index: dict[str, dict[tuple[str, str, str], EngineConfig]] = {}
-        if self.path and self.path.exists():
-            self._load()
 
     def set_config(self, cfg: EngineConfig) -> None:
         cfg.validate()
-        self._insert(cfg)
+        self._configs.setdefault(cfg.engine, {}).setdefault(cfg.user, {})[cfg.destination] = cfg
         self._changed(cfg.engine, cfg.user)
 
     def remove(self, key: tuple[str, str, str]) -> bool:
@@ -246,9 +247,6 @@ class ConfigStore:
             for engine, users in sorted(self._configs.items())
         }
 
-    def _insert(self, cfg: EngineConfig) -> None:
-        self._configs.setdefault(cfg.engine, {}).setdefault(cfg.user, {})[cfg.destination] = cfg
-
     def _changed(self, engine: str, user: str) -> None:
         """Drop the engine's index and, for a store with a file, re-render
         the (engine, user) section and mark the engine for the next flush."""
@@ -273,28 +271,6 @@ class ConfigStore:
             return
         body = ",\n".join([sections[user] for user in sorted(sections)])
         self._blocks[engine] = f"  {_string(engine)}: {{\n{body}\n  }}".encode("ascii")
-
-    def _load(self) -> None:
-        try:
-            doc = json.loads(self.path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or an int of more digits than int() takes
-            raise ParseError(f"engine config file {self.path}: {exc}") from None
-        try:
-            for engine, users in _object_items(doc, "the file"):
-                for user, records in _object_items(users, f"engine {engine!r}"):
-                    if not isinstance(records, list):
-                        raise ValidationError(f"user {user!r} on {engine!r} is not a list")
-                    for record in records:
-                        cfg = EngineConfig.from_doc(engine, user, record)
-                        cfg.validate()
-                        self._insert(cfg)
-                    self._changed(engine, user)
-        except ValidationError as exc:
-            raise ValidationError(f"engine config file {self.path}: {exc}") from None
-        # the file already holds what was read: render, do not write
-        for engine in self._dirty:
-            self._render_block(engine)
-        self._dirty.clear()
 
 
 def _render_record(doc: dict) -> str:
@@ -324,12 +300,6 @@ def _finite(value: int | float) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond float range, as json.loads gives for 401 digits
         return False
-
-
-def _object_items(doc, what: str):
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{what} is not a JSON object")
-    return doc.items()
 
 
 # -- payload arithmetic --------------------------------------------------------

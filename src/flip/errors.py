@@ -10,7 +10,7 @@ class FlipError(Exception):
 
 
 class ParseError(FlipError):
-    """A structured document (topology, coverage, config file) is malformed."""
+    """A structured document (topology, coverage, command log) is malformed."""
 
     code = "parse_error"
 

@@ -62,6 +62,11 @@ def natural_key(name: str):
     return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
 
 
+def _rank_key(name: str):
+    """`Topology.rank`'s order: natural order, ties ("bs01", "bs1") by name."""
+    return natural_key(name), name
+
+
 def parse_range(text: str) -> tuple[str, int, int]:
     """The prefix and inclusive bounds of "bs1:bs10", ("bs", 1, 10), checked
     without building the names.
@@ -108,6 +113,8 @@ class Topology:
             self._add_link(link)
         self._validate()
         self._sp_cache: dict[str, tuple[Mapping, Mapping]] = {}
+        # kind -> its nodes in rank order, sorted on the kind's first query
+        self._kind_order: dict[NodeKind, tuple[str, ...]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -173,7 +180,13 @@ class Topology:
             raise NotFoundError(f"unknown node {name!r}") from None
 
     def nodes_of_kind(self, kind: NodeKind) -> list[str]:
-        return sorted((n for n, k in self._kinds.items() if k is kind), key=natural_key)
+        """The nodes of one kind in `rank` order. Each kind is sorted once,
+        on its first query, without building the rank of every node."""
+        order = self._kind_order.get(kind)
+        if order is None:
+            nodes = [n for n, k in self._kinds.items() if k is kind]
+            order = self._kind_order[kind] = tuple(sorted(nodes, key=_rank_key))
+        return list(order)
 
     def switches(self) -> list[str]:
         return self.nodes_of_kind(NodeKind.SWITCH)
@@ -240,7 +253,7 @@ class Topology:
         """Read-only position of every node in `natural_key` order, so a
         sort of node names needs no regex split. Built on first use; names
         with equal keys ("bs01", "bs1") are ordered by the name itself."""
-        ordered = sorted(self._kinds, key=lambda n: (natural_key(n), n))
+        ordered = sorted(self._kinds, key=_rank_key)
         return MappingProxyType({n: i for i, n in enumerate(ordered)})
 
     def connected_switch(self, n: str) -> str:

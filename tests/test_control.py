@@ -10,7 +10,6 @@ import pytest
 from flip import cli, harness
 from flip.cli import main as cli_main
 from flip.control import CommandServer, Session, send_command
-from flip.epb import ConfigStore
 from flip.errors import ParseError
 from flip.harness import build_experiment_topology, demo_topology
 from flip.packets import PacketRecord, Scalar
@@ -507,10 +506,25 @@ def test_session_reads_no_config_dir_from_the_environment(tmp_path, monkeypatch)
     assert config_file.read_bytes() == before
 
 
-def test_corrupt_config_file_is_a_typed_error(tmp_path):
-    (tmp_path / "engine_configs.json").write_text("{not json", encoding="utf-8")
-    with pytest.raises(ParseError, match="engine_configs.json"):
-        Session(demo_topology(), config_dir=tmp_path)
+GHOST = {"compute": "max", "source": ["bs1"], "destination": "user"}
+
+
+@pytest.mark.parametrize(
+    "text", [json.dumps({"e-sw1": {"ghost": [GHOST]}}), "{not json"], ids=["ghost-config", "not-json"]
+)
+def test_replay_over_a_foreign_config_file_is_replay_without_one(tmp_path, text):
+    """The command log is a session's only source of state: whatever the
+    config file held before adds nothing to the replayed session, and the
+    first write replaces it with the store's document."""
+    topology = demo_topology()
+    first = Session(topology)
+    assert first.execute("datapath_a", {"request": EQ1}).ok
+    path = tmp_path / "engine_configs.json"
+    path.write_text(text, encoding="utf-8")
+    replayed = Session.replay(topology, first.command_log, config_dir=tmp_path)
+    assert replayed.state_json() == Session.replay(topology, first.command_log).state_json()
+    assert json.loads(path.read_text(encoding="utf-8")) == replayed.store.to_doc()
+    assert "ghost" not in path.read_text(encoding="utf-8")
 
 
 def test_a_command_writes_the_config_file_at_most_once(tmp_path, monkeypatch):
@@ -536,7 +550,7 @@ def test_a_command_writes_the_config_file_at_most_once(tmp_path, monkeypatch):
 
 def test_config_file_shows_the_store_after_every_command(tmp_path):
     """A seeded mix of installs, config edits, reads and failing commands;
-    after each one the file is the store's document and reloads to it."""
+    after each one the file is the store's document."""
     rng = random.Random(5)
     path = tmp_path / "engine_configs.json"
     session = Session(build_experiment_topology(), config_dir=tmp_path)
@@ -589,7 +603,7 @@ def test_config_file_shows_the_store_after_every_command(tmp_path):
         doc = session.store.to_doc()
         if path.exists():
             assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True)
-            assert ConfigStore(path).to_doc() == doc
+            assert json.loads(path.read_text(encoding="utf-8")) == doc
         else:
             assert doc == {}
     assert path.exists()
@@ -619,7 +633,7 @@ def test_a_command_cuts_a_longer_config_file_to_its_new_length(tmp_path):
     text = json.dumps(doc, indent=2, sort_keys=True)
     assert len(text) < longer
     assert path.read_bytes() == text.encode("ascii")
-    assert ConfigStore(path).to_doc() == doc
+    assert json.loads(path.read_text(encoding="utf-8")) == doc
 
 
 def test_a_failed_config_write_is_an_error_result_and_keeps_the_command(tmp_path):
@@ -648,7 +662,7 @@ def test_a_failed_config_write_is_an_error_result_and_keeps_the_command(tmp_path
     path = blocker / "engine_configs.json"
     doc = session.store.to_doc()
     assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True)
-    assert ConfigStore(path).to_doc() == doc
+    assert json.loads(path.read_text(encoding="utf-8")) == doc
 
 
 def test_opening_a_session_over_its_file_writes_nothing(tmp_path):
@@ -724,6 +738,51 @@ def test_wrongly_typed_arguments_are_typed_errors(demo_session, verb, args, code
     assert not result.ok and result.code == code, result
     assert demo_session.state_json() == before
     assert demo_session.command_log == []
+
+
+@pytest.mark.parametrize(
+    "verb, args, code",
+    [
+        ("addflow", "x", "validation_error"),
+        ("getswitches", [1], "validation_error"),
+        ("datapath_a", [EQ1], "validation_error"),
+        ("getswitches", 0, "validation_error"),
+        (["getswitches"], {}, "unknown_verb"),
+    ],
+)
+def test_arguments_that_are_not_an_object_are_a_typed_error(demo_session, verb, args, code):
+    result = demo_session.execute(verb, args)
+    assert not result.ok and result.code == code, result
+    assert demo_session.command_log == []
+
+
+MALFORMED_LOGS = {
+    "number": 5,
+    "object": {"verb": "getswitches", "args": {}},
+    "entry-not-object": ["getswitches"],
+    "no-args": [{"verb": "getswitches"}],
+    "no-verb": [{"args": {}}],
+    "verb-not-string": [{"verb": 5, "args": {}}],
+    "args-not-object": [{"verb": "getswitches", "args": [1]}],
+}
+
+
+@pytest.mark.parametrize("log", MALFORMED_LOGS.values(), ids=MALFORMED_LOGS.keys())
+def test_a_malformed_command_log_is_a_parse_error(tmp_path, capsys, log):
+    """A log that is not a list of {"verb": str, "args": object} fails the
+    replay with a ParseError, and the CLI with an `error:` line."""
+    with pytest.raises(ParseError, match="command log"):
+        Session.replay(demo_topology(), log)
+    session_dir = tmp_path / "s"
+    topo_file = str(harness.DATA_DIR / "demo_topology.json")
+    assert cli_main(["--session", str(session_dir), "load", topo_file]) == 0
+    doc = json.loads((session_dir / "session.json").read_text(encoding="utf-8"))
+    doc["log"] = log
+    (session_dir / "session.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["--session", str(session_dir), "cmd", "getswitches"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "command log" in err, err
 
 
 def _flow(**match) -> dict:

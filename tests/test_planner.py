@@ -252,6 +252,41 @@ def test_steiner_tree_matches_kmb_oracle():
     assert checked >= 500
 
 
+def test_steiner_tree_prunes_a_spanning_tree_link_no_hub_needs(monkeypatch):
+    """With zero-delay links, the expanded shortest paths can reach a
+    switch no hub's climb passes: the spanning tree holds 4 links, s25x2's
+    among them, and the prune leaves the 3 that join the terminals, the
+    tree the KMB oracle gives."""
+    from flip import planner
+    from test_topology import adj_topology
+
+    adj: dict = {}
+    for a, b, w in [
+        ("s19x9", "s97x7", 0.0),
+        ("s25x2", "s25x10", 0.0),
+        ("s72x4", "s97x7", 2.0),
+        ("s72x4", "s25x10", 0.0),
+        ("s25x2", "s72x4", 0.0),
+    ]:
+        adj.setdefault(a, {})[b] = w
+        adj.setdefault(b, {})[a] = w
+    terminals = {"s72x4", "s25x10", "s19x9"}
+    spanning = []
+    kruskal = planner._kruskal
+
+    def recording(edges):
+        spanning.append(kruskal(edges))
+        return spanning[-1]
+
+    monkeypatch.setattr(planner, "_kruskal", recording)
+    tree = steiner_tree(adj_topology(adj), terminals)
+    (mst,) = spanning
+    assert len(mst) == 4 and "s25x2" in {n for _, a, b in mst for n in (a, b)}
+    want = [["s19x9", "s97x7", 0.0], ["s25x10", "s72x4", 0.0], ["s72x4", "s97x7", 2.0]]
+    assert tree.to_doc()["edges"] == want and tree.weight == 2.0
+    assert tree.to_doc() == kmb_steiner_tree(adj_topology(adj), terminals).to_doc()
+
+
 def test_rooted_walk_matches_the_pair_walk_and_delay_search_oracles():
     """Every tree path equals the per-pair depth-first search, whichever
     root the climb runs on, and check_delay's worst equals the destination

@@ -219,6 +219,9 @@ def test_rank_is_the_natural_order_of_every_node(doc):
     t = load_topology(doc)
     every = [n for kind in NodeKind for n in t.nodes_of_kind(kind)]
     assert sorted(t.rank, key=t.rank.__getitem__) == sorted(every, key=natural_key)
+    ranked = sorted(t.rank, key=t.rank.__getitem__)
+    for kind in NodeKind:
+        assert t.nodes_of_kind(kind) == [n for n in ranked if t.kind(n) is kind]
     assert sorted(t.rank.values()) == list(range(t.node_count()))
     assert t.rank is t.rank
     with pytest.raises(TypeError):
@@ -229,6 +232,7 @@ def test_rank_orders_names_with_equal_natural_keys_by_name():
     nodes = {"sw1": NodeKind.SWITCH, "bs1": NodeKind.BASE_STATION, "bs01": NodeKind.BASE_STATION}
     t = Topology(nodes, [Link("bs1", "sw1", 1.0), Link("bs01", "sw1", 1.0)])
     assert sorted(t.rank, key=t.rank.__getitem__) == ["bs01", "bs1", "sw1"]
+    assert t.nodes_of_kind(NodeKind.BASE_STATION) == ["bs01", "bs1"]
 
 
 def test_adjacent_switch_picks_min_delay():
