@@ -146,7 +146,7 @@ def _cmd_bench(args) -> int:
     workload = harness.Workload(
         seed=args.seed, horizon_ms=args.horizon_ms, period_ms=args.period_ms
     )
-    report = harness.run_suite(seed=args.seed, workload=workload)
+    report = harness.run_suite(workload=workload)
     print(f"{'request':8} {'flip':>10} {'baseline':>10} {'reduction':>10}")
     for row in report.rows:
         print(

@@ -394,8 +394,10 @@ class Session:
         coverage: dsl.CoverageMap | None = None,
         config_dir: str | Path | None = None,
     ) -> "Session":
-        """Rebuild a session by re-executing a command log in order. A log
-        that is not a list of {"verb": str, "args": object} is a ParseError."""
+        """Rebuild a session by re-executing a command log in order, then
+        flush its store, so that even an empty log leaves the config file
+        showing the store. A log that is not a list of {"verb": str,
+        "args": object} is a ParseError."""
         if not isinstance(log, list):
             raise ParseError(f"command log must be a list, got {type(log).__name__}")
         session = cls(topology, coverage, config_dir)
@@ -409,6 +411,7 @@ class Session:
             result = session.execute(entry["verb"], entry["args"])
             if not result.ok:
                 raise FlipError(f"replay failed on {entry['verb']}: {result.message}")
+        session.store.flush()
         return session
 
 

@@ -2,19 +2,20 @@
 
 Events pop in (timestamp, insertion sequence) order, so a run is a pure
 function of the installed rules, the configs, and the injected workload.
-`run()` and `step()` handle each event alike, so draining either way gives
-the same result.
+`run()` is `step()` in a loop, so draining either way gives the same
+result.
 
 A hop costs table lookups, not topology calls. Switch lookup is
 first-match-wins over (final destination, source): one dict access into
 a per-table index, built on first use and dropped whenever the table's
-rules change, returns the rule and its position together. An arrival
-tells a switch from a host by whether the node has a table, and the hop
-limit and each switch's neighbour delays are held on the fabric. Where a
-base station or engine attaches (its switch, the link's delay, whether it
-is an engine) comes from the topology's read-only attachment table, built
-on first use; injection and engine output read it. Trace records are
-built only when tracing is on.
+rules change, returns the rule and its position together; a passthrough
+packet (see below) scans the rules instead. An arrival tells a switch
+from a host by whether the node has a table, and the hop limit and each
+switch's neighbour delays are held on the fabric. Where a base station or
+engine attaches (its switch, the link's delay, whether it is an engine)
+comes from the topology's read-only attachment table, built on first use;
+injection and engine output read it. Trace records are built only when
+tracing is on.
 
 A miss drops the packet and bumps a counter rather than erroring, since
 misses usually mean a plan bug worth surfacing in stats. Every drop's
@@ -32,6 +33,11 @@ counts under the same destination filter.
 Packets an engine could not match (no config) re-enter the switch flagged
 to skip redirect rules, so a misconfigured flow falls through to plain
 forwarding or a counted drop instead of looping through the engine forever.
+
+Each count is read from the one structure that holds it: packets in
+flight are the packet events left on the queue, delivered packets the
+delivery list, drops the per-switch drop counts, and engine output the
+engines' own `emitted` counters. The fabric itself counts only injections.
 """
 
 from __future__ import annotations
@@ -58,9 +64,9 @@ class FlowTable:
     The first matching rule for each (final destination, source) is read
     from an index built on the first match after a change and dropped by
     every change, so a lookup costs one dict access however many rules and
-    sources the table holds. The index keeps two maps: one over all rules,
-    and one that skips redirect rules for packets coming back from an
-    engine that could not consume them.
+    sources the table holds. A packet coming back from an engine that could
+    not consume it skips redirect rules by scanning the list: no planned
+    flow sends one.
     """
 
     def __init__(self, switch: str):
@@ -68,7 +74,7 @@ class FlowTable:
         self.rules: list[FlowRule] = []
         self.counters: list[int] = []
         self._installed: set[FlowRule] = set()
-        self._first: tuple[dict, dict] | None = None
+        self._first: dict[tuple[str, str], tuple[int, FlowRule]] | None = None
 
     def add(self, rule: FlowRule) -> bool:
         """Append unless an identical rule is already present."""
@@ -81,27 +87,33 @@ class FlowTable:
         return True
 
     def match(self, packet: PacketRecord, skip_redirect: bool = False):
-        """The first matching rule as (its position, the rule), or None."""
-        first = self._first or self._index()
-        # False/True pick the map over all rules / over non-redirects
-        return first[skip_redirect].get((packet.final_destination, packet.source))
+        """The first matching rule as (its position, the rule), or None;
+        with skip_redirect, the first that is not a redirect."""
+        if skip_redirect:
+            fd, source = packet.final_destination, packet.source
+            for index, rule in enumerate(self.rules):
+                if (
+                    rule.action is not ActionKind.REDIRECT
+                    and rule.final_destination == fd
+                    and source in rule.sources
+                ):
+                    return index, rule
+            return None
+        first = self._first
+        if first is None:
+            first = self._index()
+        return first.get((packet.final_destination, packet.source))
 
-    def _index(self) -> tuple[dict, dict]:
+    def _index(self) -> dict[tuple[str, str], tuple[int, FlowRule]]:
         """(final destination, source) -> (position, rule) of its first
-        matching rule, over all rules and over the rules that are not
-        redirects."""
+        matching rule."""
         first: dict[tuple[str, str], tuple[int, FlowRule]] = {}
-        first_not_redirect: dict[tuple[str, str], tuple[int, FlowRule]] = {}
         for index, rule in enumerate(self.rules):
             hit = (index, rule)
-            keys = [(rule.final_destination, source) for source in rule.sources]
-            for key in keys:
-                first.setdefault(key, hit)
-            if rule.action is not ActionKind.REDIRECT:
-                for key in keys:
-                    first_not_redirect.setdefault(key, hit)
-        self._first = (first, first_not_redirect)
-        return self._first
+            for source in rule.sources:
+                first.setdefault((rule.final_destination, source), hit)
+        self._first = first
+        return first
 
     def replace(self, index: int, rule: FlowRule) -> None:
         """Put rule at index in place of the rule there, with a zeroed
@@ -195,13 +207,7 @@ class Fabric:
         self._seq = 0
         self._uid = 0
         self.now = 0.0
-        self.counters = {
-            "injected": 0,
-            "emitted": 0,
-            "delivered": 0,
-            "dropped": 0,
-            "in_flight": 0,
-        }
+        self.injected = 0
         # per switch: packets in from network ports, keyed by final destination
         self._ingress: dict[str, dict[str, int]] = {s: {} for s in self.tables}
         self._drops: dict[str, int] = {s: 0 for s in self.tables}
@@ -212,11 +218,9 @@ class Fabric:
 
     # -- event plumbing --
 
-    def _push(self, time_ms: float, kind: str, data: tuple, packet: bool) -> int:
+    def _push(self, time_ms: float, kind: str, data: tuple) -> int:
         self._seq += 1
         heapq.heappush(self._heap, (time_ms, self._seq, kind, data))
-        if packet:
-            self.counters["in_flight"] += 1
         return self._seq
 
     def _trace(self, time_ms: float, event: str, **detail) -> dict:
@@ -263,10 +267,10 @@ class Fabric:
         switch, delay, from_engine = attached
         self._uid += 1
         p.uid = self._uid
-        self.counters["injected"] += 1
+        self.injected += 1
         if self.trace is not None:
             self._trace(p.timestamp_ms, "inject", node=at, uid=p.uid, source=p.source)
-        return self._push(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine, False), packet=True)
+        return self._push(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine, False))
 
     # -- event execution --
 
@@ -280,20 +284,15 @@ class Fabric:
 
     def run(self) -> int:
         """Process events until none is left; returns how many ran."""
-        heap, pop, handlers = self._heap, heapq.heappop, _HANDLERS
         n = 0
-        while heap:
-            time_ms, _, kind, data = pop(heap)
-            self.now = time_ms
-            handlers[kind](self, time_ms, *data)
+        while self._heap:
+            self.step()
             n += 1
         return n
 
     def _on_arrive(self, now, node, p: PacketRecord, via, from_engine, skip_redirect):
-        self.counters["in_flight"] -= 1
         table = self.tables.get(node)
         if table is None:  # a host
-            self.counters["delivered"] += 1
             record = {
                 "time_ms": now,
                 "node": node,
@@ -334,17 +333,16 @@ class Fabric:
         tx = self._port_tx[node]
         tx[target] = tx.get(target, 0) + 1
         if action is ActionKind.REDIRECT:
-            self._push(now + delays[target], _ENGINE, (target, p), packet=True)
+            self._push(now + delays[target], _ENGINE, (target, p))
             if self.trace is None:
                 return None
             return self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
-        self._push(now + delays[target], _ARRIVE, (target, p, node, False, False), packet=True)
+        self._push(now + delays[target], _ARRIVE, (target, p, node, False, False))
         if self.trace is None:
             return None
         return self._trace(now, "forward", node=node, uid=p.uid, to=target)
 
     def _drop(self, now, node, p: PacketRecord, reason: str):
-        self.counters["dropped"] += 1
         self._drops[node] += 1
         if self.trace is None:
             return None
@@ -360,13 +358,12 @@ class Fabric:
         )
 
     def _on_engine(self, now, engine_id, p: PacketRecord):
-        self.counters["in_flight"] -= 1
         result = self.engines[engine_id].process(p, now)
         if result.timeout_at is not None:
-            self._push(result.timeout_at, _TIMEOUT, (engine_id, result.timeout_token), packet=False)
+            self._push(result.timeout_at, _TIMEOUT, (engine_id, result.timeout_token))
         if result.passthrough:
             switch, delay, _ = self.topology.attachments[engine_id]
-            self._push(now + delay, _ARRIVE, (switch, p, engine_id, True, True), packet=True)
+            self._push(now + delay, _ARRIVE, (switch, p, engine_id, True, True))
             if self.trace is None:
                 return None
             return self._trace(now, "passthrough", engine=engine_id, uid=p.uid)
@@ -392,9 +389,8 @@ class Fabric:
             for em in emissions:
                 self._uid += 1
                 em.uid = self._uid
-                self.counters["emitted"] += 1
                 emitted.append(em.uid)
-                self._push(now + delay, _ARRIVE, (switch, em, engine_id, True, False), packet=True)
+                self._push(now + delay, _ARRIVE, (switch, em, engine_id, True, False))
         return emitted
 
     # -- reporting --
@@ -414,12 +410,15 @@ class Fabric:
             port_tx={s: dict(v) for s, v in self._port_tx.items()},
             rule_counters={s: list(t.counters) for s, t in self.tables.items()},
             drops=dict(self._drops),
-            injected=self.counters["injected"],
-            emitted=self.counters["emitted"],
-            delivered=self.counters["delivered"],
-            dropped=self.counters["dropped"],
+            injected=self.injected,
+            emitted=self._emitted(),
+            delivered=len(self.delivered),
+            dropped=sum(self._drops.values()),
             engine_counters={e: dict(en.counters) for e, en in self.engines.items()},
         )
+
+    def _emitted(self) -> int:
+        return sum(e.counters["emitted"] for e in self.engines.values())
 
     def delivered_at(self, node: str) -> list[dict]:
         return [d for d in self.delivered if d["node"] == node]
@@ -438,13 +437,14 @@ class Fabric:
             )
         }
         pending = sum(e.pending_arrivals() for e in self.engines.values())
-        created = self.counters["injected"] + self.counters["emitted"]
+        in_flight = sum(1 for event in self._heap if event[2] != _TIMEOUT)
+        created = self.injected + self._emitted()
         settled = (
-            self.counters["delivered"]
-            + self.counters["dropped"]
+            len(self.delivered)
+            + sum(self._drops.values())
             + sum(eng.values())
             + pending
-            + self.counters["in_flight"]
+            + in_flight
         )
         return {
             "created": created,

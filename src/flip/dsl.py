@@ -82,23 +82,12 @@ class RequestMode(Enum):
     MANUAL = "manual"
 
 
-@dataclass(frozen=True)
-class SourceRef:
-    """A symbolic leaf: node id, range, engine reference, or region name."""
-
-    text: str
-
-    def is_range(self) -> bool:
-        return ":" in self.text
-
-    def is_engine_ref(self) -> bool:
-        return self.text.endswith("[engine]")
-
-
 @dataclass
 class ExprNode:
     kind: OpKind
-    children: list  # ExprNode | SourceRef
+    # ExprNode, or a symbolic leaf's text: node id, range, engine
+    # reference ("sw5[engine]") or region name
+    children: list
 
 
 @dataclass
@@ -279,7 +268,7 @@ class _Parser:
                 elif follow == "," or follow == ")":
                     # a plain node name, the common leaf
                     self.pos += 1
-                    children.append(SourceRef(tok[1]))
+                    children.append(tok[1])
                 else:
                     children.append(self._parse_source())
             else:
@@ -293,7 +282,7 @@ class _Parser:
         self._check_arity(node, col)
         return node
 
-    def _parse_source(self) -> SourceRef:
+    def _parse_source(self) -> str:
         _, name, col, _ = self.expect("IDENT")
         if self.peek() == ":":
             self.pos += 1
@@ -302,12 +291,12 @@ class _Parser:
                 parse_range(text)
             except ValueError as exc:
                 raise DslSyntaxError(str(exc), col=col) from None
-            return SourceRef(text)
-        return SourceRef(self._engine_suffix(name))
+            return text
+        return self._engine_suffix(name)
 
-    def _parse_source_list(self) -> list[SourceRef]:
+    def _parse_source_list(self) -> list[str]:
         # manual sources, optionally wrapped in braces: {bs1:bs10}
-        sources: list[SourceRef] = []
+        sources: list[str] = []
         braced = self.peek() == "{"
         if braced:
             self.pos += 1
@@ -432,8 +421,8 @@ def _format_requirements(req: Requirements) -> str:
 
 
 def _format_expr(node) -> str:
-    if isinstance(node, SourceRef):
-        return node.text
+    if isinstance(node, str):
+        return node
     inner = ",".join(_format_expr(c) for c in node.children)
     return f"{node.kind.value}({inner})"
 
@@ -536,16 +525,15 @@ class TaskGraph:
 
 
 def _resolve_leaf(
-    ref: SourceRef, t: Topology, cov: CoverageMap | None, allow_engines: bool
+    text: str, t: Topology, cov: CoverageMap | None, allow_engines: bool
 ) -> list[str]:
     """The leaves of a range, an engine reference or a region, or the error
     for a source that is none of these; `expand_sources` takes a base
     station, or an engine where engines are sources, as it stands."""
-    text = ref.text
     # a base station is the node of the topology's attachment table that
     # is not an engine
     attachments = t.attachments
-    if ref.is_range():
+    if ":" in text:
         try:
             names = expand_range(text)
         except ValueError:
@@ -558,7 +546,7 @@ def _resolve_leaf(
                     raise UnknownNodeError(f"range {text!r} includes unknown node {unknown!r}")
                 raise UnknownNodeError(f"{name!r} in range {text!r} is not a base station")
         return names
-    if ref.is_engine_ref():
+    if text.endswith("[engine]"):
         if not allow_engines:
             raise UnknownNodeError(f"engine source {text!r} is only valid in manual requests")
         switch = text[: -len("[engine]")]
@@ -597,9 +585,9 @@ def expand_sources(request: Request, t: Topology, cov: CoverageMap | None = None
             else:
                 # a base station, or an engine where engines are sources,
                 # is its own leaf: the common case, one table read
-                attached = attachments.get(child.text)
+                attached = attachments.get(child)
                 if attached is not None and (allow_engines or not attached[2]):
-                    leaves = (child.text,)
+                    leaves = (child,)
                 else:
                     leaves = _resolve_leaf(child, t, cov, allow_engines)
                 for leaf in leaves:

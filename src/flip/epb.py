@@ -137,8 +137,8 @@ class ConfigStore:
     """Engine configs: one active config per (engine, user, destination).
     The store starts empty. With a path, `flush()` writes the configuration
     file, once per command; `set_config` and `remove` change only memory.
-    The first write replaces whatever the file held, and nothing reads the
-    file back.
+    The first flush writes even when no config changed, replacing whatever
+    the file held, and nothing reads the file back.
 
     The file is `json.dumps(self.to_doc(), indent=2, sort_keys=True)`. Each
     (engine, user) section's text and each engine's block, as encoded
@@ -161,6 +161,9 @@ class ConfigStore:
         self._blocks: dict[str, bytes] = {}
         # engines whose sections changed since the last flush
         self._dirty: set[str] = set()
+        # the file holds what some other store wrote, or nothing, until
+        # this store's first write
+        self._unwritten = self.path is not None
         # engine -> (user, source, final destination) -> config, built on
         # first lookup and dropped when one of the engine's configs changes
         self._index: dict[str, dict[tuple[str, str, str], EngineConfig]] = {}
@@ -183,10 +186,11 @@ class ConfigStore:
         return True
 
     def flush(self) -> None:
-        """Write the file if anything changed since the last write. A failed
-        write is a FlipError naming the file, and the store stays dirty, so
-        the next flush writes the whole document again."""
-        if not self._dirty:
+        """Write the file on the first flush and whenever anything changed
+        since the last write. A failed write is a FlipError naming the file,
+        and the store stays dirty, so the next flush writes the whole
+        document again."""
+        if not self._dirty and not self._unwritten:
             return
         for engine in self._dirty:
             self._render_block(engine)
@@ -197,6 +201,7 @@ class ConfigStore:
         except OSError as exc:
             raise FlipError(f"cannot write {self.path}: {exc.strerror or exc}") from None
         self._dirty.clear()
+        self._unwritten = False
 
     def _overwrite(self, data: bytes) -> None:
         """Write data over the file's old bytes and cut it to their length.

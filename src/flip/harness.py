@@ -313,13 +313,13 @@ class ExperimentReport:
 
 
 def run_suite(
-    seed: int = 0,
     workload: Workload | None = None,
     topology: Topology | None = None,
 ) -> ExperimentReport:
-    """Run R1..R9 in both modes on the benchmark topology."""
+    """Run R1..R9 in both modes on the benchmark topology; the seed is the
+    workload's."""
     t = topology or build_experiment_topology()
-    w = workload or Workload(seed=seed)
+    w = workload or Workload()
     rows = []
     for i, request in enumerate(requests_r1_r9(), 1):
         rows.append(run_comparison(t, request, w, label=f"R{i}"))

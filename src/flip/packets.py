@@ -29,15 +29,3 @@ class PacketRecord:
     payload: Scalar
     hop_count: int = 0
     uid: int = field(default=-1, compare=False)
-
-    def to_doc(self) -> dict:
-        return {
-            "uid": self.uid,
-            "source": self.source,
-            "final_destination": self.final_destination,
-            "user": self.user,
-            "epoch": self.epoch,
-            "timestamp_ms": self.timestamp_ms,
-            "payload": self.payload.to_doc(),
-            "hop_count": self.hop_count,
-        }

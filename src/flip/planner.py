@@ -150,27 +150,19 @@ class SteinerTree:
                             stack.append(nb)
         return walk
 
-    @cached_property
-    def _paths(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        return {}
-
     def path(self, a: str, b: str) -> tuple[str, ...]:
-        """Unique a-b path inside the tree, memoised per (a, b): both ends
-        climb an existing walk until they meet, and every root gives the
-        same path."""
-        path = self._paths.get((a, b))
-        if path is None:
-            parent, depth, _ = next(iter(self._walks.values()), None) or self.rooted(a)
-            if a not in parent or b not in parent:
-                raise CompileError(f"{a!r} or {b!r} not on the datapath tree")
-            up, down = [a], [b]
-            while up[-1] != down[-1]:
-                if depth[up[-1]] >= depth[down[-1]]:
-                    up.append(parent[up[-1]])
-                else:
-                    down.append(parent[down[-1]])
-            path = self._paths[(a, b)] = tuple(up + down[-2::-1])
-        return path
+        """Unique a-b path inside the tree: both ends climb an existing walk
+        until they meet, and every root gives the same path."""
+        parent, depth, _ = next(iter(self._walks.values()), None) or self.rooted(a)
+        if a not in parent or b not in parent:
+            raise CompileError(f"{a!r} or {b!r} not on the datapath tree")
+        up, down = [a], [b]
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        return tuple(up + down[-2::-1])
 
     def to_doc(self) -> dict:
         return {

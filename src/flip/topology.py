@@ -49,7 +49,6 @@ class NodeKind(Enum):
 
 _KIND_NAMES = {
     "basestation": NodeKind.BASE_STATION,
-    "base_station": NodeKind.BASE_STATION,
     "switch": NodeKind.SWITCH,
     "engine": NodeKind.ENGINE,
     "destination": NodeKind.DESTINATION,

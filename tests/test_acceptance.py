@@ -104,7 +104,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_traffic_reduction():
     started = time.monotonic()
-    report = harness.run_suite(seed=0)  # default workload: 100 epochs at 100 ms
+    report = harness.run_suite()  # default workload: seed 0, 100 epochs at 100 ms
     assert len(report.rows) == 9
     for row in report.rows:
         assert 40.0 <= row.reduction_pct <= 80.0, (row.label, row.reduction_pct)
@@ -236,8 +236,8 @@ def test_criterion_7_determinism_and_replay(tmp_path):
     w = Workload(seed=3, horizon_ms=500.0)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    harness.export_report(harness.run_suite(seed=3, workload=w), out_a)
-    harness.export_report(harness.run_suite(seed=3, workload=w), out_b)
+    harness.export_report(harness.run_suite(workload=w), out_a)
+    harness.export_report(harness.run_suite(workload=w), out_b)
     for name in ("switch_counts.csv", "request_totals.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 

@@ -665,14 +665,49 @@ def test_a_failed_config_write_is_an_error_result_and_keeps_the_command(tmp_path
     assert json.loads(path.read_text(encoding="utf-8")) == doc
 
 
-def test_opening_a_session_over_its_file_writes_nothing(tmp_path):
+def test_a_new_session_over_an_old_file_writes_it_once(tmp_path, monkeypatch):
+    """A new session's first command writes its store over the file a
+    previous session left, though the command changes no config; the next
+    such command writes nothing."""
     path = tmp_path / "engine_configs.json"
     first = Session(build_experiment_topology(), config_dir=tmp_path)
     assert first.execute("datapath_a", {"request": harness.request_texts()[8]}).ok
-    before = path.read_bytes(), path.stat().st_mtime_ns
+    writes = []
+    os_open = os.open
+
+    def spy(name, flags, *args, **kwargs):
+        if Path(name) == path and flags & os.O_WRONLY:
+            writes.append(name)
+        return os_open(name, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
     session = Session(build_experiment_topology(), config_dir=tmp_path)
     assert session.execute("getconfig", {"engine": "e-sw1"}).ok
-    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    assert path.read_text(encoding="utf-8") == "{}" and len(writes) == 1
+    assert session.execute("getconfig", {"engine": "e-sw1"}).ok
+    assert len(writes) == 1
+
+
+def test_a_command_that_changes_no_config_replaces_a_malformed_file(tmp_path):
+    """The file shows the store after every command, from the first on:
+    a failed command and a read over a file that is not JSON leave `{}`."""
+    path = tmp_path / "engine_configs.json"
+    path.write_text("not json", encoding="utf-8")
+    session = Session(demo_topology(), config_dir=tmp_path)
+    bad = {"dpid": "sw1", "match": {"final_destination": "user"}, "action": {"type": "frob"}}
+    assert not session.execute("addflow", bad).ok
+    assert session.execute("getswitches").ok
+    assert session.store.to_doc() == {}
+    assert path.read_text(encoding="utf-8") == "{}"
+
+
+def test_replaying_an_empty_log_replaces_a_malformed_file(tmp_path):
+    """`flip stats` runs no command: the replay itself leaves the file
+    showing the store."""
+    path = tmp_path / "engine_configs.json"
+    path.write_text("not json", encoding="utf-8")
+    Session.replay(demo_topology(), [], config_dir=tmp_path)
+    assert path.read_text(encoding="utf-8") == "{}"
 
 
 FLOW = {"match": {"final_destination": "user"}, "action": {"type": "forward", "target": "sw2"}}

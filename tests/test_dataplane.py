@@ -219,7 +219,7 @@ def test_inject_from_destination_rejected(demo):
             fabric.inject(make_packet(node), at=node)
     with pytest.raises(NotFoundError):
         fabric.inject(make_packet("nope"), at="nope")
-    assert fabric.counters["injected"] == fabric.pending_events() == 0
+    assert fabric.injected == fabric.pending_events() == 0
 
 
 # -- step -----------------------------------------------------------------------
@@ -248,7 +248,7 @@ def test_forward_timing_and_delivery():
     fabric.install_rules(planner.compile_baseline(t, ["bs1"], "user"))
     fabric.inject(make_packet("bs1", ts=0.0), at="bs1")
     fabric.run()
-    assert fabric.counters["delivered"] == 1
+    assert fabric.stats().delivered == 1
     assert fabric.delivered[0]["time_ms"] == 4.0
     # one packet through three switches: three counts of one, three hops total
     stats = fabric.stats()
@@ -260,7 +260,7 @@ def test_table_miss_drops_and_counts(demo):
     fabric = Fabric(demo)
     fabric.inject(make_packet("bs1"), at="bs1")
     fabric.run()
-    assert fabric.counters["dropped"] == 1
+    assert fabric.stats().dropped == 1
     assert fabric.stats().drops["sw1"] == 1
 
 
@@ -269,7 +269,7 @@ def test_deliver_rule_off_the_destination_drops_with_its_reason(demo):
     fabric.install_rules([FlowRule("sw1", "user", ("bs1",), ActionKind.DELIVER, None)])
     fabric.inject(make_packet("bs1"), at="bs1")
     fabric.run()
-    assert fabric.counters["dropped"] == fabric.stats().drops["sw1"] == 1
+    assert fabric.stats().dropped == fabric.stats().drops["sw1"] == 1
     [drop] = [e for e in fabric.trace if e["event"] == "drop"]
     assert (drop["node"], drop["reason"]) == ("sw1", "deliver_not_adjacent")
     assert fabric.conservation()["balanced"]
@@ -302,9 +302,9 @@ def test_full_run_traces_end_at_engine_or_destination(demo, eq1_plan):
         uid = entry.get("uid")
         if uid is not None:
             last_event[uid] = entry["event"]
-    raw_uids = range(1, fabric.counters["injected"] + 1)
+    raw_uids = range(1, fabric.injected + 1)
     assert all(last_event[uid] in ("engine", "deliver") for uid in raw_uids)
-    assert fabric.counters["dropped"] == 0
+    assert fabric.stats().dropped == 0
 
 
 def test_determinism_identical_stats(demo, eq1_plan):
@@ -358,7 +358,7 @@ def test_timer_rejects_an_epoch_its_replaced_config_no_longer_reads():
 
 
 def test_conservation_every_step(demo, eq1_plan):
-    fabric = flip_fabric(demo, eq1_plan)
+    fabric = flip_fabric(demo, eq1_plan, trace=True)
     w = Workload(seed=6, horizon_ms=100.0)
     tg = dsl.expand_sources(parse_request(EQ1), demo)
     for s in w.samples(tg.leaves()):
@@ -366,10 +366,16 @@ def test_conservation_every_step(demo, eq1_plan):
             make_packet(s.source, ts=s.publish_ms, epoch=s.epoch, value=s.value),
             at=s.source,
         )
+    # no config matches this user: the packet passes through, then drops
+    fabric.inject(make_packet("bs1", ts=50.0, user="intruder"), at="bs1")
     assert fabric.conservation()["balanced"]
     while fabric.pending_events():
         fabric.step()
         assert fabric.conservation()["balanced"]
+    [drop] = [e for e in fabric.trace if e["event"] == "drop"]
+    assert (drop["user"], drop["reason"]) == ("intruder", "no_rule")
+    events = [e["event"] for e in fabric.trace if e.get("uid") == drop["uid"]]
+    assert events == ["inject", "redirect", "passthrough", "drop"]
 
 
 def test_counters_monotonic(demo, eq1_plan):
@@ -394,7 +400,7 @@ def test_hop_counts_stay_bounded(demo, eq1_plan):
     fabric.inject(make_packet("bs1", ts=0.0), at="bs1")
     fabric.run()
     # no loop error raised, and the engines absorbed the lone packet
-    assert fabric.counters["dropped"] == 0
+    assert fabric.stats().dropped == 0
 
 
 def test_passthrough_skips_redirect_and_drops(demo, eq1_plan):
@@ -402,7 +408,7 @@ def test_passthrough_skips_redirect_and_drops(demo, eq1_plan):
     # wrong user: no config matches, packet re-enters and then misses
     fabric.inject(make_packet("bs1", user="intruder"), at="bs1")
     fabric.run()
-    assert fabric.counters["dropped"] == 1
+    assert fabric.stats().dropped == 1
     events = [e["event"] for e in fabric.trace]
     assert "passthrough" in events
 
@@ -418,7 +424,7 @@ def test_unconsumed_engine_destination_drops_with_a_reason(demo):
         fabric.inject(packet, at=s.source)
     fabric.run()
     drops = [e for e in fabric.trace if e["event"] == "drop"]
-    assert len(drops) == w.epochs() == fabric.counters["dropped"]
+    assert len(drops) == w.epochs() == fabric.stats().dropped
     assert all("reason" in e for e in drops)
     assert {(e["node"], e["reason"], e["user"], e["final_destination"]) for e in drops} == {
         ("sw5", "no_rule", "default", "e-sw5")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from flip import dsl
-from flip.dsl import OpKind, RequestMode, SourceRef, canonical, parse_request
+from flip.dsl import OpKind, RequestMode, canonical, parse_request
 from flip.errors import (
     ArityError,
     DslSyntaxError,
@@ -43,7 +43,7 @@ def test_parse_nested_request_shape():
 def test_parse_degenerate_single_source():
     req = parse_request("datapath_a(max(bs1),destination<-user)")
     assert req.expr.kind is OpKind.MAX
-    assert req.expr.children == [SourceRef("bs1")]
+    assert req.expr.children == ["bs1"]
 
 
 def test_unknown_operation_rejected():
@@ -99,19 +99,19 @@ def test_manual_request_parses():
     assert req.mode is RequestMode.MANUAL
     assert req.switch == "sw"
     assert req.expr.kind is OpKind.SUM
-    assert [c.text for c in req.expr.children] == ["bs1", "bs2"]
+    assert req.expr.children == ["bs1", "bs2"]
 
 
 def test_manual_engine_sources_and_braces():
     req = parse_request(
         "datapath_m(sw4[engine],sw3[engine],switch<-sw5,compute<-max,destination<-sw3[engine])"
     )
-    assert [c.text for c in req.expr.children] == ["sw4[engine]", "sw3[engine]"]
+    assert req.expr.children == ["sw4[engine]", "sw3[engine]"]
     assert req.destination == "sw3[engine]"
     braced = parse_request(
         "datapath_m({bs201:bs300},switch<-sw4,compute<-min,destination<-sw5[engine])"
     )
-    assert braced.expr.children == [SourceRef("bs201:bs300")]
+    assert braced.expr.children == ["bs201:bs300"]
 
 
 def test_manual_requires_switch_automated_forbids():
@@ -250,7 +250,7 @@ def test_range_is_checked_without_building_its_names(monkeypatch):
 
     monkeypatch.setattr(dsl, "expand_range", build)
     req = parse_request("datapath_a(sum(bs1:bs1000000000),destination<-user)")
-    assert req.expr.children == [SourceRef("bs1:bs1000000000")]
+    assert req.expr.children == ["bs1:bs1000000000"]
     for text, message, col in [
         ("datapath_a(max(bs10:bs1),destination<-user)", "empty range 'bs10:bs1'", 16),
         ("datapath_a(max(bs1,bs1:h10),destination<-user)", "malformed range 'bs1:h10'", 20),
@@ -404,7 +404,7 @@ def test_empty_range_at_expand():
     t = demo_topology()
     req = dsl.Request(
         mode=RequestMode.AUTOMATED,
-        expr=dsl.ExprNode(OpKind.MAX, [SourceRef("bs10:bs1")]),
+        expr=dsl.ExprNode(OpKind.MAX, ["bs10:bs1"]),
         destination="user",
     )
     with pytest.raises(EmptyRangeError):

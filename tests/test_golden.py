@@ -49,7 +49,7 @@ def _sha256(data: bytes) -> str:
 
 
 def test_summary_json_seed0_bytes(tmp_path):
-    paths = harness.export_report(harness.run_suite(seed=0), tmp_path)
+    paths = harness.export_report(harness.run_suite(), tmp_path)
     assert _sha256(paths["summary"].read_bytes()) == SUMMARY_SEED0_SHA256
 
 

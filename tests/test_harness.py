@@ -27,7 +27,7 @@ def bench():
 
 @pytest.fixture(scope="module")
 def quick_report(bench):
-    return run_suite(seed=0, workload=Workload(seed=0, horizon_ms=1000.0), topology=bench)
+    return run_suite(workload=Workload(seed=0, horizon_ms=1000.0), topology=bench)
 
 
 def test_experiment_topology_counts(bench):
@@ -177,8 +177,8 @@ def test_edge_switch_counts_match_baseline(quick_report):
 
 def test_same_seed_identical_report_bytes(bench):
     w = Workload(seed=21, horizon_ms=500.0)
-    a = run_suite(seed=21, workload=w, topology=bench).to_json()
-    b = run_suite(seed=21, workload=w, topology=bench).to_json()
+    a = run_suite(workload=w, topology=bench).to_json()
+    b = run_suite(workload=w, topology=bench).to_json()
     assert a == b
 
 
