@@ -2,20 +2,27 @@
 
 Events pop in (timestamp, insertion sequence) order, so a run is a pure
 function of the installed rules, the configs, and the injected workload.
-`run()` is `step()` in a loop, so draining either way gives the same
-result.
+`run()` drains the queue in one local loop that pops each event and calls
+its handler, the same handlers `step()` calls, so draining either way
+gives the same result.
 
-A hop costs table lookups, not topology calls. Switch lookup is
-first-match-wins over (final destination, source): one dict access into
-a per-table index, built on first use and dropped whenever the table's
-rules change, returns the rule and its position together; a passthrough
-packet (see below) scans the rules instead. An arrival tells a switch
-from a host by whether the node has a table, and the hop limit and each
-switch's neighbour delays are held on the fabric. Where a base station or
-engine attaches (its switch, the link's delay, whether it is an engine)
-comes from the topology's read-only attachment table, built on first use;
-injection and engine output read it. Trace records are built only when
-tracing is on.
+A hop that matches a rule is one pass with no helper calls. The switch's
+state is one tuple, looked up once: its flow table, rule counters, port
+and ingress counters and neighbour delays, each changed in place and
+never replaced. Switch lookup is first-match-wins over (final
+destination, source): one dict access into the table's index, built on
+first use and dropped whenever the table's rules change, returns the
+rule and its position together, so installing rules builds no index; a
+passthrough packet (see below) scans the rules instead. The next event
+is pushed onto the queue in the same pass. An arrival tells a switch
+from a host by whether the node has that state, and the hop limit is
+held on the fabric. Installation checks each target's kind, so a forward
+always reaches a switch and a redirect an engine. Where a base station
+or engine attaches (its switch, the link's delay, whether it is an
+engine) comes from the topology's read-only attachment table, built on
+first use; injection and engine output read it. An engine arrival that
+is buffered or discarded returns nothing from the engine and ends the
+event at once. Trace records are built only when tracing is on.
 
 A miss drops the packet and bumps a counter rather than erroring, since
 misses usually mean a plan bug worth surfacing in stats. Every drop's
@@ -42,8 +49,8 @@ engines' own `emitted` counters. The fabric itself counts only injections.
 
 from __future__ import annotations
 
-import heapq
 import json
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,8 +207,6 @@ class Fabric:
             e: Engine(e, self.store) for e in topology.nodes_of_kind(NodeKind.ENGINE)
         }
         self.tables = {s: FlowTable(s) for s in topology.switches()}
-        # per switch: neighbour -> link delay (the topology's own read-only map)
-        self._delays = {s: topology.neighbors(s) for s in self.tables}
         self._hop_limit = topology.node_count()
         self._heap: list[tuple] = []
         self._seq = 0
@@ -213,15 +218,22 @@ class Fabric:
         self._drops: dict[str, int] = {s: 0 for s in self.tables}
         self._port_rx: dict[str, dict[str, int]] = {s: {} for s in self.tables}
         self._port_tx: dict[str, dict[str, int]] = {s: {} for s in self.tables}
+        # per switch: everything a hop reads or counts, in one tuple: its
+        # table and the table's rule counters, its rx, ingress and tx
+        # counters, and neighbour -> link delay (the topology's own
+        # read-only map). Each member is changed in place, never replaced.
+        self._hop_state = {
+            s: (t, t.counters, self._port_rx[s], self._ingress[s], self._port_tx[s], topology.neighbors(s))
+            for s, t in self.tables.items()
+        }
         self.delivered: list[dict] = []
         self.trace: list[dict] | None = [] if trace else None
 
     # -- event plumbing --
 
-    def _push(self, time_ms: float, kind: str, data: tuple) -> int:
+    def _push(self, time_ms: float, kind: str, data: tuple) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time_ms, self._seq, kind, data))
-        return self._seq
+        heappush(self._heap, (time_ms, self._seq, kind, data))
 
     def _trace(self, time_ms: float, event: str, **detail) -> dict:
         """Record one trace event. Callers check that tracing is on first,
@@ -236,16 +248,23 @@ class Fabric:
     # -- commands --
 
     def check_rules(self, rules: list[FlowRule]) -> None:
-        """Raise for a rule on an unknown switch or with a target that is
-        not adjacent to its switch."""
+        """Raise for a rule on an unknown switch, with a target that is not
+        adjacent to its switch, or with a target of the wrong kind: a
+        forward goes to a switch and a redirect to an engine."""
         for rule in rules:
             if rule.switch not in self.tables:
                 raise UnknownSwitchError(f"unknown switch {rule.switch!r}")
-            if rule.action in (ActionKind.FORWARD, ActionKind.REDIRECT):
-                if rule.target not in self.topology.neighbors(rule.switch):
-                    raise UnknownSwitchError(
-                        f"rule target {rule.target!r} is not adjacent to {rule.switch!r}"
-                    )
+            action = rule.action
+            if action is ActionKind.DELIVER:
+                continue
+            if rule.target not in self.topology.neighbors(rule.switch):
+                raise UnknownSwitchError(
+                    f"rule target {rule.target!r} is not adjacent to {rule.switch!r}"
+                )
+            if action is ActionKind.FORWARD and rule.target not in self.tables:
+                raise ValidationError(f"forward target {rule.target!r} on {rule.switch!r} is not a switch")
+            if action is ActionKind.REDIRECT and rule.target not in self.engines:
+                raise ValidationError(f"redirect target {rule.target!r} on {rule.switch!r} is not an engine")
 
     def install_rules(self, rules: list[FlowRule]) -> int:
         """Append rules, skipping exact duplicates. All-or-nothing on
@@ -259,18 +278,20 @@ class Fabric:
 
     def inject(self, p: PacketRecord, at: str) -> int:
         """Enqueue a packet published by a base station or engine output; it
-        reaches the attached switch one link delay later."""
+        reaches the attached switch one link delay later. Returns the
+        event's insertion sequence number."""
         attached = self.topology.attachments.get(at)
         if attached is None:
             kind = self.topology.kind(at)  # NotFoundError for an unknown node
             raise UnknownNodeError(f"{at!r} is a {kind.value}; packets enter at base stations or engines")
         switch, delay, from_engine = attached
-        self._uid += 1
-        p.uid = self._uid
+        self._uid = p.uid = self._uid + 1
         self.injected += 1
         if self.trace is not None:
             self._trace(p.timestamp_ms, "inject", node=at, uid=p.uid, source=p.source)
-        return self._push(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine, False))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (p.timestamp_ms + delay, seq, _ARRIVE, (switch, p, at, from_engine, False)))
+        return seq
 
     # -- event execution --
 
@@ -278,21 +299,25 @@ class Fabric:
         """Process the earliest event; returns a trace entry when tracing."""
         if not self._heap:
             return None
-        time_ms, _, kind, data = heapq.heappop(self._heap)
+        time_ms, _, kind, data = heappop(self._heap)
         self.now = time_ms
         return _HANDLERS[kind](self, time_ms, *data)
 
     def run(self) -> int:
-        """Process events until none is left; returns how many ran."""
+        """Process events until none is left; returns how many ran. The
+        same handlers as `step()`, dispatched from one local loop."""
+        heap, handlers = self._heap, _HANDLERS
         n = 0
-        while self._heap:
-            self.step()
+        while heap:
+            time_ms, _, kind, data = heappop(heap)
+            self.now = time_ms
+            handlers[kind](self, time_ms, *data)
             n += 1
         return n
 
     def _on_arrive(self, now, node, p: PacketRecord, via, from_engine, skip_redirect):
-        table = self.tables.get(node)
-        if table is None:  # a host
+        state = self._hop_state.get(node)
+        if state is None:  # a host
             record = {
                 "time_ms": now,
                 "node": node,
@@ -307,37 +332,42 @@ class Fabric:
                 return None
             return self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
 
-        p.hop_count += 1
-        if p.hop_count > self._hop_limit:
+        table, counters, rx, ingress, tx, delays = state
+        hops = p.hop_count = p.hop_count + 1
+        if hops > self._hop_limit:
             raise FlipError(f"forwarding loop: packet {p.uid} exceeded {self._hop_limit} hops")
-        rx = self._port_rx[node]
         rx[via] = rx.get(via, 0) + 1
+        fd = p.final_destination
         if not from_engine:
-            by_fd = self._ingress[node]
-            by_fd[p.final_destination] = by_fd.get(p.final_destination, 0) + 1
+            ingress[fd] = ingress.get(fd, 0) + 1
 
-        hit = table.match(p, skip_redirect)
+        if skip_redirect:
+            hit = table.match(p, True)
+        else:
+            first = table._first
+            if first is None:
+                first = table._index()
+            hit = first.get((fd, p.source))
         if hit is None:
             return self._drop(now, node, p, "no_rule")
         index, rule = hit
-        table.counters[index] += 1
+        counters[index] += 1
 
-        delays = self._delays[node]
         action = rule.action
         if action is ActionKind.DELIVER:
-            target = p.final_destination
+            target = fd
             if target not in delays:
                 return self._drop(now, node, p, "deliver_not_adjacent")
         else:
             target = rule.target
-        tx = self._port_tx[node]
         tx[target] = tx.get(target, 0) + 1
+        self._seq = seq = self._seq + 1
         if action is ActionKind.REDIRECT:
-            self._push(now + delays[target], _ENGINE, (target, p))
+            heappush(self._heap, (now + delays[target], seq, _ENGINE, (target, p)))
             if self.trace is None:
                 return None
             return self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
-        self._push(now + delays[target], _ARRIVE, (target, p, node, False, False))
+        heappush(self._heap, (now + delays[target], seq, _ARRIVE, (target, p, node, False, False)))
         if self.trace is None:
             return None
         return self._trace(now, "forward", node=node, uid=p.uid, to=target)
@@ -359,6 +389,10 @@ class Fabric:
 
     def _on_engine(self, now, engine_id, p: PacketRecord):
         result = self.engines[engine_id].process(p, now)
+        if result is None:  # buffered or discarded: nothing leaves, no timer
+            if self.trace is None:
+                return None
+            return self._trace(now, "engine", engine=engine_id, uid=p.uid, emitted=[], epoch=p.epoch)
         if result.timeout_at is not None:
             self._push(result.timeout_at, _TIMEOUT, (engine_id, result.timeout_token))
         if result.passthrough:
@@ -387,8 +421,7 @@ class Fabric:
         if emissions:
             switch, delay, _ = self.topology.attachments[engine_id]
             for em in emissions:
-                self._uid += 1
-                em.uid = self._uid
+                self._uid = em.uid = self._uid + 1
                 emitted.append(em.uid)
                 self._push(now + delay, _ARRIVE, (switch, em, engine_id, True, False))
         return emitted

@@ -27,11 +27,17 @@ each engine's block is kept as encoded bytes until one of its sections
 changes.
 
 An engine finds a packet's config through the store's lookup index, one
-dict per engine keyed (user, source, final destination). It is built on
-the first packet after a change from the engine's configs in (user,
-destination) order, keeping the first config for each key, so a packet
-gets the first config in that order whose user, sources and matched
-destinations cover it.
+dict per engine keyed (user, source, final destination), which the engine
+reads directly. It is built on the first packet after a change from the
+engine's configs in (user, destination) order, keeping the first config
+for each key, so a packet gets the first config in that order whose user,
+sources and matched destinations cover it. Each entry holds the config
+and its key, so an arrival computes no key.
+
+`Engine.process` is the one implementation of every pipeline rule (rate,
+epoch, late, de-jitter, duplicate, timeout), in one pass. Most arrivals
+are buffered into an open epoch, or discarded, without opening, closing
+or passing anything; for them it returns None and allocates no result.
 """
 
 from __future__ import annotations
@@ -164,9 +170,10 @@ class ConfigStore:
         # the file holds what some other store wrote, or nothing, until
         # this store's first write
         self._unwritten = self.path is not None
-        # engine -> (user, source, final destination) -> config, built on
-        # first lookup and dropped when one of the engine's configs changes
-        self._index: dict[str, dict[tuple[str, str, str], EngineConfig]] = {}
+        # engine -> (user, source, final destination) -> (config, its key),
+        # built on first lookup and dropped when one of the engine's configs
+        # changes; engines read it directly
+        self._index: dict[str, dict[tuple[str, str, str], tuple[EngineConfig, tuple]]] = {}
 
     def set_config(self, cfg: EngineConfig) -> None:
         cfg.validate()
@@ -236,12 +243,20 @@ class ConfigStore:
         the user, lists the source and matches the final destination."""
         index = self._index.get(engine)
         if index is None:
-            index = self._index[engine] = {}
-            for cfg in self.configs_for(engine):
-                for match in cfg.effective_matches():
-                    for src in cfg.sources:
-                        index.setdefault((cfg.user, src, match), cfg)
-        return index.get((user, source, final_destination))
+            index = self._build_index(engine)
+        hit = index.get((user, source, final_destination))
+        return None if hit is None else hit[0]
+
+    def _build_index(self, engine: str) -> dict[tuple[str, str, str], tuple[EngineConfig, tuple]]:
+        """The engine's lookup index: (user, source, final destination) ->
+        (first config in configs_for order that covers it, its key)."""
+        index = self._index[engine] = {}
+        for cfg in self.configs_for(engine):
+            hit = (cfg, cfg.key())
+            for match in cfg.effective_matches():
+                for src in cfg.sources:
+                    index.setdefault((cfg.user, src, match), hit)
+        return index
 
     def to_doc(self) -> dict:
         return {
@@ -400,75 +415,72 @@ class Engine:
             "emitted": 0,
         }
 
-    # -- pipeline stages --
+    def process(self, p: PacketRecord, now: float) -> EngineResult | None:
+        """Feed one redirected packet through the pipeline, rule by rule:
+        - rate: with a rate, the epoch is the packet's rate window, and a
+          source's first packet in a window passes; a later packet of that
+          window or of an earlier one does not. Without one, the epoch is
+          the packet's own;
+        - late: an epoch already closed takes nothing more;
+        - de-jitter and duplicate: a later arrival must be within the
+          jitter threshold of the epoch's leader (boundary inclusive) and
+          from a source the epoch has not heard;
+        - timeout: the arrival that opens an epoch asks for a timer,
+          TIMEOUT_RATE_FACTOR rate windows later, or NO_RATE_TIMEOUT_MS.
 
-    def _first_in_window(self, key: tuple[str, str, str], source: str, window: int) -> bool:
-        """The rate rule: a source's first packet in a rate window passes;
-        a later packet of that window or of an earlier one does not."""
-        last = self._rate_last.get((key, source))
-        if last is not None and window <= last:
-            return False
-        self._rate_last[(key, source)] = window
-        return True
-
-    def dejitter(self, buf: EpochBuffer, cfg: EngineConfig, p: PacketRecord) -> bool:
-        """True when the timestamp offset from the epoch leader is acceptable."""
-        if cfg.jitter_ms is None:
-            return True
-        return abs(p.timestamp_ms - buf.leader_ts) <= cfg.jitter_ms
-
-    def epoch_of(self, cfg: EngineConfig, p: PacketRecord) -> int:
-        if cfg.rate_ms is not None:
-            return math.floor(p.timestamp_ms / cfg.rate_ms)
-        return p.epoch
-
-    def _timeout_ms(self, cfg: EngineConfig) -> float:
-        if cfg.rate_ms is not None:
-            return TIMEOUT_RATE_FACTOR * cfg.rate_ms
-        return NO_RATE_TIMEOUT_MS
-
-    def process(self, p: PacketRecord, now: float) -> EngineResult:
-        """Feed one redirected packet through the pipeline.
-
-        Returns the emissions (0 or 1 packets), an optional timeout request
-        for a newly opened epoch, and whether the packet passed through
-        untouched because no config matched.
+        Returns None when the packet was buffered or discarded with nothing
+        to send or schedule, as most arrivals are. Otherwise the result
+        holds the emissions (0 or 1 packets), the timeout for a newly
+        opened epoch, or that the packet passes through untouched because
+        no config matched.
         """
-        self.counters["arrivals"] += 1
-        cfg = self.store.lookup(self.engine_id, p.user, p.source, p.final_destination)
-        if cfg is None:
-            self.counters["no_config"] += 1
+        counters = self.counters
+        counters["arrivals"] += 1
+        store = self.store
+        index = store._index.get(self.engine_id)
+        if index is None:
+            index = store._build_index(self.engine_id)
+        source = p.source
+        hit = index.get((p.user, source, p.final_destination))
+        if hit is None:
+            counters["no_config"] += 1
             return EngineResult([], passthrough=True)
-        key = cfg.key()
-        # with a rate, the epoch is the packet's rate window
-        epoch = self.epoch_of(cfg, p)
-        if cfg.rate_ms is not None and not self._first_in_window(key, p.source, epoch):
-            self.counters["rate_dropped"] += 1
-            return EngineResult([])
+        cfg, key = hit
+        rate = cfg.rate_ms
+        if rate is None:
+            epoch = p.epoch
+        else:
+            epoch = math.floor(p.timestamp_ms / rate)
+            last = self._rate_last.get((key, source))
+            if last is not None and epoch <= last:
+                counters["rate_dropped"] += 1
+                return None
+            self._rate_last[(key, source)] = epoch
         token = (key, epoch)
         if token in self._emitted_epochs:
-            self.counters["late_discarded"] += 1
-            return EngineResult([])
+            counters["late_discarded"] += 1
+            return None
         buf = self._pending.get(token)
         timeout_at = None
         if buf is None:
-            buf = EpochBuffer(config_key=key, epoch=epoch, leader_ts=p.timestamp_ms)
-            self._pending[token] = buf
-            timeout_at = now + self._timeout_ms(cfg)
-        elif not self.dejitter(buf, cfg, p):
-            self.counters["jitter_discarded"] += 1
-            return EngineResult([])
-        elif p.source in buf.arrivals:
-            self.counters["duplicate_discarded"] += 1
-            return EngineResult([])
-        buf.arrivals[p.source] = (p.timestamp_ms, p.payload)
-        emissions: list[PacketRecord] = []
+            buf = self._pending[token] = EpochBuffer(config_key=key, epoch=epoch, leader_ts=p.timestamp_ms)
+            timeout_at = now + (NO_RATE_TIMEOUT_MS if rate is None else TIMEOUT_RATE_FACTOR * rate)
+        elif cfg.jitter_ms is not None and abs(p.timestamp_ms - buf.leader_ts) > cfg.jitter_ms:
+            counters["jitter_discarded"] += 1
+            return None
+        elif source in buf.arrivals:
+            counters["duplicate_discarded"] += 1
+            return None
+        arrivals = buf.arrivals
+        arrivals[source] = (p.timestamp_ms, p.payload)
+        sources = cfg.sources
         # sources are distinct, so fewer arrivals cannot cover them all
-        if len(buf.arrivals) >= len(cfg.sources) and all(
-            s in buf.arrivals for s in cfg.sources
-        ):
-            emissions.append(self._close(token, cfg, buf, partial=False))
-        return EngineResult(emissions, timeout_at, token if timeout_at else None)
+        if len(arrivals) >= len(sources) and all(s in arrivals for s in sources):
+            emission = self._close(token, cfg, buf, partial=False)
+            return EngineResult([emission], timeout_at, None if timeout_at is None else token)
+        if timeout_at is None:
+            return None
+        return EngineResult([], timeout_at, token)
 
     def on_timeout(self, token: tuple, now: float) -> list[PacketRecord]:
         """Close an epoch whose timer fired; stale timers are ignored. The

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar:
     value: float
 
@@ -19,7 +19,7 @@ class Scalar:
         return {"scalar": self.value}
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     source: str
     final_destination: str

@@ -307,6 +307,36 @@ def test_bad_modflow_changes_nothing(demo_session, action, code):
     assert replayed.state_json() == demo_session.state_json()
 
 
+@pytest.mark.parametrize(
+    "dpid, action",
+    [
+        ("sw1", {"type": "redirect", "target": "sw3"}),
+        ("sw5", {"type": "redirect", "target": "user"}),
+        ("sw1", {"type": "forward", "target": "e-sw1"}),
+        ("sw1", {"type": "forward", "target": "bs2"}),
+    ],
+    ids=["redirect-to-switch", "redirect-to-host", "forward-to-engine", "forward-to-base-station"],
+)
+def test_a_flow_whose_target_does_not_fit_its_action_is_refused(demo_session, dpid, action):
+    """A forward goes to a switch and a redirect to an engine. Any other
+    adjacent target is a validation error through addflow and modflow, and
+    changes nothing; the packet it would have caught is dropped, counted."""
+    flow = {"dpid": dpid, "match": {"final_destination": "user", "sources": ["bs1"]}, "action": action}
+    for verb, args in (("addflow", flow), ("modflow", {**flow, "index": 0})):
+        if verb == "modflow":
+            keep = {"type": "deliver"}
+            assert demo_session.execute("addflow", {**flow, "action": keep}).ok
+        before, log = demo_session.state_json(), list(demo_session.command_log)
+        result = demo_session.execute(verb, args)
+        assert not result.ok and result.code == "validation_error", result.message
+        assert demo_session.state_json() == before and demo_session.command_log == log
+    demo_session.execute("delflowall", {"dpid": dpid})
+    fabric = demo_session.fabric
+    fabric.inject(PacketRecord("bs1", "user", "default", 0, 0.0, Scalar(1.0)), at="bs1")
+    fabric.run()
+    assert fabric.stats().dropped == 1 and fabric.conservation()["balanced"]
+
+
 def test_concurrent_mutations_linearize(session):
     def worker(start):
         for i in range(start, start + 10):

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 import weakref
 
@@ -76,6 +78,25 @@ def test_install_unknown_switch(demo):
     rule = FlowRule("sw99", "user", ("bs1",), ActionKind.DELIVER, None)
     with pytest.raises(UnknownSwitchError):
         fabric.install_rules([rule])
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        FlowRule("sw1", "user", ("bs1",), ActionKind.REDIRECT, "sw3"),
+        FlowRule("sw5", "user", ("bs1",), ActionKind.REDIRECT, "user"),
+        FlowRule("sw1", "user", ("bs1",), ActionKind.FORWARD, "e-sw1"),
+        FlowRule("sw1", "user", ("bs1",), ActionKind.FORWARD, "bs2"),
+    ],
+    ids=["redirect-to-switch", "redirect-to-host", "forward-to-engine", "forward-to-base-station"],
+)
+def test_install_refuses_a_target_of_the_wrong_kind(demo, rule):
+    """An adjacent target of the wrong kind fails the whole batch."""
+    fabric = Fabric(demo)
+    fine = FlowRule("sw1", "user", ("bs2",), ActionKind.FORWARD, "sw3")
+    with pytest.raises(ValidationError, match=r"is not an? (switch|engine)"):
+        fabric.install_rules([fine, rule])
+    assert not any(table.rules for table in fabric.tables.values())
 
 
 def test_install_idempotent(demo, eq1_plan):
@@ -469,11 +490,10 @@ def test_trace_export(tmp_path, demo, eq1_plan):
 # -- drain equivalence ----------------------------------------------------------
 
 
-def test_run_and_step_drains_agree_with_and_without_tracing():
-    """R1-R9 for nine users installed on one session's fabric, published
-    for five epochs from fixed seeds, then drained four ways: run() or a
-    step() loop, each with tracing on and off. Every way gives the same
-    deliveries, stats and conservation books."""
+@pytest.fixture(scope="module")
+def nine_users():
+    """R1-R9 for nine users installed on one session's fabric: the
+    topology, the session's store, its rules and each user's ingress."""
     t = build_experiment_topology()
     session = Session(t)
     flows = []
@@ -482,21 +502,31 @@ def test_run_and_step_drains_agree_with_and_without_tracing():
         assert result.ok, result.message
         flows.append((f"u{i}", result.body["plan"]["source_ingress"]))
     rules = [rule for table in session.fabric.tables.values() for rule in table.rules]
+    return t, session.store, rules, flows
 
-    def drained(trace: bool, stepwise: bool) -> Fabric:
-        fabric = Fabric(t, session.store, trace=trace)
-        fabric.install_rules(rules)
-        for seed, (user, ingress) in enumerate(flows):
-            for s in Workload(seed=seed, horizon_ms=500.0).samples(list(ingress)):
-                fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value, user), at=s.source)
-        if stepwise:
-            while fabric.pending_events():
-                fabric.step()
-        else:
-            fabric.run()
-        return fabric
 
-    runs = [drained(trace, stepwise) for trace in (False, True) for stepwise in (False, True)]
+def drained_nine_users(nine_users, trace: bool, stepwise: bool, jitter=(0.0, 3.0)) -> Fabric:
+    """A fresh fabric with the nine users' rules, published for five epochs
+    from fixed seeds, then drained by run() or by a step() loop."""
+    t, store, rules, flows = nine_users
+    fabric = Fabric(t, store, trace=trace)
+    fabric.install_rules(rules)
+    for seed, (user, ingress) in enumerate(flows):
+        for s in Workload(seed=seed, horizon_ms=500.0, jitter_range_ms=jitter).samples(list(ingress)):
+            fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value, user), at=s.source)
+    if stepwise:
+        while fabric.pending_events():
+            fabric.step()
+    else:
+        fabric.run()
+    return fabric
+
+
+def test_run_and_step_drains_agree_with_and_without_tracing(nine_users):
+    """The nine users' traffic drained four ways: run() or a step() loop,
+    each with tracing on and off. Every way gives the same deliveries,
+    stats and conservation books."""
+    runs = [drained_nine_users(nine_users, trace, stepwise) for trace in (False, True) for stepwise in (False, True)]
     first = runs[0]
     assert first.delivered and first.conservation()["balanced"]
     for other in runs[1:]:
@@ -504,6 +534,64 @@ def test_run_and_step_drains_agree_with_and_without_tracing():
         assert other.stats().to_json() == first.stats().to_json()
         assert other.conservation() == first.conservation()
     assert runs[2].trace == runs[3].trace
+
+
+def outcome_digest(fabric: Fabric) -> str:
+    """sha256 of the deliveries in order, the stats and the books."""
+    doc = json.dumps([fabric.delivered, fabric.stats().to_json(), fabric.conservation()], sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "jitter, digest",
+    [
+        ((0.0, 3.0), "94d65a22b53b3eb52e1483fcd6909dc4db2e8f2087782298212ba8bcf5d38c6b"),
+        # every sample of an epoch is published at one time, so ties at equal
+        # times decide the delivery order and each epoch's de-jitter leader
+        ((0.0, 0.0), "4845d09933de8bd8807076b5c9b25694369e61b582afc796288f08ea9f609ee8"),
+    ],
+    ids=["jittered", "tied"],
+)
+def test_event_order_is_pinned(nine_users, jitter, digest):
+    """The nine users' outcome is fixed to the byte: events run in (time,
+    insertion sequence) order, drained by run() or by step()."""
+    for stepwise in (False, True):
+        assert outcome_digest(drained_nine_users(nine_users, False, stepwise, jitter)) == digest
+
+
+def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypatch):
+    """Counts, not times: R9 published for 10 and for 100 epochs makes the
+    same flow-table and engine-config index builds (install and run
+    together), and run() handles the same number of events per epoch as
+    the loop it replaced."""
+    builds: dict[str, int] = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            builds[name] = builds.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((FlowTable, "_index"), (ConfigStore, "_build_index")):
+        count(owner, name)
+    seen = {}
+    for epochs, events in ((10, 1310), (100, 13100)):
+        builds.clear()
+        session = Session(build_experiment_topology())
+        result = session.execute("datapath_a", {"request": request_texts()[8]})
+        assert result.ok, result.message
+        ingress = result.body["plan"]["source_ingress"]
+        for s in Workload(seed=0, horizon_ms=100.0 * epochs).samples(list(ingress)):
+            session.fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value), at=s.source)
+        assert session.fabric.run() == events
+        assert len(session.fabric.delivered) == epochs
+        seen[epochs] = dict(builds)
+    assert seen[10] == seen[100]
+    assert 0 < seen[10]["_index"] <= len(session.fabric.tables)
+    assert 0 < seen[10]["_build_index"] <= len(session.fabric.engines)
 
 
 def test_a_session_and_its_fabric_are_freed_without_the_collector():

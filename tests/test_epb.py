@@ -284,18 +284,24 @@ def test_rate_filter_throughput_bound():
 
 
 def dejitter_probe(jitter_ms, offsets):
-    engine = Engine("e-sw1", ConfigStore())
-    cfg = make_config(jitter_ms=jitter_ms)
-    buf = EpochBuffer(config_key=cfg.key(), epoch=0, leader_ts=100.0)
-    return [engine.dejitter(buf, cfg, packet("bs2", ts=100.0 + off)) for off in offsets]
+    """For each offset: whether process keeps an arrival that far from its
+    epoch's leader, published at 100 ms."""
+    kept = []
+    for off in offsets:
+        engine, _ = pipeline_engine(jitter_ms=jitter_ms, sources=("bs1", "bs2", "bs3"))
+        engine.process(packet("bs1", ts=100.0), now=100.0)
+        engine.process(packet("bs2", ts=100.0 + off), now=100.0 + off)
+        kept.append(engine.counters["jitter_discarded"] == 0 and engine.pending_arrivals() == 2)
+    return kept
 
 
 def test_dejitter_accepts_within_threshold():
-    assert dejitter_probe(5.0, [3.0]) == [True]
+    assert dejitter_probe(5.0, [3.0, -3.0]) == [True, True]
 
 
 def test_dejitter_discards_beyond_threshold():
-    assert dejitter_probe(5.0, [10.0]) == [False]
+    """The boundary is kept."""
+    assert dejitter_probe(5.0, [5.0, -5.0, 10.0, -10.0]) == [True, True, False, False]
 
 
 def test_dejitter_boundary_inclusive():
@@ -387,13 +393,13 @@ def test_replaced_config_closes_on_its_own_sources():
     engine.process(packet("bs2", ts=100.0), now=100.0)
     engine.store.set_config(make_config(sources=("bs3", "bs4")))
     # three arrivals against two sources, but bs4 is still missing
-    assert engine.process(packet("bs3", ts=100.0), now=100.0).emissions == []
+    assert engine.process(packet("bs3", ts=100.0), now=100.0) is None
     assert len(engine.process(packet("bs4", ts=100.0), now=100.0).emissions) == 1
 
     engine, _ = pipeline_engine(sources=("bs1", "bs2"))
     engine.process(packet("bs1", ts=100.0), now=100.0)
     engine.store.set_config(make_config(sources=("bs1", "bs2", "bs3")))
-    assert engine.process(packet("bs2", ts=100.0), now=100.0).emissions == []
+    assert engine.process(packet("bs2", ts=100.0), now=100.0) is None
     assert len(engine.process(packet("bs3", ts=100.0), now=100.0).emissions) == 1
 
 
@@ -409,7 +415,7 @@ def test_emission_bound_one_per_epoch():
     engine.process(packet("bs1", ts=100.0), now=100.0)
     engine.process(packet("bs2", ts=101.0), now=101.0)
     late = engine.process(packet("bs1", ts=102.0), now=102.0)
-    assert late.emissions == []
+    assert late is None
     assert engine.counters["late_discarded"] == 1
 
 
@@ -417,7 +423,7 @@ def test_duplicate_source_discarded():
     engine, _ = pipeline_engine()
     engine.process(packet("bs1", ts=100.0), now=100.0)
     dup = engine.process(packet("bs1", ts=101.0), now=101.0)
-    assert dup.emissions == []
+    assert dup is None
     assert engine.counters["duplicate_discarded"] == 1
 
 
@@ -425,7 +431,7 @@ def test_jitter_discard_in_pipeline():
     engine, _ = pipeline_engine(jitter_ms=5.0)
     engine.process(packet("bs1", ts=100.0), now=100.0)
     out = engine.process(packet("bs2", ts=110.0), now=110.0)
-    assert out.emissions == []
+    assert out is None
     assert engine.counters["jitter_discarded"] == 1
 
 
@@ -480,8 +486,10 @@ def test_pipeline_accounting_identity():
 
 
 def test_epoch_uses_rate_window_when_set():
+    """The epoch an arrival opens is its rate window with a rate, and the
+    packet's own epoch without one."""
     engine, cfg = pipeline_engine(rate_ms=1000.0)
     p = packet("bs1", ts=2500.0, epoch=99)
-    assert engine.epoch_of(cfg, p) == 2
-    cfg_no_rate = make_config()
-    assert engine.epoch_of(cfg_no_rate, p) == 99
+    assert engine.process(p, now=2500.0).timeout_token == (cfg.key(), 2)
+    engine, cfg = pipeline_engine()
+    assert engine.process(p, now=2500.0).timeout_token == (cfg.key(), 99)
