@@ -2,27 +2,25 @@
 
 Events pop in (timestamp, insertion sequence) order, so a run is a pure
 function of the installed rules, the configs, and the injected workload.
-`run()` drains the queue in one local loop that pops each event and calls
-its handler, the same handlers `step()` calls, so draining either way
-gives the same result.
+`run()` is `step()` in a loop, so draining either way gives the same
+result.
 
-A hop that matches a rule is one pass with no helper calls. The switch's
-state is one tuple, looked up once: its flow table, rule counters, port
-and ingress counters and neighbour delays, each changed in place and
-never replaced. Switch lookup is first-match-wins over (final
-destination, source): one dict access into the table's index, built on
-first use and dropped whenever the table's rules change, returns the
-rule and its position together, so installing rules builds no index; a
-passthrough packet (see below) scans the rules instead. The next event
-is pushed onto the queue in the same pass. An arrival tells a switch
-from a host by whether the node has that state, and the hop limit is
-held on the fabric. Installation checks each target's kind, so a forward
-always reaches a switch and a redirect an engine. Where a base station
-or engine attaches (its switch, the link's delay, whether it is an
-engine) comes from the topology's read-only attachment table, built on
-first use; injection and engine output read it. An engine arrival that
-is buffered or discarded returns nothing from the engine and ends the
-event at once. Trace records are built only when tracing is on.
+A hop costs table lookups, not topology calls. The switch's state is one
+tuple, looked up once: its flow table, rule counters, port and ingress
+counters and neighbour delays, each changed in place and never replaced.
+Switch lookup is first-match-wins over (final destination, source): one
+dict access into a per-table index, built on first use and dropped
+whenever the table's rules change, returns the rule and its position
+together, so installing rules builds no index; a passthrough packet (see
+below) scans the rules instead. An arrival tells a switch from a host by
+whether the node has that state, and the hop limit is held on the
+fabric. Installation checks each target's kind, so a forward always
+reaches a switch and a redirect an engine. Where a base station or
+engine attaches (its switch, the link's delay, whether it is an engine)
+comes from the topology's read-only attachment table, built on first
+use; injection and engine output read it. An engine arrival that is
+buffered or discarded returns nothing from the engine and ends the event
+at once. Trace records are built only when tracing is on.
 
 A miss drops the packet and bumps a counter rather than erroring, since
 misses usually mean a plan bug worth surfacing in stats. Every drop's
@@ -49,8 +47,8 @@ engines' own `emitted` counters. The fabric itself counts only injections.
 
 from __future__ import annotations
 
+import heapq
 import json
-from heapq import heappop, heappush
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -231,9 +229,10 @@ class Fabric:
 
     # -- event plumbing --
 
-    def _push(self, time_ms: float, kind: str, data: tuple) -> None:
+    def _push(self, time_ms: float, kind: str, data: tuple) -> int:
         self._seq += 1
-        heappush(self._heap, (time_ms, self._seq, kind, data))
+        heapq.heappush(self._heap, (time_ms, self._seq, kind, data))
+        return self._seq
 
     def _trace(self, time_ms: float, event: str, **detail) -> dict:
         """Record one trace event. Callers check that tracing is on first,
@@ -278,20 +277,18 @@ class Fabric:
 
     def inject(self, p: PacketRecord, at: str) -> int:
         """Enqueue a packet published by a base station or engine output; it
-        reaches the attached switch one link delay later. Returns the
-        event's insertion sequence number."""
+        reaches the attached switch one link delay later."""
         attached = self.topology.attachments.get(at)
         if attached is None:
             kind = self.topology.kind(at)  # NotFoundError for an unknown node
             raise UnknownNodeError(f"{at!r} is a {kind.value}; packets enter at base stations or engines")
         switch, delay, from_engine = attached
-        self._uid = p.uid = self._uid + 1
+        self._uid += 1
+        p.uid = self._uid
         self.injected += 1
         if self.trace is not None:
             self._trace(p.timestamp_ms, "inject", node=at, uid=p.uid, source=p.source)
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (p.timestamp_ms + delay, seq, _ARRIVE, (switch, p, at, from_engine, False)))
-        return seq
+        return self._push(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine, False))
 
     # -- event execution --
 
@@ -299,19 +296,15 @@ class Fabric:
         """Process the earliest event; returns a trace entry when tracing."""
         if not self._heap:
             return None
-        time_ms, _, kind, data = heappop(self._heap)
+        time_ms, _, kind, data = heapq.heappop(self._heap)
         self.now = time_ms
         return _HANDLERS[kind](self, time_ms, *data)
 
     def run(self) -> int:
-        """Process events until none is left; returns how many ran. The
-        same handlers as `step()`, dispatched from one local loop."""
-        heap, handlers = self._heap, _HANDLERS
+        """Process events until none is left; returns how many ran."""
         n = 0
-        while heap:
-            time_ms, _, kind, data = heappop(heap)
-            self.now = time_ms
-            handlers[kind](self, time_ms, *data)
+        while self._heap:
+            self.step()
             n += 1
         return n
 
@@ -341,13 +334,7 @@ class Fabric:
         if not from_engine:
             ingress[fd] = ingress.get(fd, 0) + 1
 
-        if skip_redirect:
-            hit = table.match(p, True)
-        else:
-            first = table._first
-            if first is None:
-                first = table._index()
-            hit = first.get((fd, p.source))
+        hit = table.match(p, skip_redirect)
         if hit is None:
             return self._drop(now, node, p, "no_rule")
         index, rule = hit
@@ -361,13 +348,12 @@ class Fabric:
         else:
             target = rule.target
         tx[target] = tx.get(target, 0) + 1
-        self._seq = seq = self._seq + 1
         if action is ActionKind.REDIRECT:
-            heappush(self._heap, (now + delays[target], seq, _ENGINE, (target, p)))
+            self._push(now + delays[target], _ENGINE, (target, p))
             if self.trace is None:
                 return None
             return self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
-        heappush(self._heap, (now + delays[target], seq, _ARRIVE, (target, p, node, False, False)))
+        self._push(now + delays[target], _ARRIVE, (target, p, node, False, False))
         if self.trace is None:
             return None
         return self._trace(now, "forward", node=node, uid=p.uid, to=target)
@@ -421,7 +407,8 @@ class Fabric:
         if emissions:
             switch, delay, _ = self.topology.attachments[engine_id]
             for em in emissions:
-                self._uid = em.uid = self._uid + 1
+                self._uid += 1
+                em.uid = self._uid
                 emitted.append(em.uid)
                 self._push(now + delay, _ARRIVE, (switch, em, engine_id, True, False))
         return emitted

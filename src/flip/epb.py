@@ -27,12 +27,12 @@ each engine's block is kept as encoded bytes until one of its sections
 changes.
 
 An engine finds a packet's config through the store's lookup index, one
-dict per engine keyed (user, source, final destination), which the engine
-reads directly. It is built on the first packet after a change from the
-engine's configs in (user, destination) order, keeping the first config
-for each key, so a packet gets the first config in that order whose user,
-sources and matched destinations cover it. Each entry holds the config
-and its key, so an arrival computes no key.
+dict per engine keyed (user, source, final destination). It is built on
+the first packet after a change from the engine's configs in (user,
+destination) order, keeping the first config for each key, so a packet
+gets the first config in that order whose user, sources and matched
+destinations cover it. Each entry holds the config and its key, so an
+arrival computes no key.
 
 `Engine.process` is the one implementation of every pipeline rule (rate,
 epoch, late, de-jitter, duplicate, timeout), in one pass. Most arrivals
@@ -172,7 +172,7 @@ class ConfigStore:
         self._unwritten = self.path is not None
         # engine -> (user, source, final destination) -> (config, its key),
         # built on first lookup and dropped when one of the engine's configs
-        # changes; engines read it directly
+        # changes
         self._index: dict[str, dict[tuple[str, str, str], tuple[EngineConfig, tuple]]] = {}
 
     def set_config(self, cfg: EngineConfig) -> None:
@@ -238,14 +238,14 @@ class ConfigStore:
 
     def lookup(
         self, engine: str, user: str, source: str, final_destination: str
-    ) -> EngineConfig | None:
-        """The first config in configs_for(engine) order that belongs to
-        the user, lists the source and matches the final destination."""
+    ) -> tuple[EngineConfig, tuple] | None:
+        """(config, its key) for the first config in configs_for(engine)
+        order that belongs to the user, lists the source and matches the
+        final destination, or None."""
         index = self._index.get(engine)
         if index is None:
             index = self._build_index(engine)
-        hit = index.get((user, source, final_destination))
-        return None if hit is None else hit[0]
+        return index.get((user, source, final_destination))
 
     def _build_index(self, engine: str) -> dict[tuple[str, str, str], tuple[EngineConfig, tuple]]:
         """The engine's lookup index: (user, source, final destination) ->
@@ -436,12 +436,8 @@ class Engine:
         """
         counters = self.counters
         counters["arrivals"] += 1
-        store = self.store
-        index = store._index.get(self.engine_id)
-        if index is None:
-            index = store._build_index(self.engine_id)
         source = p.source
-        hit = index.get((p.user, source, p.final_destination))
+        hit = self.store.lookup(self.engine_id, p.user, source, p.final_destination)
         if hit is None:
             counters["no_config"] += 1
             return EngineResult([], passthrough=True)

@@ -129,7 +129,8 @@ def test_store_matches_the_old_store_over_random_edits(tmp_path):
         assert json.loads(path.read_text(encoding="utf-8")) == store.to_doc()
         for _ in range(10):
             query = probe()
-            assert store.lookup(*query) == scan_config(model.values(), *query)
+            want = scan_config(model.values(), *query)
+            assert store.lookup(*query) == (None if want is None else (want, want.key()))
 
     def put(cfg):
         store.set_config(cfg)
@@ -209,16 +210,16 @@ def test_each_section_is_the_json_dumps_text_of_its_records(tmp_path):
 def test_replacing_or_removing_a_config_changes_the_next_lookup():
     store = ConfigStore()
     store.set_config(make_config(sources=("bs1", "bs2")))
-    assert store.lookup("e-sw1", "maya", "bs1", "dest").sources == ("bs1", "bs2")
+    assert store.lookup("e-sw1", "maya", "bs1", "dest")[0].sources == ("bs1", "bs2")
     store.set_config(make_config(sources=("bs3",)))
     assert store.lookup("e-sw1", "maya", "bs1", "dest") is None
-    assert store.lookup("e-sw1", "maya", "bs3", "dest").sources == ("bs3",)
+    assert store.lookup("e-sw1", "maya", "bs3", "dest")[0].sources == ("bs3",)
     # an earlier config in (user, destination) order takes the packet over
     earlier = make_config(sources=("bs3",), destination="cloud", match_destinations=("dest",))
     store.set_config(earlier)
-    assert store.lookup("e-sw1", "maya", "bs3", "dest") == earlier
+    assert store.lookup("e-sw1", "maya", "bs3", "dest") == (earlier, earlier.key())
     store.remove(earlier.key())
-    assert store.lookup("e-sw1", "maya", "bs3", "dest").destination == "dest"
+    assert store.lookup("e-sw1", "maya", "bs3", "dest")[0].destination == "dest"
     store.remove(make_config().key())
     assert store.lookup("e-sw1", "maya", "bs3", "dest") is None
 
