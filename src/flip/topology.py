@@ -61,9 +61,19 @@ def natural_key(name: str):
     return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
 
 
+# a name that is one run of letters, "-" or "_" and then one run of digits,
+# the shape of nearly every node id ("bs12", "e-sw3")
+_LETTERS_DIGITS = re.compile(r"([A-Za-z_-]+)([0-9]+)")
+
+
 def _rank_key(name: str):
-    """`Topology.rank`'s order: natural order, ties ("bs01", "bs1") by name."""
-    return natural_key(name), name
+    """`Topology.rank`'s order: natural order, ties ("bs01", "bs1") by name.
+    A letters-then-digits name gets `natural_key`'s tuple from one match;
+    any other name is split by `natural_key` itself."""
+    m = _LETTERS_DIGITS.fullmatch(name)
+    if m is None:
+        return natural_key(name), name
+    return (m[1], int(m[2]), ""), name
 
 
 def parse_range(text: str) -> tuple[str, int, int]:

@@ -562,8 +562,7 @@ def test_event_order_is_pinned(nine_users, jitter, digest):
 def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypatch):
     """Counts, not times: R9 published for 10 and for 100 epochs makes the
     same flow-table and engine-config index builds (install and run
-    together), and run() handles the same number of events per epoch as
-    the loop it replaced."""
+    together), and run() handles the pinned 131 events per epoch."""
     builds: dict[str, int] = {}
 
     def count(owner, name):

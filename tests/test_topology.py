@@ -5,8 +5,19 @@ import tracemalloc
 import pytest
 
 from flip.errors import NotFoundError, ParseError, ValidationError
-from flip.harness import DATA_DIR, build_experiment_topology, demo_topology
-from flip.topology import Link, NodeKind, Topology, load_topology, natural_key
+from flip import topology
+from flip.control import Session
+from flip.harness import DATA_DIR, build_experiment_topology, demo_topology, request_texts
+from flip.topology import (
+    _LETTERS_DIGITS,
+    Link,
+    NodeKind,
+    Topology,
+    _rank_key,
+    load_topology,
+    load_topology_file,
+    natural_key,
+)
 
 from _oracles import enumerate_shortest_path, heap_shortest_paths_from, random_connected_graph
 
@@ -233,6 +244,55 @@ def test_rank_orders_names_with_equal_natural_keys_by_name():
     t = Topology(nodes, [Link("bs1", "sw1", 1.0), Link("bs01", "sw1", 1.0)])
     assert sorted(t.rank, key=t.rank.__getitem__) == ["bs01", "bs1", "sw1"]
     assert t.nodes_of_kind(NodeKind.BASE_STATION) == ["bs01", "bs1"]
+
+
+def random_node_id(rng: random.Random) -> str:
+    """A node id of letter runs, digit runs (leading zeros included), "-"
+    and "_", starting with a letter."""
+    parts = [rng.choice("abeswAZ")]
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if roll < 0.4:
+            parts.append("".join(rng.choice("0123456789") for _ in range(rng.randint(1, 3))))
+        elif roll < 0.8:
+            parts.append("".join(rng.choice("abswzAZ") for _ in range(rng.randint(1, 3))))
+        else:
+            parts.append(rng.choice("-_"))
+    return "".join(parts)
+
+
+def test_rank_key_is_natural_key_then_name():
+    """`_rank_key`'s fast path for letters-then-digits names gives the key
+    `natural_key` gives, over seeded random ids and the shapes that tie."""
+    rng = random.Random(21)
+    names = [random_node_id(rng) for _ in range(3000)]
+    names += ["bs01", "bs1", "bs001", "bs10", "bs9", "user", "cloud", "e-sw1", "e_sw01", "a1b2", "a01b2", "a1b02", "x-", "x_1", "x-1"]
+    for name in names:
+        assert _rank_key(name) == (natural_key(name), name), name
+    assert sorted(names, key=_rank_key) == sorted(names, key=lambda n: (natural_key(n), n))
+    assert sum(1 for n in names if _LETTERS_DIGITS.fullmatch(n)) > 500
+
+
+def test_rank_splits_only_names_that_are_not_letters_then_digits(monkeypatch):
+    """A fresh topology's load and first admission call `natural_key`
+    for at most the names the fast path does not cover: "user" and
+    "cloud" on the experiment topology, no more on the 800-station one."""
+    calls = []
+
+    def counted(name):
+        calls.append(name)
+        return natural_key(name)
+
+    monkeypatch.setattr(topology, "natural_key", counted)
+    experiment = load_topology_file(DATA_DIR / "experiment_topology.json")
+    assert Session(experiment).execute("datapath_a", {"request": request_texts()[0]}).ok
+    assert len(calls) <= 2, calls
+    at_experiment = len(calls)
+    del calls[:]
+    wide = load_topology(wide_fabric_doc(stations_per_edge=50))
+    assert wide.node_count() > 800
+    assert Session(wide).execute("datapath_a", {"request": "datapath_a(sum(bs1:bs400),destination<-user)"}).ok
+    assert len(calls) <= at_experiment, calls
 
 
 def test_adjacent_switch_picks_min_delay():
