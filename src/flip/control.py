@@ -15,6 +15,7 @@ import functools
 import json
 import socket
 import socketserver
+import stat
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -464,9 +465,14 @@ class CommandServer(socketserver.ThreadingUnixStreamServer):
     daemon_threads = True
 
     def __init__(self, session: Session, socket_path: str | Path):
+        """Bind socket_path, replacing only a stale socket left there."""
         path = Path(socket_path)
-        if path.exists():
+        try:
+            if not stat.S_ISSOCK(path.lstat().st_mode):
+                raise FlipError(f"{path} exists and is not a socket; not replacing it")
             path.unlink()
+        except FileNotFoundError:
+            pass
         super().__init__(str(path), _Handler)
         self.session = session
         self.socket_path = path

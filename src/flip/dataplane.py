@@ -387,7 +387,7 @@ class Fabric:
             if self.trace is None:
                 return None
             return self._trace(now, "passthrough", engine=engine_id, uid=p.uid)
-        emitted = self._emit(now, engine_id, result.emissions)
+        emitted = self._emit(now, engine_id, result.emission)
         if self.trace is None:
             return None
         return self._trace(
@@ -400,18 +400,16 @@ class Fabric:
             return None
         return self._trace(now, "timeout", engine=engine_id, emitted=emitted)
 
-    def _emit(self, now, engine_id, emissions: list[PacketRecord]) -> list[int]:
-        """Number an engine's output packets and send them back to its
-        switch; returns their uids."""
-        emitted = []
-        if emissions:
-            switch, delay, _ = self.topology.attachments[engine_id]
-            for em in emissions:
-                self._uid += 1
-                em.uid = self._uid
-                emitted.append(em.uid)
-                self._push(now + delay, _ARRIVE, (switch, em, engine_id, True, False))
-        return emitted
+    def _emit(self, now, engine_id, emission: PacketRecord | None) -> list[int]:
+        """Number an engine's output packet, if any, and send it back to
+        its switch; returns the uids sent, as a trace entry lists them."""
+        if emission is None:
+            return []
+        switch, delay, _ = self.topology.attachments[engine_id]
+        self._uid += 1
+        emission.uid = self._uid
+        self._push(now + delay, _ARRIVE, (switch, emission, engine_id, True, False))
+        return [self._uid]
 
     # -- reporting --
 

@@ -7,14 +7,15 @@ Each engine applies, per matching config, the pipeline
 Rate filtering passes the first packet a source publishes in each
 floor(timestamp / rate) window and drops the rest. De-jitter keeps arrivals
 whose timestamp offset from the epoch leader (the first accepted arrival)
-stays within the configured threshold, boundary inclusive. Once every
-configured source has contributed to an epoch, the compute operation folds
-the scalar payloads and a single packet leaves the engine,
-stamped with the config's destination. Epochs that never complete are
-closed by a timeout: the aggregate runs over the sources that did arrive,
-except for the order-sensitive ops (sub, mul), which reject the epoch. An
-epoch whose config was removed, or replaced by one that lists none of the
-sources that arrived, is rejected too.
+stays within the configured threshold, boundary inclusive. An epoch
+closes in one place, `Engine._close`: on the arrival that completes its
+config's sources, or when its timer fires. The compute operation folds the
+scalar payloads of the config's sources that arrived, in source order, and
+one packet leaves the engine, stamped with the config's destination and
+the latest of their timestamps. Only the timer rejects an epoch: when its
+config was removed, is order-sensitive (sub, mul), or was replaced by one
+that lists none of the sources that arrived. An epoch that its opening
+arrival completes arms no timer.
 
 Configs are written to a JSON file shaped engine -> user -> [records],
 each record carrying compute, source list, destination, rate, and jitter.
@@ -42,14 +43,16 @@ or passing anything; for them it returns None and allocates no result.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from .dsl import JITTER_MAX_MS, ORDER_SENSITIVE, OpKind
-from .errors import FlipError, MissingSourceError, ValidationError
+from .errors import FlipError, ValidationError
 from .packets import PacketRecord, Scalar
 
 TIMEOUT_RATE_FACTOR = 2.0
@@ -325,83 +328,38 @@ def _finite(value: int | float) -> bool:
 # -- payload arithmetic --------------------------------------------------------
 
 
+# sum, avg, sub and mul fold left one operation at a time; sum() would
+# compensate rounding from Python 3.12 on and change the last bits
+_STEP = {OpKind.SUM: operator.add, OpKind.AVG: operator.add, OpKind.SUB: operator.sub, OpKind.MUL: operator.mul}
+
+
 def _fold(kind: OpKind, values: list[float]) -> float:
     if kind is OpKind.MIN:
         return min(values)
     if kind is OpKind.MAX:
         return max(values)
-    if kind in (OpKind.SUM, OpKind.AVG):
-        acc = values[0]
-        for v in values[1:]:
-            acc += v
-        return acc / len(values) if kind is OpKind.AVG else acc
-    if kind is OpKind.SUB:
-        acc = values[0]
-        for v in values[1:]:
-            acc -= v
-        return acc
-    acc = values[0]  # MUL
-    for v in values[1:]:
-        acc *= v
-    return acc
-
-
-# -- per-epoch buffering -------------------------------------------------------
-
-
-@dataclass
-class EpochBuffer:
-    config_key: tuple[str, str, str]
-    epoch: int
-    leader_ts: float
-    arrivals: dict[str, tuple[float, Scalar]] = field(default_factory=dict)
-
-
-def aggregate_and_compute(
-    buf: EpochBuffer, cfg: EngineConfig, allow_partial: bool = False
-) -> PacketRecord:
-    """Run cfg.compute over the buffered arrivals and build the output packet.
-
-    Operands fold in cfg.sources order. With allow_partial, missing sources
-    are skipped for the order-insensitive ops; sub/mul always need the full
-    operand list and raise MissingSourceError otherwise.
-    """
-    present = [s for s in cfg.sources if s in buf.arrivals]
-    missing = [s for s in cfg.sources if s not in buf.arrivals]
-    if missing and (not allow_partial or cfg.compute in ORDER_SENSITIVE):
-        raise MissingSourceError(
-            f"epoch {buf.epoch} missing sources {missing} for {cfg.compute.value}"
-        )
-    if not present:
-        raise MissingSourceError("nothing to aggregate")
-    result = Scalar(_fold(cfg.compute, [buf.arrivals[s][1].value for s in present]))
-    ts = max(buf.arrivals[s][0] for s in present)
-    return PacketRecord(
-        source=cfg.engine,
-        final_destination=cfg.destination,
-        user=cfg.user,
-        epoch=buf.epoch,
-        timestamp_ms=ts,
-        payload=result,
-    )
+    acc = functools.reduce(_STEP[kind], values)
+    return acc / len(values) if kind is OpKind.AVG else acc
 
 
 @dataclass
 class EngineResult:
-    emissions: list[PacketRecord]
+    emission: PacketRecord | None
     timeout_at: float | None = None
     timeout_token: tuple | None = None
     passthrough: bool = False
 
 
 class Engine:
-    """One engine's runtime state: rate windows, epoch buffers, counters."""
+    """One engine's runtime state: rate windows, counters and open epochs,
+    each keyed by its token (config key, epoch) and holding only its
+    arrivals, source -> (timestamp, payload), leader first."""
 
     def __init__(self, engine_id: str, store: ConfigStore):
         self.engine_id = engine_id
         self.store = store
         self._rate_last: dict[tuple, int] = {}
-        self._pending: dict[tuple, EpochBuffer] = {}
+        self._pending: dict[tuple, dict[str, tuple[float, Scalar]]] = {}
         self._emitted_epochs: set[tuple] = set()
         self.counters: dict[str, int] = {
             "arrivals": 0,
@@ -425,12 +383,14 @@ class Engine:
         - de-jitter and duplicate: a later arrival must be within the
           jitter threshold of the epoch's leader (boundary inclusive) and
           from a source the epoch has not heard;
-        - timeout: the arrival that opens an epoch asks for a timer,
-          TIMEOUT_RATE_FACTOR rate windows later, or NO_RATE_TIMEOUT_MS.
+        - close and timeout: the arrival that covers the config's sources
+          closes the epoch; one that opens an epoch without closing it asks
+          for a timer, TIMEOUT_RATE_FACTOR rate windows later, or
+          NO_RATE_TIMEOUT_MS.
 
         Returns None when the packet was buffered or discarded with nothing
         to send or schedule, as most arrivals are. Otherwise the result
-        holds the emissions (0 or 1 packets), the timeout for a newly
+        holds one of: the epoch's output packet, the timeout for a newly
         opened epoch, or that the packet passes through untouched because
         no config matched.
         """
@@ -440,7 +400,7 @@ class Engine:
         hit = self.store.lookup(self.engine_id, p.user, source, p.final_destination)
         if hit is None:
             counters["no_config"] += 1
-            return EngineResult([], passthrough=True)
+            return EngineResult(None, passthrough=True)
         cfg, key = hit
         rate = cfg.rate_ms
         if rate is None:
@@ -456,55 +416,60 @@ class Engine:
         if token in self._emitted_epochs:
             counters["late_discarded"] += 1
             return None
-        buf = self._pending.get(token)
-        timeout_at = None
-        if buf is None:
-            buf = self._pending[token] = EpochBuffer(config_key=key, epoch=epoch, leader_ts=p.timestamp_ms)
-            timeout_at = now + (NO_RATE_TIMEOUT_MS if rate is None else TIMEOUT_RATE_FACTOR * rate)
-        elif cfg.jitter_ms is not None and abs(p.timestamp_ms - buf.leader_ts) > cfg.jitter_ms:
+        arrivals = self._pending.get(token)
+        opened = arrivals is None
+        if opened:
+            arrivals = self._pending[token] = {}
+        elif cfg.jitter_ms is not None and (
+            abs(p.timestamp_ms - next(iter(arrivals.values()))[0]) > cfg.jitter_ms
+        ):
             counters["jitter_discarded"] += 1
             return None
-        elif source in buf.arrivals:
+        elif source in arrivals:
             counters["duplicate_discarded"] += 1
             return None
-        arrivals = buf.arrivals
         arrivals[source] = (p.timestamp_ms, p.payload)
         sources = cfg.sources
         # sources are distinct, so fewer arrivals cannot cover them all
         if len(arrivals) >= len(sources) and all(s in arrivals for s in sources):
-            emission = self._close(token, cfg, buf, partial=False)
-            return EngineResult([emission], timeout_at, None if timeout_at is None else token)
-        if timeout_at is None:
+            return EngineResult(self._close(token, cfg, arrivals))
+        if not opened:
             return None
-        return EngineResult([], timeout_at, token)
+        timeout_at = now + (NO_RATE_TIMEOUT_MS if rate is None else TIMEOUT_RATE_FACTOR * rate)
+        return EngineResult(None, timeout_at, token)
 
-    def on_timeout(self, token: tuple, now: float) -> list[PacketRecord]:
-        """Close an epoch whose timer fired; stale timers are ignored. The
-        epoch is rejected when its config is gone, needs every operand, or
-        was replaced by one that lists none of the buffered sources."""
-        buf = self._pending.get(token)
-        if buf is None:
-            return []
-        cfg = self.store.get(buf.config_key)
+    def on_timeout(self, token: tuple, now: float) -> PacketRecord | None:
+        """Close an epoch whose timer fired; stale timers are ignored. This
+        is the one place an epoch is rejected: its config is gone, needs
+        every operand, or lists none of the sources that arrived."""
+        arrivals = self._pending.get(token)
+        if arrivals is None:
+            return None
+        cfg = self.store.get(token[0])
         if (
             cfg is None
             or cfg.compute in ORDER_SENSITIVE
-            or not any(s in buf.arrivals for s in cfg.sources)
+            or not any(s in arrivals for s in cfg.sources)
         ):
             del self._pending[token]
-            self.counters["rejected"] += len(buf.arrivals)
-            return []
-        return [self._close(token, cfg, buf, partial=True)]
+            self.counters["rejected"] += len(arrivals)
+            return None
+        return self._close(token, cfg, arrivals)
 
     def _close(
-        self, token: tuple, cfg: EngineConfig, buf: EpochBuffer, partial: bool
+        self, token: tuple, cfg: EngineConfig, arrivals: dict[str, tuple[float, Scalar]]
     ) -> PacketRecord:
-        packet = aggregate_and_compute(buf, cfg, allow_partial=partial)
-        self.counters["consumed"] += len(buf.arrivals)
+        """The epoch's one packet: cfg.compute over the arrivals of
+        cfg.sources in that order, at the latest of their timestamps. Every
+        arrival counts as consumed, also one from a source cfg dropped."""
+        present = [arrivals[s] for s in cfg.sources if s in arrivals]
+        self.counters["consumed"] += len(arrivals)
         self.counters["emitted"] += 1
         self._emitted_epochs.add(token)
         del self._pending[token]
-        return packet
+        latest = max([ts for ts, _ in present])
+        value = _fold(cfg.compute, [payload.value for _, payload in present])
+        return PacketRecord(cfg.engine, cfg.destination, cfg.user, token[1], latest, Scalar(value))
 
     def pending_arrivals(self) -> int:
-        return sum(len(b.arrivals) for b in self._pending.values())
+        return sum(len(arrivals) for arrivals in self._pending.values())

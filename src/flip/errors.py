@@ -87,10 +87,6 @@ class UnknownVerbError(FlipError):
     code = "unknown_verb"
 
 
-class MissingSourceError(FlipError):
-    code = "missing_source"
-
-
 class AuditFailure(FlipError):
     """A value delivered by the fabric disagrees with the reference evaluation."""
 

@@ -10,7 +10,7 @@ import pytest
 from flip import cli, harness
 from flip.cli import main as cli_main
 from flip.control import CommandServer, Session, send_command
-from flip.errors import ParseError
+from flip.errors import FlipError, ParseError
 from flip.harness import build_experiment_topology, demo_topology
 from flip.packets import PacketRecord, Scalar
 from flip.topology import load_topology
@@ -456,6 +456,28 @@ def test_socket_server_roundtrip(tmp_path, demo_session):
         assert len(reply["body"]["switches"]) == 5
         bad = send_command(sock, "nonsense")
         assert bad["status"] == "error"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_socket_server_replaces_only_a_stale_socket(tmp_path, demo_session):
+    """A regular file at the socket path is refused by name and left as it
+    was; a socket left behind by a closed server is replaced."""
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(b"keep me\n")
+    with pytest.raises(FlipError, match="notes.txt"):
+        CommandServer(demo_session, notes)
+    assert notes.read_bytes() == b"keep me\n"
+
+    stale = tmp_path / "stale.sock"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as leftover:
+        leftover.bind(str(stale))
+    server = CommandServer(demo_session, stale)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        assert send_command(stale, "getswitches")["status"] == "ok"
     finally:
         server.shutdown()
         server.server_close()

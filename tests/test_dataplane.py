@@ -593,6 +593,22 @@ def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypat
     assert 0 < seen[10]["_build_index"] <= len(session.fabric.engines)
 
 
+def test_an_epoch_its_opening_arrival_closes_arms_no_timer():
+    """A one-source config closes each epoch on the arrival that opens it,
+    so no timeout is scheduled to pop later as a no-op: 10 epochs of a
+    one-station max on the experiment topology run 70 events, not 80, and
+    deliver every value."""
+    session = Session(build_experiment_topology())
+    result = session.execute("datapath_m", {"request": "datapath_m(bs1,switch<-sw1,compute<-max,destination<-user)"})
+    assert result.ok, result.message
+    ingress = result.body["plan"]["source_ingress"]
+    for epoch in range(10):
+        session.fabric.inject(make_packet("bs1", 100.0 * epoch, ingress["bs1"], epoch, float(epoch)), at="bs1")
+    assert session.fabric.run() == 70
+    assert [d["payload"] for d in session.fabric.delivered_at("user")] == [{"scalar": float(e)} for e in range(10)]
+    assert session.fabric.conservation()["balanced"]
+
+
 def test_a_session_and_its_fabric_are_freed_without_the_collector():
     """No reference cycle holds a fabric: with the garbage collector off,
     dropping the last reference to a session that ran traffic frees both."""

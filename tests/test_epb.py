@@ -6,14 +6,8 @@ import pytest
 
 from _oracles import config_doc, scan_config
 from flip.dsl import OpKind
-from flip.epb import (
-    ConfigStore,
-    Engine,
-    EngineConfig,
-    EpochBuffer,
-    aggregate_and_compute,
-)
-from flip.errors import MissingSourceError, ValidationError
+from flip.epb import ConfigStore, Engine, EngineConfig
+from flip.errors import ValidationError
 from flip.packets import PacketRecord, Scalar
 
 
@@ -313,13 +307,17 @@ def test_dejitter_boundary_inclusive():
 
 
 def aggregate(kind, values):
-    """The payload aggregate_and_compute emits for one complete epoch whose
-    sources bs1, bs2, ... published values in that order."""
-    cfg = make_config(compute=kind, sources=tuple(f"bs{i}" for i in range(1, len(values) + 1)))
-    buf = EpochBuffer(config_key=cfg.key(), epoch=0, leader_ts=0.0)
-    for source, value in zip(cfg.sources, values):
-        buf.arrivals[source] = (0.0, Scalar(value))
-    return aggregate_and_compute(buf, cfg).payload
+    """The payload an engine emits for one complete epoch whose sources
+    bs1, bs2, ... published values in that order. The arrivals come in
+    reverse, so a fold in arrival order would differ for sub."""
+    sources = tuple(f"bs{i}" for i in range(1, len(values) + 1))
+    engine, _ = pipeline_engine(compute=kind, sources=sources)
+    results = [
+        engine.process(packet(source, ts=0.0, value=value), now=0.0)
+        for source, value in reversed(list(zip(sources, values)))
+    ]
+    assert all(r is None or r.emission is None for r in results[:-1])
+    return results[-1].emission.payload
 
 
 def test_sum_scalars():
@@ -332,6 +330,11 @@ def test_min_matches_flat_reference():
     assert aggregate(OpKind.MIN, values) == Scalar(min(values))
 
 
+def test_max_and_avg_scalars():
+    assert aggregate(OpKind.MAX, [3.0, 9.0, 4.0]) == Scalar(9.0)
+    assert aggregate(OpKind.AVG, [3.0, 9.0, 4.0, 8.0]) == Scalar(6.0)
+
+
 def test_sub_mul_left_fold_order():
     vals = [10.0, 3.0, 2.0]
     assert aggregate(OpKind.SUB, vals) == Scalar((10.0 - 3.0) - 2.0)
@@ -339,30 +342,14 @@ def test_sub_mul_left_fold_order():
 
 
 def test_aggregate_emission_fields():
-    cfg = make_config()
-    buf = EpochBuffer(config_key=cfg.key(), epoch=7, leader_ts=100.0)
-    buf.arrivals["bs1"] = (100.0, Scalar(3.0))
-    buf.arrivals["bs2"] = (103.0, Scalar(4.0))
-    out = aggregate_and_compute(buf, cfg)
-    assert out.payload == Scalar(7.0)
-    assert out.source == "e-sw1"
-    assert out.final_destination == "dest"
-    assert out.epoch == 7
-    assert out.timestamp_ms == 103.0
-
-
-def test_aggregate_partial_rules():
-    cfg = make_config(compute=OpKind.MAX, sources=("bs1", "bs2", "bs3"))
-    buf = EpochBuffer(config_key=cfg.key(), epoch=0, leader_ts=0.0)
-    buf.arrivals["bs1"] = (0.0, Scalar(1.0))
-    with pytest.raises(MissingSourceError):
-        aggregate_and_compute(buf, cfg)
-    assert aggregate_and_compute(buf, cfg, allow_partial=True).payload == Scalar(1.0)
-    sub_cfg = make_config(compute=OpKind.SUB, sources=("bs1", "bs2"))
-    sub_buf = EpochBuffer(config_key=sub_cfg.key(), epoch=0, leader_ts=0.0)
-    sub_buf.arrivals["bs1"] = (0.0, Scalar(1.0))
-    with pytest.raises(MissingSourceError):
-        aggregate_and_compute(sub_buf, sub_cfg, allow_partial=True)
+    """The output packet comes from the engine, goes to the config's
+    destination for its user, keeps the epoch and carries the latest
+    arrival's timestamp, not the closing one's."""
+    engine, _ = pipeline_engine()
+    engine.process(packet("bs2", ts=103.0, value=4.0, epoch=7), now=104.0)
+    out = engine.process(packet("bs1", ts=100.0, value=3.0, epoch=7), now=105.0).emission
+    assert out == PacketRecord("e-sw1", "dest", "maya", 7, 103.0, Scalar(7.0))
+    assert out.uid == -1
 
 
 # -- the pipeline ----------------------------------------------------------------
@@ -378,11 +365,11 @@ def pipeline_engine(**overrides):
 def test_process_buffers_until_complete():
     engine, _ = pipeline_engine()
     first = engine.process(packet("bs1", ts=100.0, value=3.0), now=101.0)
-    assert first.emissions == []
+    assert first.emission is None
     assert first.timeout_at is not None
     second = engine.process(packet("bs2", ts=102.0, value=4.0), now=103.0)
-    assert len(second.emissions) == 1
-    assert second.emissions[0].payload == Scalar(7.0)
+    assert second.emission.payload == Scalar(7.0)
+    assert second.timeout_at is None
 
 
 def test_replaced_config_closes_on_its_own_sources():
@@ -395,13 +382,13 @@ def test_replaced_config_closes_on_its_own_sources():
     engine.store.set_config(make_config(sources=("bs3", "bs4")))
     # three arrivals against two sources, but bs4 is still missing
     assert engine.process(packet("bs3", ts=100.0), now=100.0) is None
-    assert len(engine.process(packet("bs4", ts=100.0), now=100.0).emissions) == 1
+    assert engine.process(packet("bs4", ts=100.0), now=100.0).emission is not None
 
     engine, _ = pipeline_engine(sources=("bs1", "bs2"))
     engine.process(packet("bs1", ts=100.0), now=100.0)
     engine.store.set_config(make_config(sources=("bs1", "bs2", "bs3")))
     assert engine.process(packet("bs2", ts=100.0), now=100.0) is None
-    assert len(engine.process(packet("bs3", ts=100.0), now=100.0).emissions) == 1
+    assert engine.process(packet("bs3", ts=100.0), now=100.0).emission is not None
 
 
 def test_process_passthrough_unconfigured_user():
@@ -440,18 +427,39 @@ def test_timeout_partial_emits_for_min():
     engine, cfg = pipeline_engine(compute=OpKind.MIN, sources=("bs1", "bs2"))
     result = engine.process(packet("bs1", ts=100.0, value=9.0), now=100.0)
     token = result.timeout_token
-    emitted = engine.on_timeout(token, now=result.timeout_at)
-    assert len(emitted) == 1
-    assert emitted[0].payload == Scalar(9.0)
+    assert engine.on_timeout(token, now=result.timeout_at).payload == Scalar(9.0)
     # stale timer after emission is a no-op
-    assert engine.on_timeout(token, now=result.timeout_at + 1) == []
+    assert engine.on_timeout(token, now=result.timeout_at + 1) is None
 
 
 def test_timeout_rejects_for_sub():
     engine, cfg = pipeline_engine(compute=OpKind.SUB, sources=("bs1", "bs2"))
     result = engine.process(packet("bs1", ts=100.0), now=100.0)
-    assert engine.on_timeout(result.timeout_token, now=result.timeout_at) == []
+    assert engine.on_timeout(result.timeout_token, now=result.timeout_at) is None
     assert engine.counters["rejected"] == 1
+
+
+def test_timeout_partial_avg_folds_the_sources_that_arrived():
+    """A timer closes a partial epoch over the config's sources that
+    arrived, in cfg.sources order, stamped with the latest of them. An
+    arrival from a source a replacement config dropped is consumed but
+    not folded."""
+    engine, _ = pipeline_engine(compute=OpKind.AVG, sources=("bs1", "bs2", "bs3"))
+    opened = engine.process(packet("bs3", ts=101.0, value=4.0), now=101.0)
+    engine.process(packet("bs1", ts=100.0, value=2.0), now=102.0)
+    out = engine.on_timeout(opened.timeout_token, now=opened.timeout_at)
+    assert (out.payload, out.timestamp_ms) == (Scalar(3.0), 101.0)
+    assert (engine.counters["consumed"], engine.counters["emitted"]) == (2, 1)
+
+    engine, _ = pipeline_engine(compute=OpKind.AVG, sources=("bs1", "bs2", "bs3"))
+    opened = engine.process(packet("bs2", ts=100.0, value=2.0), now=100.0)
+    engine.process(packet("bs1", ts=105.0, value=100.0), now=105.0)
+    engine.store.set_config(make_config(compute=OpKind.AVG, sources=("bs2", "bs3", "bs4")))
+    assert engine.process(packet("bs3", ts=102.0, value=4.0), now=106.0) is None
+    out = engine.on_timeout(opened.timeout_token, now=opened.timeout_at)
+    assert (out.payload, out.timestamp_ms) == (Scalar(3.0), 102.0)
+    assert (engine.counters["consumed"], engine.counters["rejected"]) == (3, 0)
+    assert engine.pending_arrivals() == 0
 
 
 def test_timeout_uses_rate_factor():

@@ -405,6 +405,48 @@ def test_wide_plan_computes_no_shortest_paths_from_base_stations(monkeypatch):
     assert sources and set(sources) <= set(t.switches())
 
 
+def cold_wide_fabric() -> Topology:
+    """The fabric of the cold wide plan check: 8 edge switches of 500 base
+    stations each (sw1 holds bs1:bs500, sw2 bs501:bs1000, ...), chained by
+    3 ms links, under aggregation switches sw9 and sw10 and core sw11,
+    which the user hangs off; an engine per switch."""
+    edge = [f"sw{i}" for i in range(1, 9)]
+    switches = edge + ["sw9", "sw10", "sw11"]
+    nodes = [{"id": s, "kind": "switch"} for s in switches]
+    nodes += [{"id": f"e-{s}", "kind": "engine"} for s in switches]
+    nodes.append({"id": "user", "kind": "destination"})
+    links = [{"a": f"e-{s}", "b": s} for s in switches]
+    links += [{"a": "sw9", "b": "sw11"}, {"a": "sw10", "b": "sw11"}, {"a": "user", "b": "sw11"}]
+    for k, s in enumerate(edge):
+        nodes.append({"range": f"bs{500 * k + 1}:bs{500 * k + 500}", "kind": "basestation", "switch": s})
+        links.append({"a": s, "b": "sw9" if k < 4 else "sw10"})
+        if k:
+            links.append({"a": edge[k - 1], "b": s, "delay_ms": 3})
+    return load_topology({"nodes": nodes, "links": links})
+
+
+def test_planning_work_does_not_grow_with_stations_per_edge_switch(monkeypatch):
+    """Counts, not times: a cold flat sum over 50 and over 500 stations per
+    edge switch computes shortest paths from the same number of nodes and
+    compiles the same number of rules, since both are per switch."""
+    sources = []
+    shortest_paths_from = Topology.shortest_paths_from
+
+    def recording(self, a):
+        sources.append(a)
+        return shortest_paths_from(self, a)
+
+    monkeypatch.setattr(Topology, "shortest_paths_from", recording)
+    seen = {}
+    for per_edge in (50, 500):
+        sources.clear()
+        ranges = ",".join(f"bs{500 * k + 1}:bs{500 * k + per_edge}" for k in range(8))
+        p = plan(parse_request(f"datapath_a(sum({ranges}),destination<-user)"), cold_wide_fabric())
+        assert p.admitted and len(p.tree.terminals) == 8 * per_edge + 2
+        seen[per_edge] = (len(sources), len(set(sources)), len(p.rules))
+    assert seen[50] == seen[500]
+
+
 # -- delay admission ----------------------------------------------------------------
 
 
