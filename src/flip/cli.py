@@ -134,11 +134,13 @@ def _cmd_stats(args) -> int:
 
 def _cmd_serve(args) -> int:
     session, _ = _load_session(args.session)
-    print(f"serving on {args.socket} (ctrl-c to stop)")
-    try:
-        control.serve(session, args.socket)
-    except KeyboardInterrupt:
-        pass
+    # bind first, so a refused path prints only its error
+    with control.CommandServer(session, args.socket) as server:
+        print(f"serving on {args.socket} (ctrl-c to stop)", flush=True)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
     return 0
 
 
@@ -197,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("bench", help="run the benchmark suite in both modes")
-    p.add_argument("--suite", choices=("r1r9",), default="r1r9")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon-ms", type=float, default=10_000.0)
     p.add_argument("--period-ms", type=float, default=100.0)

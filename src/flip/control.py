@@ -461,6 +461,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class CommandServer(socketserver.ThreadingUnixStreamServer):
+    """Command server on a unix socket (one JSON object per line); bound
+    on construction, serving from `serve_forever()`."""
+
     allow_reuse_address = True
     daemon_threads = True
 
@@ -476,12 +479,6 @@ class CommandServer(socketserver.ThreadingUnixStreamServer):
         super().__init__(str(path), _Handler)
         self.session = session
         self.socket_path = path
-
-
-def serve(session: Session, socket_path: str | Path) -> None:
-    """Blocking command server on a unix socket (one JSON object per line)."""
-    with CommandServer(session, socket_path) as server:
-        server.serve_forever()
 
 
 def send_command(socket_path: str | Path, verb: str, args: dict | None = None) -> dict:

@@ -211,18 +211,16 @@ class Fabric:
         self._uid = 0
         self.now = 0.0
         self.injected = 0
-        # per switch: packets in from network ports, keyed by final destination
-        self._ingress: dict[str, dict[str, int]] = {s: {} for s in self.tables}
         self._drops: dict[str, int] = {s: 0 for s in self.tables}
-        self._port_rx: dict[str, dict[str, int]] = {s: {} for s in self.tables}
-        self._port_tx: dict[str, dict[str, int]] = {s: {} for s in self.tables}
         # per switch: everything a hop reads or counts, in one tuple: its
-        # table and the table's rule counters, its rx, ingress and tx
-        # counters, and neighbour -> link delay (the topology's own
-        # read-only map). Each member is changed in place, never replaced.
+        # table and the table's rule counters; its rx (packets in, by the
+        # port's neighbour), ingress (packets in from network ports, by
+        # final destination) and tx (packets out, by neighbour) counters,
+        # which live only here and which stats() reads; and neighbour ->
+        # link delay (the topology's own read-only map). Each member is
+        # changed in place, never replaced.
         self._hop_state = {
-            s: (t, t.counters, self._port_rx[s], self._ingress[s], self._port_tx[s], topology.neighbors(s))
-            for s, t in self.tables.items()
+            s: (t, t.counters, {}, {}, {}, topology.neighbors(s)) for s, t in self.tables.items()
         }
         self.delivered: list[dict] = []
         self.trace: list[dict] | None = [] if trace else None
@@ -414,18 +412,20 @@ class Fabric:
     # -- reporting --
 
     def stats(self, final_destination: str | None = None) -> StatsReport:
-        switch_counts = {}
-        for sw, by_fd in self._ingress.items():
+        switch_counts, port_rx, port_tx = {}, {}, {}
+        for sw, (_, _, rx, by_fd, tx, _) in self._hop_state.items():
             if final_destination is None:
                 switch_counts[sw] = sum(by_fd.values())
             else:
                 switch_counts[sw] = by_fd.get(final_destination, 0)
+            port_rx[sw] = dict(rx)
+            port_tx[sw] = dict(tx)
         return StatsReport(
             filter_destination=final_destination,
             switch_counts=switch_counts,
             total_packet_hops=sum(switch_counts.values()),
-            port_rx={s: dict(v) for s, v in self._port_rx.items()},
-            port_tx={s: dict(v) for s, v in self._port_tx.items()},
+            port_rx=port_rx,
+            port_tx=port_tx,
             rule_counters={s: list(t.counters) for s, t in self.tables.items()},
             drops=dict(self._drops),
             injected=self.injected,

@@ -152,7 +152,9 @@ class ConfigStore:
     The file is `json.dumps(self.to_doc(), indent=2, sort_keys=True)`. Each
     (engine, user) section's text and each engine's block, as encoded
     bytes, are cached, so a change re-renders only the section it touched
-    and a flush re-encodes only the blocks of the engines that changed. The
+    and a flush re-encodes only the blocks of the engines that changed.
+    Whether the file must be written is one flag, `_stale`: set by every
+    change and by a new store with a path, cleared by a write. The
     flush overwrites the file in place and cuts it to the new length; it is
     not atomic, and an interrupted write can leave the new bytes followed by
     the old file's tail.
@@ -166,13 +168,12 @@ class ConfigStore:
         # file depth
         self._sections: dict[str, dict[str, str]] = {}
         # engine -> that engine's block of the file, joined from its sections
-        # and encoded
+        # and encoded; dropped when one of its sections changes
         self._blocks: dict[str, bytes] = {}
-        # engines whose sections changed since the last flush
-        self._dirty: set[str] = set()
-        # the file holds what some other store wrote, or nothing, until
-        # this store's first write
-        self._unwritten = self.path is not None
+        # the file does not show the store: it holds what some other store
+        # wrote, or nothing, until the first write, and is behind it after
+        # a change
+        self._stale = self.path is not None
         # engine -> (user, source, final destination) -> (config, its key),
         # built on first lookup and dropped when one of the engine's configs
         # changes
@@ -197,21 +198,18 @@ class ConfigStore:
 
     def flush(self) -> None:
         """Write the file on the first flush and whenever anything changed
-        since the last write. A failed write is a FlipError naming the file,
-        and the store stays dirty, so the next flush writes the whole
-        document again."""
-        if not self._dirty and not self._unwritten:
+        since the last write, rendering only the blocks a change dropped. A
+        failed write is a FlipError naming the file, and the store stays
+        stale, so the next flush writes the whole document again."""
+        if not self._stale:
             return
-        for engine in self._dirty:
-            self._render_block(engine)
-        blocks = [self._blocks[engine] for engine in sorted(self._blocks)]
+        blocks = [self._blocks.get(e) or self._render_block(e) for e in sorted(self._sections)]
         data = b"{\n%s\n}" % b",\n".join(blocks) if blocks else b"{}"
         try:
             self._overwrite(data)
         except OSError as exc:
             raise FlipError(f"cannot write {self.path}: {exc.strerror or exc}") from None
-        self._dirty.clear()
-        self._unwritten = False
+        self._stale = False
 
     def _overwrite(self, data: bytes) -> None:
         """Write data over the file's old bytes and cut it to their length.
@@ -272,7 +270,8 @@ class ConfigStore:
 
     def _changed(self, engine: str, user: str) -> None:
         """Drop the engine's index and, for a store with a file, re-render
-        the (engine, user) section and mark the engine for the next flush."""
+        the (engine, user) section, drop the engine's block and mark the
+        file stale."""
         self._index.pop(engine, None)
         if not self.path:
             return
@@ -285,15 +284,14 @@ class ConfigStore:
             sections.pop(user, None)
             if not sections:
                 del self._sections[engine]
-        self._dirty.add(engine)
+        self._blocks.pop(engine, None)
+        self._stale = True
 
-    def _render_block(self, engine: str) -> None:
-        sections = self._sections.get(engine)
-        if not sections:
-            self._blocks.pop(engine, None)
-            return
+    def _render_block(self, engine: str) -> bytes:
+        sections = self._sections[engine]
         body = ",\n".join([sections[user] for user in sorted(sections)])
-        self._blocks[engine] = f"  {_string(engine)}: {{\n{body}\n  }}".encode("ascii")
+        block = self._blocks[engine] = f"  {_string(engine)}: {{\n{body}\n  }}".encode("ascii")
+        return block
 
 
 def _render_record(doc: dict) -> str:
@@ -351,16 +349,19 @@ class EngineResult:
 
 
 class Engine:
-    """One engine's runtime state: rate windows, counters and open epochs,
-    each keyed by its token (config key, epoch) and holding only its
-    arrivals, source -> (timestamp, payload), leader first."""
+    """One engine's runtime state: rate windows, counters and epochs, each
+    keyed by its token (config key, epoch) in `_pending`. An open epoch
+    maps to its arrivals, source -> (timestamp, payload), leader first; a
+    closed one maps to None, which is how a later packet of it is known to
+    be late. A rejected epoch's token is removed, so a later packet reopens
+    it."""
 
     def __init__(self, engine_id: str, store: ConfigStore):
         self.engine_id = engine_id
         self.store = store
         self._rate_last: dict[tuple, int] = {}
-        self._pending: dict[tuple, dict[str, tuple[float, Scalar]]] = {}
-        self._emitted_epochs: set[tuple] = set()
+        # token -> its arrivals while open, None once closed
+        self._pending: dict[tuple, dict[str, tuple[float, Scalar]] | None] = {}
         self.counters: dict[str, int] = {
             "arrivals": 0,
             "no_config": 0,
@@ -413,12 +414,12 @@ class Engine:
                 return None
             self._rate_last[(key, source)] = epoch
         token = (key, epoch)
-        if token in self._emitted_epochs:
-            counters["late_discarded"] += 1
-            return None
         arrivals = self._pending.get(token)
         opened = arrivals is None
         if opened:
+            if token in self._pending:
+                counters["late_discarded"] += 1
+                return None
             arrivals = self._pending[token] = {}
         elif cfg.jitter_ms is not None and (
             abs(p.timestamp_ms - next(iter(arrivals.values()))[0]) > cfg.jitter_ms
@@ -439,9 +440,10 @@ class Engine:
         return EngineResult(None, timeout_at, token)
 
     def on_timeout(self, token: tuple, now: float) -> PacketRecord | None:
-        """Close an epoch whose timer fired; stale timers are ignored. This
-        is the one place an epoch is rejected: its config is gone, needs
-        every operand, or lists none of the sources that arrived."""
+        """Close an epoch whose timer fired; a stale timer, whose token is
+        closed (None) or unknown, is ignored. This is the one place an epoch
+        is rejected: its config is gone, needs every operand, or lists none
+        of the sources that arrived."""
         arrivals = self._pending.get(token)
         if arrivals is None:
             return None
@@ -465,11 +467,10 @@ class Engine:
         present = [arrivals[s] for s in cfg.sources if s in arrivals]
         self.counters["consumed"] += len(arrivals)
         self.counters["emitted"] += 1
-        self._emitted_epochs.add(token)
-        del self._pending[token]
+        self._pending[token] = None
         latest = max([ts for ts, _ in present])
         value = _fold(cfg.compute, [payload.value for _, payload in present])
         return PacketRecord(cfg.engine, cfg.destination, cfg.user, token[1], latest, Scalar(value))
 
     def pending_arrivals(self) -> int:
-        return sum(len(arrivals) for arrivals in self._pending.values())
+        return sum(len(arrivals) for arrivals in self._pending.values() if arrivals)

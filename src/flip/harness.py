@@ -234,10 +234,7 @@ def audit_delivered(
         if epoch in seen:
             raise AuditFailure(f"epoch {epoch} delivered more than once")
         seen.add(epoch)
-        payload = record["payload"]
-        if "scalar" not in payload:
-            raise AuditFailure(f"expected scalar delivery, got {payload}")
-        got = payload["scalar"]
+        got = record["payload"]["scalar"]
         want = evaluate_expression(tg, by_epoch[epoch])
         if not _values_close(got, want):
             raise AuditFailure(f"epoch {epoch}: delivered {got!r}, expected {want!r}")

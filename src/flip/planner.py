@@ -3,8 +3,8 @@
 Placement walks the task graph bottom-up: every operation whose children
 are all leaves lands on the switch of its leftmost leaf, and each not yet
 visited ancestor gets a deterministic adjacent switch, anchored at the
-originating edge switch and excluding switches already claimed by earlier
-assignments. This is deliberately literal (an op sits with its leftmost
+originating edge switch and excluding switches that earlier assignments
+took. This is deliberately literal (an op sits with its leftmost
 leaf even when other children attach elsewhere); the trade of optimality
 for predictability is intentional.
 
@@ -264,43 +264,29 @@ def place_operations(tg: TaskGraph, t: Topology) -> list[OpPlacement]:
     each takes the switch of its leftmost leaf. From each edge operation the
     ancestor chain is walked upward until an already-visited ancestor stops
     it; every newly visited ancestor receives an adjacent switch of the edge
-    operation's switch, skipping switches claimed by earlier assignments.
+    operation's switch, skipping switches that earlier assignments took.
     Placements come back in task-graph pre-order.
+
+    `assigned` holds every fact the walk needs: its values are the switches
+    taken, and an ancestor was visited exactly when it is a key, since an
+    edge operation is never an ancestor.
     """
-    edge_ops = tg.leafonly_parents()
     assigned: dict[str, str] = {}  # op node id -> switch
-    claimed: list[str] = []  # switches in assignment order, drives exclusion
-    visited_ops: set[str] = set()
-
-    def claim(op_id: str, switch: str) -> None:
-        assigned[op_id] = switch
-        if switch not in claimed:
-            claimed.append(switch)
-
-    for op in edge_ops:
-        leftmost = op.children[0]
-        if isinstance(leftmost, OpNode):  # leafonly parents never hit this
-            raise PlacementError(f"{op.node_id} has a non-leaf leftmost child")
-        edge_switch = t.connected_switch(leftmost)
-        claim(op.node_id, edge_switch)
+    for op in tg.leafonly_parents():
+        edge_switch = assigned[op.node_id] = t.connected_switch(op.children[0])
         parent = tg.parent(op)
-        while parent is not None:
-            if parent.node_id in visited_ops:
-                break
-            visited_ops.add(parent.node_id)
+        while parent is not None and parent.node_id not in assigned:
             try:
-                switch = t.adjacent_switch(edge_switch, set(claimed))
-            except NotFoundError as exc:
+                switch = t.adjacent_switch(edge_switch, set(assigned.values()))
+            except NotFoundError:
                 raise PlacementError(
                     f"no unvisited switch adjacent to {edge_switch!r} for {parent.node_id}"
                 ) from None
-            claim(parent.node_id, switch)
+            assigned[parent.node_id] = switch
             parent = tg.parent(parent)
 
     placements = []
     for op in tg.ops():
-        if op.node_id not in assigned:
-            raise PlacementError(f"operation {op.node_id} was never assigned a switch")
         switch = assigned[op.node_id]
         placements.append(OpPlacement(op.node_id, switch, t.engine_of(switch)))
     return placements

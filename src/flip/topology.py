@@ -47,15 +47,6 @@ class NodeKind(Enum):
     CLOUD = "cloud"
 
 
-_KIND_NAMES = {
-    "basestation": NodeKind.BASE_STATION,
-    "switch": NodeKind.SWITCH,
-    "engine": NodeKind.ENGINE,
-    "destination": NodeKind.DESTINATION,
-    "cloud": NodeKind.CLOUD,
-}
-
-
 def natural_key(name: str):
     """Sort key that puts bs2 before bs10."""
     return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
@@ -427,15 +418,18 @@ def load_topology(doc: dict) -> Topology:
         if not isinstance(entry, dict):
             raise ParseError(f"node entry must be an object, got {entry!r}")
         kind_name = entry.get("kind")
-        if kind_name not in _KIND_NAMES:
-            raise ParseError(f"unknown node kind {kind_name!r}")
-        kind = _KIND_NAMES[kind_name]
+        try:
+            kind = NodeKind(kind_name)
+        except ValueError:
+            raise ParseError(f"unknown node kind {kind_name!r}") from None
         if "range" in entry:
             if kind is not NodeKind.BASE_STATION:
                 raise ParseError("range entries are only for base stations")
             switch = entry.get("switch")
             if not isinstance(switch, str):
                 raise ParseError(f"range entry {entry.get('range')!r} needs a 'switch'")
+            if not isinstance(entry["range"], str):
+                raise ParseError(f"range must be a string like 'bs1:bs10': {entry!r}")
             try:
                 names = expand_range(entry["range"])
             except ValueError as exc:

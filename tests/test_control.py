@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from flip import cli, harness
+from flip import cli, errors, harness
 from flip.cli import main as cli_main
-from flip.control import CommandServer, Session, send_command
+from flip.control import VERB_TABLE, CommandServer, Session, send_command
 from flip.errors import FlipError, ParseError
 from flip.harness import build_experiment_topology, demo_topology
 from flip.packets import PacketRecord, Scalar
@@ -1020,6 +1020,47 @@ def test_cli_load_rejects_a_bad_link_delay(tmp_path, capsys, delay):
     assert not (tmp_path / "s" / "session.json").exists()
 
 
+@pytest.mark.parametrize(
+    "node",
+    [
+        '{"range": 5, "kind": "basestation", "switch": "sw1"}',
+        '{"range": null, "kind": "basestation", "switch": "sw1"}',
+        '{"range": true, "kind": "basestation", "switch": "sw1"}',
+        '{"range": ["bs1:bs3"], "kind": "basestation", "switch": "sw1"}',
+        '{"range": {"from": "bs1"}, "kind": "basestation", "switch": "sw1"}',
+        '{"id": "bs1", "kind": ["basestation"]}',
+        '{"id": "bs1", "kind": {"name": "basestation"}}',
+    ],
+    ids=["range-number", "range-null", "range-bool", "range-list", "range-object", "kind-list", "kind-object"],
+)
+def test_cli_load_rejects_a_node_entry_of_the_wrong_type(tmp_path, capsys, node):
+    """A range that is not a string, or a kind that is not a name, fails
+    `flip load` with one `error:` line naming the value, and no session is
+    saved."""
+    topo = tmp_path / "topology.json"
+    topo.write_text('{"nodes": [{"id": "sw1", "kind": "switch"}, %s], "links": []}' % node)
+    assert cli_main(["--session", str(tmp_path / "s"), "load", str(topo)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert ("range" in err) if '"range"' in node else ("unknown node kind" in err), err
+    assert not (tmp_path / "s" / "session.json").exists()
+
+
+def test_cli_serve_prints_nothing_before_a_refused_bind(tmp_path, capsys):
+    """`flip serve` binds before it says it is serving, so a regular file
+    at the socket path exits 1 with its error and no `serving on` line."""
+    session_dir = str(tmp_path / "s")
+    assert cli_main(["--session", session_dir, "load", str(harness.DATA_DIR / "demo_topology.json")]) == 0
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(b"keep me\n")
+    capsys.readouterr()
+    assert cli_main(["--session", session_dir, "serve", "--socket", str(notes)]) == 1
+    out, err = capsys.readouterr()
+    assert "serving on" not in out, out
+    assert err.startswith("error: ") and "notes.txt" in err, err
+    assert notes.read_bytes() == b"keep me\n"
+
+
 def test_cli_load_builds_the_topology_once(tmp_path, monkeypatch, capsys):
     """`flip load` validates the topology by building it, before anything is
     written, and prints its node count from that one build; a topology that
@@ -1059,9 +1100,7 @@ def test_cli_wrongly_typed_argument_is_an_error_reply(tmp_path, capsys):
 
 def test_cli_bench_writes_report(tmp_path):
     out = tmp_path / "report"
-    code = cli_main(
-        ["bench", "--suite", "r1r9", "--seed", "1", "--horizon-ms", "300", "--out", str(out)]
-    )
+    code = cli_main(["bench", "--seed", "1", "--horizon-ms", "300", "--out", str(out)])
     assert code == 0
     assert (out / "switch_counts.csv").exists()
     assert (out / "request_totals.csv").exists()
@@ -1098,3 +1137,118 @@ def test_cli_config_file_follows_the_log(tmp_path):
     assert cli_main(base + ["getconfig/user", "engine=e-sw1", "user=u"]) == 0
     stored = json.loads((Path(session_dir) / "engine_configs.json").read_text())
     assert [c["destination"] for c in stored["e-sw1"]["u"]] == ["e-sw5"]
+
+
+# -- seeded model test of the command surface ----------------------------------
+
+# malformed values an argument is sometimes given: wrong types, unknown
+# names, out-of-range numbers, NaN and a 401-digit number
+_JUNK = [None, True, -1, 99, 2.5, float("nan"), 10**400, "", "nope", [1], {"a": 1}]
+
+# request texts per verb: first ones the verb installs, then ones it
+# refuses (delay bound, unknown region, empty range, syntax, the other
+# verb's form, unknown switch)
+_REQUESTS = {
+    "datapath_a": [
+        "datapath_a(max(bs1:bs10),destination<-user)",
+        "datapath_a(sum(avg(bs1:bs3),min(bs11:bs14)),destination<-user,user<-u1)",
+        "datapath_a(sub(bs101,bs201),destination<-user,requirement<-{rate=100ms,jitter=5ms})",
+        "datapath_a(mul(bs1,bs2),destination<-user,requirement<-{delay=0.5ms})",
+        "datapath_a(max(Seoul),destination<-user)",
+        "datapath_a(max(bs10:bs1),destination<-user)",
+        "datapath_a(max(bs1,destination<-user)",
+        "datapath_m(bs1,bs2,switch<-sw1,compute<-sum,destination<-user)",
+    ],
+    "datapath_m": [
+        "datapath_m(bs1,bs2,switch<-sw1,compute<-sum,destination<-user)",
+        "datapath_m(bs11,bs12,switch<-sw2,compute<-avg,destination<-sw5[engine],user<-u2)",
+        "datapath_m(bs1,switch<-sw9,compute<-max,destination<-user)",
+        "datapath_a(max(bs1:bs10),destination<-user)",
+    ],
+}
+
+# a valid value for each section `setconfig/user/module` may replace
+_MODULE_VALUES = {"compute": "min", "rate": 50, "jitter": 2, "source": ["bs2", "bs11"], "destination": "e-sw5"}
+
+
+def _random_command(rng: random.Random, session: Session) -> tuple[str, object]:
+    """One command over the 17 verbs, now and then an unknown verb or
+    arguments that are not an object. The arguments are valid for the
+    session as it stands, except that every other command has one of them
+    dropped or replaced by a malformed value. Most commands name a switch
+    with rules and an (engine, user) with a config, when there are any."""
+    roll = rng.random()
+    if roll < 0.03:
+        return "nonsense", {}
+    # the verbs that add rules and configs come up twice as often
+    verb = rng.choice(sorted(VERB_TABLE) + ["addflow", "datapath_a", "datapath_m", "setconfig/user"])
+    if roll < 0.06:
+        return verb, rng.choice([[], 5, "dpid=sw1"])
+    switches = list(session.fabric.tables)
+    engines = list(session.fabric.engines)
+    with_rules = [s for s in switches if session.fabric.tables[s].rules]
+    sw = rng.choice(with_rules if with_rules and rng.random() < 0.8 else switches)
+    configs = [c for e in engines for c in session.store.configs_for(e)]
+    cfg = rng.choice(configs) if configs and rng.random() < 0.8 else None
+    module = rng.choice(sorted(_MODULE_VALUES))
+    target = rng.choice(sorted(session.topology.neighbors(sw))[:4])
+    kind = session.topology.kind(target).value
+    action = {"switch": "forward", "engine": "redirect"}.get(kind, "deliver")
+    args = {
+        "dpid": rng.choice([sw, switches.index(sw) + 1]),
+        # one past the last rule now and then
+        "index": rng.randrange(len(session.fabric.tables[sw].rules) + 1),
+        "match": {
+            "final_destination": rng.choice(["user", "e-sw5", sw]),
+            "sources": rng.sample(["bs1", "bs2", "bs11", "bs101"], rng.randint(1, 2)),
+        },
+        # now and then a target that does not fit the action, which is refused
+        "action": {"type": rng.choice([action, action, "forward", "redirect"]), "target": target},
+        "engine": cfg.engine if cfg else rng.choice(engines),
+        "user": cfg.user if cfg else rng.choice(["u1", "u2"]),
+        "config": {
+            "compute": rng.choice(["max", "sum", "sub"]),
+            "source": rng.sample(["bs1", "bs2", "bs11"], rng.randint(1, 3)),
+            "destination": rng.choice(["user", *engines]),
+            "rate": rng.choice([100, 250.0]),
+            "jitter": rng.choice([5, 0.0]),
+        },
+        "module": module,
+        "value": _MODULE_VALUES[module],
+        "request": rng.choice(_REQUESTS.get(verb, _REQUESTS["datapath_a"])),
+        "baseline": rng.random() < 0.2,
+    }
+    if rng.random() < 0.5:
+        args["destination"] = cfg.destination if cfg else rng.choice(["user", *engines])
+    if rng.random() < 0.5:
+        key = rng.choice(sorted(args))
+        if rng.random() < 0.2:
+            del args[key]
+        else:
+            args[key] = rng.choice(_JUNK)
+    return verb, args
+
+
+def test_random_commands_keep_typed_errors_and_replay():
+    """Seeded commands on demo-topology sessions: no command raises, every
+    error carries the code of a flip error class, and replaying the log
+    gives the live state after every command. No traffic runs: random flow
+    rules can form forwarding loops, which only the fabric's hop limit
+    stops (ROADMAP item 4)."""
+    codes = {c.code for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.FlipError)}
+    topology = demo_topology()
+    rng = random.Random(23)
+    succeeded = set()
+    for _ in range(24):
+        session = Session(topology)
+        for _ in range(25):
+            verb, args = _random_command(rng, session)
+            result = session.execute(verb, args)
+            if result.ok:
+                succeeded.add(verb)
+            else:
+                assert result.code in codes, (verb, args, result)
+            replayed = Session.replay(topology, session.command_log)
+            assert replayed.state_json() == session.state_json(), (verb, args)
+    # every verb also ran to success, not only to an error
+    assert succeeded == VERB_TABLE.keys()

@@ -267,6 +267,9 @@ def test_roundtrip_canonical_fixed_cases():
         "datapath_a(max(bs1),destination<-user)",
         "datapath_m(bs1,bs2,switch<-sw,compute<-sum,destination<-dest)",
         "datapath_a(sub(bs1,bs2,bs3),destination<-user,requirement<-{delay=10ms,rate=1000ms})",
+        # a user other than the default, an engine reference and a region name
+        "datapath_a(max(Seoul,sw4[engine],bs1:bs3),destination<-user,user<-x)",
+        "datapath_m(bs1,sw4[engine],switch<-sw1,compute<-min,destination<-user,user<-x)",
     ]
     for text in cases:
         req = parse_request(text)

@@ -192,6 +192,36 @@ def test_audit_catches_tampered_values(bench):
         harness.audit_delivered(tg, fabric, samples, "user", w.epochs())
 
 
+@pytest.mark.parametrize("case", ["missing", "duplicated"])
+def test_audit_catches_a_missing_or_duplicated_epoch(bench, case):
+    """One epoch's delivery dropped is a count mismatch; one epoch's
+    delivery standing in for another's is a duplicate."""
+    req = requests_r1_r9()[0]
+    w = Workload(seed=2, horizon_ms=300.0)
+    fabric, samples = harness.simulate(bench, req, w)
+    tg = dsl.expand_sources(req, bench)
+    if case == "missing":
+        fabric.delivered.pop()
+        message = "expected 3 deliveries at user, got 2"
+    else:
+        fabric.delivered[-1] = fabric.delivered[0]
+        message = "epoch 0 delivered more than once"
+    with pytest.raises(AuditFailure, match=message):
+        harness.audit_delivered(tg, fabric, samples, "user", w.epochs())
+
+
+@pytest.mark.parametrize("op, want", [("sub", (10.0 - 11.0) - 21.0), ("mul", 10.0 * 11.0 * 21.0)])
+def test_order_sensitive_requests_audit_end_to_end(bench, op, want):
+    """sub and mul, which R1-R9 do not use: the oracle folds left, and
+    every epoch delivered through the fabric matches it."""
+    req = parse_request(f"datapath_a({op}(max(bs1:bs10),min(bs11:bs20),bs21),destination<-user)")
+    tg = dsl.expand_sources(req, bench)
+    assert evaluate_expression(tg, {f"bs{i}": float(i) for i in range(1, 22)}) == want
+    w = Workload(seed=3, horizon_ms=500.0)
+    row = run_comparison(bench, req, w)
+    assert row.audit_ok and row.delivered_epochs == w.epochs() == 5
+
+
 def test_simulate_installs_what_the_request_text_installs(bench):
     """simulate sends the canonical text, which must keep every digit of a
     long or many-digit duration."""
