@@ -28,14 +28,22 @@ def _session_path(directory: str) -> Path:
     return Path(directory) / SESSION_FILE
 
 
-def _read_json(path: str | Path):
-    """The document in a JSON file; an unreadable or malformed file is a
-    FlipError naming the file."""
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; text that is not UTF-8 is a ParseError naming
+    the file. A file that cannot be read raises its OSError, which `main`
+    reports."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FlipError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # not UTF-8, not JSON, or an int of more digits than int() takes
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _read_json(path: str | Path):
+    """The document in a JSON file; a malformed file is a ParseError
+    naming the file."""
+    try:
+        return json.loads(_read_text(path))
+    except ValueError as exc:  # not JSON, or an int of more digits than int() takes
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -52,11 +60,11 @@ def _load_session(directory: str) -> tuple[Session, dict]:
     return session, doc
 
 
-def _save_session(directory: str, doc: dict, session: Session) -> None:
-    doc["log"] = session.command_log
+def _save_session(directory: str, doc: dict) -> Path:
     path = _session_path(directory)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return path
 
 
 def _cmd_load(args) -> int:
@@ -66,10 +74,7 @@ def _cmd_load(args) -> int:
     if args.coverage:
         cov_doc = _read_json(args.coverage)
         dsl.load_coverage(cov_doc)
-    doc = {"topology": topo_doc, "coverage": cov_doc, "log": []}
-    path = _session_path(args.session)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    path = _save_session(args.session, {"topology": topo_doc, "coverage": cov_doc, "log": []})
     # a new session must not show the previous session's configs
     (Path(args.session) / control.CONFIG_FILE).unlink(missing_ok=True)
     print(
@@ -82,9 +87,9 @@ def _cmd_load(args) -> int:
 def _cmd_run(args) -> int:
     session, doc = _load_session(args.session)
     results = session.run_script(
-        Path(args.script), keep_going=args.keep_going, baseline=args.mode == "baseline"
+        _read_text(args.script), keep_going=args.keep_going, baseline=args.mode == "baseline"
     )
-    _save_session(args.session, doc, session)
+    _save_session(args.session, {**doc, "log": session.command_log})
     failures = 0
     for i, result in enumerate(results, 1):
         if result.ok:
@@ -113,7 +118,7 @@ def _cmd_cmd(args) -> int:
             cmd_args[key] = value
     session, doc = _load_session(args.session)
     result = session.execute(args.verb, cmd_args)
-    _save_session(args.session, doc, session)
+    _save_session(args.session, {**doc, "log": session.command_log})
     print(json.dumps(result.to_doc(), indent=2, sort_keys=True))
     return 0 if result.ok else 1
 
@@ -124,8 +129,8 @@ def _cmd_stats(args) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("switch,id,count\n")
-            for sw, dpid, count in report.csv_rows():
-                fh.write(f"{sw},{dpid},{count}\n")
+            for sw, dpid in session.dpids.items():
+                fh.write(f"{sw},{dpid},{report.switch_counts[sw]}\n")
         print(f"wrote {args.csv}")
     else:
         print(json.dumps(report.to_doc(), indent=2, sort_keys=True))
@@ -148,6 +153,8 @@ def _cmd_bench(args) -> int:
     workload = harness.Workload(
         seed=args.seed, horizon_ms=args.horizon_ms, period_ms=args.period_ms
     )
+    if args.out:  # a directory that cannot be made fails before the run
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     report = harness.run_suite(workload=workload)
     print(f"{'request':8} {'flip':>10} {'baseline':>10} {'reduction':>10}")
     for row in report.rows:
@@ -214,6 +221,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FlipError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a file or directory the command cannot use
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

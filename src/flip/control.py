@@ -2,7 +2,7 @@
 
 Accepts the fixed verb set (topology queries, flow table edits, engine
 config management, and the two datapath request forms) either in process,
-from a script file, or over a newline-delimited JSON socket protocol.
+from a script's text, or over a newline-delimited JSON socket protocol.
 Every mutation is serialized under one lock and appended to a command log;
 replaying the log onto a fresh session reproduces the same fabric state.
 The log is the only source of a session's state: the engine configuration
@@ -84,7 +84,7 @@ class Session:
         self.fabric = Fabric(topology, self.store)
         self.command_log: list[dict] = []
         self._lock = threading.Lock()
-        self._dpids = {sw: i + 1 for i, sw in enumerate(topology.switches())}
+        self.dpids = {sw: i + 1 for i, sw in enumerate(topology.switches())}
 
     # -- dispatch --
 
@@ -127,7 +127,7 @@ class Session:
             )
             switches.append(
                 {
-                    "dpid": self._dpids[sw],
+                    "dpid": self.dpids[sw],
                     "id": sw,
                     "ports": len(neighbors),
                     "engine": engine,
@@ -154,7 +154,7 @@ class Session:
     def _resolve_dpid(self, args) -> str:
         dpid = args.get("dpid")
         if isinstance(dpid, int) and not isinstance(dpid, bool):
-            for sw, n in self._dpids.items():
+            for sw, n in self.dpids.items():
                 if n == dpid:
                     return sw
             raise UnknownSwitchError(f"unknown dpid {dpid}")
@@ -165,7 +165,7 @@ class Session:
     def _getswdesc(self, args) -> dict:
         sw = self._resolve_dpid(args)
         return {
-            "dpid": self._dpids[sw],
+            "dpid": self.dpids[sw],
             "id": sw,
             "manufacturer": MANUFACTURER,
             "hw_desc": "simulated switch",
@@ -176,7 +176,7 @@ class Session:
         sw = self._resolve_dpid(args)
         table = self.fabric.tables[sw]
         return {
-            "dpid": self._dpids[sw],
+            "dpid": self.dpids[sw],
             "id": sw,
             "flows": [
                 {**rule.to_doc(), "index": i, "count": table.counters[i]}
@@ -187,7 +187,7 @@ class Session:
     def _gettables(self, args) -> dict:
         sw = self._resolve_dpid(args)
         return {
-            "dpid": self._dpids[sw],
+            "dpid": self.dpids[sw],
             "id": sw,
             "tables": [{"table_id": 0, "active_count": len(self.fabric.tables[sw].rules)}],
         }
@@ -206,7 +206,7 @@ class Session:
                     "tx_packets": tx.get(peer, 0),
                 }
             )
-        return {"dpid": self._dpids[sw], "id": sw, "ports": ports}
+        return {"dpid": self.dpids[sw], "id": sw, "ports": ports}
 
     # -- flow verbs --
 
@@ -353,20 +353,11 @@ class Session:
     # -- scripts, replay, state --
 
     def run_script(
-        self, source: str | Path, keep_going: bool = False, baseline: bool = False
+        self, text: str, keep_going: bool = False, baseline: bool = False
     ) -> list[CommandResult]:
-        """Execute datapath commands line by line; `#` comments and blank
-        lines are skipped. Stops at the first error unless keep_going.
-        A `Path` is read as the script file; a `str` is the script text."""
-        if isinstance(source, Path):
-            try:
-                text = source.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise FlipError(f"cannot read {source}: {exc.strerror or exc}") from None
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{source}: {exc}") from None
-        else:
-            text = source
+        """Execute a script's datapath commands line by line; `#` comments
+        and blank lines are skipped. Stops at the first error unless
+        keep_going."""
         results: list[CommandResult] = []
         for line_no, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -476,7 +467,10 @@ class CommandServer(socketserver.ThreadingUnixStreamServer):
             path.unlink()
         except FileNotFoundError:
             pass
-        super().__init__(str(path), _Handler)
+        try:
+            super().__init__(str(path), _Handler)
+        except OSError as exc:  # a bind error names no file
+            raise FlipError(f"{path}: {exc.strerror or exc}") from None
         self.session = session
         self.socket_path = path
 

@@ -49,14 +49,14 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .epb import ConfigStore, Engine
 from .errors import FlipError, UnknownNodeError, UnknownSwitchError, ValidationError
 from .packets import PacketRecord
 from .planner import ActionKind, FlowRule
-from .topology import NodeKind, Topology, natural_key
+from .topology import NodeKind, Topology
 
 _ARRIVE = "arrive"
 _ENGINE = "engine"
@@ -166,28 +166,10 @@ class StatsReport:
     engine_counters: dict[str, dict[str, int]]
 
     def to_doc(self) -> dict:
-        return {
-            "filter_destination": self.filter_destination,
-            "switch_counts": dict(sorted(self.switch_counts.items(), key=lambda kv: natural_key(kv[0]))),
-            "total_packet_hops": self.total_packet_hops,
-            "port_rx": {s: dict(sorted(v.items())) for s, v in sorted(self.port_rx.items())},
-            "port_tx": {s: dict(sorted(v.items())) for s, v in sorted(self.port_tx.items())},
-            "rule_counters": {s: list(v) for s, v in sorted(self.rule_counters.items())},
-            "drops": dict(sorted(self.drops.items())),
-            "injected": self.injected,
-            "emitted": self.emitted,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "engine_counters": {e: dict(sorted(c.items())) for e, c in sorted(self.engine_counters.items())},
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
-
-    def csv_rows(self) -> list[tuple[str, int, int]]:
-        """(switch, dpid, count) rows in natural switch order."""
-        ordered = sorted(self.switch_counts, key=natural_key)
-        return [(sw, i + 1, self.switch_counts[sw]) for i, sw in enumerate(ordered)]
 
 
 class Fabric:

@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import dsl, planner
 from .control import Session
 from .dataplane import Fabric
 from .dsl import OpKind, OpNode, Request, RequestMode, TaskGraph
-from .errors import AuditFailure, FlipError
+from .errors import AuditFailure, FlipError, ValidationError
 from .packets import PacketRecord, Scalar
 from .topology import Topology, load_topology_file, natural_key
 
@@ -79,13 +80,22 @@ class Sample:
 @dataclass
 class Workload:
     """Seeded publish schedule: every source emits one scalar per period,
-    offset by a uniform per-packet jitter."""
+    offset by a uniform per-packet jitter, over at least one finite period."""
 
     seed: int = 0
     horizon_ms: float = 10_000.0
     period_ms: float = 100.0
     value_range: tuple[float, float] = (0.0, 100.0)
     jitter_range_ms: tuple[float, float] = (0.0, 3.0)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.period_ms) and self.period_ms > 0):
+            raise ValidationError(f"period_ms must be finite and above 0, got {self.period_ms!r}")
+        if not (math.isfinite(self.horizon_ms) and self.horizon_ms >= self.period_ms):
+            raise ValidationError(
+                f"horizon_ms must be finite and at least one period ({self.period_ms!r} ms),"
+                f" got {self.horizon_ms!r}"
+            )
 
     def epochs(self) -> int:
         return int(self.horizon_ms // self.period_ms)
@@ -102,13 +112,7 @@ class Workload:
         return out
 
     def to_doc(self) -> dict:
-        return {
-            "seed": self.seed,
-            "horizon_ms": self.horizon_ms,
-            "period_ms": self.period_ms,
-            "value_range": list(self.value_range),
-            "jitter_range_ms": list(self.jitter_range_ms),
-        }
+        return asdict(self)
 
 
 # -- reference evaluation ---------------------------------------------------------
@@ -167,20 +171,7 @@ class ComparisonRow:
     audit_ok: bool
 
     def to_doc(self) -> dict:
-        return {
-            "request": self.request,
-            "label": self.label,
-            "flip_total_hops": self.flip_total_hops,
-            "baseline_total_hops": self.baseline_total_hops,
-            "reduction_pct": self.reduction_pct,
-            "per_switch_flip": dict(sorted(self.per_switch_flip.items(), key=lambda kv: natural_key(kv[0]))),
-            "per_switch_baseline": dict(
-                sorted(self.per_switch_baseline.items(), key=lambda kv: natural_key(kv[0]))
-            ),
-            "edge_switches": self.edge_switches,
-            "delivered_epochs": self.delivered_epochs,
-            "audit_ok": self.audit_ok,
-        }
+        return asdict(self)
 
 
 def simulate(

@@ -238,7 +238,7 @@ class DatapathPlan:
             ],
             "admitted": self.admitted,
             "worst_path_delay_ms": self.worst_path_delay_ms,
-            "source_ingress": dict(sorted(self.source_ingress.items(), key=lambda kv: kv[0])),
+            "source_ingress": dict(self.source_ingress),
         }
 
     def to_json(self) -> str:

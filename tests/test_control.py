@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import socket
 import threading
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from flip import cli, errors, harness
 from flip.cli import main as cli_main
 from flip.control import VERB_TABLE, CommandServer, Session, send_command
-from flip.errors import FlipError, ParseError
+from flip.errors import FlipError, ParseError, UnknownSwitchError, ValidationError
 from flip.harness import build_experiment_topology, demo_topology
 from flip.packets import PacketRecord, Scalar
 from flip.topology import load_topology
@@ -181,7 +182,7 @@ def test_setconfig_module_updates_section(session):
 def test_run_script_r1_r9(tmp_path, session):
     script = tmp_path / "suite.flip"
     script.write_text("\n".join(["# all nine"] + harness.request_texts()) + "\n")
-    results = session.run_script(script)
+    results = session.run_script(script.read_text())
     assert len(results) == 9
     assert all(r.ok for r in results)
     # a str is script text, even one line longer than a file name may be
@@ -194,7 +195,7 @@ def test_run_script_r1_r9(tmp_path, session):
 def test_run_script_baseline_mode(tmp_path, session):
     script = tmp_path / "suite.flip"
     script.write_text("\n".join(harness.request_texts()) + "\n")
-    results = session.run_script(script, baseline=True)
+    results = session.run_script(script.read_text(), baseline=True)
     assert all(r.ok for r in results)
     assert all(r.body.get("baseline") for r in results)
     # shortest-path delivery only: no engine configs, no redirects anywhere
@@ -206,7 +207,7 @@ def test_run_script_baseline_mode(tmp_path, session):
 def test_run_script_empty(tmp_path, session):
     script = tmp_path / "empty.flip"
     script.write_text("# nothing here\n\n")
-    assert session.run_script(script) == []
+    assert session.run_script(script.read_text()) == []
 
 
 def test_run_script_keep_going(tmp_path, session):
@@ -214,14 +215,43 @@ def test_run_script_keep_going(tmp_path, session):
     lines += harness.request_texts()[4:]
     script = tmp_path / "broken.flip"
     script.write_text("\n".join(lines) + "\n")
-    results = session.run_script(script, keep_going=True)
+    results = session.run_script(script.read_text(), keep_going=True)
     assert len(results) == 10
     assert sum(1 for r in results if r.ok) == 9
     assert sum(1 for r in results if not r.ok) == 1
     # without keep_going, execution stops at the bad line
     fresh = Session(build_experiment_topology())
-    stopped = fresh.run_script(script)
+    stopped = fresh.run_script(script.read_text())
     assert len(stopped) == 5 and not stopped[-1].ok
+
+
+COMMAND_ERRORS = {
+    "duplicate-sources": (
+        "setconfig/user",
+        {
+            "engine": "e-sw1",
+            "user": "u",
+            "config": {"compute": "max", "source": ["bs1", "bs1"], "destination": "user"},
+        },
+        ValidationError,
+        "duplicate sources in config: ('bs1', 'bs1')",
+    ),
+    "no-flow-at-index": (
+        "delflow", {"dpid": "sw1", "index": 0}, ValidationError, "no flow at index 0 on sw1"
+    ),
+    "unknown-dpid": ("delflowall", {"dpid": 99}, UnknownSwitchError, "unknown dpid 99"),
+}
+
+
+@pytest.mark.parametrize("verb, args, error, fragment", COMMAND_ERRORS.values(), ids=COMMAND_ERRORS)
+def test_a_failing_command_is_its_typed_error_and_fails_a_replay(demo_session, verb, args, error, fragment):
+    """A command that fails returns its error's code and is not logged; a
+    log that holds it anyway fails its replay with an error naming the verb."""
+    result = demo_session.execute(verb, args)
+    assert (result.status, result.code) == ("error", error.code) and fragment in result.message
+    assert demo_session.command_log == []
+    with pytest.raises(FlipError, match=f"^replay failed on {re.escape(verb)}: .*{re.escape(fragment)}"):
+        Session.replay(demo_session.topology, [{"verb": verb, "args": args}])
 
 
 def test_replay_reproduces_state(demo_session):
@@ -556,6 +586,13 @@ def test_session_reads_no_config_dir_from_the_environment(tmp_path, monkeypatch)
     assert session.store.to_doc() == {}
     session.execute("setconfig/user", {"engine": "e-sw2", "user": "v", "config": config})
     assert config_file.read_bytes() == before
+
+
+def test_a_config_dir_that_does_not_exist_yet_is_made(tmp_path):
+    session = Session(demo_topology(), config_dir=tmp_path / "a" / "b")
+    assert session.execute("datapath_a", {"request": EQ1}).ok
+    text = (tmp_path / "a" / "b" / "engine_configs.json").read_text(encoding="utf-8")
+    assert session.store.to_doc() and text == json.dumps(session.store.to_doc(), indent=2, sort_keys=True)
 
 
 GHOST = {"compute": "max", "source": ["bs1"], "destination": "user"}
@@ -924,6 +961,34 @@ def test_cli_load_run_stats_roundtrip(tmp_path):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0] == "switch,id,count"
     assert len(lines) == 6  # header + 5 switches
+    # the ids are the dpids getswitches reports
+    switches = Session(demo_topology()).execute("getswitches").body["switches"]
+    assert [line.split(",")[:2] for line in lines[1:]] == [[s["id"], str(s["dpid"])] for s in switches]
+
+
+def test_cli_run_reports_the_failing_line(tmp_path, capsys):
+    script = tmp_path / "broken.flip"
+    script.write_text(f"# one good, one bad\n{EQ1}\ndatapath_a(frob(bs1),destination<-user)\n{EQ1}\n")
+    session_dir = str(tmp_path / "s")
+    assert cli_main(["--session", session_dir, "load", str(harness.DATA_DIR / "demo_topology.json")]) == 0
+    capsys.readouterr()
+    assert cli_main(["--session", session_dir, "run", str(script)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[1] ok"
+    assert lines[1].startswith("[2] error unknown_operation: line 3: unknown operation 'frob'"), lines
+    assert lines[2:] == ["1/2 requests installed"]
+
+
+def test_cli_stats_prints_the_report(tmp_path, capsys):
+    session_dir = str(tmp_path / "s")
+    assert cli_main(["--session", session_dir, "load", str(harness.DATA_DIR / "demo_topology.json")]) == 0
+    assert cli_main(["--session", session_dir, "cmd", "datapath_a", f"request={EQ1}"]) == 0
+    capsys.readouterr()
+    assert cli_main(["--session", session_dir, "stats", "--filter-dest", "user"]) == 0
+    session = Session(demo_topology())
+    session.execute("datapath_a", {"request": EQ1})
+    report = session.fabric.stats("user")
+    assert capsys.readouterr().out == json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_cmd_and_persistence(tmp_path):
@@ -937,32 +1002,37 @@ def test_cli_cmd_and_persistence(tmp_path):
     assert cli_main(["--session", session_dir, "cmd", "getflows", "dpid=sw1"]) == 0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["load", "bad.json"],
-        ["load", "TOPO", "--coverage", "bad.json"],
-        ["load", "missing.json"],
-        ["run", "missing.flip"],
-        ["cmd", "getflows", "--json", "{bad"],
-        ["cmd", "getflows", "--json", "[1]"],
-        ["run", "binary.flip"],
-        ["--session", "other", "stats"],
-    ],
-    ids=[
-        "topology-not-json",
-        "coverage-not-json",
-        "missing-topology",
-        "missing-script",
-        "json-malformed",
-        "json-not-object",
-        "script-not-utf8",
-        "session-not-a-session",
-    ],
-)
-def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
-    """A missing or malformed input file, or a --json value that is not a
-    JSON object, exits 1 with an `error:` line instead of a traceback."""
+BAD_CLI_INPUT = {
+    "topology-not-json": (["load", "bad.json"], "bad.json: Expecting value"),
+    "coverage-not-json": (["load", "TOPO", "--coverage", "bad.json"], "bad.json: Expecting value"),
+    "missing-topology": (["load", "missing.json"], "missing.json: No such file"),
+    "missing-script": (["run", "missing.flip"], "missing.flip: No such file"),
+    "json-malformed": (["cmd", "getflows", "--json", "{bad"], "--json: Expecting property name"),
+    "json-not-object": (["cmd", "getflows", "--json", "[1]"], "--json must be a JSON object"),
+    "script-not-utf8": (["run", "binary.flip"], "binary.flip: 'utf-8' codec can't decode"),
+    "session-not-a-session": (["--session", "other", "stats"], "not a flip session"),
+    # a file or directory that cannot be used
+    "csv-in-a-missing-directory": (["stats", "--csv", "nodir/c.csv"], "nodir/c.csv: No such file"),
+    "bench-out-under-a-file": (["bench", "--out", "bad.json/x"], "bad.json/x: Not a directory"),
+    "session-under-a-file": (["--session", "bad.json/s", "load", "TOPO"], "bad.json/s: Not a directory"),
+    "socket-in-a-missing-directory": (["serve", "--socket", "nodir/s.sock"], "nodir/s.sock: No such file"),
+    # bench numbers that give no epoch
+    "zero-period": (["bench", "--period-ms", "0"], "period_ms must be finite and above 0, got 0.0"),
+    "nan-period": (["bench", "--period-ms", "nan"], "period_ms must be finite and above 0, got nan"),
+    "infinite-period": (["bench", "--period-ms", "inf"], "period_ms must be finite and above 0, got inf"),
+    "infinite-horizon": (["bench", "--horizon-ms", "inf"], "horizon_ms must be finite and at least one period"),
+    "zero-horizon": (["bench", "--horizon-ms", "0"], "horizon_ms must be finite and at least one period"),
+    "horizon-under-a-period": (["bench", "--horizon-ms", "50"], "at least one period (100.0 ms), got 50.0"),
+    "negative-horizon": (["bench", "--horizon-ms", "-5"], "at least one period (100.0 ms), got -5.0"),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", BAD_CLI_INPUT.values(), ids=BAD_CLI_INPUT)
+def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, fragment):
+    """A missing, malformed or unusable input or output path, a --json
+    value that is not a JSON object, or a bench number that gives no epoch
+    exits 1 with one `error:` line naming it instead of a traceback, and
+    before any output."""
     topo_file = str(Path("data/demo_topology.json").resolve())
     monkeypatch.chdir(tmp_path)
     Path("bad.json").write_text("not json\n")
@@ -973,8 +1043,9 @@ def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
     capsys.readouterr()
     argv = [topo_file if arg == "TOPO" else arg for arg in argv]
     assert cli_main(["--session", "s", *argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err, err
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err, err
+    assert out == ""
 
 
 def test_cli_bad_number_in_a_file_is_a_parse_error(tmp_path, capsys):

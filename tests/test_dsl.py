@@ -9,6 +9,7 @@ from flip.errors import (
     DslSyntaxError,
     EmptyRangeError,
     FlipError,
+    ParseError,
     UnknownNodeError,
     UnknownOperationError,
     UnknownRegionError,
@@ -420,6 +421,40 @@ def test_translate_coverage():
     assert dsl.translate_coverage("Empty", cov) == set()
     with pytest.raises(UnknownRegionError):
         dsl.translate_coverage("seoul", cov)
+
+
+def _parse(requirement="", source="bs1"):
+    text = f"datapath_a(max({source}),destination<-user{requirement})"
+    return lambda: parse_request(text)
+
+
+def _coverage(doc):
+    return lambda: dsl.load_coverage(doc)
+
+
+TYPED_ERRORS = {
+    # requests
+    "engine-tag-not-engine": (_parse(source="bs1[foo]"), DslSyntaxError, "expected [engine], got [foo]"),
+    "duplicate-requirement": (
+        _parse(",requirement<-{delay=10ms,delay=20ms}"),
+        DslSyntaxError,
+        "duplicate requirement 'delay'",
+    ),
+    "number-with-two-points": (_parse(",requirement<-{delay=1.2.3ms}"), DslSyntaxError, "bad number '1.2.3'"),
+    "zero-delay": (_parse(",requirement<-{delay=0ms}"), ValidationError, "delay must be positive, got 0 ms"),
+    # coverage documents
+    "coverage-not-an-object": (_coverage(["bs1:bs10"]), ParseError, "coverage document must be an object"),
+    "region-not-a-list": (_coverage({"Seoul": "bs1:bs10"}), ParseError, "region 'Seoul' must map to a list"),
+    "entry-not-a-string": (_coverage({"Seoul": [1]}), ParseError, "coverage entry 1 must be a string"),
+    "malformed-range": (_coverage({"Seoul": ["bs1:x10"]}), ParseError, "malformed range 'bs1:x10'"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", TYPED_ERRORS.values(), ids=TYPED_ERRORS)
+def test_bad_input_raises_its_typed_error(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
 
 
 def test_leafonly_parents_shape():

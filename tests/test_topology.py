@@ -114,6 +114,108 @@ def test_unknown_kind_is_parse_error():
         load_topology(doc)
 
 
+SW1 = {"id": "sw1", "kind": "switch"}
+SW2 = {"id": "sw2", "kind": "switch"}
+
+
+def _load(nodes, links=()):
+    return lambda tmp_path: load_topology({"nodes": list(nodes), "links": list(links)})
+
+
+def _query(name, *args):
+    return lambda tmp_path: getattr(load_topology(MINIMAL), name)(*args)
+
+
+def _load_file(text):
+    def call(tmp_path):
+        path = tmp_path / "topology.json"
+        path.write_text(text, encoding="utf-8")
+        return load_topology_file(path)
+
+    return call
+
+
+TYPED_ERRORS = {
+    # the graph
+    "self-link": (_load([SW1], [{"a": "sw1", "b": "sw1"}]), ValidationError, "self-link on 'sw1'"),
+    "duplicate-link": (
+        _load([SW1, SW2], [{"a": "sw1", "b": "sw2"}, {"a": "sw2", "b": "sw1"}]),
+        ValidationError,
+        "duplicate link sw2-sw1",
+    ),
+    "no-nodes": (_load([]), ValidationError, "topology has no nodes"),
+    "base-station-on-a-host": (
+        _load(
+            [{"id": "bs1", "kind": "basestation"}, {"id": "user", "kind": "destination"}],
+            [{"a": "bs1", "b": "user"}],
+        ),
+        ValidationError,
+        "basestation 'bs1' must attach to a switch",
+    ),
+    "two-engines": (
+        _load(
+            [SW1, {"id": "e1", "kind": "engine"}, {"id": "e2", "kind": "engine"}],
+            [{"a": "e1", "b": "sw1"}, {"a": "e2", "b": "sw1"}],
+        ),
+        ValidationError,
+        "switch 'sw1' has multiple engines: ['e1', 'e2']",
+    ),
+    # the loader
+    "document-not-an-object": (lambda tmp_path: load_topology([SW1]), ParseError, "must be an object"),
+    "nodes-not-a-list": (
+        lambda tmp_path: load_topology({"nodes": {"sw1": "switch"}, "links": []}),
+        ParseError,
+        "needs 'nodes' and 'links' lists",
+    ),
+    "links-not-a-list": (
+        lambda tmp_path: load_topology({"nodes": [SW1], "links": {}}),
+        ParseError,
+        "needs 'nodes' and 'links' lists",
+    ),
+    "entry-not-an-object": (_load(["sw1"]), ParseError, "node entry must be an object, got 'sw1'"),
+    "range-on-a-switch": (
+        _load([{"range": "sw1:sw3", "kind": "switch"}]),
+        ParseError,
+        "range entries are only for base stations",
+    ),
+    "range-without-switch": (
+        _load([SW1, {"range": "bs1:bs3", "kind": "basestation"}]),
+        ParseError,
+        "range entry 'bs1:bs3' needs a 'switch'",
+    ),
+    "malformed-range": (
+        _load([SW1, {"range": "bs1:x3", "kind": "basestation", "switch": "sw1"}]),
+        ParseError,
+        "malformed range 'bs1:x3'",
+    ),
+    "entry-without-id-or-range": (_load([{"kind": "switch"}]), ParseError, "needs 'id' or 'range'"),
+    "link-without-b": (_load([SW1, SW2], [{"a": "sw1"}]), ParseError, "link entry needs 'a' and 'b'"),
+    "file-not-json": (_load_file("not json\n"), ParseError, "topology.json: Expecting value"),
+    # the queries
+    "neighbors-unknown": (_query("neighbors", "sw9"), NotFoundError, "unknown node 'sw9'"),
+    "link-delay-unknown": (_query("link_delay", "sw9", "sw1"), NotFoundError, "no link sw9-sw1"),
+    "shortest-paths-unknown": (_query("shortest_paths_from", "sw9"), NotFoundError, "unknown node 'sw9'"),
+    "engine-of-a-station": (_query("engine_of", "bs1"), NotFoundError, "'bs1' is not a switch"),
+    "engine-of-a-bare-switch": (
+        lambda tmp_path: load_topology({"nodes": [SW1], "links": []}).engine_of("sw1"),
+        NotFoundError,
+        "switch 'sw1' has no engine",
+    ),
+    "adjacent-switch-of-a-station": (
+        _query("adjacent_switch", "bs1", set()),
+        NotFoundError,
+        "'bs1' is not a switch",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", TYPED_ERRORS.values(), ids=TYPED_ERRORS)
+def test_bad_input_raises_its_typed_error(tmp_path, call, error, fragment):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert fragment in str(info.value)
+
+
 BAD_DELAYS = [float("nan"), float("inf"), -1, "2", True, [1], 10**400]
 
 
