@@ -18,7 +18,7 @@ from pathlib import Path
 from . import control, dsl, harness
 from .control import Session
 from .errors import FlipError, ParseError, ValidationError
-from .topology import load_topology
+from .topology import load_topology, read_json, read_text
 
 DEFAULT_SESSION_DIR = ".flip"
 SESSION_FILE = "session.json"
@@ -28,30 +28,11 @@ def _session_path(directory: str) -> Path:
     return Path(directory) / SESSION_FILE
 
 
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 file's text; text that is not UTF-8 is a ParseError naming
-    the file. A file that cannot be read raises its OSError, which `main`
-    reports."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
-def _read_json(path: str | Path):
-    """The document in a JSON file; a malformed file is a ParseError
-    naming the file."""
-    try:
-        return json.loads(_read_text(path))
-    except ValueError as exc:  # not JSON, or an int of more digits than int() takes
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def _load_session(directory: str) -> tuple[Session, dict]:
     path = _session_path(directory)
     if not path.exists():
         raise FlipError(f"no session at {path}; run `flip load` first")
-    doc = _read_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict) or "topology" not in doc:
         raise ParseError(f"{path}: not a flip session; run `flip load` again")
     topology = load_topology(doc["topology"])
@@ -68,11 +49,11 @@ def _save_session(directory: str, doc: dict) -> Path:
 
 
 def _cmd_load(args) -> int:
-    topo_doc = _read_json(args.topology)
+    topo_doc = read_json(args.topology)
     topology = load_topology(topo_doc)  # validate before persisting
     cov_doc = None
     if args.coverage:
-        cov_doc = _read_json(args.coverage)
+        cov_doc = read_json(args.coverage)
         dsl.load_coverage(cov_doc)
     path = _save_session(args.session, {"topology": topo_doc, "coverage": cov_doc, "log": []})
     # a new session must not show the previous session's configs
@@ -87,7 +68,7 @@ def _cmd_load(args) -> int:
 def _cmd_run(args) -> int:
     session, doc = _load_session(args.session)
     results = session.run_script(
-        _read_text(args.script), keep_going=args.keep_going, baseline=args.mode == "baseline"
+        read_text(args.script), keep_going=args.keep_going, baseline=args.mode == "baseline"
     )
     _save_session(args.session, {**doc, "log": session.command_log})
     failures = 0

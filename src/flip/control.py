@@ -234,7 +234,7 @@ class Session:
     def _modflow(self, args) -> dict:
         sw, index = self._flow_index(args)
         rule = self._rule_from_args(sw, args)
-        self.fabric.check_rules([rule])
+        self.fabric.check_rules([rule], replacing=index)
         self.fabric.tables[sw].replace(index, rule)
         return {"modified": index}
 
@@ -359,10 +359,7 @@ class Session:
         and blank lines are skipped. Stops at the first error unless
         keep_going."""
         results: list[CommandResult] = []
-        for line_no, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line_no, line in dsl.script_lines(text):
             verb = "datapath_m" if line.startswith("datapath_m") else "datapath_a"
             result = self.execute(verb, {"request": line, "baseline": baseline})
             if not result.ok:

@@ -11,12 +11,12 @@ counters and neighbour delays, each changed in place and never replaced.
 Switch lookup is first-match-wins over (final destination, source): one
 dict access into a per-table index, built on first use and dropped
 whenever the table's rules change, returns the rule and its position
-together, so installing rules builds no index; a passthrough packet (see
-below) scans the rules instead. An arrival tells a switch from a host by
-whether the node has that state, and the hop limit is held on the
-fabric. Installation checks each target's kind, so a forward always
-reaches a switch and a redirect an engine. Where a base station or
-engine attaches (its switch, the link's delay, whether it is an engine)
+together, so installing rules builds no index. An arrival tells a switch
+from a host by whether the node has that state, and the hop limit is held
+on the fabric. Installation checks each target's kind, so a forward always
+reaches a switch and a redirect an engine, and refuses a rule that would
+shadow a redirect or be shadowed by one. Where a base station or engine
+attaches (its switch, the link's delay, whether it is an engine)
 comes from the topology's read-only attachment table, built on first
 use; injection and engine output read it. An engine arrival that is
 buffered or discarded returns nothing from the engine and ends the event
@@ -35,9 +35,10 @@ keeps the per-switch numbers comparable between engine-assisted and
 baseline runs. The report's total packet hops is the sum of these per-switch
 counts under the same destination filter.
 
-Packets an engine could not match (no config) re-enter the switch flagged
-to skip redirect rules, so a misconfigured flow falls through to plain
-forwarding or a counted drop instead of looping through the engine forever.
+A redirect owns its match: no other rule on its switch shares a (final
+destination, source) with it unless it redirects to the same engine.
+Forwards and delivers may overlap and stay first-match. A packet that
+matches no config at its engine is counted there as `no_config`.
 
 Each count is read from the one structure that holds it: packets in
 flight are the packet events left on the queue, delivered packets the
@@ -52,8 +53,8 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .epb import ConfigStore, Engine
-from .errors import FlipError, UnknownNodeError, UnknownSwitchError, ValidationError
+from .epb import SETTLED, ConfigStore, Engine
+from .errors import ConflictError, FlipError, UnknownNodeError, UnknownSwitchError, ValidationError
 from .packets import PacketRecord
 from .planner import ActionKind, FlowRule
 from .topology import NodeKind, Topology
@@ -69,9 +70,7 @@ class FlowTable:
     The first matching rule for each (final destination, source) is read
     from an index built on the first match after a change and dropped by
     every change, so a lookup costs one dict access however many rules and
-    sources the table holds. A packet coming back from an engine that could
-    not consume it skips redirect rules by scanning the list: no planned
-    flow sends one.
+    sources the table holds.
     """
 
     def __init__(self, switch: str):
@@ -91,19 +90,8 @@ class FlowTable:
         self._first = None
         return True
 
-    def match(self, packet: PacketRecord, skip_redirect: bool = False):
-        """The first matching rule as (its position, the rule), or None;
-        with skip_redirect, the first that is not a redirect."""
-        if skip_redirect:
-            fd, source = packet.final_destination, packet.source
-            for index, rule in enumerate(self.rules):
-                if (
-                    rule.action is not ActionKind.REDIRECT
-                    and rule.final_destination == fd
-                    and source in rule.sources
-                ):
-                    return index, rule
-            return None
+    def match(self, packet: PacketRecord):
+        """The first matching rule as (its position, the rule), or None."""
         first = self._first
         if first is None:
             first = self._index()
@@ -119,6 +107,26 @@ class FlowTable:
                 first.setdefault((rule.final_destination, source), hit)
         self._first = first
         return first
+
+    def clash(self, rule: FlowRule, replacing: int | None = None) -> tuple[int, FlowRule] | None:
+        """The first rule, other than the one at `replacing`, that shares a
+        (final destination, source) with rule where either redirects and
+        the two differ in action or target, as (its position, the rule);
+        None for a rule already installed."""
+        if not self.rules or rule in self._installed:
+            return None
+        redirect, sources = rule.action is ActionKind.REDIRECT, None
+        for index, other in enumerate(self.rules):
+            if (
+                other.final_destination == rule.final_destination
+                and (redirect or other.action is ActionKind.REDIRECT)
+                and (other.action, other.target) != (rule.action, rule.target)
+                and index != replacing
+            ):
+                sources = sources or set(rule.sources)
+                if not sources.isdisjoint(other.sources):
+                    return index, other
+        return None
 
     def replace(self, index: int, rule: FlowRule) -> None:
         """Put rule at index in place of the rule there, with a zeroed
@@ -226,24 +234,34 @@ class Fabric:
 
     # -- commands --
 
-    def check_rules(self, rules: list[FlowRule]) -> None:
+    def check_rules(self, rules: list[FlowRule], replacing: int | None = None) -> None:
         """Raise for a rule on an unknown switch, with a target that is not
         adjacent to its switch, or with a target of the wrong kind: a
-        forward goes to a switch and a redirect to an engine."""
+        forward goes to a switch and a redirect to an engine. Then raise a
+        ConflictError for a rule that clashes with an installed rule other
+        than the one it replaces at `replacing` (see `FlowTable.clash`).
+        The rules are not checked against each other."""
         for rule in rules:
             if rule.switch not in self.tables:
                 raise UnknownSwitchError(f"unknown switch {rule.switch!r}")
             action = rule.action
-            if action is ActionKind.DELIVER:
-                continue
-            if rule.target not in self.topology.neighbors(rule.switch):
-                raise UnknownSwitchError(
-                    f"rule target {rule.target!r} is not adjacent to {rule.switch!r}"
+            if action is not ActionKind.DELIVER:
+                if rule.target not in self.topology.neighbors(rule.switch):
+                    raise UnknownSwitchError(
+                        f"rule target {rule.target!r} is not adjacent to {rule.switch!r}"
+                    )
+                if action is ActionKind.FORWARD and rule.target not in self.tables:
+                    raise ValidationError(f"forward target {rule.target!r} on {rule.switch!r} is not a switch")
+                if action is ActionKind.REDIRECT and rule.target not in self.engines:
+                    raise ValidationError(f"redirect target {rule.target!r} on {rule.switch!r} is not an engine")
+            clash = self.tables[rule.switch].clash(rule, replacing)
+            if clash is not None:
+                index, other = clash
+                shared = next(s for s in rule.sources if s in other.sources)
+                raise ConflictError(
+                    f"{action.value} on {rule.switch!r} for ({rule.final_destination!r}, {shared!r})"
+                    f" clashes with the {other.action.value} at index {index}"
                 )
-            if action is ActionKind.FORWARD and rule.target not in self.tables:
-                raise ValidationError(f"forward target {rule.target!r} on {rule.switch!r} is not a switch")
-            if action is ActionKind.REDIRECT and rule.target not in self.engines:
-                raise ValidationError(f"redirect target {rule.target!r} on {rule.switch!r} is not an engine")
 
     def install_rules(self, rules: list[FlowRule]) -> int:
         """Append rules, skipping exact duplicates. All-or-nothing on
@@ -268,7 +286,7 @@ class Fabric:
         self.injected += 1
         if self.trace is not None:
             self._trace(p.timestamp_ms, "inject", node=at, uid=p.uid, source=p.source)
-        return self._push(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine, False))
+        return self._push(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine))
 
     # -- event execution --
 
@@ -288,7 +306,7 @@ class Fabric:
             n += 1
         return n
 
-    def _on_arrive(self, now, node, p: PacketRecord, via, from_engine, skip_redirect):
+    def _on_arrive(self, now, node, p: PacketRecord, via, from_engine):
         state = self._hop_state.get(node)
         if state is None:  # a host
             record = {
@@ -314,7 +332,7 @@ class Fabric:
         if not from_engine:
             ingress[fd] = ingress.get(fd, 0) + 1
 
-        hit = table.match(p, skip_redirect)
+        hit = table.match(p)
         if hit is None:
             return self._drop(now, node, p, "no_rule")
         index, rule = hit
@@ -333,7 +351,7 @@ class Fabric:
             if self.trace is None:
                 return None
             return self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
-        self._push(now + delays[target], _ARRIVE, (target, p, node, False, False))
+        self._push(now + delays[target], _ARRIVE, (target, p, node, False))
         if self.trace is None:
             return None
         return self._trace(now, "forward", node=node, uid=p.uid, to=target)
@@ -361,12 +379,6 @@ class Fabric:
             return self._trace(now, "engine", engine=engine_id, uid=p.uid, emitted=[], epoch=p.epoch)
         if result.timeout_at is not None:
             self._push(result.timeout_at, _TIMEOUT, (engine_id, result.timeout_token))
-        if result.passthrough:
-            switch, delay, _ = self.topology.attachments[engine_id]
-            self._push(now + delay, _ARRIVE, (switch, p, engine_id, True, True))
-            if self.trace is None:
-                return None
-            return self._trace(now, "passthrough", engine=engine_id, uid=p.uid)
         emitted = self._emit(now, engine_id, result.emission)
         if self.trace is None:
             return None
@@ -388,7 +400,7 @@ class Fabric:
         switch, delay, _ = self.topology.attachments[engine_id]
         self._uid += 1
         emission.uid = self._uid
-        self._push(now + delay, _ARRIVE, (switch, emission, engine_id, True, False))
+        self._push(now + delay, _ARRIVE, (switch, emission, engine_id, True))
         return [self._uid]
 
     # -- reporting --
@@ -425,17 +437,7 @@ class Fabric:
 
     def conservation(self) -> dict:
         """Packet accounting identity; `balanced` must always hold."""
-        eng = {
-            k: sum(e.counters[k] for e in self.engines.values())
-            for k in (
-                "rate_dropped",
-                "jitter_discarded",
-                "duplicate_discarded",
-                "late_discarded",
-                "consumed",
-                "rejected",
-            )
-        }
+        eng = {k: sum(e.counters[k] for e in self.engines.values()) for k in SETTLED}
         pending = sum(e.pending_arrivals() for e in self.engines.values())
         in_flight = sum(1 for event in self._heap if event[2] != _TIMEOUT)
         created = self.injected + self._emitted()

@@ -401,6 +401,13 @@ def parse_request(text: str) -> Request:
     return _Parser(text).parse_request()
 
 
+def script_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, request text) of each line of a request
+    script; `#` comments and blank lines are left out."""
+    lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), 1))
+    return [(n, line) for n, line in lines if line]
+
+
 # -- canonical printing -------------------------------------------------------
 
 

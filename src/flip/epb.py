@@ -33,7 +33,8 @@ the first packet after a change from the engine's configs in (user,
 destination) order, keeping the first config for each key, so a packet
 gets the first config in that order whose user, sources and matched
 destinations cover it. Each entry holds the config and its key, so an
-arrival computes no key.
+arrival computes no key. A packet that no config covers is counted as
+`no_config` and discarded.
 
 `Engine.process` is the one implementation of every pipeline rule (rate,
 epoch, late, de-jitter, duplicate, timeout), in one pass. Most arrivals
@@ -57,6 +58,11 @@ from .packets import PacketRecord, Scalar
 
 TIMEOUT_RATE_FACTOR = 2.0
 NO_RATE_TIMEOUT_MS = 100.0
+
+# an engine's counters of what became of its arrivals: with the arrivals
+# still buffered in open epochs, they account for every arrival
+SETTLED = ("no_config", "rate_dropped", "jitter_discarded", "duplicate_discarded",
+           "late_discarded", "consumed", "rejected")
 
 
 @dataclass(frozen=True)
@@ -345,7 +351,6 @@ class EngineResult:
     emission: PacketRecord | None
     timeout_at: float | None = None
     timeout_token: tuple | None = None
-    passthrough: bool = False
 
 
 class Engine:
@@ -362,17 +367,7 @@ class Engine:
         self._rate_last: dict[tuple, int] = {}
         # token -> its arrivals while open, None once closed
         self._pending: dict[tuple, dict[str, tuple[float, Scalar]] | None] = {}
-        self.counters: dict[str, int] = {
-            "arrivals": 0,
-            "no_config": 0,
-            "rate_dropped": 0,
-            "jitter_discarded": 0,
-            "duplicate_discarded": 0,
-            "late_discarded": 0,
-            "consumed": 0,
-            "rejected": 0,
-            "emitted": 0,
-        }
+        self.counters: dict[str, int] = {"arrivals": 0, **dict.fromkeys(SETTLED, 0), "emitted": 0}
 
     def process(self, p: PacketRecord, now: float) -> EngineResult | None:
         """Feed one redirected packet through the pipeline, rule by rule:
@@ -390,10 +385,9 @@ class Engine:
           NO_RATE_TIMEOUT_MS.
 
         Returns None when the packet was buffered or discarded with nothing
-        to send or schedule, as most arrivals are. Otherwise the result
-        holds one of: the epoch's output packet, the timeout for a newly
-        opened epoch, or that the packet passes through untouched because
-        no config matched.
+        to send or schedule, as most arrivals are, also when no config
+        matched it. Otherwise the result holds either the epoch's output
+        packet or the timeout for a newly opened epoch.
         """
         counters = self.counters
         counters["arrivals"] += 1
@@ -401,7 +395,7 @@ class Engine:
         hit = self.store.lookup(self.engine_id, p.user, source, p.final_destination)
         if hit is None:
             counters["no_config"] += 1
-            return EngineResult(None, passthrough=True)
+            return None
         cfg, key = hit
         rate = cfg.rate_ms
         if rate is None:

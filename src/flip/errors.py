@@ -83,6 +83,12 @@ class UnknownSwitchError(FlipError):
     code = "unknown_switch"
 
 
+class ConflictError(FlipError):
+    """A rule would shadow, or be shadowed by, a redirect on its switch."""
+
+    code = "conflict"
+
+
 class UnknownVerbError(FlipError):
     code = "unknown_verb"
 

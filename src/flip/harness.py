@@ -37,7 +37,7 @@ from .dataplane import Fabric
 from .dsl import OpKind, OpNode, Request, RequestMode, TaskGraph
 from .errors import AuditFailure, FlipError, ValidationError
 from .packets import PacketRecord, Scalar
-from .topology import Topology, load_topology_file, natural_key
+from .topology import Topology, load_topology_file, natural_key, read_text
 
 
 # -- authored topologies and requests ------------------------------------------
@@ -57,9 +57,7 @@ def build_experiment_topology() -> Topology:
 
 def request_texts() -> list[str]:
     """R1..R9 in order; `#` comments and blank lines are skipped."""
-    text = (DATA_DIR / "requests_r1r9.flip").read_text(encoding="utf-8")
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    return [line for line in lines if line]
+    return [line for _, line in dsl.script_lines(read_text(DATA_DIR / "requests_r1r9.flip"))]
 
 
 def requests_r1_r9() -> list[Request]:

@@ -460,9 +460,23 @@ def load_topology(doc: dict) -> Topology:
     return Topology(nodes, links)
 
 
-def load_topology_file(path: str | Path) -> Topology:
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; text that is not UTF-8 is a ParseError naming
+    the file. A file that cannot be read raises its OSError."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return load_topology(doc)
+
+
+def read_json(path: str | Path):
+    """The document in a JSON file; a malformed file is a ParseError
+    naming the file."""
+    try:
+        return json.loads(read_text(path))
+    except ValueError as exc:  # not JSON, or an int of more digits than int() takes
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def load_topology_file(path: str | Path) -> Topology:
+    return load_topology(read_json(path))

@@ -31,9 +31,8 @@ included, goes through the heap and both maps are plain dicts, against
 which the one-link maps must give the same floats and tuples for every
 (source, target) pair. `scan_rules` is the earlier `FlowTable.match`
 kept as it was, with the earlier `FlowRule.matches` written in: a linear
-scan of the rule list, skipping redirect rules for a passthrough packet,
-against which the table's (final destination, source) index must give the
-same (position, rule) or miss. `tokenize` is the earlier `dsl._tokenize`
+scan of the rule list, against which the table's (final destination,
+source) index must give the same (position, rule) or miss. `tokenize` is the earlier `dsl._tokenize`
 kept as it was: a character loop building one frozen `Token` per token,
 against which the one-pattern scan must give the same (kind, value, col,
 unit) tuples, or the same error and column, for every text.
@@ -208,13 +207,9 @@ def scan_config(configs, engine: str, user: str, source: str, final_destination:
     return None
 
 
-def scan_rules(rules, packet, skip_redirect: bool = False):
+def scan_rules(rules, packet):
     """First rule of the list that matches the packet, with its position."""
-    from flip.planner import ActionKind
-
     for index, rule in enumerate(rules):
-        if skip_redirect and rule.action is ActionKind.REDIRECT:
-            continue
         if packet.final_destination == rule.final_destination and packet.source in rule.sources:
             return index, rule
     return None

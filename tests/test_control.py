@@ -14,7 +14,7 @@ from flip.control import VERB_TABLE, CommandServer, Session, send_command
 from flip.errors import FlipError, ParseError, UnknownSwitchError, ValidationError
 from flip.harness import build_experiment_topology, demo_topology
 from flip.packets import PacketRecord, Scalar
-from flip.topology import load_topology
+from flip.topology import load_topology, load_topology_file
 
 EQ1 = (
     "datapath_a(max(avg(bs1:bs10),avg(bs11:bs100),"
@@ -272,7 +272,7 @@ def test_replay_reproduces_state(demo_session):
 def test_modflow_replaces_the_rule(demo_session):
     demo_session.execute("datapath_a", {"request": EQ1})
     rule = {
-        "match": {"final_destination": "user", "sources": ["bs1"]},
+        "match": {"final_destination": "e-sw3", "sources": ["e-sw1"]},
         "action": {"type": "forward", "target": "sw4"},
     }
     result = demo_session.execute("modflow", {"dpid": "sw1", "index": 0, **rule})
@@ -281,6 +281,12 @@ def test_modflow_replaces_the_rule(demo_session):
     assert len(flows) == 2 and flows[0]["action"] == rule["action"]
     replayed = Session.replay(demo_topology(), demo_session.command_log)
     assert replayed.state_json() == demo_session.state_json()
+    # a forward for a match the redirect at index 1 owns is refused
+    before, log = demo_session.state_json(), list(demo_session.command_log)
+    shadowing = {"match": {"final_destination": "user", "sources": ["bs1"]}, "action": rule["action"]}
+    refused = demo_session.execute("modflow", {"dpid": "sw1", "index": 0, **shadowing})
+    assert (refused.status, refused.code) == ("error", "conflict")
+    assert demo_session.state_json() == before and demo_session.command_log == log
 
 
 def test_modflow_keeps_the_rule_in_its_place(session):
@@ -469,6 +475,101 @@ def test_automated_output_feeds_a_manual_engine(demo_session):
     assert audit_delivered(tg, fabric, samples, "user", w.epochs()) == 5
 
 
+REPRO_3 = (
+    "datapath_a(sum(bs1,bs15),destination<-user,user<-a)",
+    "datapath_a(max(bs11:bs20),destination<-user,user<-b)",
+)
+
+
+@pytest.mark.parametrize("first, second", [REPRO_3, REPRO_3[::-1]], ids=["a-then-b", "b-then-a"])
+def test_a_request_whose_rule_would_shadow_a_redirect_is_a_conflict(session, first, second):
+    """User a's forward for (user, bs15) on sw2 would shadow user b's
+    redirect there, or be shadowed by it: whichever request comes second is
+    refused with `conflict`, installs nothing, and is not logged."""
+    assert session.execute("datapath_a", {"request": first}).ok
+    before, log = session.state_json(), list(session.command_log)
+    result = session.execute("datapath_a", {"request": second})
+    assert (result.status, result.code) == ("error", "conflict")
+    assert "'sw2'" in result.message and "'bs15'" in result.message
+    assert session.state_json() == before and session.command_log == log
+    assert Session.replay(session.topology, log).state_json() == before
+
+
+def test_a_redirect_owns_its_match_against_hand_edits(demo_session):
+    """A hand-added forward for a match a planned redirect owns is a
+    `conflict`; the redirect itself can still be edited at its own index,
+    since a rule is not checked against the one it replaces."""
+    demo_session.execute("datapath_a", {"request": EQ1})
+    rules = demo_session.fabric.tables["sw1"].rules
+    index = next(i for i, rule in enumerate(rules) if rule.action.value == "redirect")
+    match = {"final_destination": "user", "sources": ["bs1"]}
+    before, log = demo_session.state_json(), list(demo_session.command_log)
+    forward = {"type": "forward", "target": "sw3"}
+    refused = demo_session.execute("addflow", {"dpid": "sw1", "match": match, "action": forward})
+    assert (refused.status, refused.code) == ("error", "conflict")
+    assert demo_session.state_json() == before and demo_session.command_log == log
+    edited = demo_session.execute("modflow", {"dpid": "sw1", "index": index, "match": match, "action": forward})
+    assert edited.ok, edited.message
+    assert demo_session.fabric.tables["sw1"].rules[index].action.value == "forward"
+    assert Session.replay(demo_topology(), demo_session.command_log).state_json() == demo_session.state_json()
+
+
+def _publish(session: Session, flows, epochs: int) -> dict[str, list]:
+    """Publish each (user, source ingress, seed) flow's seeded samples on
+    the session's fabric and run it; user -> its deliveries as sorted
+    (epoch, node, value)."""
+    fabric = session.fabric
+    for user, ingress, seed in flows:
+        for s in harness.Workload(seed=seed, horizon_ms=100.0 * epochs).samples(list(ingress)):
+            packet = PacketRecord(s.source, ingress[s.source], user, s.epoch, s.publish_ms, Scalar(s.value))
+            fabric.inject(packet, at=s.source)
+    fabric.run()
+    assert fabric.conservation()["balanced"]
+    delivered: dict[str, list] = {}
+    for record in fabric.delivered:
+        delivered.setdefault(record["user"], []).append((record["epoch"], record["node"], record["payload"]["scalar"]))
+    return {user: sorted(values) for user, values in delivered.items()}
+
+
+def test_co_installed_requests_are_isolated_or_refused():
+    """Seeded trials of 2-6 distinct users on one session, each with an
+    R1-R9 shape or a small overlapping one, sent to the user or the cloud
+    host. Each request is either refused with `conflict`, or admitted, and
+    then delivers the same value in every epoch as it does alone on a
+    fresh session with the same samples. Each trial's log replays to its
+    live state."""
+    t = build_experiment_topology()
+    shapes = [text[len("datapath_a(") : -len(",destination<-user)")] for text in harness.request_texts()]
+    shapes += ["sum(bs1,bs15)", "max(bs11:bs20)", "min(bs9:bs12)", "avg(bs5,bs25,bs45)", "max(sum(bs1,bs2),min(bs15,bs16))"]
+    epochs = 3
+    rng = random.Random(25)
+    alone: dict[str, list] = {}
+    refused = admitted = 0
+    for _ in range(150):
+        session = Session(t)
+        flows = []
+        for n in rng.sample(range(40), rng.randint(2, 6)):
+            destination = rng.choice(("user", "cloud"))
+            text = f"datapath_a({rng.choice(shapes)},destination<-{destination},user<-u{n})"
+            result = session.execute("datapath_a", {"request": text})
+            if not result.ok:
+                assert result.code == "conflict", result.message
+                refused += 1
+                continue
+            admitted += 1
+            flows.append((text, (f"u{n}", result.body["plan"]["source_ingress"], n)))
+        assert Session.replay(t, session.command_log).state_json() == session.state_json()
+        together = _publish(session, [flow for _, flow in flows], epochs)
+        for text, flow in flows:
+            if text not in alone:
+                fresh = Session(t)
+                assert fresh.execute("datapath_a", {"request": text}).ok
+                alone[text] = _publish(fresh, [flow], epochs)[flow[0]]
+                assert len(alone[text]) == epochs
+            assert together.get(flow[0]) == alone[text], text
+    assert refused and admitted > refused, (admitted, refused)
+
+
 def dsl_expand_eq1(topology):
     from flip import dsl
 
@@ -630,10 +731,16 @@ def test_a_command_writes_the_config_file_at_most_once(tmp_path, monkeypatch):
     result = session.execute("datapath_a", {"request": harness.request_texts()[8]})
     assert result.ok and result.body["configs_set"] > 1
     assert writes == [tmp_path / "engine_configs.json"]
-    rule = {"final_destination": "user", "sources": ["bs1"]}
+    rule = {"final_destination": "cloud", "sources": ["bs1"]}
     forward = {"type": "forward", "target": "sw2"}
     assert session.execute("getswitches").ok
     assert session.execute("addflow", {"dpid": "sw1", "match": rule, "action": forward}).ok
+    # a forward for a match a planned redirect owns is refused and changes nothing
+    before, log = session.state_json(), list(session.command_log)
+    shadowing = {"final_destination": "user", "sources": ["bs1"]}
+    refused = session.execute("addflow", {"dpid": "sw1", "match": shadowing, "action": forward})
+    assert (refused.status, refused.code) == ("error", "conflict")
+    assert session.state_json() == before and session.command_log == log
     assert len(writes) == 1
 
 
@@ -1004,6 +1111,7 @@ def test_cli_cmd_and_persistence(tmp_path):
 
 BAD_CLI_INPUT = {
     "topology-not-json": (["load", "bad.json"], "bad.json: Expecting value"),
+    "topology-not-utf8": (["load", "binary.flip"], "binary.flip: 'utf-8' codec can't decode"),
     "coverage-not-json": (["load", "TOPO", "--coverage", "bad.json"], "bad.json: Expecting value"),
     "missing-topology": (["load", "missing.json"], "missing.json: No such file"),
     "missing-script": (["run", "missing.flip"], "missing.flip: No such file"),
@@ -1051,11 +1159,11 @@ def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, fra
 def test_cli_bad_number_in_a_file_is_a_parse_error(tmp_path, capsys):
     topo = tmp_path / "topology.json"
     topo.write_text(f'{{"nodes": [{{"id": "sw1", "kind": "switch", "n": {LONG_INT}}}], "links": []}}')
-    with pytest.raises(ParseError):
-        cli._read_json(topo)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(topo))}: "):
+        load_topology_file(topo)
     assert cli_main(["--session", str(tmp_path / "s"), "load", str(topo)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert err.startswith(f"error: {topo}: ") and "Traceback" not in err, err
 
 
 def test_cli_bad_number_argument_falls_back_to_a_string(tmp_path, capsys):

@@ -126,7 +126,7 @@ def test_table_lookup_matches_the_old_scan_over_random_edits():
     """Add (duplicates included), remove at any position, clear and
     replace in place at random; after every step each (final
     destination, source) gets the same first rule as a scan of the list,
-    with and without redirect rules, and the counters follow their rules."""
+    and the counters follow their rules."""
     rng = random.Random(13)
     tables = {sw: FlowTable(sw) for sw in TABLE_SWITCHES}
     models: dict[str, list] = {sw: [] for sw in TABLE_SWITCHES}
@@ -140,12 +140,11 @@ def test_table_lookup_matches_the_old_scan_over_random_edits():
         assert len(table.rules) == len(table.counters)
         for fd, src in keys:
             p = make_packet(src, fd=fd)
-            for skip_redirect in (False, True):
-                got = table.match(p, skip_redirect=skip_redirect)
-                assert got == scan_rules(model, p, skip_redirect), (sw, fd, src, skip_redirect)
-                if got is not None and rng.random() < 0.3:
-                    table.counters[got[0]] += 1
-                    counts[sw][got[0]] += 1
+            got = table.match(p)
+            assert got == scan_rules(model, p), (sw, fd, src)
+            if got is not None and rng.random() < 0.3:
+                table.counters[got[0]] += 1
+                counts[sw][got[0]] += 1
         assert table.counters == counts[sw]
 
     def add(sw, rule):
@@ -183,7 +182,6 @@ def test_table_lookup_matches_the_old_scan_over_random_edits():
             check("sw1")
         p = make_packet("bs2")
         assert tables["sw1"].match(p)[1] == sw_rules[0]
-        assert tables["sw1"].match(p, skip_redirect=True)[1] == forward
         assert tables["sw1"].clear() == 2
         models["sw1"].clear()
         counts["sw1"].clear()
@@ -387,16 +385,16 @@ def test_conservation_every_step(demo, eq1_plan):
             make_packet(s.source, ts=s.publish_ms, epoch=s.epoch, value=s.value),
             at=s.source,
         )
-    # no config matches this user: the packet passes through, then drops
-    fabric.inject(make_packet("bs1", ts=50.0, user="intruder"), at="bs1")
+    # no config matches this user: the engine discards the packet
+    intruder = make_packet("bs1", ts=50.0, user="intruder")
+    fabric.inject(intruder, at="bs1")
     assert fabric.conservation()["balanced"]
     while fabric.pending_events():
         fabric.step()
         assert fabric.conservation()["balanced"]
-    [drop] = [e for e in fabric.trace if e["event"] == "drop"]
-    assert (drop["user"], drop["reason"]) == ("intruder", "no_rule")
-    events = [e["event"] for e in fabric.trace if e.get("uid") == drop["uid"]]
-    assert events == ["inject", "redirect", "passthrough", "drop"]
+    assert fabric.conservation()["no_config"] == 1 and fabric.stats().dropped == 0
+    events = [e["event"] for e in fabric.trace if e.get("uid") == intruder.uid]
+    assert events == ["inject", "redirect", "engine"]
 
 
 def test_counters_monotonic(demo, eq1_plan):
@@ -424,14 +422,18 @@ def test_hop_counts_stay_bounded(demo, eq1_plan):
     assert fabric.stats().dropped == 0
 
 
-def test_passthrough_skips_redirect_and_drops(demo, eq1_plan):
+def test_an_unmatched_packet_is_a_no_config_discard(demo, eq1_plan):
+    """A packet redirected into an engine whose configs do not cover it
+    is counted once, as `no_config`, and goes no further."""
     fabric = flip_fabric(demo, eq1_plan, trace=True)
-    # wrong user: no config matches, packet re-enters and then misses
     fabric.inject(make_packet("bs1", user="intruder"), at="bs1")
     fabric.run()
-    assert fabric.stats().dropped == 1
-    events = [e["event"] for e in fabric.trace]
-    assert "passthrough" in events
+    stats = fabric.stats()
+    assert stats.dropped == 0 and stats.delivered == 0 and stats.emitted == 0
+    assert stats.engine_counters["e-sw1"]["no_config"] == 1
+    assert sum(c["no_config"] for c in stats.engine_counters.values()) == 1
+    assert [e["event"] for e in fabric.trace] == ["inject", "redirect", "engine"]
+    assert fabric.conservation()["balanced"]
 
 
 def test_unconsumed_engine_destination_drops_with_a_reason(demo):
@@ -545,10 +547,10 @@ def outcome_digest(fabric: Fabric) -> str:
 @pytest.mark.parametrize(
     "jitter, digest",
     [
-        ((0.0, 3.0), "94d65a22b53b3eb52e1483fcd6909dc4db2e8f2087782298212ba8bcf5d38c6b"),
+        ((0.0, 3.0), "95479ff59aaa321bd2ec277f5fc41b570da59dba262c4d33e4a255a80952f04d"),
         # every sample of an epoch is published at one time, so ties at equal
         # times decide the delivery order and each epoch's de-jitter leader
-        ((0.0, 0.0), "4845d09933de8bd8807076b5c9b25694369e61b582afc796288f08ea9f609ee8"),
+        ((0.0, 0.0), "5d3eb800fe071d3755f6022a674dbf84be7ef0d2358a02867cdef94bed80f071"),
     ],
     ids=["jittered", "tied"],
 )

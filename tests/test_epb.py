@@ -391,11 +391,10 @@ def test_replaced_config_closes_on_its_own_sources():
     assert engine.process(packet("bs3", ts=100.0), now=100.0).emission is not None
 
 
-def test_process_passthrough_unconfigured_user():
+def test_process_unconfigured_user_is_a_no_config_discard():
     engine, _ = pipeline_engine()
-    result = engine.process(packet("bs1", ts=0.0, user="intruder"), now=0.0)
-    assert result.passthrough
-    assert engine.counters["no_config"] == 1
+    assert engine.process(packet("bs1", ts=0.0, user="intruder"), now=0.0) is None
+    assert engine.counters["no_config"] == 1 and engine.pending_arrivals() == 0
 
 
 def test_emission_bound_one_per_epoch():

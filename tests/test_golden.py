@@ -123,7 +123,7 @@ def test_wide_request_plan_bytes():
     )
 
 
-TRACE_R9_EXPERIMENT_SHA256 = "e6675c9fc59a444f228d315f1875502b091a607aba4e636dec1c7c7753592fab"
+TRACE_R9_EXPERIMENT_SHA256 = "03718eb9ffb5ce259bc2587f7085dc33cbdfd500c65dd5b5443831f32a288f0e"
 
 # a second user's request with rate and jitter requirements, on sources R9
 # does not read, so rate drops and jitter discards show in the trace too
@@ -133,9 +133,10 @@ RATED = "datapath_a(sum(bs61:bs65),destination<-cloud,user<-rated,requirement<-{
 def _traced_r9_fabric():
     """R9 and RATED on one traced experiment-topology fabric, published for
     ten epochs from fixed seeds. One R9 sample is withheld (its epoch closes
-    on the timeout), one packet comes from a user no config serves (it
-    passes through the engine and is dropped) and one is addressed where no
-    rule leads (dropped as no_rule)."""
+    on the timeout), one packet comes from a user no config serves (e-sw1
+    discards it as no_config: its redirect at sw1 is followed by one
+    `engine` event that emits nothing) and one is addressed where no rule
+    leads (dropped as no_rule)."""
     t = harness.build_experiment_topology()
     fabric = Fabric(t, ConfigStore(), trace=True)
     for text in (harness.request_texts()[8], RATED):
@@ -159,10 +160,11 @@ def _traced_r9_fabric():
 def test_traced_r9_run_trace_bytes(tmp_path):
     fabric = _traced_r9_fabric()
     events = {e["event"] for e in fabric.trace}
-    assert events == {"inject", "forward", "redirect", "engine", "deliver", "timeout", "passthrough", "drop"}
+    assert events == {"inject", "forward", "redirect", "engine", "deliver", "timeout", "drop"}
     counters = {k: sum(e.counters[k] for e in fabric.engines.values()) for k in ("rate_dropped", "jitter_discarded")}
     assert all(counters.values()), counters
-    assert fabric.conservation()["balanced"]
+    books = fabric.conservation()
+    assert books["balanced"] and books["no_config"] == 1
     out = tmp_path / "trace.jsonl"
     fabric.export_trace(out)
     assert _sha256(out.read_bytes()) == TRACE_R9_EXPERIMENT_SHA256

@@ -6,6 +6,7 @@ import pytest
 
 from flip import dsl
 from flip.control import Session
+from flip.dataplane import Fabric
 from flip.dsl import OpKind, parse_request
 from flip.errors import (
     CompileError,
@@ -14,7 +15,7 @@ from flip.errors import (
     RejectedByDelay,
     UnknownNodeError,
 )
-from flip.harness import DATA_DIR, build_experiment_topology, demo_topology
+from flip.harness import DATA_DIR, build_experiment_topology, demo_topology, request_texts
 from flip.planner import (
     ActionKind,
     OpPlacement,
@@ -835,3 +836,48 @@ def test_colocated_sibling_ops_rejected():
     req = parse_request("datapath_a(max(min(bs1,bs2),min(bs3,bs4)),destination<-user)")
     with pytest.raises(CompileError):
         plan(req, t)
+
+
+def _install_one_at_a_time(t: Topology, rules) -> None:
+    """`install_rules` checks a batch only against the rules already
+    installed, not against each other. Installing a plan's rules one by one
+    checks each against every rule before it, and a clash is symmetric, so
+    every pair of the plan's rules is checked."""
+    fabric = Fabric(t)
+    for rule in rules:
+        fabric.install_rules([rule])
+
+
+def test_no_plan_shadows_itself():
+    """No plan holds two rules that clash (`FlowTable.clash`): R1-R9 in both
+    modes on both data/ topologies, and the 320 wide requests on the
+    wide_fanin fabric's shape. The shared_fabric benchmark's 120 users,
+    R1-R9 shapes with its requirements, are then admitted on one session."""
+    from test_golden import _many_wide_requests
+    from test_topology import wide_fabric_doc
+
+    wide = load_topology(wide_fabric_doc(50))
+    cases = [(wide, text) for text in _many_wide_requests(random.Random("many-plans"), 800, 22)]
+    for t in (demo_topology(), build_experiment_topology()):
+        cases += [(t, text) for text in request_texts()]
+    planned = 0
+    for t, text in cases:
+        try:
+            request = parse_request(text)
+            p = plan(request, t)
+        except FlipError:
+            continue
+        _install_one_at_a_time(t, p.rules)
+        leaves = dsl.expand_sources(request, t).leaves()
+        _install_one_at_a_time(t, compile_baseline(t, leaves, resolve_endpoint(t, request.destination)))
+        planned += 1
+    assert planned > len(cases) * 3 // 4
+
+    shapes = [text[len("datapath_a(") : -len(",destination<-user)")] for text in request_texts()]
+    users = [(f"s{i}", shapes[i % 9]) for i in range(20)] + [(f"u{i}", shapes[(i + 4) % 9]) for i in range(100)]
+    session = Session(build_experiment_topology())
+    requirement = "requirement<-{delay=10ms,rate=100ms,jitter=5ms}"
+    for user, shape in users:
+        text = f"datapath_a({shape},destination<-user,{requirement},user<-{user})"
+        result = session.execute("datapath_a", {"request": text})
+        assert result.ok, (user, result.code, result.message)

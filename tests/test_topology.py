@@ -129,7 +129,7 @@ def _query(name, *args):
 def _load_file(text):
     def call(tmp_path):
         path = tmp_path / "topology.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         return load_topology_file(path)
 
     return call
@@ -191,6 +191,8 @@ TYPED_ERRORS = {
     "entry-without-id-or-range": (_load([{"kind": "switch"}]), ParseError, "needs 'id' or 'range'"),
     "link-without-b": (_load([SW1, SW2], [{"a": "sw1"}]), ParseError, "link entry needs 'a' and 'b'"),
     "file-not-json": (_load_file("not json\n"), ParseError, "topology.json: Expecting value"),
+    "file-not-utf8": (_load_file(b"\xd0\xcf\x11\xe0"), ParseError, "topology.json: 'utf-8' codec can't decode"),
+    "file-int-too-long": (_load_file(f'{{"n": {"1" * 5000}}}'), ParseError, "topology.json: Exceeds the limit"),
     # the queries
     "neighbors-unknown": (_query("neighbors", "sw9"), NotFoundError, "unknown node 'sw9'"),
     "link-delay-unknown": (_query("link_delay", "sw9", "sw1"), NotFoundError, "no link sw9-sw1"),
