@@ -3,9 +3,10 @@
 Session state between invocations is a JSON file holding the loaded
 topology, optional coverage map, and the command log; each invocation
 rebuilds the fabric by replaying the log, so state is exactly as
-reproducible as the log itself. The replay also writes the engine
-configuration file (`engine_configs.json`) in the session directory; that
-file is output only, and no invocation reads it.
+reproducible as the log itself. The engine configuration file
+(`engine_configs.json` in the session directory) is output only, and no
+invocation reads it: the replay writes it once, and `run`, `cmd` and a
+`serve` stopped with ctrl-c write it again when they save the log.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from . import control, dsl, harness
 from .control import Session
+from .epb import ConfigStore
 from .errors import FlipError, ParseError, ValidationError
 from .topology import load_topology, read_json, read_text
 
@@ -41,10 +43,14 @@ def _load_session(directory: str) -> tuple[Session, dict]:
     return session, doc
 
 
-def _save_session(directory: str, doc: dict) -> Path:
+def _save_session(directory: str, doc: dict, store: ConfigStore | None = None) -> Path:
+    """Write doc as session.json, then, given the session's store, the
+    engine configuration file."""
     path = _session_path(directory)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    if store is not None:
+        control.write_config_file(store, directory)
     return path
 
 
@@ -70,7 +76,7 @@ def _cmd_run(args) -> int:
     results = session.run_script(
         read_text(args.script), keep_going=args.keep_going, baseline=args.mode == "baseline"
     )
-    _save_session(args.session, {**doc, "log": session.command_log})
+    _save_session(args.session, {**doc, "log": session.command_log}, session.store)
     failures = 0
     for i, result in enumerate(results, 1):
         if result.ok:
@@ -99,7 +105,7 @@ def _cmd_cmd(args) -> int:
             cmd_args[key] = value
     session, doc = _load_session(args.session)
     result = session.execute(args.verb, cmd_args)
-    _save_session(args.session, {**doc, "log": session.command_log})
+    _save_session(args.session, {**doc, "log": session.command_log}, session.store)
     print(json.dumps(result.to_doc(), indent=2, sort_keys=True))
     return 0 if result.ok else 1
 
@@ -119,14 +125,17 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    session, _ = _load_session(args.session)
+    session, doc = _load_session(args.session)
     # bind first, so a refused path prints only its error
     with control.CommandServer(session, args.socket) as server:
         print(f"serving on {args.socket} (ctrl-c to stop)", flush=True)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
-            pass
+            # under the lock, a command still in flight is saved in both
+            # files or in neither
+            with session.lock:
+                _save_session(args.session, {**doc, "log": session.command_log}, session.store)
     return 0
 
 

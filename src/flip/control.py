@@ -5,8 +5,9 @@ config management, and the two datapath request forms) either in process,
 from a script's text, or over a newline-delimited JSON socket protocol.
 Every mutation is serialized under one lock and appended to a command log;
 replaying the log onto a fresh session reproduces the same fabric state.
-The log is the only source of a session's state: the engine configuration
-file a session writes is output only, and no session reads it.
+The log is the only source of a session's state. The engine configuration
+file is output only: `write_config_file` dumps a store there, once per
+replay and per save, and nothing reads it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ MANUFACTURER = "flip-sim"
 # the engine configuration file's name inside a session's config directory
 CONFIG_FILE = "engine_configs.json"
 
+
+def write_config_file(store: ConfigStore, directory: str | Path) -> None:
+    """Write the store's document to `directory/engine_configs.json`,
+    making the directory first: one plain dump over whatever the file
+    held, not atomic. A failed write is the OSError naming the path."""
+    path = Path(directory) / CONFIG_FILE
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(store.to_doc(), indent=2, sort_keys=True), encoding="utf-8")
+
+
 # the config sections `setconfig/user/module` may replace
 CONFIG_MODULES = ("compute", "rate", "jitter", "source", "destination")
 
@@ -67,30 +78,24 @@ class Session:
     """One loaded topology plus its running fabric and config store;
     `execute` is the one path from a request to installed rules and configs.
     A session's inputs are its arguments: it starts with no rules and no
-    configs. With a config_dir, the store is written to
-    `config_dir/engine_configs.json` at the end of each command, over
-    whatever the file held; the file is never read."""
+    configs, and no command writes a file."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        coverage: dsl.CoverageMap | None = None,
-        config_dir: str | Path | None = None,
-    ):
-        store_path = Path(config_dir) / CONFIG_FILE if config_dir else None
+    def __init__(self, topology: Topology, coverage: dsl.CoverageMap | None = None):
         self.topology = topology
         self.coverage = coverage or {}
-        self.store = ConfigStore(store_path)
+        self.store = ConfigStore()
         self.fabric = Fabric(topology, self.store)
         self.command_log: list[dict] = []
-        self._lock = threading.Lock()
+        # held by each command, and by a reader that needs the log and the
+        # store to agree
+        self.lock = threading.Lock()
         self.dpids = {sw: i + 1 for i, sw in enumerate(topology.switches())}
 
     # -- dispatch --
 
     def execute(self, verb: str, args: dict | None = None) -> CommandResult:
         args = {} if args is None else args
-        with self._lock:
+        with self.lock:
             try:
                 if not isinstance(verb, str) or verb not in VERB_TABLE:
                     raise UnknownVerbError(f"unknown verb {verb!r}")
@@ -100,21 +105,10 @@ class Session:
                 handler, mutates = VERB_TABLE[verb]
                 body = handler(self, args)
             except FlipError as exc:
-                result = CommandResult("error", {}, code=exc.code, message=str(exc))
-            else:
-                if mutates:
-                    self.command_log.append({"verb": verb, "args": args})
-                result = CommandResult("ok", body)
-            finally:
-                # the one write of the config file, also after a command that
-                # failed part way, so the file always shows the store; a
-                # failed write is the command's error, but a command that
-                # succeeded stays in the log, as its rules stay installed
-                try:
-                    self.store.flush()
-                except FlipError as exc:
-                    result = CommandResult("error", {}, code=exc.code, message=str(exc))
-            return result
+                return CommandResult("error", {}, code=exc.code, message=str(exc))
+            if mutates:
+                self.command_log.append({"verb": verb, "args": args})
+            return CommandResult("ok", body)
 
     # -- topology verbs --
 
@@ -383,13 +377,14 @@ class Session:
         coverage: dsl.CoverageMap | None = None,
         config_dir: str | Path | None = None,
     ) -> "Session":
-        """Rebuild a session by re-executing a command log in order, then
-        flush its store, so that even an empty log leaves the config file
-        showing the store. A log that is not a list of {"verb": str,
-        "args": object} is a ParseError."""
+        """Rebuild a session by re-executing a command log in order. With a
+        config_dir, the store is then written there once, so that even an
+        empty log leaves the config file showing the store, and a replay
+        that fails part way writes nothing. A log that is not a list of
+        {"verb": str, "args": object} is a ParseError."""
         if not isinstance(log, list):
             raise ParseError(f"command log must be a list, got {type(log).__name__}")
-        session = cls(topology, coverage, config_dir)
+        session = cls(topology, coverage)
         for i, entry in enumerate(log):
             if not (
                 isinstance(entry, dict)
@@ -400,7 +395,8 @@ class Session:
             result = session.execute(entry["verb"], entry["args"])
             if not result.ok:
                 raise FlipError(f"replay failed on {entry['verb']}: {result.message}")
-        session.store.flush()
+        if config_dir:
+            write_config_file(session.store, config_dir)
         return session
 
 

@@ -23,10 +23,12 @@ buffered or discarded returns nothing from the engine and ends the event
 at once. Trace records are built only when tracing is on.
 
 A miss drops the packet and bumps a counter rather than erroring, since
-misses usually mean a plan bug worth surfacing in stats. Every drop's
-trace event names its reason (`no_rule`, or
-`deliver_not_adjacent` for a deliver rule whose destination is not a
-neighbour) and the packet's user and final destination.
+misses usually mean a plan bug worth surfacing in stats. So is a packet
+that has entered more switches than the topology has nodes, which only a
+forwarding loop does: no packet stops the fabric. Every drop's trace event
+names its reason (`no_rule`, `hop_limit`, or `deliver_not_adjacent` for a
+deliver rule whose destination is not a neighbour) and the packet's user
+and final destination.
 
 Counting model: a switch's packet count is the number of packets entering
 it over network links. Re-entries from the switch's own engine are not
@@ -325,8 +327,8 @@ class Fabric:
 
         table, counters, rx, ingress, tx, delays = state
         hops = p.hop_count = p.hop_count + 1
-        if hops > self._hop_limit:
-            raise FlipError(f"forwarding loop: packet {p.uid} exceeded {self._hop_limit} hops")
+        if hops > self._hop_limit:  # a forwarding loop
+            return self._drop(now, node, p, "hop_limit")
         rx[via] = rx.get(via, 0) + 1
         fd = p.final_destination
         if not from_engine:

@@ -17,15 +17,11 @@ config was removed, is order-sensitive (sub, mul), or was replaced by one
 that lists none of the sources that arrived. An epoch that its opening
 arrival completes arms no timer.
 
-Configs are written to a JSON file shaped engine -> user -> [records],
-each record carrying compute, source list, destination, rate, and jitter.
-The file is output only: nothing reads it back, and a store always starts
-empty. It is written by `ConfigStore.flush()`, once per command, in place:
-the new bytes overwrite the old ones and the file is cut to their length,
-so an interrupted write can leave the new text followed by a tail of the
-old. A change re-renders only the (engine, user) section it touched, and
-each engine's block is kept as encoded bytes until one of its sections
-changes.
+The store is memory only. `ConfigStore.to_doc()` shapes it engine ->
+user -> [records], each record carrying compute, source list,
+destination, rate, and jitter; the control layer writes that document to
+the engine configuration file, which nothing reads back, and a store
+always starts empty.
 
 An engine finds a packet's config through the store's lookup index, one
 dict per engine keyed (user, source, final destination). It is built on
@@ -47,13 +43,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _string
-from pathlib import Path
 
 from .dsl import JITTER_MAX_MS, ORDER_SENSITIVE, OpKind
-from .errors import FlipError, ValidationError
+from .errors import ValidationError
 from .packets import PacketRecord, Scalar
 
 TIMEOUT_RATE_FACTOR = 2.0
@@ -149,37 +142,17 @@ def _names(value, field: str) -> tuple[str, ...]:
 
 
 class ConfigStore:
-    """Engine configs: one active config per (engine, user, destination).
-    The store starts empty. With a path, `flush()` writes the configuration
-    file, once per command; `set_config` and `remove` change only memory.
-    The first flush writes even when no config changed, replacing whatever
-    the file held, and nothing reads the file back.
+    """Engine configs in memory: one active config per (engine, user,
+    destination). The store starts empty; `to_doc()` is the document the
+    engine configuration file holds."""
 
-    The file is `json.dumps(self.to_doc(), indent=2, sort_keys=True)`. Each
-    (engine, user) section's text and each engine's block, as encoded
-    bytes, are cached, so a change re-renders only the section it touched
-    and a flush re-encodes only the blocks of the engines that changed.
-    Whether the file must be written is one flag, `_stale`: set by every
-    change and by a new store with a path, cleared by a write. The
-    flush overwrites the file in place and cuts it to the new length; it is
-    not atomic, and an interrupted write can leave the new bytes followed by
-    the old file's tail.
-    """
+    # a store writes no file (see `control.write_config_file`); the
+    # benchmark's span wrapper still reads `path`, which stays None
+    path = None
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path else None
+    def __init__(self):
         # engine -> user -> destination -> config
         self._configs: dict[str, dict[str, dict[str, EngineConfig]]] = {}
-        # engine -> user -> that section's key line and records, rendered at
-        # file depth
-        self._sections: dict[str, dict[str, str]] = {}
-        # engine -> that engine's block of the file, joined from its sections
-        # and encoded; dropped when one of its sections changes
-        self._blocks: dict[str, bytes] = {}
-        # the file does not show the store: it holds what some other store
-        # wrote, or nothing, until the first write, and is behind it after
-        # a change
-        self._stale = self.path is not None
         # engine -> (user, source, final destination) -> (config, its key),
         # built on first lookup and dropped when one of the engine's configs
         # changes
@@ -188,7 +161,7 @@ class ConfigStore:
     def set_config(self, cfg: EngineConfig) -> None:
         cfg.validate()
         self._configs.setdefault(cfg.engine, {}).setdefault(cfg.user, {})[cfg.destination] = cfg
-        self._changed(cfg.engine, cfg.user)
+        self._index.pop(cfg.engine, None)
 
     def remove(self, key: tuple[str, str, str]) -> bool:
         engine, user, destination = key
@@ -199,36 +172,8 @@ class ConfigStore:
             del users[user]
             if not users:
                 del self._configs[engine]
-        self._changed(engine, user)
+        self._index.pop(engine, None)
         return True
-
-    def flush(self) -> None:
-        """Write the file on the first flush and whenever anything changed
-        since the last write, rendering only the blocks a change dropped. A
-        failed write is a FlipError naming the file, and the store stays
-        stale, so the next flush writes the whole document again."""
-        if not self._stale:
-            return
-        blocks = [self._blocks.get(e) or self._render_block(e) for e in sorted(self._sections)]
-        data = b"{\n%s\n}" % b",\n".join(blocks) if blocks else b"{}"
-        try:
-            self._overwrite(data)
-        except OSError as exc:
-            raise FlipError(f"cannot write {self.path}: {exc.strerror or exc}") from None
-        self._stale = False
-
-    def _overwrite(self, data: bytes) -> None:
-        """Write data over the file's old bytes and cut it to their length.
-        Truncating first would free every block of the file, and the write
-        would then allocate them all again."""
-        try:
-            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
-        except FileNotFoundError:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "wb") as fh:
-            fh.write(data)
-            fh.truncate()
 
     def configs_for(self, engine: str) -> list[EngineConfig]:
         """The engine's configs in (user, destination) order."""
@@ -273,53 +218,6 @@ class ConfigStore:
             }
             for engine, users in sorted(self._configs.items())
         }
-
-    def _changed(self, engine: str, user: str) -> None:
-        """Drop the engine's index and, for a store with a file, re-render
-        the (engine, user) section, drop the engine's block and mark the
-        file stale."""
-        self._index.pop(engine, None)
-        if not self.path:
-            return
-        sections = self._sections.setdefault(engine, {})
-        records = [_render_record(c.to_doc()) for c in self.user_configs(engine, user)]
-        if records:
-            body = ",\n".join(records)
-            sections[user] = f"    {_string(user)}: [\n{body}\n    ]"
-        else:
-            sections.pop(user, None)
-            if not sections:
-                del self._sections[engine]
-        self._blocks.pop(engine, None)
-        self._stale = True
-
-    def _render_block(self, engine: str) -> bytes:
-        sections = self._sections[engine]
-        body = ",\n".join([sections[user] for user in sorted(sections)])
-        block = self._blocks[engine] = f"  {_string(engine)}: {{\n{body}\n  }}".encode("ascii")
-        return block
-
-
-def _render_record(doc: dict) -> str:
-    """One record as `json.dumps(..., indent=2, sort_keys=True)` renders it
-    at its depth in the file. A record is flat: its values are strings,
-    finite numbers that are not bools (see `EngineConfig.validate`) and
-    non-empty lists of strings, which `json` writes as these calls do."""
-    fields = []
-    for key in sorted(doc):
-        value = doc[key]
-        if isinstance(value, str):
-            text = _string(value)
-        elif isinstance(value, list):
-            items = ",\n".join(["          " + _string(v) for v in value])
-            text = f"[\n{items}\n        ]"
-        elif isinstance(value, int):
-            text = int.__repr__(value)
-        else:
-            text = float.__repr__(value)
-        fields.append(f"        {_string(key)}: {text}")
-    body = ",\n".join(fields)
-    return f"      {{\n{body}\n      }}"
 
 
 def _finite(value: int | float) -> bool:

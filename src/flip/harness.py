@@ -66,6 +66,10 @@ def requests_r1_r9() -> list[Request]:
 
 # -- workload --------------------------------------------------------------------
 
+# the most epochs a workload may ask for: its samples are built as one list,
+# so a period mistyped far too small would run without end
+MAX_EPOCHS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -78,7 +82,8 @@ class Sample:
 @dataclass
 class Workload:
     """Seeded publish schedule: every source emits one scalar per period,
-    offset by a uniform per-packet jitter, over at least one finite period."""
+    offset by a uniform per-packet jitter, over at least one finite period
+    and at most MAX_EPOCHS."""
 
     seed: int = 0
     horizon_ms: float = 10_000.0
@@ -93,6 +98,11 @@ class Workload:
             raise ValidationError(
                 f"horizon_ms must be finite and at least one period ({self.period_ms!r} ms),"
                 f" got {self.horizon_ms!r}"
+            )
+        if self.horizon_ms // self.period_ms > MAX_EPOCHS:
+            raise ValidationError(
+                f"horizon_ms / period_ms must give at most {MAX_EPOCHS} epochs,"
+                f" got {self.horizon_ms // self.period_ms:g}"
             )
 
     def epochs(self) -> int:

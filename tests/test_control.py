@@ -2,7 +2,10 @@ import json
 import os
 import random
 import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 
 from flip import cli, errors, harness
 from flip.cli import main as cli_main
-from flip.control import VERB_TABLE, CommandServer, Session, send_command
+from flip.control import CONFIG_FILE, VERB_TABLE, CommandServer, Session, send_command
 from flip.errors import FlipError, ParseError, UnknownSwitchError, ValidationError
 from flip.harness import build_experiment_topology, demo_topology
 from flip.packets import PacketRecord, Scalar
@@ -676,24 +679,45 @@ def test_socket_deeply_nested_request_is_a_syntax_error_reply(tmp_path, demo_ses
     assert not thread.is_alive()
 
 
+def _config_writes(monkeypatch) -> list[Path]:
+    """The engine configuration files written from now on, one entry per
+    write, in order."""
+    writes = []
+    write_text = Path.write_text
+
+    def spy(path, *args, **kwargs):
+        if path.name == CONFIG_FILE:
+            writes.append(path)
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", spy)
+    return writes
+
+
+def _canonical(store) -> str:
+    return json.dumps(store.to_doc(), indent=2, sort_keys=True)
+
+
 def test_session_reads_no_config_dir_from_the_environment(tmp_path, monkeypatch):
     config = {"compute": "sum", "source": ["bs1"], "destination": "user"}
-    stored = Session(demo_topology(), config_dir=tmp_path)
-    stored.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": config})
-    config_file = tmp_path / "engine_configs.json"
+    first = Session(demo_topology())
+    first.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": config})
+    Session.replay(demo_topology(), first.command_log, config_dir=tmp_path)
+    config_file = tmp_path / CONFIG_FILE
     before = config_file.read_bytes()
     monkeypatch.setenv("FLIP_CONFIG_DIR", str(tmp_path))
-    session = Session(demo_topology())
+    session = Session.replay(demo_topology(), [])
     assert session.store.to_doc() == {}
     session.execute("setconfig/user", {"engine": "e-sw2", "user": "v", "config": config})
     assert config_file.read_bytes() == before
 
 
 def test_a_config_dir_that_does_not_exist_yet_is_made(tmp_path):
-    session = Session(demo_topology(), config_dir=tmp_path / "a" / "b")
+    session = Session(demo_topology())
     assert session.execute("datapath_a", {"request": EQ1}).ok
-    text = (tmp_path / "a" / "b" / "engine_configs.json").read_text(encoding="utf-8")
-    assert session.store.to_doc() and text == json.dumps(session.store.to_doc(), indent=2, sort_keys=True)
+    replayed = Session.replay(demo_topology(), session.command_log, config_dir=tmp_path / "a" / "b")
+    text = (tmp_path / "a" / "b" / CONFIG_FILE).read_text(encoding="utf-8")
+    assert replayed.store.to_doc() == session.store.to_doc() and text == _canonical(session.store)
 
 
 GHOST = {"compute": "max", "source": ["bs1"], "destination": "user"}
@@ -705,11 +729,11 @@ GHOST = {"compute": "max", "source": ["bs1"], "destination": "user"}
 def test_replay_over_a_foreign_config_file_is_replay_without_one(tmp_path, text):
     """The command log is a session's only source of state: whatever the
     config file held before adds nothing to the replayed session, and the
-    first write replaces it with the store's document."""
+    replay's write replaces it with the store's document."""
     topology = demo_topology()
     first = Session(topology)
     assert first.execute("datapath_a", {"request": EQ1}).ok
-    path = tmp_path / "engine_configs.json"
+    path = tmp_path / CONFIG_FILE
     path.write_text(text, encoding="utf-8")
     replayed = Session.replay(topology, first.command_log, config_dir=tmp_path)
     assert replayed.state_json() == Session.replay(topology, first.command_log).state_json()
@@ -718,38 +742,41 @@ def test_replay_over_a_foreign_config_file_is_replay_without_one(tmp_path, text)
 
 
 def test_a_command_writes_the_config_file_at_most_once(tmp_path, monkeypatch):
-    writes = []
-    os_open = os.open
-
-    def spy(path, flags, *args, **kwargs):
-        if Path(path).name == "engine_configs.json" and flags & os.O_WRONLY:
-            writes.append(Path(path))
-        return os_open(path, flags, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", spy)
-    session = Session(build_experiment_topology(), config_dir=tmp_path)
-    result = session.execute("datapath_a", {"request": harness.request_texts()[8]})
-    assert result.ok and result.body["configs_set"] > 1
-    assert writes == [tmp_path / "engine_configs.json"]
-    rule = {"final_destination": "cloud", "sources": ["bs1"]}
-    forward = {"type": "forward", "target": "sw2"}
+    """No command writes the config file. Replaying N logged commands
+    writes it exactly once, at the end; a `flip cmd` invocation writes it
+    twice, at the end of its replay and when it saves; `flip stats` once."""
+    writes = _config_writes(monkeypatch)
+    topology = build_experiment_topology()
+    session = Session(topology)
+    for text in harness.request_texts():
+        session.execute("datapath_a", {"request": text})
     assert session.execute("getswitches").ok
-    assert session.execute("addflow", {"dpid": "sw1", "match": rule, "action": forward}).ok
-    # a forward for a match a planned redirect owns is refused and changes nothing
-    before, log = session.state_json(), list(session.command_log)
-    shadowing = {"final_destination": "user", "sources": ["bs1"]}
-    refused = session.execute("addflow", {"dpid": "sw1", "match": shadowing, "action": forward})
-    assert (refused.status, refused.code) == ("error", "conflict")
-    assert session.state_json() == before and session.command_log == log
-    assert len(writes) == 1
+    assert len(session.command_log) > 1 and writes == []
+    Session.replay(topology, session.command_log, config_dir=tmp_path)
+    assert writes == [tmp_path / CONFIG_FILE]
+
+    session_dir = tmp_path / "s"
+    config_file = session_dir / CONFIG_FILE
+    assert cli_main(["--session", str(session_dir), "load", str(harness.DATA_DIR / "experiment_topology.json")]) == 0
+    for text in harness.request_texts()[:3]:
+        writes.clear()
+        assert cli_main(["--session", str(session_dir), "cmd", "datapath_a", f"request={text}"]) == 0
+        assert writes == [config_file, config_file]
+    writes.clear()
+    assert cli_main(["--session", str(session_dir), "stats"]) == 0
+    assert writes == [config_file]
 
 
-def test_config_file_shows_the_store_after_every_command(tmp_path):
-    """A seeded mix of installs, config edits, reads and failing commands;
-    after each one the file is the store's document."""
+def test_config_file_shows_the_store_after_every_command(tmp_path, capsys):
+    """A seeded mix of installs, config edits, reads and failing commands,
+    each one `flip cmd` invocation; after each one the file is the
+    canonical dump of the store a live session reached by the same
+    commands."""
     rng = random.Random(5)
-    path = tmp_path / "engine_configs.json"
-    session = Session(build_experiment_topology(), config_dir=tmp_path)
+    session_dir = str(tmp_path / "s")
+    path = tmp_path / "s" / CONFIG_FILE
+    assert cli_main(["--session", session_dir, "load", str(harness.DATA_DIR / "experiment_topology.json")]) == 0
+    live = Session(build_experiment_topology())
     users = ("maya", 'u"q', "\u00e9", "zed")
     engines = ("e-sw1", "e-sw2", "e-sw9", "e-sw12")
     requests = harness.request_texts()
@@ -788,119 +815,83 @@ def test_config_file_shows_the_store_after_every_command(tmp_path):
                 ("getconfig", {"engine": engine}),
                 ("getconfig/user", {"engine": engine, "user": user}),
                 ("getswitches", {}),
-                ("frob", {}),
             ]
         )
 
     outcomes = set()
-    for _ in range(150):
+    for _ in range(100):
         verb, args = command()
-        outcomes.add((verb, session.execute(verb, args).ok))
-        doc = session.store.to_doc()
-        if path.exists():
-            assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True)
-            assert json.loads(path.read_text(encoding="utf-8")) == doc
-        else:
-            assert doc == {}
-    assert path.exists()
+        code = cli_main(["--session", session_dir, "cmd", verb, "--json", json.dumps(args)])
+        ok = live.execute(verb, args).ok
+        assert code == (0 if ok else 1)
+        outcomes.add((verb, ok))
+        assert path.read_text(encoding="utf-8") == _canonical(live.store)
+    capsys.readouterr()
     # every kind of command ran, and the editing ones both passed and failed
     assert {verb for verb, _ in outcomes} == {
         "datapath_a", "setconfig/user", "setconfig/user/module", "getconfig",
-        "getconfig/user", "getswitches", "frob",
+        "getconfig/user", "getswitches",
     }
     for verb in ("datapath_a", "setconfig/user", "setconfig/user/module"):
         assert {(verb, True), (verb, False)} <= outcomes
+    assert live.store.to_doc()
 
 
-def test_a_command_cuts_a_longer_config_file_to_its_new_length(tmp_path):
+def test_a_command_cuts_a_longer_config_file_to_its_new_length(tmp_path, capsys):
     """A file written with wider indents than the store's is longer than
-    the store's document; the next write leaves no stale tail."""
-    path = tmp_path / "engine_configs.json"
-    first = Session(build_experiment_topology(), config_dir=tmp_path)
-    assert first.execute("datapath_a", {"request": harness.request_texts()[8]}).ok
-    path.write_text(json.dumps(first.store.to_doc(), indent=4, sort_keys=True), encoding="utf-8")
+    the store's document; the next invocation leaves no stale tail."""
+    session_dir = tmp_path / "s"
+    path = session_dir / CONFIG_FILE
+    base = ["--session", str(session_dir), "cmd"]
+    assert cli_main(["--session", str(session_dir), "load", str(harness.DATA_DIR / "experiment_topology.json")]) == 0
+    assert cli_main(base + ["datapath_a", f"request={harness.request_texts()[8]}"]) == 0
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=4, sort_keys=True), encoding="utf-8")
     longer = path.stat().st_size
-    session = Session(build_experiment_topology(), config_dir=tmp_path)
     cfg = {"compute": "max", "source": ["bs1"], "destination": "user"}
-    result = session.execute("setconfig/user", {"engine": "e-sw1", "user": "zed", "config": cfg})
-    assert result.ok
-    doc = session.store.to_doc()
+    assert cli_main(base + ["setconfig/user", "engine=e-sw1", "user=zed", "--json", json.dumps({"config": cfg})]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert "zed" in doc["e-sw1"]
     text = json.dumps(doc, indent=2, sort_keys=True)
     assert len(text) < longer
     assert path.read_bytes() == text.encode("ascii")
-    assert json.loads(path.read_text(encoding="utf-8")) == doc
-
-
-def test_a_failed_config_write_is_an_error_result_and_keeps_the_command(tmp_path):
-    """An unwritable config file is a typed error, not an exception out of
-    execute; the installed command stays in the log, and the next command
-    writes the whole document once the path is writable."""
-    blocker = tmp_path / "not_a_dir"
-    blocker.write_text("", encoding="utf-8")
-    topology = build_experiment_topology()
-    session = Session(topology, config_dir=blocker)
-    args = {"request": "datapath_a(max(bs1:bs10),destination<-user)"}
-    result = session.execute("datapath_a", args)
-    assert not result.ok and result.code == "error"
-    assert result.message.startswith(f"cannot write {blocker / 'engine_configs.json'}: ")
-    assert session.command_log == [{"verb": "datapath_a", "args": args}]
-    assert sum(len(session.fabric.tables[sw].rules) for sw in topology.switches()) == 5
-    assert [len(rs) for users in session.store.to_doc().values() for rs in users.values()] == [1]
-    assert Session.replay(topology, session.command_log).state_json() == session.state_json()
-    # still unwritable: the pending write fails again, and nothing is logged
-    result = session.execute("getswitches")
-    assert not result.ok and result.message.startswith("cannot write ")
-    assert len(session.command_log) == 1
-    blocker.unlink()
-    blocker.mkdir()
-    assert session.execute("getswitches").ok
-    path = blocker / "engine_configs.json"
-    doc = session.store.to_doc()
-    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True)
-    assert json.loads(path.read_text(encoding="utf-8")) == doc
 
 
 def test_a_new_session_over_an_old_file_writes_it_once(tmp_path, monkeypatch):
-    """A new session's first command writes its store over the file a
-    previous session left, though the command changes no config; the next
-    such command writes nothing."""
-    path = tmp_path / "engine_configs.json"
-    first = Session(build_experiment_topology(), config_dir=tmp_path)
+    """A replay writes its store over the file a previous session left,
+    though its log changes no config, and the commands after it write
+    nothing."""
+    path = tmp_path / CONFIG_FILE
+    first = Session(build_experiment_topology())
     assert first.execute("datapath_a", {"request": harness.request_texts()[8]}).ok
-    writes = []
-    os_open = os.open
-
-    def spy(name, flags, *args, **kwargs):
-        if Path(name) == path and flags & os.O_WRONLY:
-            writes.append(name)
-        return os_open(name, flags, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", spy)
-    session = Session(build_experiment_topology(), config_dir=tmp_path)
-    assert session.execute("getconfig", {"engine": "e-sw1"}).ok
+    Session.replay(build_experiment_topology(), first.command_log, config_dir=tmp_path)
+    assert json.loads(path.read_text(encoding="utf-8")) == first.store.to_doc()
+    writes = _config_writes(monkeypatch)
+    session = Session.replay(build_experiment_topology(), [], config_dir=tmp_path)
     assert path.read_text(encoding="utf-8") == "{}" and len(writes) == 1
     assert session.execute("getconfig", {"engine": "e-sw1"}).ok
+    assert session.execute("datapath_a", {"request": harness.request_texts()[0]}).ok
     assert len(writes) == 1
 
 
-def test_a_command_that_changes_no_config_replaces_a_malformed_file(tmp_path):
-    """The file shows the store after every command, from the first on:
-    a failed command and a read over a file that is not JSON leave `{}`."""
-    path = tmp_path / "engine_configs.json"
-    path.write_text("not json", encoding="utf-8")
-    session = Session(demo_topology(), config_dir=tmp_path)
+def test_a_command_that_changes_no_config_replaces_a_malformed_file(tmp_path, capsys):
+    """The file shows the store after every CLI invocation: a failed
+    command and a read over a file that is not JSON leave `{}`."""
+    session_dir = str(tmp_path / "s")
+    path = tmp_path / "s" / CONFIG_FILE
+    assert cli_main(["--session", session_dir, "load", str(harness.DATA_DIR / "demo_topology.json")]) == 0
     bad = {"dpid": "sw1", "match": {"final_destination": "user"}, "action": {"type": "frob"}}
-    assert not session.execute("addflow", bad).ok
-    assert session.execute("getswitches").ok
-    assert session.store.to_doc() == {}
-    assert path.read_text(encoding="utf-8") == "{}"
+    for argv, code in ((["addflow", "--json", json.dumps(bad)], 1), (["getswitches"], 0)):
+        path.write_text("not json", encoding="utf-8")
+        assert cli_main(["--session", session_dir, "cmd", *argv]) == code
+        assert path.read_text(encoding="utf-8") == "{}"
+    capsys.readouterr()
 
 
 def test_replaying_an_empty_log_replaces_a_malformed_file(tmp_path):
     """`flip stats` runs no command: the replay itself leaves the file
     showing the store."""
-    path = tmp_path / "engine_configs.json"
+    path = tmp_path / CONFIG_FILE
     path.write_text("not json", encoding="utf-8")
     Session.replay(demo_topology(), [], config_dir=tmp_path)
     assert path.read_text(encoding="utf-8") == "{}"
@@ -1124,6 +1115,7 @@ BAD_CLI_INPUT = {
     "bench-out-under-a-file": (["bench", "--out", "bad.json/x"], "bad.json/x: Not a directory"),
     "session-under-a-file": (["--session", "bad.json/s", "load", "TOPO"], "bad.json/s: Not a directory"),
     "socket-in-a-missing-directory": (["serve", "--socket", "nodir/s.sock"], "nodir/s.sock: No such file"),
+    "config-file-is-a-directory": (["--session", "blocked", "cmd", "getswitches"], f"blocked/{CONFIG_FILE}: Is a directory"),
     # bench numbers that give no epoch
     "zero-period": (["bench", "--period-ms", "0"], "period_ms must be finite and above 0, got 0.0"),
     "nan-period": (["bench", "--period-ms", "nan"], "period_ms must be finite and above 0, got nan"),
@@ -1132,6 +1124,8 @@ BAD_CLI_INPUT = {
     "zero-horizon": (["bench", "--horizon-ms", "0"], "horizon_ms must be finite and at least one period"),
     "horizon-under-a-period": (["bench", "--horizon-ms", "50"], "at least one period (100.0 ms), got 50.0"),
     "negative-horizon": (["bench", "--horizon-ms", "-5"], "at least one period (100.0 ms), got -5.0"),
+    # and one that gives too many
+    "too-many-epochs": (["bench", "--period-ms", "1e-300"], "at most 1000000 epochs, got 1e+304"),
 }
 
 
@@ -1139,8 +1133,8 @@ BAD_CLI_INPUT = {
 def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, fragment):
     """A missing, malformed or unusable input or output path, a --json
     value that is not a JSON object, or a bench number that gives no epoch
-    exits 1 with one `error:` line naming it instead of a traceback, and
-    before any output."""
+    or too many exits 1 with one `error:` line naming it instead of a
+    traceback, and before any output."""
     topo_file = str(Path("data/demo_topology.json").resolve())
     monkeypatch.chdir(tmp_path)
     Path("bad.json").write_text("not json\n")
@@ -1148,6 +1142,8 @@ def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, fra
     Path("other").mkdir()
     Path("other", "session.json").write_text("[1]\n")
     assert cli_main(["--session", "s", "load", topo_file]) == 0
+    assert cli_main(["--session", "blocked", "load", topo_file]) == 0
+    Path("blocked", CONFIG_FILE).mkdir()
     capsys.readouterr()
     argv = [topo_file if arg == "TOPO" else arg for arg in argv]
     assert cli_main(["--session", "s", *argv]) == 1
@@ -1238,6 +1234,41 @@ def test_cli_serve_prints_nothing_before_a_refused_bind(tmp_path, capsys):
     assert "serving on" not in out, out
     assert err.startswith("error: ") and "notes.txt" in err, err
     assert notes.read_bytes() == b"keep me\n"
+
+
+def test_cli_serve_saves_its_session_when_stopped(tmp_path, capsys):
+    """`flip serve` stopped with ctrl-c saves the commands it served to the
+    log and the config file, so the next invocation sees them."""
+    session_dir = str(tmp_path / "s")
+    assert cli_main(["--session", session_dir, "load", str(harness.DATA_DIR / "demo_topology.json")]) == 0
+    sock = tmp_path / "s.sock"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # a child started from a shell's background job inherits SIGINT ignored,
+    # so the server is given Python's own ctrl-c handler first
+    serve = (
+        "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+        "from flip.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = [sys.executable, "-c", serve, "--session", session_dir, "serve", "--socket", str(sock)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True) as proc:
+        try:
+            assert proc.stdout.readline().startswith("serving on"), proc.stderr.read()
+            reply = send_command(sock, "setconfig/user", {"engine": "e-sw1", "user": "u", "config": CONFIG})
+            assert reply["status"] == "ok", reply
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert proc.returncode == 0, err
+    log = json.loads((tmp_path / "s" / "session.json").read_text(encoding="utf-8"))["log"]
+    assert [entry["verb"] for entry in log] == ["setconfig/user"]
+    stored = json.loads((tmp_path / "s" / CONFIG_FILE).read_text(encoding="utf-8"))
+    assert stored == {"e-sw1": {"u": [CONFIG]}}
+    capsys.readouterr()
+    assert cli_main(["--session", session_dir, "cmd", "getconfig", "engine=e-sw1"]) == 0
+    reply = json.loads(capsys.readouterr().out)
+    assert reply["body"]["configs"] == [{"user": "u", **CONFIG}]
 
 
 def test_cli_load_builds_the_topology_once(tmp_path, monkeypatch, capsys):
@@ -1411,9 +1442,8 @@ def _random_command(rng: random.Random, session: Session) -> tuple[str, object]:
 def test_random_commands_keep_typed_errors_and_replay():
     """Seeded commands on demo-topology sessions: no command raises, every
     error carries the code of a flip error class, and replaying the log
-    gives the live state after every command. No traffic runs: random flow
-    rules can form forwarding loops, which only the fabric's hop limit
-    stops (ROADMAP item 4)."""
+    gives the live state after every command. No traffic runs (ROADMAP
+    item 3's traffic half)."""
     codes = {c.code for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.FlipError)}
     topology = demo_topology()
     rng = random.Random(23)

@@ -12,13 +12,7 @@ from flip.control import Session
 from flip.dataplane import Fabric, FlowTable
 from flip.dsl import parse_request
 from flip.epb import ConfigStore
-from flip.errors import (
-    FlipError,
-    NotFoundError,
-    UnknownNodeError,
-    UnknownSwitchError,
-    ValidationError,
-)
+from flip.errors import NotFoundError, UnknownNodeError, UnknownSwitchError, ValidationError
 from flip.harness import Workload, build_experiment_topology, demo_topology, request_texts
 from flip.packets import PacketRecord, Scalar
 from flip.planner import ActionKind, FlowRule
@@ -295,15 +289,23 @@ def test_deliver_rule_off_the_destination_drops_with_its_reason(demo):
 
 
 def test_forwarding_loop_is_an_error_past_the_hop_limit(demo):
-    fabric = Fabric(demo)
+    """A packet caught in a forwarding loop is one counted `hop_limit` drop
+    once it has entered more switches than the topology has nodes; the
+    fabric drains, and the books balance."""
+    fabric = Fabric(demo, trace=True)
     fabric.install_rules([
         FlowRule("sw1", "user", ("bs1",), ActionKind.FORWARD, "sw3"),
         FlowRule("sw3", "user", ("bs1",), ActionKind.FORWARD, "sw1"),
     ])
     fabric.inject(make_packet("bs1"), at="bs1")
-    with pytest.raises(FlipError, match="forwarding loop"):
-        fabric.run()
+    fabric.run()
+    assert fabric.pending_events() == 0
     assert fabric.stats().total_packet_hops == demo.node_count()
+    assert fabric.stats().dropped == 1
+    [drop] = [e for e in fabric.trace if e["event"] == "drop"]
+    assert (drop["reason"], drop["uid"], drop["source"]) == ("hop_limit", 1, "bs1")
+    books = fabric.conservation()
+    assert books["balanced"] and books["created"] == books["settled"] == 1
 
 
 def test_full_run_traces_end_at_engine_or_destination(demo, eq1_plan):
