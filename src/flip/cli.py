@@ -6,13 +6,15 @@ rebuilds the fabric by replaying the log, so state is exactly as
 reproducible as the log itself. The engine configuration file
 (`engine_configs.json` in the session directory) is output only, and no
 invocation reads it: the replay writes it once, and `run`, `cmd` and a
-`serve` stopped with ctrl-c write it again when they save the log.
+`serve` stopped with ctrl-c or SIGTERM write it again when they save the
+log.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -129,13 +131,18 @@ def _cmd_serve(args) -> int:
     # bind first, so a refused path prints only its error
     with control.CommandServer(session, args.socket) as server:
         print(f"serving on {args.socket} (ctrl-c to stop)", flush=True)
+        # SIGTERM (a plain `kill`, a service manager) stops it as ctrl-c does
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
-            # under the lock, a command still in flight is saved in both
-            # files or in neither
-            with session.lock:
-                _save_session(args.session, {**doc, "log": session.command_log}, session.store)
+            pass
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        # under the lock, a command still in flight is saved in both files
+        # or in neither
+        with session.lock:
+            _save_session(args.session, {**doc, "log": session.command_log}, session.store)
     return 0
 
 

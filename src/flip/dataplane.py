@@ -2,8 +2,15 @@
 
 Events pop in (timestamp, insertion sequence) order, so a run is a pure
 function of the installed rules, the configs, and the injected workload.
-`run()` is `step()` in a loop, so draining either way gives the same
-result.
+A handler runs one event and returns the one event it schedules, if any:
+a forward or redirect, an engine's timer or output packet. `step()` pops
+the earliest event and pushes the one it returns, so between steps the
+queue holds every pending event. `run()` keeps the event it is about to
+run in hand and passes the scheduled one to `heapq.heappushpop`, which
+returns it untouched when it is the earliest and otherwise swaps it for
+the earliest in one sift: one heap operation per event, not a push and a
+pop. No two events share a (timestamp, sequence) key, so both drains run
+the same events in the same order.
 
 A hop costs table lookups, not topology calls. The switch's state is one
 tuple, looked up once: its flow table, rule counters, port and ingress
@@ -219,17 +226,15 @@ class Fabric:
 
     # -- event plumbing --
 
-    def _push(self, time_ms: float, kind: str, data: tuple) -> int:
+    def _event(self, time_ms: float, kind: str, data: tuple) -> tuple:
+        """A new event, numbered after every event made before it."""
         self._seq += 1
-        heapq.heappush(self._heap, (time_ms, self._seq, kind, data))
-        return self._seq
+        return (time_ms, self._seq, kind, data)
 
-    def _trace(self, time_ms: float, event: str, **detail) -> dict:
+    def _trace(self, time_ms: float, event: str, **detail) -> None:
         """Record one trace event. Callers check that tracing is on first,
         so a run without it builds no event details."""
-        entry = {"t": time_ms, "event": event, **detail}
-        self.trace.append(entry)
-        return entry
+        self.trace.append({"t": time_ms, "event": event, **detail})
 
     def pending_events(self) -> int:
         return len(self._heap)
@@ -288,25 +293,51 @@ class Fabric:
         self.injected += 1
         if self.trace is not None:
             self._trace(p.timestamp_ms, "inject", node=at, uid=p.uid, source=p.source)
-        return self._push(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine))
+        event = self._event(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine))
+        heapq.heappush(self._heap, event)
+        return event[1]
 
     # -- event execution --
 
     def step(self) -> dict | None:
-        """Process the earliest event; returns a trace entry when tracing."""
-        if not self._heap:
+        """Process the earliest event and queue the event it schedules;
+        returns the trace entry it appended, or None with tracing off or
+        no event left."""
+        heap = self._heap
+        if not heap:
             return None
-        time_ms, _, kind, data = heapq.heappop(self._heap)
+        time_ms, _, kind, data = heapq.heappop(heap)
         self.now = time_ms
-        return _HANDLERS[kind](self, time_ms, *data)
+        scheduled = _HANDLERS[kind](self, time_ms, *data)
+        if scheduled is not None:
+            heapq.heappush(heap, scheduled)
+        return None if self.trace is None else self.trace[-1]
 
     def run(self) -> int:
-        """Process events until none is left; returns how many ran."""
+        """Process events until none is left; returns how many ran. The
+        event a handler schedules and the next one to run are exchanged
+        in one heappushpop, so each event costs one heap operation."""
+        heap = self._heap
+        if not heap:
+            return 0
+        handlers = _HANDLERS
+        pop, pushpop = heapq.heappop, heapq.heappushpop
+        event = pop(heap)
         n = 0
-        while self._heap:
-            self.step()
+        while True:
+            time_ms, _, kind, data = event
+            self.now = time_ms
             n += 1
-        return n
+            scheduled = handlers[kind](self, time_ms, *data)
+            if scheduled is not None:
+                event = pushpop(heap, scheduled)
+            elif heap:
+                event = pop(heap)
+            else:
+                return n
+
+    # Each handler runs one event, appends its trace entry when tracing, and
+    # returns the one event it schedules, or None.
 
     def _on_arrive(self, now, node, p: PacketRecord, via, from_engine):
         state = self._hop_state.get(node)
@@ -321,9 +352,9 @@ class Fabric:
                 "payload": p.payload.to_doc(),
             }
             self.delivered.append(record)
-            if self.trace is None:
-                return None
-            return self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
+            if self.trace is not None:
+                self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
+            return None
 
         table, counters, rx, ingress, tx, delays = state
         hops = p.hop_count = p.hop_count + 1
@@ -349,61 +380,59 @@ class Fabric:
             target = rule.target
         tx[target] = tx.get(target, 0) + 1
         if action is ActionKind.REDIRECT:
-            self._push(now + delays[target], _ENGINE, (target, p))
-            if self.trace is None:
-                return None
-            return self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
-        self._push(now + delays[target], _ARRIVE, (target, p, node, False))
-        if self.trace is None:
-            return None
-        return self._trace(now, "forward", node=node, uid=p.uid, to=target)
+            if self.trace is not None:
+                self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
+            return self._event(now + delays[target], _ENGINE, (target, p))
+        if self.trace is not None:
+            self._trace(now, "forward", node=node, uid=p.uid, to=target)
+        return self._event(now + delays[target], _ARRIVE, (target, p, node, False))
 
-    def _drop(self, now, node, p: PacketRecord, reason: str):
+    def _drop(self, now, node, p: PacketRecord, reason: str) -> None:
+        """Count a dropped packet; it schedules nothing."""
         self._drops[node] += 1
-        if self.trace is None:
-            return None
-        return self._trace(
-            now,
-            "drop",
-            node=node,
-            uid=p.uid,
-            source=p.source,
-            user=p.user,
-            final_destination=p.final_destination,
-            reason=reason,
-        )
+        if self.trace is not None:
+            self._trace(
+                now,
+                "drop",
+                node=node,
+                uid=p.uid,
+                source=p.source,
+                user=p.user,
+                final_destination=p.final_destination,
+                reason=reason,
+            )
 
     def _on_engine(self, now, engine_id, p: PacketRecord):
         result = self.engines[engine_id].process(p, now)
         if result is None:  # buffered or discarded: nothing leaves, no timer
-            if self.trace is None:
-                return None
-            return self._trace(now, "engine", engine=engine_id, uid=p.uid, emitted=[], epoch=p.epoch)
-        if result.timeout_at is not None:
-            self._push(result.timeout_at, _TIMEOUT, (engine_id, result.timeout_token))
-        emitted = self._emit(now, engine_id, result.emission)
-        if self.trace is None:
-            return None
-        return self._trace(
-            now, "engine", engine=engine_id, uid=p.uid, emitted=emitted, epoch=p.epoch
-        )
+            emission = event = None
+        elif result.timeout_at is not None:  # an epoch opened
+            emission = None
+            event = self._event(result.timeout_at, _TIMEOUT, (engine_id, result.timeout_token))
+        else:
+            emission = result.emission
+            event = self._emit(now, engine_id, emission)
+        if self.trace is not None:
+            emitted = [] if emission is None else [emission.uid]
+            self._trace(now, "engine", engine=engine_id, uid=p.uid, emitted=emitted, epoch=p.epoch)
+        return event
 
     def _on_timeout(self, now, engine_id, token):
-        emitted = self._emit(now, engine_id, self.engines[engine_id].on_timeout(token, now))
-        if self.trace is None:
-            return None
-        return self._trace(now, "timeout", engine=engine_id, emitted=emitted)
+        emission = self.engines[engine_id].on_timeout(token, now)
+        event = self._emit(now, engine_id, emission)
+        if self.trace is not None:
+            self._trace(now, "timeout", engine=engine_id, emitted=[] if emission is None else [emission.uid])
+        return event
 
-    def _emit(self, now, engine_id, emission: PacketRecord | None) -> list[int]:
-        """Number an engine's output packet, if any, and send it back to
-        its switch; returns the uids sent, as a trace entry lists them."""
+    def _emit(self, now, engine_id, emission: PacketRecord | None) -> tuple | None:
+        """Number an engine's output packet, if any; returns its arrival
+        back at the engine's switch."""
         if emission is None:
-            return []
+            return None
         switch, delay, _ = self.topology.attachments[engine_id]
         self._uid += 1
         emission.uid = self._uid
-        self._push(now + delay, _ARRIVE, (switch, emission, engine_id, True))
-        return [self._uid]
+        return self._event(now + delay, _ARRIVE, (switch, emission, engine_id, True))
 
     # -- reporting --
 

@@ -1236,27 +1236,22 @@ def test_cli_serve_prints_nothing_before_a_refused_bind(tmp_path, capsys):
     assert notes.read_bytes() == b"keep me\n"
 
 
-def test_cli_serve_saves_its_session_when_stopped(tmp_path, capsys):
-    """`flip serve` stopped with ctrl-c saves the commands it served to the
-    log and the config file, so the next invocation sees them."""
+def stop_a_serving_cli(tmp_path, capsys, launcher: list[str], signum: int) -> None:
+    """Start `flip serve` through launcher, send it one setconfig/user and
+    then signum; it must exit 0 having saved the command to the log and the
+    config file, so the next invocation sees it."""
     session_dir = str(tmp_path / "s")
     assert cli_main(["--session", session_dir, "load", str(harness.DATA_DIR / "demo_topology.json")]) == 0
     sock = tmp_path / "s.sock"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    # a child started from a shell's background job inherits SIGINT ignored,
-    # so the server is given Python's own ctrl-c handler first
-    serve = (
-        "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
-        "from flip.cli import main; sys.exit(main(sys.argv[1:]))"
-    )
-    argv = [sys.executable, "-c", serve, "--session", session_dir, "serve", "--socket", str(sock)]
+    argv = [sys.executable, *launcher, "--session", session_dir, "serve", "--socket", str(sock)]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True) as proc:
         try:
             assert proc.stdout.readline().startswith("serving on"), proc.stderr.read()
             reply = send_command(sock, "setconfig/user", {"engine": "e-sw1", "user": "u", "config": CONFIG})
             assert reply["status"] == "ok", reply
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             out, err = proc.communicate(timeout=30)
         finally:
             proc.kill()
@@ -1269,6 +1264,24 @@ def test_cli_serve_saves_its_session_when_stopped(tmp_path, capsys):
     assert cli_main(["--session", session_dir, "cmd", "getconfig", "engine=e-sw1"]) == 0
     reply = json.loads(capsys.readouterr().out)
     assert reply["body"]["configs"] == [{"user": "u", **CONFIG}]
+
+
+def test_cli_serve_saves_its_session_when_stopped(tmp_path, capsys):
+    """`flip serve` stopped with ctrl-c saves the commands it served to the
+    log and the config file, so the next invocation sees them."""
+    # a child started from a shell's background job inherits SIGINT ignored,
+    # so the server is given Python's own ctrl-c handler first
+    serve = (
+        "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+        "from flip.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    stop_a_serving_cli(tmp_path, capsys, ["-c", serve], signal.SIGINT)
+
+
+def test_cli_serve_stopped_with_sigterm_saves_its_session(tmp_path, capsys):
+    """A plain `kill` or a service manager stops `flip serve` with SIGTERM:
+    it exits 0 and saves what it served, as on ctrl-c."""
+    stop_a_serving_cli(tmp_path, capsys, ["-m", "flip.cli"], signal.SIGTERM)
 
 
 def test_cli_load_builds_the_topology_once(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,15 @@
 import gc
 import hashlib
+import heapq
 import json
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
 from _oracles import scan_rules
-from flip import dsl, planner
+from flip import dataplane, dsl, planner
 from flip.control import Session
 from flip.dataplane import Fabric, FlowTable
 from flip.dsl import parse_request
@@ -399,6 +401,63 @@ def test_conservation_every_step(demo, eq1_plan):
     assert events == ["inject", "redirect", "engine"]
 
 
+def loaded_fabrics(demo, eq1_plan, trace: bool) -> list[Fabric]:
+    """Fabrics whose drains together run every kind of event: one epoch of
+    EQ1 from every leaf (forwards, redirects, buffered, opening and
+    emitting engine arrivals, stale timers and deliveries), a lone leaf
+    of EQ1 (timers that close an epoch and emit), and three packets that
+    drop, one for each reason."""
+    full = flip_fabric(demo, eq1_plan, trace)
+    leaves = dsl.expand_sources(parse_request(EQ1), demo).leaves()
+    for s in Workload(seed=3, horizon_ms=100.0).samples(leaves):
+        full.inject(make_packet(s.source, ts=s.publish_ms, epoch=s.epoch, value=s.value), at=s.source)
+    lone = flip_fabric(demo, eq1_plan, trace)
+    lone.inject(make_packet("bs1"), at="bs1")
+    drops = Fabric(demo, trace=trace)
+    drops.install_rules([
+        FlowRule("sw1", "user", ("bs1",), ActionKind.FORWARD, "sw3"),
+        FlowRule("sw3", "user", ("bs1",), ActionKind.FORWARD, "sw1"),
+        FlowRule("sw1", "user", ("bs2",), ActionKind.DELIVER, None),
+    ])
+    for source in ("bs1", "bs2", "bs3"):  # hop_limit, deliver_not_adjacent, no_rule
+        drops.inject(make_packet(source), at=source)
+    return [full, lone, drops]
+
+
+def test_step_returns_the_trace_entry_its_event_appended(demo, eq1_plan):
+    """Each step() appends exactly one trace entry and returns it, or
+    returns None with tracing off; an event schedules at most one event.
+    Every event kind and drop reason is covered, and run() on a fabric
+    with nothing queued runs nothing."""
+    assert Fabric(demo).run() == 0
+    seen = set()
+    for traced, untraced in zip(loaded_fabrics(demo, eq1_plan, True), loaded_fabrics(demo, eq1_plan, False)):
+        while traced.pending_events():
+            queued, logged = traced.pending_events(), len(traced.trace)
+            entry = traced.step()
+            assert len(traced.trace) == logged + 1 and traced.trace[-1] is entry
+            scheduled = traced.pending_events() - queued + 1
+            assert scheduled in (0, 1)
+            assert untraced.step() is None
+            assert untraced.pending_events() == traced.pending_events()
+            seen.add((entry["event"], entry.get("reason"), bool(entry.get("emitted")), scheduled))
+        assert traced.step() is None and traced.run() == 0
+        assert untraced.delivered == traced.delivered
+    assert seen == {
+        ("deliver", None, False, 0),
+        ("forward", None, False, 1),
+        ("redirect", None, False, 1),
+        ("engine", None, False, 0),  # buffered or discarded
+        ("engine", None, False, 1),  # opened an epoch: its timer
+        ("engine", None, True, 1),  # closed an epoch: its output
+        ("timeout", None, False, 0),  # stale
+        ("timeout", None, True, 1),
+        ("drop", "no_rule", False, 0),
+        ("drop", "hop_limit", False, 0),
+        ("drop", "deliver_not_adjacent", False, 0),
+    }
+
+
 def test_counters_monotonic(demo, eq1_plan):
     fabric = flip_fabric(demo, eq1_plan)
     tg = dsl.expand_sources(parse_request(EQ1), demo)
@@ -566,7 +625,10 @@ def test_event_order_is_pinned(nine_users, jitter, digest):
 def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypatch):
     """Counts, not times: R9 published for 10 and for 100 epochs makes the
     same flow-table and engine-config index builds (install and run
-    together), and run() handles the pinned 131 events per epoch."""
+    together), and run() handles the pinned 131 events per epoch, 7 of
+    them timers. run() takes each event off the queue with one heap
+    operation: a heappop, or a heappushpop that queues the event its
+    predecessor scheduled, and never a heappush."""
     builds: dict[str, int] = {}
 
     def count(owner, name):
@@ -580,6 +642,24 @@ def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypat
 
     for owner, name in ((FlowTable, "_index"), (ConfigStore, "_build_index")):
         count(owner, name)
+    heap_calls: dict[str, int] = {}
+    ran: dict[str, int] = {}  # event kind -> events handed out by the heap
+
+    def counted_heap(name):
+        original = getattr(heapq, name)
+
+        def call(*args):
+            heap_calls[name] = heap_calls.get(name, 0) + 1
+            event = original(*args)
+            if name != "heappush":
+                ran[event[2]] = ran.get(event[2], 0) + 1
+            return event
+
+        return call
+
+    monkeypatch.setattr(
+        dataplane, "heapq", SimpleNamespace(**{n: counted_heap(n) for n in ("heappush", "heappop", "heappushpop")})
+    )
     seen = {}
     for epochs, events in ((10, 1310), (100, 13100)):
         builds.clear()
@@ -589,8 +669,14 @@ def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypat
         ingress = result.body["plan"]["source_ingress"]
         for s in Workload(seed=0, horizon_ms=100.0 * epochs).samples(list(ingress)):
             session.fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value), at=s.source)
+        heap_calls.clear()
+        ran.clear()
         assert session.fabric.run() == events
         assert len(session.fabric.delivered) == epochs
+        assert heap_calls.get("heappush", 0) == 0
+        assert heap_calls["heappop"] + heap_calls["heappushpop"] == events == sum(ran.values())
+        assert (heap_calls["heappop"], heap_calls["heappushpop"]) == (50 * epochs, 81 * epochs)
+        assert ran[dataplane._TIMEOUT] == 7 * epochs
         seen[epochs] = dict(builds)
     assert seen[10] == seen[100]
     assert 0 < seen[10]["_index"] <= len(session.fabric.tables)
