@@ -1,16 +1,17 @@
 """Deterministic discrete-event switch fabric.
 
 Events pop in (timestamp, insertion sequence) order, so a run is a pure
-function of the installed rules, the configs, and the injected workload.
-A handler runs one event and returns the one event it schedules, if any:
-a forward or redirect, an engine's timer or output packet. `step()` pops
-the earliest event and pushes the one it returns, so between steps the
-queue holds every pending event. `run()` keeps the event it is about to
-run in hand and passes the scheduled one to `heapq.heappushpop`, which
-returns it untouched when it is the earliest and otherwise swaps it for
-the earliest in one sift: one heap operation per event, not a push and a
-pop. No two events share a (timestamp, sequence) key, so both drains run
-the same events in the same order.
+function of the installed rules, the configs, and the injected workload. A
+handler runs one event and returns the one event it schedules, if any: a
+forward or redirect, an engine's timer or output packet, built in place
+and numbered after every event made before it. `step()` pops the earliest
+event and pushes the one it returns, so between steps the queue holds
+every pending event. `run()` keeps the event it is about to run in hand
+and passes the scheduled one to `heapq.heappushpop`, which returns it
+untouched when it is the earliest and otherwise swaps it for the earliest
+in one sift: one heap operation per event, not a push and a pop. No two
+events share a (timestamp, sequence) key, so both drains run the same
+events in the same order.
 
 A hop costs table lookups, not topology calls. The switch's state is one
 tuple, looked up once: its flow table, rule counters, port and ingress
@@ -18,16 +19,18 @@ counters and neighbour delays, each changed in place and never replaced.
 Switch lookup is first-match-wins over (final destination, source): one
 dict access into a per-table index, built on first use and dropped
 whenever the table's rules change, returns the rule and its position
-together, so installing rules builds no index. An arrival tells a switch
-from a host by whether the node has that state, and the hop limit is held
-on the fabric. Installation checks each target's kind, so a forward always
-reaches a switch and a redirect an engine, and refuses a rule that would
-shadow a redirect or be shadowed by one. Where a base station or engine
-attaches (its switch, the link's delay, whether it is an engine)
-comes from the topology's read-only attachment table, built on first
-use; injection and engine output read it. An engine arrival that is
-buffered or discarded returns nothing from the engine and ends the event
-at once. Trace records are built only when tracing is on.
+together, so installing rules builds no index; a hop reads it itself. An
+arrival tells a switch from a host by whether the node has that state, and
+the hop limit is held on the fabric. Installation checks each target's
+kind, so a forward always reaches a switch and a redirect an engine, and
+refuses a rule that would shadow a redirect or be shadowed by one. Where a
+base station or engine attaches (its switch, the link's delay, whether it
+is an engine) comes from the topology's read-only attachment table, built
+on first use; injection and engine output read it. An engine returns None
+for an arrival it buffered or discarded, which ends the event at once,
+else its output packet or its new epoch's (deadline, token). Trace records
+are built only when tracing is on. `inject` refuses a packet stamped inf
+or NaN, before it numbers or queues anything.
 
 A miss drops the packet and bumps a counter rather than erroring, since
 misses usually mean a plan bug worth surfacing in stats. So is a packet
@@ -59,6 +62,8 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -71,6 +76,7 @@ from .topology import NodeKind, Topology
 _ARRIVE = "arrive"
 _ENGINE = "engine"
 _TIMEOUT = "timeout"
+_DELIVER, _REDIRECT = ActionKind.DELIVER, ActionKind.REDIRECT
 
 
 class FlowTable:
@@ -79,7 +85,7 @@ class FlowTable:
     The first matching rule for each (final destination, source) is read
     from an index built on the first match after a change and dropped by
     every change, so a lookup costs one dict access however many rules and
-    sources the table holds.
+    sources the table holds. A hop reads `_first` in place, as `match` does.
     """
 
     def __init__(self, switch: str):
@@ -215,21 +221,17 @@ class Fabric:
         # table and the table's rule counters; its rx (packets in, by the
         # port's neighbour), ingress (packets in from network ports, by
         # final destination) and tx (packets out, by neighbour) counters,
-        # which live only here and which stats() reads; and neighbour ->
-        # link delay (the topology's own read-only map). Each member is
-        # changed in place, never replaced.
+        # which live only here and which stats() copies into plain dicts;
+        # and neighbour -> link delay (the topology's own read-only map).
+        # Each member is changed in place, never replaced.
         self._hop_state = {
-            s: (t, t.counters, {}, {}, {}, topology.neighbors(s)) for s, t in self.tables.items()
+            s: (t, t.counters, defaultdict(int), defaultdict(int), defaultdict(int), topology.neighbors(s))
+            for s, t in self.tables.items()
         }
         self.delivered: list[dict] = []
         self.trace: list[dict] | None = [] if trace else None
 
     # -- event plumbing --
-
-    def _event(self, time_ms: float, kind: str, data: tuple) -> tuple:
-        """A new event, numbered after every event made before it."""
-        self._seq += 1
-        return (time_ms, self._seq, kind, data)
 
     def _trace(self, time_ms: float, event: str, **detail) -> None:
         """Record one trace event. Callers check that tracing is on first,
@@ -282,20 +284,24 @@ class Fabric:
 
     def inject(self, p: PacketRecord, at: str) -> int:
         """Enqueue a packet published by a base station or engine output; it
-        reaches the attached switch one link delay later."""
+        reaches the attached switch one link delay later. A packet stamped
+        inf or NaN is refused before anything is numbered or queued."""
         attached = self.topology.attachments.get(at)
         if attached is None:
             kind = self.topology.kind(at)  # NotFoundError for an unknown node
             raise UnknownNodeError(f"{at!r} is a {kind.value}; packets enter at base stations or engines")
+        published = p.timestamp_ms
+        if not math.isfinite(published):
+            raise ValidationError(f"packet from {p.source!r} has a non-finite timestamp {published!r}")
         switch, delay, from_engine = attached
         self._uid += 1
         p.uid = self._uid
         self.injected += 1
         if self.trace is not None:
-            self._trace(p.timestamp_ms, "inject", node=at, uid=p.uid, source=p.source)
-        event = self._event(p.timestamp_ms + delay, _ARRIVE, (switch, p, at, from_engine))
-        heapq.heappush(self._heap, event)
-        return event[1]
+            self._trace(published, "inject", node=at, uid=p.uid, source=p.source)
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (published + delay, seq, _ARRIVE, (switch, p, at, from_engine)))
+        return seq
 
     # -- event execution --
 
@@ -337,7 +343,7 @@ class Fabric:
                 return n
 
     # Each handler runs one event, appends its trace entry when tracing, and
-    # returns the one event it schedules, or None.
+    # returns the one event it schedules, or None, numbered in place.
 
     def _on_arrive(self, now, node, p: PacketRecord, via, from_engine):
         state = self._hop_state.get(node)
@@ -360,32 +366,36 @@ class Fabric:
         hops = p.hop_count = p.hop_count + 1
         if hops > self._hop_limit:  # a forwarding loop
             return self._drop(now, node, p, "hop_limit")
-        rx[via] = rx.get(via, 0) + 1
+        rx[via] += 1
         fd = p.final_destination
         if not from_engine:
-            ingress[fd] = ingress.get(fd, 0) + 1
+            ingress[fd] += 1
 
-        hit = table.match(p)
+        first = table._first
+        if first is None:
+            first = table._index()
+        hit = first.get((fd, p.source))
         if hit is None:
             return self._drop(now, node, p, "no_rule")
         index, rule = hit
         counters[index] += 1
 
         action = rule.action
-        if action is ActionKind.DELIVER:
+        if action is _DELIVER:
             target = fd
             if target not in delays:
                 return self._drop(now, node, p, "deliver_not_adjacent")
         else:
             target = rule.target
-        tx[target] = tx.get(target, 0) + 1
-        if action is ActionKind.REDIRECT:
+        tx[target] += 1
+        self._seq = seq = self._seq + 1
+        if action is _REDIRECT:
             if self.trace is not None:
                 self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
-            return self._event(now + delays[target], _ENGINE, (target, p))
+            return (now + delays[target], seq, _ENGINE, (target, p))
         if self.trace is not None:
             self._trace(now, "forward", node=node, uid=p.uid, to=target)
-        return self._event(now + delays[target], _ARRIVE, (target, p, node, False))
+        return (now + delays[target], seq, _ARRIVE, (target, p, node, False))
 
     def _drop(self, now, node, p: PacketRecord, reason: str) -> None:
         """Count a dropped packet; it schedules nothing."""
@@ -403,14 +413,16 @@ class Fabric:
             )
 
     def _on_engine(self, now, engine_id, p: PacketRecord):
-        result = self.engines[engine_id].process(p, now)
-        if result is None:  # buffered or discarded: nothing leaves, no timer
+        out = self.engines[engine_id].process(p, now)
+        if out is None:  # buffered or discarded: nothing leaves, no timer
             emission = event = None
-        elif result.timeout_at is not None:  # an epoch opened
+        elif type(out) is tuple:  # an epoch opened: (its deadline, its token)
             emission = None
-            event = self._event(result.timeout_at, _TIMEOUT, (engine_id, result.timeout_token))
-        else:
-            emission = result.emission
+            deadline, token = out
+            self._seq = seq = self._seq + 1
+            event = (deadline, seq, _TIMEOUT, (engine_id, token))
+        else:  # the epoch's output packet
+            emission = out
             event = self._emit(now, engine_id, emission)
         if self.trace is not None:
             emitted = [] if emission is None else [emission.uid]
@@ -432,7 +444,8 @@ class Fabric:
         switch, delay, _ = self.topology.attachments[engine_id]
         self._uid += 1
         emission.uid = self._uid
-        return self._event(now + delay, _ARRIVE, (switch, emission, engine_id, True))
+        self._seq = seq = self._seq + 1
+        return (now + delay, seq, _ARRIVE, (switch, emission, engine_id, True))
 
     # -- reporting --
 

@@ -5,17 +5,18 @@ Each engine applies, per matching config, the pipeline
     rate filter -> de-jitter -> epoch buffer -> aggregate -> emit
 
 Rate filtering passes the first packet a source publishes in each
-floor(timestamp / rate) window and drops the rest. De-jitter keeps arrivals
-whose timestamp offset from the epoch leader (the first accepted arrival)
-stays within the configured threshold, boundary inclusive. An epoch
-closes in one place, `Engine._close`: on the arrival that completes its
-config's sources, or when its timer fires. The compute operation folds the
-scalar payloads of the config's sources that arrived, in source order, and
-one packet leaves the engine, stamped with the config's destination and
-the latest of their timestamps. Only the timer rejects an epoch: when its
-config was removed, is order-sensitive (sub, mul), or was replaced by one
-that lists none of the sources that arrived. An epoch that its opening
-arrival completes arms no timer.
+floor(timestamp / rate) window and drops the rest. De-jitter keeps
+arrivals whose timestamp offset from the epoch leader (the first accepted
+arrival) stays within the configured threshold, boundary inclusive. An
+epoch buffers one (timestamp, value) pair of floats per source and closes
+in one place, `Engine._close`: on the arrival that completes its config's
+sources, or when its timer fires. `_close` takes the pairs of the config's
+sources that arrived, in source order, splits them with `zip`, and folds
+the values with the compute operation; one packet leaves the engine,
+stamped with the config's destination and the latest timestamp. Only the
+timer rejects an epoch: when its config was removed, is order-sensitive
+(sub, mul), or was replaced by one that lists none of the sources that
+arrived. An epoch that its opening arrival completes arms no timer.
 
 The store is memory only. `ConfigStore.to_doc()` shapes it engine ->
 user -> [records], each record carrying compute, source list,
@@ -33,9 +34,9 @@ arrival computes no key. A packet that no config covers is counted as
 `no_config` and discarded.
 
 `Engine.process` is the one implementation of every pipeline rule (rate,
-epoch, late, de-jitter, duplicate, timeout), in one pass. Most arrivals
-are buffered into an open epoch, or discarded, without opening, closing
-or passing anything; for them it returns None and allocates no result.
+epoch, late, de-jitter, duplicate, timeout), in one pass. It returns None
+for most arrivals, buffered or discarded, else a plain value: the output
+packet of an epoch it closes, or the (deadline, token) of one it opens.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .dsl import JITTER_MAX_MS, ORDER_SENSITIVE, OpKind
@@ -193,7 +195,7 @@ class ConfigStore:
     ) -> tuple[EngineConfig, tuple] | None:
         """(config, its key) for the first config in configs_for(engine)
         order that belongs to the user, lists the source and matches the
-        final destination, or None."""
+        final destination, or None. `Engine.process` reads the same dict."""
         index = self._index.get(engine)
         if index is None:
             index = self._build_index(engine)
@@ -235,7 +237,7 @@ def _finite(value: int | float) -> bool:
 _STEP = {OpKind.SUM: operator.add, OpKind.AVG: operator.add, OpKind.SUB: operator.sub, OpKind.MUL: operator.mul}
 
 
-def _fold(kind: OpKind, values: list[float]) -> float:
+def _fold(kind: OpKind, values: tuple[float, ...]) -> float:
     if kind is OpKind.MIN:
         return min(values)
     if kind is OpKind.MAX:
@@ -244,17 +246,10 @@ def _fold(kind: OpKind, values: list[float]) -> float:
     return acc / len(values) if kind is OpKind.AVG else acc
 
 
-@dataclass
-class EngineResult:
-    emission: PacketRecord | None
-    timeout_at: float | None = None
-    timeout_token: tuple | None = None
-
-
 class Engine:
     """One engine's runtime state: rate windows, counters and epochs, each
     keyed by its token (config key, epoch) in `_pending`. An open epoch
-    maps to its arrivals, source -> (timestamp, payload), leader first; a
+    maps to its arrivals, source -> (timestamp, value), leader first; a
     closed one maps to None, which is how a later packet of it is known to
     be late. A rejected epoch's token is removed, so a later packet reopens
     it."""
@@ -264,10 +259,10 @@ class Engine:
         self.store = store
         self._rate_last: dict[tuple, int] = {}
         # token -> its arrivals while open, None once closed
-        self._pending: dict[tuple, dict[str, tuple[float, Scalar]] | None] = {}
+        self._pending: dict[tuple, dict[str, tuple[float, float]] | None] = {}
         self.counters: dict[str, int] = {"arrivals": 0, **dict.fromkeys(SETTLED, 0), "emitted": 0}
 
-    def process(self, p: PacketRecord, now: float) -> EngineResult | None:
+    def process(self, p: PacketRecord, now: float) -> PacketRecord | tuple[float, tuple] | None:
         """Feed one redirected packet through the pipeline, rule by rule:
         - rate: with a rate, the epoch is the packet's rate window, and a
           source's first packet in a window passes; a later packet of that
@@ -284,13 +279,17 @@ class Engine:
 
         Returns None when the packet was buffered or discarded with nothing
         to send or schedule, as most arrivals are, also when no config
-        matched it. Otherwise the result holds either the epoch's output
-        packet or the timeout for a newly opened epoch.
+        matched it; the output packet of the epoch it closed; or (deadline,
+        token) for the timer of an epoch it opened. It reads the store's
+        index dict in place, as `ConfigStore.lookup` does.
         """
         counters = self.counters
         counters["arrivals"] += 1
         source = p.source
-        hit = self.store.lookup(self.engine_id, p.user, source, p.final_destination)
+        index = self.store._index.get(self.engine_id)
+        if index is None:
+            index = self.store._build_index(self.engine_id)
+        hit = index.get((p.user, source, p.final_destination))
         if hit is None:
             counters["no_config"] += 1
             return None
@@ -300,11 +299,12 @@ class Engine:
             epoch = p.epoch
         else:
             epoch = math.floor(p.timestamp_ms / rate)
-            last = self._rate_last.get((key, source))
+            window = (key, source)
+            last = self._rate_last.get(window)
             if last is not None and epoch <= last:
                 counters["rate_dropped"] += 1
                 return None
-            self._rate_last[(key, source)] = epoch
+            self._rate_last[window] = epoch
         token = (key, epoch)
         arrivals = self._pending.get(token)
         opened = arrivals is None
@@ -321,15 +321,14 @@ class Engine:
         elif source in arrivals:
             counters["duplicate_discarded"] += 1
             return None
-        arrivals[source] = (p.timestamp_ms, p.payload)
+        arrivals[source] = (p.timestamp_ms, p.payload.value)
         sources = cfg.sources
         # sources are distinct, so fewer arrivals cannot cover them all
-        if len(arrivals) >= len(sources) and all(s in arrivals for s in sources):
-            return EngineResult(self._close(token, cfg, arrivals))
+        if len(arrivals) >= len(sources) and all(map(arrivals.__contains__, sources)):
+            return self._close(token, cfg, arrivals, map(arrivals.__getitem__, sources))
         if not opened:
             return None
-        timeout_at = now + (NO_RATE_TIMEOUT_MS if rate is None else TIMEOUT_RATE_FACTOR * rate)
-        return EngineResult(None, timeout_at, token)
+        return now + (NO_RATE_TIMEOUT_MS if rate is None else TIMEOUT_RATE_FACTOR * rate), token
 
     def on_timeout(self, token: tuple, now: float) -> PacketRecord | None:
         """Close an epoch whose timer fired; a stale timer, whose token is
@@ -340,29 +339,25 @@ class Engine:
         if arrivals is None:
             return None
         cfg = self.store.get(token[0])
-        if (
-            cfg is None
-            or cfg.compute in ORDER_SENSITIVE
-            or not any(s in arrivals for s in cfg.sources)
-        ):
+        rows = None
+        if cfg is not None and cfg.compute not in ORDER_SENSITIVE:
+            rows = [arrivals[s] for s in cfg.sources if s in arrivals]
+        if not rows:
             del self._pending[token]
             self.counters["rejected"] += len(arrivals)
             return None
-        return self._close(token, cfg, arrivals)
+        return self._close(token, cfg, arrivals, rows)
 
-    def _close(
-        self, token: tuple, cfg: EngineConfig, arrivals: dict[str, tuple[float, Scalar]]
-    ) -> PacketRecord:
-        """The epoch's one packet: cfg.compute over the arrivals of
+    def _close(self, token: tuple, cfg: EngineConfig, arrivals: dict, rows: Iterable) -> PacketRecord:
+        """The epoch's one packet: cfg.compute over rows, the arrivals of
         cfg.sources in that order, at the latest of their timestamps. Every
         arrival counts as consumed, also one from a source cfg dropped."""
-        present = [arrivals[s] for s in cfg.sources if s in arrivals]
+        stamps, values = zip(*rows)
         self.counters["consumed"] += len(arrivals)
         self.counters["emitted"] += 1
         self._pending[token] = None
-        latest = max([ts for ts, _ in present])
-        value = _fold(cfg.compute, [payload.value for _, payload in present])
-        return PacketRecord(cfg.engine, cfg.destination, cfg.user, token[1], latest, Scalar(value))
+        value = _fold(cfg.compute, values)
+        return PacketRecord(cfg.engine, cfg.destination, cfg.user, token[1], max(stamps), Scalar(value))
 
     def pending_arrivals(self) -> int:
         return sum(len(arrivals) for arrivals in self._pending.values() if arrivals)

@@ -35,12 +35,19 @@ scan of the rule list, against which the table's (final destination,
 source) index must give the same (position, rule) or miss. `tokenize` is the earlier `dsl._tokenize`
 kept as it was: a character loop building one frozen `Token` per token,
 against which the one-pattern scan must give the same (kind, value, col,
-unit) tuples, or the same error and column, for every text.
+unit) tuples, or the same error and column, for every text. `close_epoch`
+is the earlier close arithmetic of `Engine._close` kept as it was: the
+present rows in source order by list comprehension, then `max` over a
+list of their timestamps and a left fold over a list of their values,
+against which the engine's fold over `zip` must give the same floats to
+the last bit, signed zeros and NaN included.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -213,6 +220,24 @@ def scan_rules(rules, packet):
         if packet.final_destination == rule.final_destination and packet.source in rule.sources:
             return index, rule
     return None
+
+
+_FOLD_STEP = {"sum": operator.add, "avg": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def close_epoch(op: str, sources, arrivals: dict) -> tuple[float, float]:
+    """(latest timestamp, folded value) of an epoch that closes over the
+    arrivals, source -> (timestamp, value), of `sources`, in that order;
+    op is the operation's name."""
+    present = [arrivals[s] for s in sources if s in arrivals]
+    latest = max([ts for ts, _ in present])
+    values = [value for _, value in present]
+    if op == "min":
+        return latest, min(values)
+    if op == "max":
+        return latest, max(values)
+    acc = functools.reduce(_FOLD_STEP[op], values)
+    return latest, acc / len(values) if op == "avg" else acc
 
 
 def config_doc(configs) -> dict:

@@ -2,7 +2,9 @@ import gc
 import hashlib
 import heapq
 import json
+import math
 import random
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -235,6 +237,32 @@ def test_inject_from_destination_rejected(demo):
     with pytest.raises(NotFoundError):
         fabric.inject(make_packet("nope"), at="nope")
     assert fabric.injected == fabric.pending_events() == 0
+
+
+@pytest.mark.parametrize("requirement", ["", ",requirement<-{rate=1s}"], ids=["no-rate", "rate"])
+def test_inject_refuses_a_non_finite_timestamp(requirement):
+    """A packet stamped inf, -inf or NaN is a ValidationError naming its
+    source, raised before anything is numbered or queued: the count, the
+    queue and the books stay as they were, and the finite traffic still
+    runs. Let in, it would stop run() at a rated engine (math.floor of inf
+    or NaN) or reach the user stamped NaN."""
+    session = Session(build_experiment_topology())
+    request = f"datapath_m(bs1,bs2,switch<-sw1,compute<-max,destination<-user{requirement})"
+    result = session.execute("datapath_m", {"request": request})
+    assert result.ok, result.message
+    ingress = result.body["plan"]["source_ingress"]
+    fabric = session.fabric
+    for source in ("bs1", "bs2"):
+        fabric.inject(make_packet(source, 100.0, ingress[source], 0, 1.0), at=source)
+    queue, books = list(fabric._heap), fabric.conservation()
+    for ts in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="'bs2'"):
+            fabric.inject(make_packet("bs2", ts, ingress["bs2"], 1, 2.0), at="bs2")
+        assert (fabric.injected, fabric._heap, fabric.conservation()) == (2, queue, books)
+    fabric.run()
+    assert [d["payload"] for d in fabric.delivered_at("user")] == [{"scalar": 1.0}]
+    assert all(math.isfinite(d["time_ms"]) for d in fabric.delivered)
+    assert fabric.conservation()["balanced"]
 
 
 # -- step -----------------------------------------------------------------------
@@ -622,6 +650,18 @@ def test_event_order_is_pinned(nine_users, jitter, digest):
         assert outcome_digest(drained_nine_users(nine_users, False, stepwise, jitter)) == digest
 
 
+def published_r9(epochs: int) -> Fabric:
+    """A fresh experiment fabric with R9 admitted and `epochs` epochs of
+    seed 0 injected, not yet run."""
+    session = Session(build_experiment_topology())
+    result = session.execute("datapath_a", {"request": request_texts()[8]})
+    assert result.ok, result.message
+    ingress = result.body["plan"]["source_ingress"]
+    for s in Workload(seed=0, horizon_ms=100.0 * epochs).samples(list(ingress)):
+        session.fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value), at=s.source)
+    return session.fabric
+
+
 def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypatch):
     """Counts, not times: R9 published for 10 and for 100 epochs makes the
     same flow-table and engine-config index builds (install and run
@@ -663,24 +703,43 @@ def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypat
     seen = {}
     for epochs, events in ((10, 1310), (100, 13100)):
         builds.clear()
-        session = Session(build_experiment_topology())
-        result = session.execute("datapath_a", {"request": request_texts()[8]})
-        assert result.ok, result.message
-        ingress = result.body["plan"]["source_ingress"]
-        for s in Workload(seed=0, horizon_ms=100.0 * epochs).samples(list(ingress)):
-            session.fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value), at=s.source)
+        fabric = published_r9(epochs)
         heap_calls.clear()
         ran.clear()
-        assert session.fabric.run() == events
-        assert len(session.fabric.delivered) == epochs
+        assert fabric.run() == events
+        assert len(fabric.delivered) == epochs
         assert heap_calls.get("heappush", 0) == 0
         assert heap_calls["heappop"] + heap_calls["heappushpop"] == events == sum(ran.values())
         assert (heap_calls["heappop"], heap_calls["heappushpop"]) == (50 * epochs, 81 * epochs)
         assert ran[dataplane._TIMEOUT] == 7 * epochs
         seen[epochs] = dict(builds)
     assert seen[10] == seen[100]
-    assert 0 < seen[10]["_index"] <= len(session.fabric.tables)
-    assert 0 < seen[10]["_build_index"] <= len(session.fabric.engines)
+    assert 0 < seen[10]["_index"] <= len(fabric.tables)
+    assert 0 < seen[10]["_build_index"] <= len(fabric.engines)
+
+
+def test_r9_drain_enters_at_most_two_python_frames_per_event():
+    """Counts, not times: run() over R9 enters at most two Python frames
+    per event on average, itself included, at 10 and at 100 epochs. A hop
+    and an engine arrival build their events in place and call no helper,
+    and an epoch's check and fold run in C. A bound, not a pin: list
+    comprehensions stopped being frames in Python 3.12."""
+    for epochs, events in ((10, 1310), (100, 13100)):
+        fabric = published_r9(epochs)
+        frames = 0
+
+        def profile(frame, event, arg):
+            nonlocal frames
+            if event == "call":
+                frames += 1
+
+        sys.setprofile(profile)
+        try:
+            ran = fabric.run()
+        finally:
+            sys.setprofile(None)
+        assert ran == events
+        assert frames <= 2 * events, (epochs, frames / events)
 
 
 def test_an_epoch_its_opening_arrival_closes_arms_no_timer():

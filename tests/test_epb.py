@@ -1,10 +1,11 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from _oracles import config_doc, scan_config
+from _oracles import close_epoch, config_doc, scan_config
 from flip.dsl import OpKind
 from flip.epb import ConfigStore, Engine, EngineConfig
 from flip.errors import ValidationError
@@ -272,8 +273,8 @@ def aggregate(kind, values):
         engine.process(packet(source, ts=0.0, value=value), now=0.0)
         for source, value in reversed(list(zip(sources, values)))
     ]
-    assert all(r is None or r.emission is None for r in results[:-1])
-    return results[-1].emission.payload
+    assert all(not isinstance(r, PacketRecord) for r in results[:-1])
+    return results[-1].payload
 
 
 def test_sum_scalars():
@@ -303,7 +304,7 @@ def test_aggregate_emission_fields():
     arrival's timestamp, not the closing one's."""
     engine, _ = pipeline_engine()
     engine.process(packet("bs2", ts=103.0, value=4.0, epoch=7), now=104.0)
-    out = engine.process(packet("bs1", ts=100.0, value=3.0, epoch=7), now=105.0).emission
+    out = engine.process(packet("bs1", ts=100.0, value=3.0, epoch=7), now=105.0)
     assert out == PacketRecord("e-sw1", "dest", "maya", 7, 103.0, Scalar(7.0))
     assert out.uid == -1
 
@@ -319,13 +320,16 @@ def pipeline_engine(**overrides):
 
 
 def test_process_buffers_until_complete():
-    engine, _ = pipeline_engine()
+    """The opening arrival returns its epoch's timer, (deadline, token),
+    and the completing one the output packet alone."""
+    engine, cfg = pipeline_engine()
     first = engine.process(packet("bs1", ts=100.0, value=3.0), now=101.0)
-    assert first.emission is None
-    assert first.timeout_at is not None
+    assert not isinstance(first, PacketRecord)
+    deadline, token = first
+    assert deadline is not None and token == (cfg.key(), 0)
     second = engine.process(packet("bs2", ts=102.0, value=4.0), now=103.0)
-    assert second.emission.payload == Scalar(7.0)
-    assert second.timeout_at is None
+    assert isinstance(second, PacketRecord)
+    assert second.payload == Scalar(7.0)
 
 
 def test_replaced_config_closes_on_its_own_sources():
@@ -338,13 +342,13 @@ def test_replaced_config_closes_on_its_own_sources():
     engine.store.set_config(make_config(sources=("bs3", "bs4")))
     # three arrivals against two sources, but bs4 is still missing
     assert engine.process(packet("bs3", ts=100.0), now=100.0) is None
-    assert engine.process(packet("bs4", ts=100.0), now=100.0).emission is not None
+    assert isinstance(engine.process(packet("bs4", ts=100.0), now=100.0), PacketRecord)
 
     engine, _ = pipeline_engine(sources=("bs1", "bs2"))
     engine.process(packet("bs1", ts=100.0), now=100.0)
     engine.store.set_config(make_config(sources=("bs1", "bs2", "bs3")))
     assert engine.process(packet("bs2", ts=100.0), now=100.0) is None
-    assert engine.process(packet("bs3", ts=100.0), now=100.0).emission is not None
+    assert isinstance(engine.process(packet("bs3", ts=100.0), now=100.0), PacketRecord)
 
 
 def test_process_unconfigured_user_is_a_no_config_discard():
@@ -380,17 +384,16 @@ def test_jitter_discard_in_pipeline():
 
 def test_timeout_partial_emits_for_min():
     engine, cfg = pipeline_engine(compute=OpKind.MIN, sources=("bs1", "bs2"))
-    result = engine.process(packet("bs1", ts=100.0, value=9.0), now=100.0)
-    token = result.timeout_token
-    assert engine.on_timeout(token, now=result.timeout_at).payload == Scalar(9.0)
+    deadline, token = engine.process(packet("bs1", ts=100.0, value=9.0), now=100.0)
+    assert engine.on_timeout(token, now=deadline).payload == Scalar(9.0)
     # stale timer after emission is a no-op
-    assert engine.on_timeout(token, now=result.timeout_at + 1) is None
+    assert engine.on_timeout(token, now=deadline + 1) is None
 
 
 def test_timeout_rejects_for_sub():
     engine, cfg = pipeline_engine(compute=OpKind.SUB, sources=("bs1", "bs2"))
-    result = engine.process(packet("bs1", ts=100.0), now=100.0)
-    assert engine.on_timeout(result.timeout_token, now=result.timeout_at) is None
+    deadline, token = engine.process(packet("bs1", ts=100.0), now=100.0)
+    assert engine.on_timeout(token, now=deadline) is None
     assert engine.counters["rejected"] == 1
 
 
@@ -400,18 +403,18 @@ def test_timeout_partial_avg_folds_the_sources_that_arrived():
     arrival from a source a replacement config dropped is consumed but
     not folded."""
     engine, _ = pipeline_engine(compute=OpKind.AVG, sources=("bs1", "bs2", "bs3"))
-    opened = engine.process(packet("bs3", ts=101.0, value=4.0), now=101.0)
+    deadline, token = engine.process(packet("bs3", ts=101.0, value=4.0), now=101.0)
     engine.process(packet("bs1", ts=100.0, value=2.0), now=102.0)
-    out = engine.on_timeout(opened.timeout_token, now=opened.timeout_at)
+    out = engine.on_timeout(token, now=deadline)
     assert (out.payload, out.timestamp_ms) == (Scalar(3.0), 101.0)
     assert (engine.counters["consumed"], engine.counters["emitted"]) == (2, 1)
 
     engine, _ = pipeline_engine(compute=OpKind.AVG, sources=("bs1", "bs2", "bs3"))
-    opened = engine.process(packet("bs2", ts=100.0, value=2.0), now=100.0)
+    deadline, token = engine.process(packet("bs2", ts=100.0, value=2.0), now=100.0)
     engine.process(packet("bs1", ts=105.0, value=100.0), now=105.0)
     engine.store.set_config(make_config(compute=OpKind.AVG, sources=("bs2", "bs3", "bs4")))
     assert engine.process(packet("bs3", ts=102.0, value=4.0), now=106.0) is None
-    out = engine.on_timeout(opened.timeout_token, now=opened.timeout_at)
+    out = engine.on_timeout(token, now=deadline)
     assert (out.payload, out.timestamp_ms) == (Scalar(3.0), 102.0)
     assert (engine.counters["consumed"], engine.counters["rejected"]) == (3, 0)
     assert engine.pending_arrivals() == 0
@@ -419,11 +422,11 @@ def test_timeout_partial_avg_folds_the_sources_that_arrived():
 
 def test_timeout_uses_rate_factor():
     engine, cfg = pipeline_engine(rate_ms=500.0)
-    result = engine.process(packet("bs1", ts=100.0), now=105.0)
-    assert result.timeout_at == 105.0 + 1000.0
+    deadline, _ = engine.process(packet("bs1", ts=100.0), now=105.0)
+    assert deadline == 105.0 + 1000.0
     engine2, _ = pipeline_engine()
-    result2 = engine2.process(packet("bs1", ts=100.0), now=105.0)
-    assert result2.timeout_at == 105.0 + 100.0
+    deadline2, _ = engine2.process(packet("bs1", ts=100.0), now=105.0)
+    assert deadline2 == 105.0 + 100.0
 
 
 def test_pipeline_accounting_identity():
@@ -454,6 +457,80 @@ def test_epoch_uses_rate_window_when_set():
     packet's own epoch without one."""
     engine, cfg = pipeline_engine(rate_ms=1000.0)
     p = packet("bs1", ts=2500.0, epoch=99)
-    assert engine.process(p, now=2500.0).timeout_token == (cfg.key(), 2)
+    assert engine.process(p, now=2500.0)[1] == (cfg.key(), 2)
     engine, cfg = pipeline_engine()
-    assert engine.process(p, now=2500.0).timeout_token == (cfg.key(), 99)
+    assert engine.process(p, now=2500.0)[1] == (cfg.key(), 99)
+
+
+# -- the close against the list fold ---------------------------------------------
+
+# values whose fold depends on order: signed zeros tie under min and max,
+# NaN and the infinities poison them, and mixed magnitudes round away
+SPECIAL_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, -1e16, 1.0, 1e-300, -3e300)
+ORDER_SENSITIVE_OPS = (OpKind.SUB, OpKind.MUL)
+
+
+def random_row(rng):
+    """(timestamp, value): timestamps tie often, 0.0 with -0.0 too, and
+    half the values are special."""
+    ts = rng.choice((0.0, -0.0, 5.0, rng.uniform(0.0, 10.0)))
+    if rng.random() < 0.5:
+        return ts, rng.choice(SPECIAL_VALUES)
+    return ts, rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+
+
+def test_close_matches_the_list_fold_to_the_bit():
+    """Seeded random epochs of every operation, closed by their completing
+    arrival or by their timer, some after a replacement config dropped a
+    source that had arrived, give the timestamp and value that the earlier
+    list arithmetic gives over the final config's sources, compared by
+    float.hex. Arrivals come in random order with tied timestamps (0.0 and
+    -0.0 among them), so a fold in arrival order would differ."""
+    rng = random.Random(29)
+    seen = Counter()
+    compared = set()
+    for trial in range(1200):
+        op = list(OpKind)[trial % len(OpKind)]
+        names = [f"bs{i}" for i in range(1, 8)]
+        rng.shuffle(names)
+        sources, spare = tuple(names[: rng.randint(2, 5)]), names[5:]
+        engine, _ = pipeline_engine(compute=op, sources=sources)
+        sent: dict[str, tuple[float, float]] = {}
+
+        def send(source):
+            ts, value = sent[source] = random_row(rng)
+            return engine.process(packet(source, ts=ts, value=value), now=0.0)
+
+        # a strict subset arrives first: the epoch is open and has a timer
+        early = rng.sample(sources, rng.randint(1, len(sources) - 1))
+        deadline, token = send(early[0])
+        assert all(send(source) is None for source in early[1:])
+        replaced = rng.random() < 0.4
+        if replaced:
+            dropped = rng.choice(early)
+            kept = [s for s in sources if s != dropped] + spare[: rng.randint(0, 2)]
+            sources = tuple(rng.sample(kept, len(kept)))
+            engine.store.set_config(make_config(compute=op, sources=sources))
+        missing = [s for s in sources if s not in sent]
+        rng.shuffle(missing)
+        if missing and rng.random() < 0.6:
+            assert all(send(source) is None for source in missing[:-1])
+            how, out = "complete", send(missing[-1])
+        else:
+            assert all(send(source) is None for source in missing[: rng.randint(0, max(len(missing) - 1, 0))])
+            how, out = "timer", engine.on_timeout(token, now=deadline)
+        if how == "timer" and (op in ORDER_SENSITIVE_OPS or not any(s in sent for s in sources)):
+            assert out is None and engine.counters["rejected"] == len(sent)
+            seen[op, how, replaced, "rejected"] += 1
+            continue
+        latest, value = close_epoch(op.value, sources, sent)
+        assert (out.timestamp_ms.hex(), out.payload.value.hex()) == (latest.hex(), value.hex())
+        assert (engine.counters["consumed"], engine.pending_arrivals()) == (len(sent), 0)
+        seen[op, how, replaced, "emitted"] += 1
+        compared.update((latest.hex(), value.hex()))
+    assert {key[:3] for key in seen} == {
+        (op, how, replaced) for op in OpKind for how in ("complete", "timer") for replaced in (False, True)
+    }
+    folded_by_timer = [op for op in OpKind if op not in ORDER_SENSITIVE_OPS]
+    assert all(seen[op, "timer", replaced, "emitted"] for op in folded_by_timer for replaced in (False, True))
+    assert {"nan", "inf", "-inf", "-0x0.0p+0", "0x0.0p+0"} <= compared
