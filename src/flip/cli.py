@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("cmd", help="execute one command verb")
-    p.add_argument("verb", choices=control.VERBS)
+    p.add_argument("verb", choices=control.VERB_TABLE)
     p.add_argument("args", nargs="*", help="key=value pairs")
     p.add_argument("--json", help="JSON object merged into the arguments")
     p.set_defaults(func=_cmd_cmd)

@@ -363,11 +363,8 @@ class Session:
                 break
         return results
 
-    def state_doc(self) -> dict:
-        return self.fabric.state_doc()
-
     def state_json(self) -> str:
-        return json.dumps(self.state_doc(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.fabric.state_doc(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def replay(
@@ -420,8 +417,6 @@ VERB_TABLE = {
     "datapath_m": (functools.partial(Session._datapath, verb="datapath_m"), True),
     "datapath_a": (functools.partial(Session._datapath, verb="datapath_a"), True),
 }
-
-VERBS = tuple(VERB_TABLE)
 
 
 # -- socket protocol -----------------------------------------------------------

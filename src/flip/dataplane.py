@@ -21,24 +21,25 @@ dict access into a per-table index, built on first use and dropped
 whenever the table's rules change, returns the rule and its position
 together, so installing rules builds no index; a hop reads it itself. An
 arrival tells a switch from a host by whether the node has that state, and
-the hop limit is held on the fabric. Installation checks each target's
-kind, so a forward always reaches a switch and a redirect an engine, and
-refuses a rule that would shadow a redirect or be shadowed by one. Where a
-base station or engine attaches (its switch, the link's delay, whether it
-is an engine) comes from the topology's read-only attachment table, built
-on first use; injection and engine output read it. An engine returns None
-for an arrival it buffered or discarded, which ends the event at once,
-else its output packet or its new epoch's (deadline, token). Trace records
-are built only when tracing is on. `inject` refuses a packet stamped inf
-or NaN, before it numbers or queues anything.
+the hop limit is held on the fabric. Installation checks each target once:
+it must be a neighbour of the rule's switch, a deliver rule's target being
+its final destination, and of the right kind, so a forward always reaches
+a switch and a redirect an engine. It also refuses a rule that would
+shadow a redirect or be shadowed by one. Where a base station or engine
+attaches (its switch, the link's delay, whether it is an engine, the link)
+comes from the topology's read-only attachment table, built on first use;
+injection and engine output read it. An engine returns None for an
+arrival it buffered or discarded, which ends the event at once, else its
+output packet or its new epoch's (deadline, token). Trace records are
+built only when tracing is on. `inject` refuses a packet stamped inf or
+NaN, before it numbers or queues anything.
 
 A miss drops the packet and bumps a counter rather than erroring, since
 misses usually mean a plan bug worth surfacing in stats. So is a packet
 that has entered more switches than the topology has nodes, which only a
 forwarding loop does: no packet stops the fabric. Every drop's trace event
-names its reason (`no_rule`, `hop_limit`, or `deliver_not_adjacent` for a
-deliver rule whose destination is not a neighbour) and the packet's user
-and final destination.
+names its reason (`no_rule` or `hop_limit`) and the packet's user and final
+destination.
 
 Counting model: a switch's packet count is the number of packets entering
 it over network links. Re-entries from the switch's own engine are not
@@ -246,23 +247,22 @@ class Fabric:
     def check_rules(self, rules: list[FlowRule], replacing: int | None = None) -> None:
         """Raise for a rule on an unknown switch, with a target that is not
         adjacent to its switch, or with a target of the wrong kind: a
-        forward goes to a switch and a redirect to an engine. Then raise a
-        ConflictError for a rule that clashes with an installed rule other
-        than the one it replaces at `replacing` (see `FlowTable.clash`).
-        The rules are not checked against each other."""
+        forward goes to a switch and a redirect to an engine. A deliver
+        rule's target is its final destination. Then raise a ConflictError
+        for a rule that clashes with an installed rule other than the one
+        it replaces at `replacing` (see `FlowTable.clash`). The rules are
+        not checked against each other."""
         for rule in rules:
             if rule.switch not in self.tables:
                 raise UnknownSwitchError(f"unknown switch {rule.switch!r}")
             action = rule.action
-            if action is not ActionKind.DELIVER:
-                if rule.target not in self.topology.neighbors(rule.switch):
-                    raise UnknownSwitchError(
-                        f"rule target {rule.target!r} is not adjacent to {rule.switch!r}"
-                    )
-                if action is ActionKind.FORWARD and rule.target not in self.tables:
-                    raise ValidationError(f"forward target {rule.target!r} on {rule.switch!r} is not a switch")
-                if action is ActionKind.REDIRECT and rule.target not in self.engines:
-                    raise ValidationError(f"redirect target {rule.target!r} on {rule.switch!r} is not an engine")
+            target = rule.final_destination if action is ActionKind.DELIVER else rule.target
+            if target not in self.topology.neighbors(rule.switch):
+                raise UnknownSwitchError(f"rule target {target!r} is not adjacent to {rule.switch!r}")
+            if action is ActionKind.FORWARD and target not in self.tables:
+                raise ValidationError(f"forward target {target!r} on {rule.switch!r} is not a switch")
+            if action is ActionKind.REDIRECT and target not in self.engines:
+                raise ValidationError(f"redirect target {target!r} on {rule.switch!r} is not an engine")
             clash = self.tables[rule.switch].clash(rule, replacing)
             if clash is not None:
                 index, other = clash
@@ -293,7 +293,7 @@ class Fabric:
         published = p.timestamp_ms
         if not math.isfinite(published):
             raise ValidationError(f"packet from {p.source!r} has a non-finite timestamp {published!r}")
-        switch, delay, from_engine = attached
+        switch, delay, from_engine, _ = attached
         self._uid += 1
         p.uid = self._uid
         self.injected += 1
@@ -381,12 +381,7 @@ class Fabric:
         counters[index] += 1
 
         action = rule.action
-        if action is _DELIVER:
-            target = fd
-            if target not in delays:
-                return self._drop(now, node, p, "deliver_not_adjacent")
-        else:
-            target = rule.target
+        target = fd if action is _DELIVER else rule.target
         tx[target] += 1
         self._seq = seq = self._seq + 1
         if action is _REDIRECT:
@@ -441,7 +436,7 @@ class Fabric:
         back at the engine's switch."""
         if emission is None:
             return None
-        switch, delay, _ = self.topology.attachments[engine_id]
+        switch, delay, _, _ = self.topology.attachments[engine_id]
         self._uid += 1
         emission.uid = self._uid
         self._seq = seq = self._seq + 1

@@ -18,11 +18,11 @@ timer rejects an epoch: when its config was removed, is order-sensitive
 (sub, mul), or was replaced by one that lists none of the sources that
 arrived. An epoch that its opening arrival completes arms no timer.
 
-The store is memory only. `ConfigStore.to_doc()` shapes it engine ->
-user -> [records], each record carrying compute, source list,
-destination, rate, and jitter; the control layer writes that document to
-the engine configuration file, which nothing reads back, and a store
-always starts empty.
+The store is memory only: one dict per engine, keyed (user, destination).
+`ConfigStore.to_doc()` shapes it engine -> user -> [records], each record
+carrying compute, source list, destination, rate, and jitter; the control
+layer writes that document to the engine configuration file, which
+nothing reads back, and a store always starts empty.
 
 An engine finds a packet's config through the store's lookup index, one
 dict per engine keyed (user, source, final destination). It is built on
@@ -153,8 +153,8 @@ class ConfigStore:
     path = None
 
     def __init__(self):
-        # engine -> user -> destination -> config
-        self._configs: dict[str, dict[str, dict[str, EngineConfig]]] = {}
+        # engine -> (user, destination) -> config
+        self._configs: dict[str, dict[tuple[str, str], EngineConfig]] = {}
         # engine -> (user, source, final destination) -> (config, its key),
         # built on first lookup and dropped when one of the engine's configs
         # changes
@@ -162,33 +162,27 @@ class ConfigStore:
 
     def set_config(self, cfg: EngineConfig) -> None:
         cfg.validate()
-        self._configs.setdefault(cfg.engine, {}).setdefault(cfg.user, {})[cfg.destination] = cfg
+        self._configs.setdefault(cfg.engine, {})[cfg.user, cfg.destination] = cfg
         self._index.pop(cfg.engine, None)
 
     def remove(self, key: tuple[str, str, str]) -> bool:
         engine, user, destination = key
-        users = self._configs.get(engine, {})
-        if users.get(user, {}).pop(destination, None) is None:
+        if self._configs.get(engine, {}).pop((user, destination), None) is None:
             return False
-        if not users[user]:
-            del users[user]
-            if not users:
-                del self._configs[engine]
         self._index.pop(engine, None)
         return True
 
     def configs_for(self, engine: str) -> list[EngineConfig]:
         """The engine's configs in (user, destination) order."""
-        users = self._configs.get(engine, {})
-        return [c for user in sorted(users) for c in self.user_configs(engine, user)]
+        configs = self._configs.get(engine, {})
+        return [configs[k] for k in sorted(configs)]
 
     def user_configs(self, engine: str, user: str) -> list[EngineConfig]:
-        configs = self._configs.get(engine, {}).get(user, {})
-        return [configs[destination] for destination in sorted(configs)]
+        return [c for c in self.configs_for(engine) if c.user == user]
 
     def get(self, key: tuple[str, str, str]) -> EngineConfig | None:
         engine, user, destination = key
-        return self._configs.get(engine, {}).get(user, {}).get(destination)
+        return self._configs.get(engine, {}).get((user, destination))
 
     def lookup(
         self, engine: str, user: str, source: str, final_destination: str
@@ -213,13 +207,13 @@ class ConfigStore:
         return index
 
     def to_doc(self) -> dict:
-        return {
-            engine: {
-                user: [c.to_doc() for c in self.user_configs(engine, user)]
-                for user in sorted(users)
-            }
-            for engine, users in sorted(self._configs.items())
-        }
+        """engine -> user -> [records], in configs_for order; an engine
+        without configs is left out."""
+        doc: dict[str, dict[str, list[dict]]] = {}
+        for engine in sorted(self._configs):
+            for cfg in self.configs_for(engine):
+                doc.setdefault(engine, {}).setdefault(cfg.user, []).append(cfg.to_doc())
+        return doc
 
 
 def _finite(value: int | float) -> bool:
@@ -232,17 +226,18 @@ def _finite(value: int | float) -> bool:
 # -- payload arithmetic --------------------------------------------------------
 
 
-# sum, avg, sub and mul fold left one operation at a time; sum() would
-# compensate rounding from Python 3.12 on and change the last bits
-_STEP = {OpKind.SUM: operator.add, OpKind.AVG: operator.add, OpKind.SUB: operator.sub, OpKind.MUL: operator.mul}
-
-
 def _fold(kind: OpKind, values: tuple[float, ...]) -> float:
+    # sum, avg, sub and mul fold left one operation at a time; sum() would
+    # compensate rounding from Python 3.12 on and change the last bits
     if kind is OpKind.MIN:
         return min(values)
     if kind is OpKind.MAX:
         return max(values)
-    acc = functools.reduce(_STEP[kind], values)
+    if kind is OpKind.SUB:
+        return functools.reduce(operator.sub, values)
+    if kind is OpKind.MUL:
+        return functools.reduce(operator.mul, values)
+    acc = functools.reduce(operator.add, values)
     return acc / len(values) if kind is OpKind.AVG else acc
 
 

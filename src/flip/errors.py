@@ -28,13 +28,13 @@ class NotFoundError(FlipError):
 
 
 class DslSyntaxError(FlipError):
-    """Request text failed to parse. Carries 1-based line/column."""
+    """One request's text failed to parse. Carries the 1-based column in
+    that text; a script names the line itself."""
 
     code = "syntax_error"
 
-    def __init__(self, message: str, line: int = 1, col: int = 0):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
+    def __init__(self, message: str, col: int = 0):
+        super().__init__(f"{message} (col {col})")
         self.col = col
 
 

@@ -39,8 +39,8 @@ farthest leaf (every leaf under one parent adds the same detours in the
 same order, and float addition is monotonic, so that leaf's delay is the
 group's worst), and `SteinerTree.path` climbs both ends of that same walk,
 so a plan walks its final tree once. A leaf is one table read and a few
-dict and set operations in each stage: its base-station link comes from
-`Topology.station_links` and its switch from `Topology.attachments`.
+dict and set operations in each stage: its switch and its link come from
+one entry of `Topology.attachments`.
 
 Compilation turns the tree into first-match flow rules, along one path
 for both request forms: a manual command is a one-operation task graph
@@ -352,16 +352,16 @@ def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:
 
     # hubs: each base-station terminal's switch in its place; the forced
     # leaf links are appended to the pruned hub tree below
-    stations = t.station_links
+    attachments = t.attachments
     hub_set: set[str] = set()
     leaf_links: list[Link] = []
     for x in terms:
-        station = stations.get(x)
-        if station is None:
+        attached = attachments.get(x)
+        if attached is None or attached[2]:  # not a base station
             hub_set.add(x)
         else:
-            hub_set.add(station[0])
-            leaf_links.append(station[1])
+            hub_set.add(attached[0])
+            leaf_links.append(attached[3])
     hubs = sorted(hub_set, key=rank)
 
     # Prim over the metric closure of the hubs: the closure edge between
@@ -546,7 +546,7 @@ def compile_rules(
                 if attached is None:
                     t.connected_switch(child)  # raises: not a base station or engine
                 source = child
-                entry, _, is_engine = attached
+                entry, _, is_engine, _ = attached
                 fd = placement.engine if is_engine else destination
                 ingress[source] = fd
             cfg_sources.append(source)

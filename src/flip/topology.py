@@ -225,27 +225,19 @@ class Topology:
         }
 
     @cached_property
-    def attachments(self) -> Mapping[str, tuple[str, float, bool]]:
+    def attachments(self) -> Mapping[str, tuple[str, float, bool, Link]]:
         """Read-only table of each base station and engine: (its switch,
-        the link's delay, whether it is an engine). Built on first use."""
+        the link's delay, whether it is an engine, its one link with the
+        endpoints in string order, a <= b). Built on first use."""
         # validation gave each of them exactly one link, to a switch
-        return MappingProxyType({
-            n: (*next(iter(self._adj[n].items())), kind is NodeKind.ENGINE)
-            for n, kind in self._kinds.items()
-            if kind in (NodeKind.BASE_STATION, NodeKind.ENGINE)
-        })
-
-    @cached_property
-    def station_links(self) -> Mapping[str, tuple[str, Link]]:
-        """Read-only table of each base station: (its switch, its one link
-        with the endpoints in string order, a <= b). Built on first use."""
         table = {}
-        for n, (switch, _, is_engine) in self.attachments.items():
-            if not is_engine:
+        for n, kind in self._kinds.items():
+            if kind in (NodeKind.BASE_STATION, NodeKind.ENGINE):
+                switch, delay = next(iter(self._adj[n].items()))
                 link = self._links[(n, switch) if n <= switch else (switch, n)]
                 if link.a > link.b:
-                    link = Link(link.b, link.a, link.delay_ms)
-                table[n] = (switch, link)
+                    link = Link(link.b, link.a, delay)
+                table[n] = (switch, delay, kind is NodeKind.ENGINE, link)
         return MappingProxyType(table)
 
     @cached_property

@@ -302,14 +302,14 @@ def test_modflow_keeps_the_rule_in_its_place(session):
     }
     b = {
         "match": {"final_destination": "user", "sources": ["bs1", "bs2"]},
-        "action": {"type": "deliver"},
+        "action": {"type": "forward", "target": "sw2"},
     }
     for rule in (a, b):
         assert session.execute("addflow", {"dpid": "sw1", **rule}).ok
     result = session.execute("modflow", {"dpid": "sw1", "index": 0, **a})
     assert result.ok and result.body == {"modified": 0}
     flows = session.execute("getflows", {"dpid": "sw1"}).body["flows"]
-    assert [f["action"]["type"] for f in flows] == ["forward", "deliver"]
+    assert [f["action"]["target"] for f in flows] == ["sw9", "sw2"]
     packet = PacketRecord("bs1", "user", "default", 0, 0.0, Scalar(1.0))
     assert session.fabric.tables["sw1"].match(packet)[0] == 0
 
@@ -363,7 +363,8 @@ def test_a_flow_whose_target_does_not_fit_its_action_is_refused(demo_session, dp
     flow = {"dpid": dpid, "match": {"final_destination": "user", "sources": ["bs1"]}, "action": action}
     for verb, args in (("addflow", flow), ("modflow", {**flow, "index": 0})):
         if verb == "modflow":
-            keep = {"type": "deliver"}
+            # a rule valid on the switch, for modflow to replace
+            keep = {"type": "forward", "target": "sw3"}
             assert demo_session.execute("addflow", {**flow, "action": keep}).ok
         before, log = demo_session.state_json(), list(demo_session.command_log)
         result = demo_session.execute(verb, args)
@@ -1339,7 +1340,7 @@ def test_cli_writes_engine_config_file(tmp_path):
     assert cli_main(["--session", str(session_dir), "run", script, "--keep-going"]) == 0
     doc = json.loads((session_dir / "session.json").read_text())
     replayed = Session.replay(build_experiment_topology(), doc["log"])
-    assert json.loads(config_file.read_text()) == replayed.state_doc()["configs"]
+    assert json.loads(config_file.read_text()) == replayed.fabric.state_doc()["configs"]
     # a new load must not inherit the previous session's configs
     assert cli_main(["--session", str(session_dir), "load", topo_file]) == 0
     assert not config_file.exists()

@@ -307,15 +307,24 @@ def test_table_miss_drops_and_counts(demo):
     assert fabric.stats().drops["sw1"] == 1
 
 
-def test_deliver_rule_off_the_destination_drops_with_its_reason(demo):
-    fabric = Fabric(demo, trace=True)
-    fabric.install_rules([FlowRule("sw1", "user", ("bs1",), ActionKind.DELIVER, None)])
-    fabric.inject(make_packet("bs1"), at="bs1")
-    fabric.run()
-    assert fabric.stats().dropped == fabric.stats().drops["sw1"] == 1
-    [drop] = [e for e in fabric.trace if e["event"] == "drop"]
-    assert (drop["node"], drop["reason"]) == ("sw1", "deliver_not_adjacent")
-    assert fabric.conservation()["balanced"]
+def test_deliver_rule_off_the_destination_is_refused_at_install(demo):
+    """A deliver rule's target is its final destination, checked for
+    adjacency once, at install, like a forward or redirect target: one off
+    the destination fails the whole batch and installs nothing."""
+    fabric = Fabric(demo)
+    forward = FlowRule("sw1", "user", ("bs2",), ActionKind.FORWARD, "sw3")
+    with pytest.raises(UnknownSwitchError, match="rule target 'user' is not adjacent to 'sw1'"):
+        fabric.install_rules([forward, FlowRule("sw1", "user", ("bs1",), ActionKind.DELIVER, None)])
+    assert fabric.tables["sw1"].rules == []
+    assert fabric.install_rules([FlowRule("sw5", "user", ("bs1",), ActionKind.DELIVER, None)]) == 1
+
+    session = Session(demo)
+    flow = {"dpid": "sw1", "match": {"final_destination": "user", "sources": ["bs1"]}, "action": {"type": "deliver"}}
+    before = session.state_json()
+    result = session.execute("addflow", flow)
+    assert not result.ok and result.code == "unknown_switch"
+    assert session.fabric.tables["sw1"].rules == []
+    assert session.state_json() == before and session.command_log == []
 
 
 def test_forwarding_loop_is_an_error_past_the_hop_limit(demo):
@@ -433,7 +442,7 @@ def loaded_fabrics(demo, eq1_plan, trace: bool) -> list[Fabric]:
     """Fabrics whose drains together run every kind of event: one epoch of
     EQ1 from every leaf (forwards, redirects, buffered, opening and
     emitting engine arrivals, stale timers and deliveries), a lone leaf
-    of EQ1 (timers that close an epoch and emit), and three packets that
+    of EQ1 (timers that close an epoch and emit), and two packets that
     drop, one for each reason."""
     full = flip_fabric(demo, eq1_plan, trace)
     leaves = dsl.expand_sources(parse_request(EQ1), demo).leaves()
@@ -445,9 +454,8 @@ def loaded_fabrics(demo, eq1_plan, trace: bool) -> list[Fabric]:
     drops.install_rules([
         FlowRule("sw1", "user", ("bs1",), ActionKind.FORWARD, "sw3"),
         FlowRule("sw3", "user", ("bs1",), ActionKind.FORWARD, "sw1"),
-        FlowRule("sw1", "user", ("bs2",), ActionKind.DELIVER, None),
     ])
-    for source in ("bs1", "bs2", "bs3"):  # hop_limit, deliver_not_adjacent, no_rule
+    for source in ("bs1", "bs3"):  # hop_limit, no_rule
         drops.inject(make_packet(source), at=source)
     return [full, lone, drops]
 
@@ -482,7 +490,6 @@ def test_step_returns_the_trace_entry_its_event_appended(demo, eq1_plan):
         ("timeout", None, True, 1),
         ("drop", "no_rule", False, 0),
         ("drop", "hop_limit", False, 0),
-        ("drop", "deliver_not_adjacent", False, 0),
     }
 
 

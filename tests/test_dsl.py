@@ -259,7 +259,7 @@ def test_range_is_checked_without_building_its_names(monkeypatch):
     ]:
         with pytest.raises(DslSyntaxError) as info:
             parse_request(text)
-        assert (str(info.value), info.value.col) == (f"{message} (line 1, col {col})", col)
+        assert (str(info.value), info.value.col) == (f"{message} (col {col})", col)
 
 
 def test_roundtrip_canonical_fixed_cases():

@@ -95,7 +95,8 @@ def test_store_matches_the_old_store_over_random_edits():
     store on the way; after every step the document and every lookup agree
     with a plain dict of configs and the old sorted scan. Now and then a new
     store is given the model's configs again, in a random order, as a
-    replay would."""
+    replay would. Each engine's configs, each user's, and each config by
+    its key agree with the model too."""
     rng = random.Random(11)
     store = ConfigStore()
     model: dict = {}
@@ -114,6 +115,14 @@ def test_store_matches_the_old_store_over_random_edits():
 
     def check():
         assert store.to_doc() == config_doc(model.values())
+        for engine in ENGINES:
+            assert store.configs_for(engine) == [model[k] for k in sorted(model) if k[0] == engine]
+            for user in USERS:
+                want = [model[k] for k in sorted(model) if k[:2] == (engine, user)]
+                assert store.user_configs(engine, user) == want
+                for destination in DESTINATIONS:
+                    key = (engine, user, destination)
+                    assert store.get(key) is model.get(key)
         for _ in range(10):
             query = probe()
             want = scan_config(model.values(), *query)

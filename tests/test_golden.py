@@ -170,7 +170,7 @@ def test_traced_r9_run_trace_bytes(tmp_path):
     assert _sha256(out.read_bytes()) == TRACE_R9_EXPERIMENT_SHA256
 
 
-MANY_PLANS_SHA256 = "79c0a72f92f71a6e493a6f9e4fe32b2bcfd0c57ce942cb06e7c28c8247023a14"
+MANY_PLANS_SHA256 = "a69fa7d9dcc425e266c1ffdab46091fb7369418a5b446de37e07536b2e053513"
 
 
 def _many_wide_requests(rng: random.Random, stations: int, switches: int) -> list[str]:

@@ -286,43 +286,37 @@ def test_connected_switch_rejects_switches():
 
 
 def test_attachments_hold_each_base_station_and_engine():
-    """(switch, link delay, is engine) for every base station and engine and
-    nothing else, read-only, built once per topology."""
-    t = build_experiment_topology()
-    attached = [n for kind in (NodeKind.BASE_STATION, NodeKind.ENGINE) for n in t.nodes_of_kind(kind)]
-    assert sorted(t.attachments) == sorted(attached)
-    for n in attached:
-        switch = t.connected_switch(n)
-        assert t.attachments[n] == (switch, t.link_delay(n, switch), t.kind(n) is NodeKind.ENGINE)
-    assert t.attachments is t.attachments
-    with pytest.raises(TypeError):
-        t.attachments["bs1"] = ("sw2", 0.0, False)
-
-
-def test_station_links_hold_each_base_station_with_its_link_in_string_order():
-    """(switch, link with a <= b) for every base station and nothing else,
-    read-only, built once per topology; a link written switch first, or
-    to a switch named before the station, comes out turned round."""
+    """(switch, link delay, is engine, link with a <= b) for every base
+    station and engine and nothing else, read-only, built once per
+    topology. The link is the topology's own; one written switch first, or
+    to a switch named before the station, comes out as a new link turned
+    round."""
     nodes = {"sw1": NodeKind.SWITCH, "a1": NodeKind.SWITCH, "e-sw1": NodeKind.ENGINE}
     nodes |= {name: NodeKind.BASE_STATION for name in ("bs1", "bs2", "zz")}
     links = [Link("sw1", "a1", 1.0), Link("e-sw1", "sw1", 0.0), Link("bs1", "sw1", 0.5)]
     links += [Link("sw1", "bs2", 0.25), Link("zz", "a1", 2.0)]
-    t = Topology(nodes, links)
-    assert dict(t.station_links) == {
-        "bs1": ("sw1", Link("bs1", "sw1", 0.5)),
-        "bs2": ("sw1", Link("bs2", "sw1", 0.25)),
-        "zz": ("a1", Link("a1", "zz", 2.0)),
+    small = Topology(nodes, links)
+    assert dict(small.attachments) == {
+        "e-sw1": ("sw1", 0.0, True, Link("e-sw1", "sw1", 0.0)),
+        "bs1": ("sw1", 0.5, False, Link("bs1", "sw1", 0.5)),
+        "bs2": ("sw1", 0.25, False, Link("bs2", "sw1", 0.25)),
+        "zz": ("a1", 2.0, False, Link("a1", "zz", 2.0)),
     }
-    experiment = build_experiment_topology()
-    stations = experiment.nodes_of_kind(NodeKind.BASE_STATION)
-    assert sorted(experiment.station_links) == sorted(stations)
-    for n in stations:
-        switch, link = experiment.station_links[n]
-        assert switch == experiment.connected_switch(n)
-        assert link == Link(*sorted((n, switch)), experiment.link_delay(n, switch))
-    assert experiment.station_links is experiment.station_links
-    with pytest.raises(TypeError):
-        experiment.station_links["bs1"] = ("sw2", Link("bs1", "sw2", 0.0))
+    for t in (small, build_experiment_topology()):
+        attached = [n for kind in (NodeKind.BASE_STATION, NodeKind.ENGINE) for n in t.nodes_of_kind(kind)]
+        assert sorted(t.attachments) == sorted(attached)
+        for n in attached:
+            switch, delay, is_engine, link = t.attachments[n]
+            assert switch == t.connected_switch(n)
+            assert (delay, is_engine) == (t.link_delay(n, switch), t.kind(n) is NodeKind.ENGINE)
+            own = t._links[Link(n, switch, delay).key()]
+            if own.a <= own.b:
+                assert link is own
+            else:
+                assert link == Link(own.b, own.a, own.delay_ms)
+        assert t.attachments is t.attachments
+        with pytest.raises(TypeError):
+            t.attachments["bs1"] = ("sw2", 0.0, False, Link("bs1", "sw2", 0.0))
 
 
 @pytest.mark.parametrize("doc", ["demo_topology.json", "experiment_topology.json", "wide"])
