@@ -286,11 +286,24 @@ def test_connected_switch_rejects_switches():
 
 
 def test_attachments_hold_each_base_station_and_engine():
-    """(switch, link delay, is engine, link with a <= b) for every base
-    station and engine and nothing else, read-only, built once per
-    topology. The link is the topology's own; one written switch first, or
-    to a switch named before the station, comes out as a new link turned
-    round."""
+    """(switch, link delay, is engine, link) for every base station and
+    engine and nothing else, read-only, built once per topology."""
+    t = build_experiment_topology()
+    attached = [n for kind in (NodeKind.BASE_STATION, NodeKind.ENGINE) for n in t.nodes_of_kind(kind)]
+    assert sorted(t.attachments) == sorted(attached)
+    for n in attached:
+        switch, delay, is_engine, _ = t.attachments[n]
+        assert switch == t.connected_switch(n)
+        assert (delay, is_engine) == (t.link_delay(n, switch), t.kind(n) is NodeKind.ENGINE)
+    assert t.attachments is t.attachments
+    with pytest.raises(TypeError):
+        t.attachments["bs1"] = ("sw2", 0.0, False, Link("bs1", "sw2", 0.0))
+
+
+def test_station_links_hold_each_base_station_with_its_link_in_string_order():
+    """The link an attachment carries is the topology's own with a <= b; one
+    written switch first, or to a switch named before the station, comes
+    out as a new link turned round."""
     nodes = {"sw1": NodeKind.SWITCH, "a1": NodeKind.SWITCH, "e-sw1": NodeKind.ENGINE}
     nodes |= {name: NodeKind.BASE_STATION for name in ("bs1", "bs2", "zz")}
     links = [Link("sw1", "a1", 1.0), Link("e-sw1", "sw1", 0.0), Link("bs1", "sw1", 0.5)]
@@ -303,20 +316,12 @@ def test_attachments_hold_each_base_station_and_engine():
         "zz": ("a1", 2.0, False, Link("a1", "zz", 2.0)),
     }
     for t in (small, build_experiment_topology()):
-        attached = [n for kind in (NodeKind.BASE_STATION, NodeKind.ENGINE) for n in t.nodes_of_kind(kind)]
-        assert sorted(t.attachments) == sorted(attached)
-        for n in attached:
-            switch, delay, is_engine, link = t.attachments[n]
-            assert switch == t.connected_switch(n)
-            assert (delay, is_engine) == (t.link_delay(n, switch), t.kind(n) is NodeKind.ENGINE)
+        for n, (switch, delay, _, link) in t.attachments.items():
             own = t._links[Link(n, switch, delay).key()]
             if own.a <= own.b:
                 assert link is own
             else:
                 assert link == Link(own.b, own.a, own.delay_ms)
-        assert t.attachments is t.attachments
-        with pytest.raises(TypeError):
-            t.attachments["bs1"] = ("sw2", 0.0, False, Link("bs1", "sw2", 0.0))
 
 
 @pytest.mark.parametrize("doc", ["demo_topology.json", "experiment_topology.json", "wide"])
