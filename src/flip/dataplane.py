@@ -16,19 +16,21 @@ events in the same order.
 A hop costs table lookups, not topology calls. The switch's state is one
 tuple, looked up once: its flow table, rule counters, port and ingress
 counters and neighbour delays, each changed in place and never replaced.
-Switch lookup is first-match-wins over (final destination, source): one
-dict access into a per-table index, built on first use and dropped
-whenever the table's rules change, returns the rule and its position
-together, so installing rules builds no index; a hop reads it itself. An
-arrival tells a switch from a host by whether the node has that state, and
-the hop limit is held on the fabric. Installation checks each target once:
-it must be a neighbour of the rule's switch, a deliver rule's target being
-its final destination, and of the right kind, so a forward always reaches
-a switch and a redirect an engine. It also refuses a rule that would
-shadow a redirect or be shadowed by one. Where a base station or engine
-attaches (its switch, the link's delay, whether it is an engine, the link)
-comes from the topology's read-only attachment table, built on first use;
-injection and engine output read it. An engine returns None for an
+Switch lookup is first-match-wins over (final destination, source), the
+keys `FlowRule.matches` gives: one dict access into a per-table index,
+built by `packets.first_match` on first use and dropped whenever the
+table's rules change, returns the rule and its position together, so
+installing rules builds no index; a hop reads it itself. An arrival tells
+a switch from a host by whether the node has that state, and the hop
+limit is held on the fabric. Installation checks each target once: it
+must be a neighbour of the rule's switch, a deliver rule's target being
+its final destination (a deliver names no target of its own), and of the
+right kind, so a forward always reaches a switch and a redirect an
+engine. It also refuses a rule that would shadow a redirect or be
+shadowed by one. Where a base station or engine attaches (its switch, the
+link's delay, whether it is an engine, the link) comes from the
+topology's read-only attachment table, built on first use; injection and
+engine output read it. An engine returns None for an
 arrival it buffered or discarded, which ends the event at once, else its
 output packet or its new epoch's (deadline, token). Trace records are
 built only when tracing is on. `inject` refuses a packet stamped inf or
@@ -70,7 +72,7 @@ from pathlib import Path
 
 from .epb import SETTLED, ConfigStore, Engine
 from .errors import ConflictError, FlipError, UnknownNodeError, UnknownSwitchError, ValidationError
-from .packets import PacketRecord
+from .packets import PacketRecord, first_match
 from .planner import ActionKind, FlowRule
 from .topology import NodeKind, Topology
 
@@ -114,14 +116,8 @@ class FlowTable:
         return first.get((packet.final_destination, packet.source))
 
     def _index(self) -> dict[tuple[str, str], tuple[int, FlowRule]]:
-        """(final destination, source) -> (position, rule) of its first
-        matching rule."""
-        first: dict[tuple[str, str], tuple[int, FlowRule]] = {}
-        for index, rule in enumerate(self.rules):
-            hit = (index, rule)
-            for source in rule.sources:
-                first.setdefault((rule.final_destination, source), hit)
-        self._first = first
+        """(final destination, source) -> (position, rule) of its first matching rule."""
+        first = self._first = first_match([(rule.matches(), (i, rule)) for i, rule in enumerate(self.rules)])
         return first
 
     def clash(self, rule: FlowRule, replacing: int | None = None) -> tuple[int, FlowRule] | None:

@@ -25,13 +25,15 @@ layer writes that document to the engine configuration file, which
 nothing reads back, and a store always starts empty.
 
 An engine finds a packet's config through the store's lookup index, one
-dict per engine keyed (user, source, final destination). It is built on
-the first packet after a change from the engine's configs in (user,
-destination) order, keeping the first config for each key, so a packet
-gets the first config in that order whose user, sources and matched
-destinations cover it. Each entry holds the config and its key, so an
-arrival computes no key. A packet that no config covers is counted as
-`no_config` and discarded.
+dict per engine keyed (user, final destination, source): the keys
+`EngineConfig.matches` gives, each match destination (or, for a config
+without any, its destination and its engine) with each source.
+`packets.first_match` builds it on the first packet after a change from
+the engine's configs in (user, destination) order, keeping the first
+config for each key, so a packet gets the first config in that order
+whose user, sources and matched destinations cover it. Each entry holds
+the config and its key, so an arrival computes no key. A packet that no
+config covers is counted as `no_config` and discarded.
 
 `Engine.process` is the one implementation of every pipeline rule (rate,
 epoch, late, de-jitter, duplicate, timeout), in one pass. It returns None
@@ -46,10 +48,11 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import product
 
 from .dsl import JITTER_MAX_MS, ORDER_SENSITIVE, OpKind
 from .errors import ValidationError
-from .packets import PacketRecord, Scalar
+from .packets import PacketRecord, Scalar, first_match
 
 TIMEOUT_RATE_FACTOR = 2.0
 NO_RATE_TIMEOUT_MS = 100.0
@@ -71,15 +74,16 @@ class EngineConfig:
     destination: str
     rate_ms: float | None = None
     jitter_ms: float | None = None
-    # final_destination values carried by this flow's inbound packets; the
-    # compiler fills it, direct set_config defaults to destination + engine
+    # the final destinations its inbound packets carry (see matches())
     match_destinations: tuple[str, ...] = ()
 
     def key(self) -> tuple[str, str, str]:
         return (self.engine, self.user, self.destination)
 
-    def effective_matches(self) -> tuple[str, ...]:
-        return self.match_destinations or (self.destination, self.engine)
+    def matches(self) -> product[tuple[str, str, str]]:
+        """Its (user, final destination, source) keys, over its match
+        destinations or else its destination and engine."""
+        return product((self.user,), self.match_destinations or (self.destination, self.engine), self.sources)
 
     def validate(self) -> None:
         # destination may equal the engine itself: chained operations can
@@ -155,9 +159,8 @@ class ConfigStore:
     def __init__(self):
         # engine -> (user, destination) -> config
         self._configs: dict[str, dict[tuple[str, str], EngineConfig]] = {}
-        # engine -> (user, source, final destination) -> (config, its key),
-        # built on first lookup and dropped when one of the engine's configs
-        # changes
+        # engine -> (user, final destination, source) -> (config, its key), built
+        # on first lookup and dropped when one of the engine's configs changes
         self._index: dict[str, dict[tuple[str, str, str], tuple[EngineConfig, tuple]]] = {}
 
     def set_config(self, cfg: EngineConfig) -> None:
@@ -193,17 +196,12 @@ class ConfigStore:
         index = self._index.get(engine)
         if index is None:
             index = self._build_index(engine)
-        return index.get((user, source, final_destination))
+        return index.get((user, final_destination, source))
 
     def _build_index(self, engine: str) -> dict[tuple[str, str, str], tuple[EngineConfig, tuple]]:
-        """The engine's lookup index: (user, source, final destination) ->
-        (first config in configs_for order that covers it, its key)."""
-        index = self._index[engine] = {}
-        for cfg in self.configs_for(engine):
-            hit = (cfg, cfg.key())
-            for match in cfg.effective_matches():
-                for src in cfg.sources:
-                    index.setdefault((cfg.user, src, match), hit)
+        """The engine's index: (user, final destination, source) -> (first config covering it, its key)."""
+        entries = [(cfg.matches(), (cfg, cfg.key())) for cfg in self.configs_for(engine)]
+        index = self._index[engine] = first_match(entries)
         return index
 
     def to_doc(self) -> dict:
@@ -284,7 +282,7 @@ class Engine:
         index = self.store._index.get(self.engine_id)
         if index is None:
             index = self.store._build_index(self.engine_id)
-        hit = index.get((p.user, source, p.final_destination))
+        hit = index.get((p.user, p.final_destination, source))
         if hit is None:
             counters["no_config"] += 1
             return None

@@ -72,6 +72,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -186,6 +187,10 @@ class FlowRule:
     action: ActionKind
     target: str | None = None  # next hop switch or engine; None for deliver
 
+    def matches(self) -> zip[tuple[str, str]]:
+        """The (final destination, source) keys the rule matches."""
+        return zip(repeat(self.final_destination), self.sources)
+
     def to_doc(self) -> dict:
         return {
             "switch": self.switch,
@@ -208,7 +213,10 @@ class FlowRule:
                 raise TypeError("'final_destination' must be a name")
             if target is not None and not isinstance(target, str):
                 raise TypeError("'target' must be a name or null")
-            return cls(doc["switch"], fd, tuple(sources), ActionKind(action["type"]), target)
+            kind = ActionKind(action["type"])
+            if kind is ActionKind.DELIVER and target is not None:
+                raise ValueError("a deliver action takes no 'target'")
+            return cls(doc["switch"], fd, tuple(sources), kind, target)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CompileError(f"bad flow rule document: {exc}") from None
 
@@ -530,7 +538,6 @@ def compile_rules(
         placement = by_op[op.node_id]
         parent = tg.parent(op)
         cfg_sources: list[str] = []
-        match_fds: list[str] = []
         groups: dict[tuple[str, str], list[str]] = {}
         for child in op.children:
             if isinstance(child, OpNode):
@@ -550,8 +557,6 @@ def compile_rules(
                 fd = placement.engine if is_engine else destination
                 ingress[source] = fd
             cfg_sources.append(source)
-            if fd not in match_fds:
-                match_fds.append(fd)
             groups.setdefault((entry, fd), []).append(source)
         for (entry, fd), sources in groups.items():
             _rules_along(book, tree.path(entry, placement.switch), fd, sources, t)
@@ -565,7 +570,7 @@ def compile_rules(
                 destination=by_op[parent.node_id].engine if parent else destination,
                 rate_ms=request.requirements.rate_ms,
                 jitter_ms=request.requirements.jitter_ms,
-                match_destinations=tuple(match_fds),
+                match_destinations=tuple(dict.fromkeys(fd for _, fd in groups)),
             )
         )
 

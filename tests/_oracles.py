@@ -30,7 +30,7 @@ the last bit. `heap_shortest_paths_from` is the earlier
 included, goes through the heap and both maps are plain dicts, against
 which the one-link maps must give the same floats and tuples for every
 (source, target) pair. `scan_rules` is the earlier `FlowTable.match`
-kept as it was, with the earlier `FlowRule.matches` written in: a linear
+kept as it was, with the earlier packet predicate `FlowRule.matches` written in: a linear
 scan of the rule list, against which the table's (final destination,
 source) index must give the same (position, rule) or miss. `tokenize` is the earlier `dsl._tokenize`
 kept as it was: a character loop building one frozen `Token` per token,
@@ -200,7 +200,8 @@ def placement_transcription(tg, topo):
 
 def scan_config(configs, engine: str, user: str, source: str, final_destination: str):
     """First config of the engine, in (user, destination) order, whose
-    user, sources and matched destinations cover the packet."""
+    user, sources and matched destinations cover the packet. A config
+    without match destinations matches its own destination and engine."""
     ordered = sorted(
         (c for c in configs if c.engine == engine), key=lambda c: (c.user, c.destination)
     )
@@ -208,7 +209,7 @@ def scan_config(configs, engine: str, user: str, source: str, final_destination:
         if (
             cfg.user == user
             and source in cfg.sources
-            and final_destination in cfg.effective_matches()
+            and final_destination in (cfg.match_destinations or (cfg.destination, cfg.engine))
         ):
             return cfg
     return None

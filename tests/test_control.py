@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from flip import cli, errors, harness
+from flip import cli, dsl, errors, harness
 from flip.cli import main as cli_main
 from flip.control import CONFIG_FILE, VERB_TABLE, CommandServer, Session, send_command
 from flip.errors import FlipError, ParseError, UnknownSwitchError, ValidationError
@@ -574,6 +575,42 @@ def test_co_installed_requests_are_isolated_or_refused():
     assert refused and admitted > refused, (admitted, refused)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: one user's overlapping configs share a key, so 10 of 20 and 20 of 90 values arrive",
+)
+@pytest.mark.parametrize("count", [2, 9], ids=["R1-R2", "R1-R9"])
+def test_one_users_co_installed_requests_each_deliver_every_epoch(count):
+    """R1..R{count} installed together for user `default` and fed 10
+    epochs of seed-0 samples: every request delivers its own value in every
+    epoch, as `harness.evaluate_expression` gives it, and the books
+    balance."""
+    t = build_experiment_topology()
+    session = Session(t)
+    texts = harness.request_texts()[:count]
+    ingress: dict[str, str] = {}
+    for text in texts:
+        result = session.execute("datapath_a", {"request": text})
+        assert result.ok, result.message
+        ingress.update(result.body["plan"]["source_ingress"])
+    epochs = 10
+    samples = harness.Workload(seed=0, horizon_ms=100.0 * epochs).samples(list(ingress))
+    by_epoch: dict[int, dict[str, float]] = {}
+    for s in samples:
+        by_epoch.setdefault(s.epoch, {})[s.source] = s.value
+        packet = PacketRecord(s.source, ingress[s.source], "default", s.epoch, s.publish_ms, Scalar(s.value))
+        session.fabric.inject(packet, at=s.source)
+    session.fabric.run()
+    assert session.fabric.conservation()["balanced"]
+    graphs = [dsl.expand_sources(dsl.parse_request(text), t) for text in texts]
+    want = sorted((epoch, harness.evaluate_expression(tg, values)) for tg in graphs for epoch, values in by_epoch.items())
+    got = sorted((r["epoch"], r["payload"]["scalar"]) for r in session.fabric.delivered_at("user"))
+    assert len(got) == len(want) == count * epochs, f"{len(got)} of {len(want)} values arrive"
+    for (epoch, value), (want_epoch, want_value) in zip(got, want):
+        assert epoch == want_epoch and math.isclose(value, want_value, rel_tol=1e-9), (epoch, value, want_value)
+
+
 def dsl_expand_eq1(topology):
     from flip import dsl
 
@@ -1016,6 +1053,10 @@ def _flow(**match) -> dict:
     }
 
 
+# a deliver action delivers to its final destination, so a target is refused
+_DELIVER_ELSEWHERE = {"type": "deliver", "target": "nowhere"}
+
+
 @pytest.mark.parametrize(
     "verb, args, code",
     [
@@ -1031,12 +1072,15 @@ def _flow(**match) -> dict:
         ("addflow", {"dpid": "sw1", **_flow(), "action": "forward"}, "compile_error"),
         ("delflow", {"dpid": "sw1", "index": True}, "validation_error"),
         ("modflow", {"dpid": "sw1", "index": True, **_flow()}, "validation_error"),
+        ("addflow", {"dpid": "sw1", **_flow(), "action": _DELIVER_ELSEWHERE}, "compile_error"),
+        ("modflow", {"dpid": "sw1", "index": 0, **_flow(), "action": _DELIVER_ELSEWHERE}, "compile_error"),
     ],
 )
 def test_malformed_flow_rule_documents_are_typed_errors(demo_session, verb, args, code):
     """A flow document's names must be names, not a string split into
-    letters or a list installed as one name, and a bool is no flow index
-    (sw1 holds two flows after EQ1, so `True` would pick flow 1)."""
+    letters or a list installed as one name, a bool is no flow index
+    (sw1 holds two flows after EQ1, so `True` would pick flow 1), and a
+    deliver action names no target."""
     assert demo_session.execute("datapath_a", {"request": EQ1}).ok
     before = demo_session.state_json()
     result = demo_session.execute(verb, args)

@@ -725,6 +725,23 @@ def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypat
     assert 0 < seen[10]["_build_index"] <= len(fabric.engines)
 
 
+def test_index_key_counts_are_pinned():
+    """Counts, not digests: the flow tables' indexes hold 67 keys and the
+    engines' config indexes 56 after R9 alone, and 121 and 85 after R1-R9
+    are installed together for user `default`. A change in how a rule or a
+    config is expanded into match keys moves a count."""
+    texts = request_texts()
+    for requests, keys in ((texts[8:], (67, 56)), (texts, (121, 85))):
+        session = Session(build_experiment_topology())
+        for text in requests:
+            result = session.execute("datapath_a", {"request": text})
+            assert result.ok, result.message
+        fabric = session.fabric
+        table_keys = sum(len(table._index()) for table in fabric.tables.values())
+        config_keys = sum(len(fabric.store._build_index(engine)) for engine in fabric.engines)
+        assert (table_keys, config_keys) == keys, len(requests)
+
+
 def test_r9_drain_enters_at_most_two_python_frames_per_event():
     """Counts, not times: run() over R9 enters at most two Python frames
     per event on average, itself included, at 10 and at 100 epochs. A hop

@@ -108,7 +108,7 @@ def test_store_matches_the_old_store_over_random_edits():
                 cfg.engine,
                 rng.choice((cfg.user, rng.choice(USERS))),
                 rng.choice(cfg.sources),
-                rng.choice(cfg.effective_matches()),
+                rng.choice(cfg.match_destinations or (cfg.destination, cfg.engine)),
             )
         engine = rng.choice(ENGINES)
         return engine, rng.choice(USERS), rng.choice(SOURCES), rng.choice(DESTINATIONS + (engine,))
