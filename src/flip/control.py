@@ -25,6 +25,7 @@ from . import dsl, planner
 from .dataplane import Fabric
 from .epb import ConfigStore, EngineConfig
 from .errors import (
+    ConflictError,
     FlipError,
     ParseError,
     UnknownSwitchError,
@@ -300,7 +301,12 @@ class Session:
             raise ValidationError(f"unknown config module {module!r}")
         doc[module] = value
         updated = EngineConfig.from_doc(engine, current.user, doc)
-        if module == "destination":
+        if updated.key() != current.key():
+            if self.store.get(updated.key()) is not None:
+                raise ConflictError(
+                    f"user {user!r} already has a config for {updated.destination!r} on {engine};"
+                    " an edit does not replace it"
+                )
             self.store.remove(current.key())
         self.store.set_config(updated)
         return {"engine": engine, "user": current.user, "set": updated.to_doc()}

@@ -18,7 +18,11 @@ timer rejects an epoch: when its config was removed, is order-sensitive
 (sub, mul), or was replaced by one that lists none of the sources that
 arrived. An epoch that its opening arrival completes arms no timer.
 
-The store is memory only: one dict per engine, keyed (user, destination).
+The store is memory only: one dict per engine, keyed by
+`EngineConfig.key()`, (engine, user, destination); within one engine's
+dict that orders its configs by (user, destination). `set_config`,
+`remove` and `get` take that key whole, and the index entries and epoch
+tokens carry the same tuple.
 `ConfigStore.to_doc()` shapes it engine -> user -> [records], each record
 carrying compute, source list, destination, rate, and jitter; the control
 layer writes that document to the engine configuration file, which
@@ -157,22 +161,21 @@ class ConfigStore:
     path = None
 
     def __init__(self):
-        # engine -> (user, destination) -> config
-        self._configs: dict[str, dict[tuple[str, str], EngineConfig]] = {}
+        # engine -> its config key (engine, user, destination) -> config
+        self._configs: dict[str, dict[tuple[str, str, str], EngineConfig]] = {}
         # engine -> (user, final destination, source) -> (config, its key), built
         # on first lookup and dropped when one of the engine's configs changes
         self._index: dict[str, dict[tuple[str, str, str], tuple[EngineConfig, tuple]]] = {}
 
     def set_config(self, cfg: EngineConfig) -> None:
         cfg.validate()
-        self._configs.setdefault(cfg.engine, {})[cfg.user, cfg.destination] = cfg
+        self._configs.setdefault(cfg.engine, {})[cfg.key()] = cfg
         self._index.pop(cfg.engine, None)
 
     def remove(self, key: tuple[str, str, str]) -> bool:
-        engine, user, destination = key
-        if self._configs.get(engine, {}).pop((user, destination), None) is None:
+        if self._configs.get(key[0], {}).pop(key, None) is None:
             return False
-        self._index.pop(engine, None)
+        self._index.pop(key[0], None)
         return True
 
     def configs_for(self, engine: str) -> list[EngineConfig]:
@@ -184,8 +187,7 @@ class ConfigStore:
         return [c for c in self.configs_for(engine) if c.user == user]
 
     def get(self, key: tuple[str, str, str]) -> EngineConfig | None:
-        engine, user, destination = key
-        return self._configs.get(engine, {}).get((user, destination))
+        return self._configs.get(key[0], {}).get(key)
 
     def lookup(
         self, engine: str, user: str, source: str, final_destination: str
@@ -200,7 +202,8 @@ class ConfigStore:
 
     def _build_index(self, engine: str) -> dict[tuple[str, str, str], tuple[EngineConfig, tuple]]:
         """The engine's index: (user, final destination, source) -> (first config covering it, its key)."""
-        entries = [(cfg.matches(), (cfg, cfg.key())) for cfg in self.configs_for(engine)]
+        # keys are distinct, so sorting the items never compares two configs
+        entries = [(cfg.matches(), (cfg, key)) for key, cfg in sorted(self._configs.get(engine, {}).items())]
         index = self._index[engine] = first_match(entries)
         return index
 

@@ -16,7 +16,10 @@ counts depend on this wiring; the reproducible claims are the relative
 ones (large reduction, edge switches exempt).
 
 Each request is installed on a fresh `control.Session` by the command
-`flip run` executes, in flip or baseline (send-everything) mode. Every
+`flip run` executes, in flip or baseline (send-everything) mode.
+`publish` is the one path from a workload's samples to the fabric: each
+sample becomes the user's packet to the final destination its source's
+ingress names, injected at that source in list order. Every
 delivered value is audited against a direct evaluation of the request
 expression over the recorded per-epoch source values; an audit mismatch
 fails the run rather than the report.
@@ -182,17 +185,21 @@ class ComparisonRow:
         return asdict(self)
 
 
+def publish(fabric: Fabric, samples: list[Sample], ingress: dict[str, str], user: str) -> None:
+    """Inject each sample in list order at its source, as `user`'s packet to
+    the final destination `ingress` gives that source."""
+    for s in samples:
+        packet = PacketRecord(s.source, ingress[s.source], user, s.epoch, s.publish_ms, Scalar(s.value))
+        fabric.inject(packet, at=s.source)
+
+
 def simulate(
-    t: Topology,
-    request: Request,
-    workload: Workload,
-    cov: dsl.CoverageMap | None = None,
-    baseline: bool = False,
+    t: Topology, request: Request, workload: Workload, baseline: bool = False
 ) -> tuple[Fabric, list[Sample]]:
     """Install one request on a fresh session, engine-assisted or (with
     `baseline`) send-everything, then publish the workload and run the
     fabric. A rejected request raises a FlipError with the command's code."""
-    session = Session(t, cov)
+    session = Session(t)
     verb = "datapath_a" if request.mode is RequestMode.AUTOMATED else "datapath_m"
     result = session.execute(verb, {"request": dsl.canonical(request), "baseline": baseline})
     if not result.ok:
@@ -205,11 +212,7 @@ def simulate(
     else:
         ingress = body["plan"]["source_ingress"]
     samples = workload.samples(list(ingress))
-    for s in samples:
-        packet = PacketRecord(
-            s.source, ingress[s.source], request.user, s.epoch, s.publish_ms, Scalar(s.value)
-        )
-        session.fabric.inject(packet, at=s.source)
+    publish(session.fabric, samples, ingress, request.user)
     session.fabric.run()
     return session.fabric, samples
 
@@ -240,19 +243,13 @@ def audit_delivered(
     return len(delivered)
 
 
-def run_comparison(
-    t: Topology,
-    request: Request,
-    workload: Workload,
-    cov: dsl.CoverageMap | None = None,
-    label: str = "",
-) -> ComparisonRow:
+def run_comparison(t: Topology, request: Request, workload: Workload, label: str = "") -> ComparisonRow:
     """One request, one workload, both modes; audited and summarized."""
-    tg = dsl.expand_sources(request, t, cov)
+    tg = dsl.expand_sources(request, t)
     destination = planner.resolve_endpoint(t, request.destination)
-    flip_fabric, samples = simulate(t, request, workload, cov)
+    flip_fabric, samples = simulate(t, request, workload)
     delivered = audit_delivered(tg, flip_fabric, samples, destination, workload.epochs())
-    base_fabric, _ = simulate(t, request, workload, cov, baseline=True)
+    base_fabric, _ = simulate(t, request, workload, baseline=True)
 
     flip_hops = flip_fabric.stats().total_packet_hops
     base_hops = base_fabric.stats().total_packet_hops

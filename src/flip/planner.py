@@ -254,11 +254,14 @@ class DatapathPlan:
 
 
 def resolve_endpoint(t: Topology, token: str) -> str:
-    """Resolve a destination token; "sw5[engine]" means sw5's engine."""
+    """Resolve a destination token; "sw5[engine]" means sw5's engine. A
+    switch only forwards, so it is not a destination."""
     if token.endswith("[engine]"):
         return t.engine_of(token[: -len("[engine]")])
     if not t.has_node(token):
         raise UnknownNodeError(f"unknown destination {token!r}")
+    if t.kind(token) is NodeKind.SWITCH:
+        raise UnknownNodeError(f"{token!r} is a switch, not a valid destination")
     return token
 
 

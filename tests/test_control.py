@@ -183,6 +183,23 @@ def test_setconfig_module_updates_section(session):
     assert got["configs"][0]["compute"] == "max"
 
 
+def test_setconfig_module_refuses_to_replace_another_config(session):
+    """Moving a config's destination onto the one the user's other config
+    on that engine has is a `conflict`: both configs and the log stay as
+    they were."""
+    for compute, destination in (("sum", "user"), ("max", "cloud")):
+        cfg = {"compute": compute, "source": ["bs1"], "destination": destination}
+        assert session.execute("setconfig/user", {"engine": "e-sw1", "user": "u", "config": cfg}).ok
+    before, log = session.store.to_doc(), list(session.command_log)
+    result = session.execute(
+        "setconfig/user/module",
+        {"engine": "e-sw1", "user": "u", "destination": "cloud", "module": "destination", "value": "user"},
+    )
+    assert (result.status, result.code) == ("error", "conflict"), result
+    assert session.store.to_doc() == before and session.command_log == log
+    assert len(session.store.user_configs("e-sw1", "u")) == 2
+
+
 def test_run_script_r1_r9(tmp_path, session):
     script = tmp_path / "suite.flip"
     script.write_text("\n".join(["# all nine"] + harness.request_texts()) + "\n")
@@ -419,16 +436,11 @@ def test_manual_chain_end_to_end(demo_session):
         ingress.update(result.body["plan"]["source_ingress"])
 
     from flip.harness import Workload, evaluate_expression
-    from flip.packets import PacketRecord, Scalar
 
     w = Workload(seed=17, horizon_ms=100.0)
     sources = [f"bs{i}" for i in range(1, 301)]
     samples = w.samples(sources)
-    for s in samples:
-        demo_session.fabric.inject(
-            PacketRecord(s.source, ingress[s.source], "default", s.epoch, s.publish_ms, Scalar(s.value)),
-            at=s.source,
-        )
+    harness.publish(demo_session.fabric, samples, ingress, "default")
     demo_session.fabric.run()
     delivered = demo_session.fabric.delivered_at("user")
     assert len(delivered) == 1
@@ -461,16 +473,11 @@ def test_automated_output_feeds_a_manual_engine(demo_session):
 
     from flip import dsl
     from flip.harness import Workload, audit_delivered
-    from flip.packets import PacketRecord, Scalar
 
     w = Workload(seed=23, horizon_ms=500.0)
     samples = w.samples([f"bs{i}" for i in (*range(1, 11), *range(201, 301))])
     fabric = demo_session.fabric
-    for s in samples:
-        fabric.inject(
-            PacketRecord(s.source, ingress[s.source], "default", s.epoch, s.publish_ms, Scalar(s.value)),
-            at=s.source,
-        )
+    harness.publish(fabric, samples, ingress, "default")
     fabric.run()
     assert fabric.delivered_at("e-sw5") == []
     composed = dsl.parse_request(
@@ -525,9 +532,8 @@ def _publish(session: Session, flows, epochs: int) -> dict[str, list]:
     (epoch, node, value)."""
     fabric = session.fabric
     for user, ingress, seed in flows:
-        for s in harness.Workload(seed=seed, horizon_ms=100.0 * epochs).samples(list(ingress)):
-            packet = PacketRecord(s.source, ingress[s.source], user, s.epoch, s.publish_ms, Scalar(s.value))
-            fabric.inject(packet, at=s.source)
+        samples = harness.Workload(seed=seed, horizon_ms=100.0 * epochs).samples(list(ingress))
+        harness.publish(fabric, samples, ingress, user)
     fabric.run()
     assert fabric.conservation()["balanced"]
     delivered: dict[str, list] = {}
@@ -596,11 +602,10 @@ def test_one_users_co_installed_requests_each_deliver_every_epoch(count):
         ingress.update(result.body["plan"]["source_ingress"])
     epochs = 10
     samples = harness.Workload(seed=0, horizon_ms=100.0 * epochs).samples(list(ingress))
+    harness.publish(session.fabric, samples, ingress, "default")
     by_epoch: dict[int, dict[str, float]] = {}
     for s in samples:
         by_epoch.setdefault(s.epoch, {})[s.source] = s.value
-        packet = PacketRecord(s.source, ingress[s.source], "default", s.epoch, s.publish_ms, Scalar(s.value))
-        session.fabric.inject(packet, at=s.source)
     session.fabric.run()
     assert session.fabric.conservation()["balanced"]
     graphs = [dsl.expand_sources(dsl.parse_request(text), t) for text in texts]
@@ -990,6 +995,10 @@ OVERFLOW = (
             {"engine": "e-sw1", "user": "u", "config": {**CONFIG, "jitter": -(10**400)}},
             "validation_error",
         ),
+        # a switch is not a destination, in either request form or the baseline
+        ("datapath_a", {"request": "datapath_a(max(bs1:bs3),destination<-sw5)"}, "unknown_node"),
+        ("datapath_m", {"request": "datapath_m(bs1,bs2,switch<-sw1,compute<-max,destination<-sw5)"}, "unknown_node"),
+        ("datapath_a", {"request": "datapath_a(max(bs1:bs3),destination<-sw5)", "baseline": True}, "unknown_node"),
     ],
 )
 def test_wrongly_typed_arguments_are_typed_errors(demo_session, verb, args, code):

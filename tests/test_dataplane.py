@@ -17,7 +17,7 @@ from flip.dataplane import Fabric, FlowTable
 from flip.dsl import parse_request
 from flip.epb import ConfigStore
 from flip.errors import NotFoundError, UnknownNodeError, UnknownSwitchError, ValidationError
-from flip.harness import Workload, build_experiment_topology, demo_topology, request_texts
+from flip.harness import Workload, build_experiment_topology, demo_topology, publish, request_texts
 from flip.packets import PacketRecord, Scalar
 from flip.planner import ActionKind, FlowRule
 
@@ -351,11 +351,7 @@ def test_full_run_traces_end_at_engine_or_destination(demo, eq1_plan):
     fabric = flip_fabric(demo, eq1_plan, trace=True)
     w = Workload(seed=3, horizon_ms=200.0)
     tg = dsl.expand_sources(parse_request(EQ1), demo)
-    for s in w.samples(tg.leaves()):
-        fabric.inject(
-            make_packet(s.source, ts=s.publish_ms, epoch=s.epoch, value=s.value),
-            at=s.source,
-        )
+    publish(fabric, w.samples(tg.leaves()), eq1_plan.source_ingress, "default")
     fabric.run()
     last_event: dict[int, str] = {}
     for entry in fabric.trace:
@@ -372,11 +368,7 @@ def test_determinism_identical_stats(demo, eq1_plan):
         fabric = flip_fabric(demo, eq1_plan)
         w = Workload(seed=5, horizon_ms=300.0)
         tg = dsl.expand_sources(parse_request(EQ1), demo)
-        for s in w.samples(tg.leaves()):
-            fabric.inject(
-                make_packet(s.source, ts=s.publish_ms, epoch=s.epoch, value=s.value),
-                at=s.source,
-            )
+        publish(fabric, w.samples(tg.leaves()), eq1_plan.source_ingress, "default")
         fabric.run()
         return fabric.stats().to_json()
 
@@ -421,11 +413,7 @@ def test_conservation_every_step(demo, eq1_plan):
     fabric = flip_fabric(demo, eq1_plan, trace=True)
     w = Workload(seed=6, horizon_ms=100.0)
     tg = dsl.expand_sources(parse_request(EQ1), demo)
-    for s in w.samples(tg.leaves()):
-        fabric.inject(
-            make_packet(s.source, ts=s.publish_ms, epoch=s.epoch, value=s.value),
-            at=s.source,
-        )
+    publish(fabric, w.samples(tg.leaves()), eq1_plan.source_ingress, "default")
     # no config matches this user: the engine discards the packet
     intruder = make_packet("bs1", ts=50.0, user="intruder")
     fabric.inject(intruder, at="bs1")
@@ -446,8 +434,7 @@ def loaded_fabrics(demo, eq1_plan, trace: bool) -> list[Fabric]:
     drop, one for each reason."""
     full = flip_fabric(demo, eq1_plan, trace)
     leaves = dsl.expand_sources(parse_request(EQ1), demo).leaves()
-    for s in Workload(seed=3, horizon_ms=100.0).samples(leaves):
-        full.inject(make_packet(s.source, ts=s.publish_ms, epoch=s.epoch, value=s.value), at=s.source)
+    publish(full, Workload(seed=3, horizon_ms=100.0).samples(leaves), eq1_plan.source_ingress, "default")
     lone = flip_fabric(demo, eq1_plan, trace)
     lone.inject(make_packet("bs1"), at="bs1")
     drops = Fabric(demo, trace=trace)
@@ -497,11 +484,7 @@ def test_counters_monotonic(demo, eq1_plan):
     fabric = flip_fabric(demo, eq1_plan)
     tg = dsl.expand_sources(parse_request(EQ1), demo)
     w = Workload(seed=7, horizon_ms=100.0)
-    for s in w.samples(tg.leaves()):
-        fabric.inject(
-            make_packet(s.source, ts=s.publish_ms, epoch=s.epoch, value=s.value),
-            at=s.source,
-        )
+    publish(fabric, w.samples(tg.leaves()), eq1_plan.source_ingress, "default")
     last = 0
     while fabric.pending_events():
         fabric.step()
@@ -538,9 +521,7 @@ def test_unconsumed_engine_destination_drops_with_a_reason(demo):
     p = planner.plan(parse_request("datapath_a(max(bs1:bs10),destination<-sw5[engine])"), demo)
     fabric = flip_fabric(demo, p, trace=True)
     w = Workload(seed=3, horizon_ms=500.0)
-    for s in w.samples([f"bs{i}" for i in range(1, 11)]):
-        packet = make_packet(s.source, s.publish_ms, p.source_ingress[s.source], s.epoch, s.value)
-        fabric.inject(packet, at=s.source)
+    publish(fabric, w.samples([f"bs{i}" for i in range(1, 11)]), p.source_ingress, "default")
     fabric.run()
     drops = [e for e in fabric.trace if e["event"] == "drop"]
     assert len(drops) == w.epochs() == fabric.stats().dropped
@@ -560,11 +541,7 @@ def test_stats_filter_by_destination(demo, eq1_plan):
     fabric = flip_fabric(demo, eq1_plan)
     w = Workload(seed=8, horizon_ms=100.0)
     tg = dsl.expand_sources(parse_request(EQ1), demo)
-    for s in w.samples(tg.leaves()):
-        fabric.inject(
-            make_packet(s.source, ts=s.publish_ms, epoch=s.epoch, value=s.value),
-            at=s.source,
-        )
+    publish(fabric, w.samples(tg.leaves()), eq1_plan.source_ingress, "default")
     fabric.run()
     everything = fabric.stats()
     user_only = fabric.stats("user")
@@ -610,8 +587,8 @@ def drained_nine_users(nine_users, trace: bool, stepwise: bool, jitter=(0.0, 3.0
     fabric = Fabric(t, store, trace=trace)
     fabric.install_rules(rules)
     for seed, (user, ingress) in enumerate(flows):
-        for s in Workload(seed=seed, horizon_ms=500.0, jitter_range_ms=jitter).samples(list(ingress)):
-            fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value, user), at=s.source)
+        samples = Workload(seed=seed, horizon_ms=500.0, jitter_range_ms=jitter).samples(list(ingress))
+        publish(fabric, samples, ingress, user)
     if stepwise:
         while fabric.pending_events():
             fabric.step()
@@ -664,8 +641,7 @@ def published_r9(epochs: int) -> Fabric:
     result = session.execute("datapath_a", {"request": request_texts()[8]})
     assert result.ok, result.message
     ingress = result.body["plan"]["source_ingress"]
-    for s in Workload(seed=0, horizon_ms=100.0 * epochs).samples(list(ingress)):
-        session.fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value), at=s.source)
+    publish(session.fabric, Workload(seed=0, horizon_ms=100.0 * epochs).samples(list(ingress)), ingress, "default")
     return session.fabric
 
 
@@ -791,8 +767,7 @@ def test_a_session_and_its_fabric_are_freed_without_the_collector():
         result = session.execute("datapath_a", {"request": request_texts()[8]})
         assert result.ok, result.message
         ingress = result.body["plan"]["source_ingress"]
-        for s in Workload(seed=4, horizon_ms=300.0).samples(list(ingress)):
-            session.fabric.inject(make_packet(s.source, s.publish_ms, ingress[s.source], s.epoch, s.value), at=s.source)
+        publish(session.fabric, Workload(seed=4, horizon_ms=300.0).samples(list(ingress)), ingress, "default")
         session.fabric.run()
         assert len(session.fabric.delivered) == 3
         session_ref, fabric_ref = weakref.ref(session), weakref.ref(session.fabric)

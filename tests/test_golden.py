@@ -146,11 +146,8 @@ def _traced_r9_fabric():
         for cfg in p.engine_configs:
             fabric.store.set_config(cfg)
         w = harness.Workload(seed=len(text), horizon_ms=1000.0)
-        for s in w.samples(list(p.source_ingress)):
-            if (s.source, s.epoch) == ("bs7", 3):
-                continue
-            packet = PacketRecord(s.source, p.source_ingress[s.source], request.user, s.epoch, s.publish_ms, Scalar(s.value))
-            fabric.inject(packet, at=s.source)
+        samples = [s for s in w.samples(list(p.source_ingress)) if (s.source, s.epoch) != ("bs7", 3)]
+        harness.publish(fabric, samples, p.source_ingress, request.user)
     fabric.inject(PacketRecord("bs2", "user", "intruder", 4, 400.5, Scalar(1.0)), at="bs2")
     fabric.inject(PacketRecord("bs3", "cloud", "default", 5, 500.5, Scalar(1.0)), at="bs3")
     fabric.run()
