@@ -40,15 +40,23 @@ is the earlier close arithmetic of `Engine._close` kept as it was: the
 present rows in source order by list comprehension, then `max` over a
 list of their timestamps and a left fold over a list of their values,
 against which the engine's fold over `zip` must give the same floats to
-the last bit, signed zeros and NaN included.
+the last bit, signed zeros and NaN included. `ReferenceFabric` is the
+switch fabric as its meaning is written down, sharing no code with
+`dataplane.Fabric`: every hop is an event on a plain list kept in (time,
+creation number) order, a switch finds its rule with `scan_rules`, a
+packet's hops are counted on its event against the topology's node count,
+and its engines are `epb.Engine`s over a copy of the store; against it a
+fabric's deliveries, counters, drops and books must agree exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -221,6 +229,118 @@ def scan_rules(rules, packet):
         if packet.final_destination == rule.final_destination and packet.source in rule.sources:
             return index, rule
     return None
+
+
+class ReferenceFabric:
+    """A packet moves one hop per event: (time, creation number, what) on a
+    sorted list. `inject` takes the fabric's arguments, so
+    `harness.publish` drives it; `drain` runs every event and returns what
+    the fabric must agree with."""
+
+    def __init__(self, topology, rules, configs):
+        from flip.epb import ConfigStore, Engine
+        from flip.topology import NodeKind
+
+        self.t = topology
+        self.rules = {s: [] for s in topology.switches()}
+        for rule in rules:
+            if rule not in self.rules[rule.switch]:
+                self.rules[rule.switch].append(rule)
+        store = ConfigStore()
+        for cfg in configs:
+            store.set_config(cfg)
+        self.engines = {e: Engine(e, store) for e in topology.nodes_of_kind(NodeKind.ENGINE)}
+        self.events: list[tuple] = []
+        self.made = self.uid = self.injected = 0
+        self.delivered: list[dict] = []
+        self.rx = {s: Counter() for s in self.rules}
+        self.ingress = {s: Counter() for s in self.rules}
+        self.tx = {s: Counter() for s in self.rules}
+        self.hits = {s: [0] * len(r) for s, r in self.rules.items()}
+        self.drops: Counter = Counter()  # (switch, reason) -> packets
+
+    def _later(self, time, *what):
+        self.made += 1
+        bisect.insort(self.events, (time, self.made, what))
+
+    def _enter(self, time, p, at):
+        """p leaves a base station or engine at `time` for its one switch."""
+        from flip.topology import NodeKind
+
+        ((switch, delay),) = self.t.neighbors(at).items()
+        self._later(time + delay, "switch", switch, p, at, self.t.kind(at) is NodeKind.ENGINE, 1)
+
+    def inject(self, p, at):
+        self.uid += 1
+        p.uid = self.uid
+        self.injected += 1
+        self._enter(p.timestamp_ms, p, at)
+
+    def _emit(self, time, engine, out):
+        if out is not None:
+            self.uid += 1
+            out.uid = self.uid
+            self._enter(time, out, engine)
+
+    def _hop(self, time, switch, p, via, from_engine, hops):
+        from flip.planner import ActionKind
+        from flip.topology import NodeKind
+
+        if hops > self.t.node_count():
+            self.drops[switch, "hop_limit"] += 1
+            return
+        self.rx[switch][via] += 1
+        if not from_engine:
+            self.ingress[switch][p.final_destination] += 1
+        hit = scan_rules(self.rules[switch], p)
+        if hit is None:
+            self.drops[switch, "no_rule"] += 1
+            return
+        index, rule = hit
+        self.hits[switch][index] += 1
+        target = p.final_destination if rule.action is ActionKind.DELIVER else rule.target
+        self.tx[switch][target] += 1
+        at = time + self.t.link_delay(switch, target)
+        if rule.action is ActionKind.REDIRECT:
+            self._later(at, "engine", target, p)
+        elif self.t.kind(target) is NodeKind.SWITCH:
+            self._later(at, "switch", target, p, switch, False, hops + 1)
+        else:
+            self._later(at, "host", target, p)
+
+    def drain(self) -> dict:
+        while self.events:
+            time, _, (kind, node, *rest) = self.events.pop(0)
+            if kind == "switch":
+                self._hop(time, node, *rest)
+            elif kind == "host":
+                p = rest[0]
+                self.delivered.append({
+                    "time_ms": time, "node": node, "uid": p.uid, "source": p.source,
+                    "user": p.user, "epoch": p.epoch, "payload": p.payload.to_doc(),
+                })
+            elif kind == "engine":
+                out = self.engines[node].process(rest[0], time)
+                if type(out) is tuple:  # an epoch opened: its timer
+                    deadline, token = out
+                    self._later(deadline, "timer", node, token)
+                else:
+                    self._emit(time, node, out)
+            else:
+                self._emit(time, node, self.engines[node].on_timeout(rest[0], time))
+        from flip.epb import SETTLED
+
+        engine_books = {k: sum(e.counters[k] for e in self.engines.values()) for k in SETTLED}
+        pending = sum(e.pending_arrivals() for e in self.engines.values())
+        created = self.injected + sum(e.counters["emitted"] for e in self.engines.values())
+        settled = len(self.delivered) + sum(self.drops.values()) + sum(engine_books.values()) + pending
+        books = {"created": created, "settled": settled, "pending_buffered": pending,
+                 "balanced": created == settled, **engine_books}
+        return {
+            "delivered": self.delivered, "rx": self.rx, "ingress": self.ingress, "tx": self.tx,
+            "hits": self.hits, "drops": self.drops, "books": books,
+            "engines": {e: engine.counters for e, engine in self.engines.items()},
+        }
 
 
 _FOLD_STEP = {"sum": operator.add, "avg": operator.add, "sub": operator.sub, "mul": operator.mul}

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from _oracles import scan_rules
+from test_topology import wide_fabric_doc
 from flip import dataplane, dsl, planner
 from flip.control import Session
 from flip.dataplane import Fabric, FlowTable
@@ -20,6 +21,7 @@ from flip.errors import NotFoundError, UnknownNodeError, UnknownSwitchError, Val
 from flip.harness import Workload, build_experiment_topology, demo_topology, publish, request_texts
 from flip.packets import PacketRecord, Scalar
 from flip.planner import ActionKind, FlowRule
+from flip.topology import load_topology
 
 EQ1 = (
     "datapath_a(max(avg(bs1:bs10),avg(bs11:bs100),"
@@ -580,15 +582,20 @@ def nine_users():
     return t, session.store, rules, flows
 
 
+def publish_nine_users(fabric, flows, jitter) -> None:
+    """Five epochs of each user's traffic, from fixed seeds."""
+    for seed, (user, ingress) in enumerate(flows):
+        samples = Workload(seed=seed, horizon_ms=500.0, jitter_range_ms=jitter).samples(list(ingress))
+        publish(fabric, samples, ingress, user)
+
+
 def drained_nine_users(nine_users, trace: bool, stepwise: bool, jitter=(0.0, 3.0)) -> Fabric:
     """A fresh fabric with the nine users' rules, published for five epochs
     from fixed seeds, then drained by run() or by a step() loop."""
     t, store, rules, flows = nine_users
     fabric = Fabric(t, store, trace=trace)
     fabric.install_rules(rules)
-    for seed, (user, ingress) in enumerate(flows):
-        samples = Workload(seed=seed, horizon_ms=500.0, jitter_range_ms=jitter).samples(list(ingress))
-        publish(fabric, samples, ingress, user)
+    publish_nine_users(fabric, flows, jitter)
     if stepwise:
         while fabric.pending_events():
             fabric.step()
@@ -699,6 +706,31 @@ def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypat
     assert seen[10] == seen[100]
     assert 0 < seen[10]["_index"] <= len(fabric.tables)
     assert 0 < seen[10]["_build_index"] <= len(fabric.engines)
+
+
+def test_events_per_injected_sample_are_pinned(nine_users):
+    """Counts, not times: the events run() handles and the samples injected,
+    pinned as a pair on R9 at 10 and 100 epochs, the nine users' five
+    jittered epochs, and three epochs of one flat 400-leaf sum on the
+    wide_fanin fabric's shape. A change to the event structure moves them."""
+    counts = {}
+    for epochs in (10, 100):
+        fabric = published_r9(epochs)
+        counts[f"r9/{epochs}"] = (fabric.run(), fabric.injected)
+    t, store, rules, flows = nine_users
+    fabric = Fabric(t, store)
+    fabric.install_rules(rules)
+    publish_nine_users(fabric, flows, (0.0, 3.0))
+    counts["nine users"] = (fabric.run(), fabric.injected)
+    session = Session(load_topology(wide_fabric_doc(50)))
+    text = "datapath_a(sum(" + ",".join(f"bs{i}" for i in range(1, 800, 2)) + "),destination<-user)"
+    result = session.execute("datapath_a", {"request": text})
+    assert result.ok, result.message
+    ingress = result.body["plan"]["source_ingress"]
+    publish(session.fabric, Workload(seed=0, horizon_ms=300.0).samples(list(ingress)), ingress, "default")
+    counts["wide 400"] = (session.fabric.run(), session.fabric.injected)
+    assert len(session.fabric.delivered) == 3
+    assert counts == {"r9/10": (1310, 500), "r9/100": (13100, 5000), "nine users": (3345, 1240), "wide 400": (7143, 1200)}
 
 
 def test_index_key_counts_are_pinned():
