@@ -174,8 +174,8 @@ class Session:
             "dpid": self.dpids[sw],
             "id": sw,
             "flows": [
-                {**rule.to_doc(), "index": i, "count": table.counters[i]}
-                for i, rule in enumerate(table.rules)
+                {**rule.to_doc(), "index": i, "count": count}
+                for i, (rule, count) in enumerate(zip(table.rules, table.counters))
             ],
         }
 

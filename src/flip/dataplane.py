@@ -2,9 +2,9 @@
 
 Events pop in (timestamp, insertion sequence) order, so a run is a pure
 function of the installed rules, the configs, and the injected workload. A
-handler runs one event and returns the one event it schedules, if any: a
-forward or redirect, an engine's timer or output packet, built in place
-and numbered after every event made before it. `step()` pops the earliest
+handler runs one event and returns the one event it schedules, if any: an
+engine's timer, or the end of its output packet's walk, built in place and
+numbered after every event made before it. `step()` pops the earliest
 event and pushes the one it returns, so between steps the queue holds
 every pending event. `run()` keeps the event it is about to run in hand
 and passes the scheduled one to `heapq.heappushpop`, which returns it
@@ -13,28 +13,37 @@ in one sift: one heap operation per event, not a push and a pop. No two
 events share a (timestamp, sequence) key, so both drains run the same
 events in the same order.
 
-A hop costs table lookups, not topology calls. The switch's state is one
-tuple, looked up once: its flow table, rule counters, port and ingress
-counters and neighbour delays, each changed in place and never replaced.
+Switches have no queues and rules change only between commands, so where
+and when a packet ends is fixed when it enters: a packet's walk through
+the switches is one event, after ns-3's Nix-Vector routing (Riley, Ammar
+& Fujimoto, MASCOTS 2000). Each (node the packet enters at, final
+destination, source) is compiled into a walk on first use (see `Walks`):
+its end (delivery at a host, arrival at an engine, or a drop), the link
+delays in hop order, and per switch the rule it matched. `inject` and an
+engine's output add the delays to the start time one at a time, in hop
+order, so every time is the float a hop-by-hop run sums; count the packet
+on its walk; and queue the walk's one end event. A loop is walked to the
+hop limit, the topology's node count, when the walk is built. A packet
+keeps the walk it entered with: a table edit changes only packets that
+start after it.
+
 Switch lookup is first-match-wins over (final destination, source), the
 keys `FlowRule.matches` gives: one dict access into a per-table index,
-built by `packets.first_match` on first use and dropped whenever the
-table's rules change, returns the rule and its position together, so
-installing rules builds no index; a hop reads it itself. An arrival tells
-a switch from a host by whether the node has that state, and the hop
-limit is held on the fabric. Installation checks each target once: it
-must be a neighbour of the rule's switch, a deliver rule's target being
-its final destination (a deliver names no target of its own), and of the
-right kind, so a forward always reaches a switch and a redirect an
-engine. It also refuses a rule that would shadow a redirect or be
-shadowed by one. Where a base station or engine attaches (its switch, the
-link's delay, whether it is an engine, the link) comes from the
-topology's read-only attachment table, built on first use; injection and
-engine output read it. An engine returns None for an
+built by `packets.first_match` on the first walk built after a change,
+returns the rule and its position together. Installation checks each
+target once: it must be a neighbour of the rule's switch, a deliver
+rule's target being its final destination (a deliver names no target of
+its own), and of the right kind, so a forward always reaches a switch and
+a redirect an engine. It also refuses a rule that would shadow a redirect
+or be shadowed by one. Where a base station or engine attaches (its
+switch, the link's delay, whether it is an engine, the link) comes from
+the topology's read-only attachment table. An engine returns None for an
 arrival it buffered or discarded, which ends the event at once, else its
 output packet or its new epoch's (deadline, token). Trace records are
-built only when tracing is on. `inject` refuses a packet stamped inf or
-NaN, before it numbers or queues anything.
+built only when tracing is on; a walk's end event first appends its
+`forward` and `redirect` entries, each at the time the packet reached
+that switch, then its own. `inject` refuses a packet stamped inf or NaN,
+before it numbers or queues anything.
 
 A miss drops the packet and bumps a counter rather than erroring, since
 misses usually mean a plan bug worth surfacing in stats. So is a packet
@@ -48,7 +57,12 @@ it over network links. Re-entries from the switch's own engine are not
 counted (they are engine-port traffic, visible in the port counters), which
 keeps the per-switch numbers comparable between engine-assisted and
 baseline runs. The report's total packet hops is the sum of these per-switch
-counts under the same destination filter.
+counts under the same destination filter. Switch counters are written
+back: a walk counts the packets started on it, and that count is folded
+into its switches' rule, rx, ingress and tx counters when a counter is
+read (`stats()`, `FlowTable.counters`) and before any table change, which
+then drops every walk. So counters count a packet when its walk starts
+and lead the queue between `step()`s; after a drain they are the same.
 
 A redirect owns its match: no other rule on its switch shares a (final
 destination, source) with it unless it redirects to the same engine.
@@ -56,7 +70,7 @@ Forwards and delivers may overlap and stay first-match. A packet that
 matches no config at its engine is counted there as `no_config`.
 
 Each count is read from the one structure that holds it: packets in
-flight are the packet events left on the queue, delivered packets the
+flight are the walk end events left on the queue, delivered packets the
 delivery list, drops the per-switch drop counts, and engine output the
 engines' own `emitted` counters. The fabric itself counts only injections.
 """
@@ -68,6 +82,9 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 
 from .epb import SETTLED, ConfigStore, Engine
@@ -76,8 +93,9 @@ from .packets import PacketRecord, first_match
 from .planner import ActionKind, FlowRule
 from .topology import NodeKind, Topology
 
-_ARRIVE = "arrive"
-_ENGINE = "engine"
+_ARRIVE = "arrive"  # a walk's end at a host
+_ENGINE = "engine"  # a walk's end in an engine
+_DROP = "drop"  # a walk's end at a switch that drops it
 _TIMEOUT = "timeout"
 _DELIVER, _REDIRECT = ActionKind.DELIVER, ActionKind.REDIRECT
 
@@ -88,24 +106,41 @@ class FlowTable:
     The first matching rule for each (final destination, source) is read
     from an index built on the first match after a change and dropped by
     every change, so a lookup costs one dict access however many rules and
-    sources the table holds. A hop reads `_first` in place, as `match` does.
+    sources the table holds. On a fabric, the table shares the fabric's
+    walks: reading `counters` folds the packets started on them in first,
+    and every change folds them and drops them all before it edits.
     """
 
-    def __init__(self, switch: str):
+    def __init__(self, switch: str, walks: Walks | None = None):
         self.switch = switch
         self.rules: list[FlowRule] = []
-        self.counters: list[int] = []
+        self._counters: list[int] = []
+        self._walks = walks
         self._installed: set[FlowRule] = set()
         self._first: dict[tuple[str, str], tuple[int, FlowRule]] | None = None
+
+    @property
+    def counters(self) -> list[int]:
+        """Packets matched per rule, in rule order, every walk started folded in."""
+        if self._walks is not None:
+            self._walks.fold()
+        return self._counters
+
+    def _changing(self) -> None:
+        """Fold the walks' counts in at today's positions, then drop every walk
+        and the index: the rules are about to change."""
+        if self._walks is not None:
+            self._walks.drop()
+        self._first = None
 
     def add(self, rule: FlowRule) -> bool:
         """Append unless an identical rule is already present."""
         if rule in self._installed:
             return False
+        self._changing()
         self._installed.add(rule)
         self.rules.append(rule)
-        self.counters.append(0)
-        self._first = None
+        self._counters.append(0)
         return True
 
     def match(self, packet: PacketRecord):
@@ -148,26 +183,69 @@ class FlowTable:
             raise ValidationError(
                 f"rule already installed on {self.switch} at index {self.rules.index(rule)}"
             )
+        self._changing()
         self._installed.discard(old)
         self._installed.add(rule)
         self.rules[index] = rule
-        self.counters[index] = 0
-        self._first = None
+        self._counters[index] = 0
 
     def remove(self, index: int) -> FlowRule:
+        self._changing()
         rule = self.rules.pop(index)
-        self.counters.pop(index)
+        self._counters.pop(index)
         self._installed.discard(rule)
-        self._first = None
         return rule
 
     def clear(self) -> int:
+        self._changing()
         n = len(self.rules)
         self.rules.clear()
-        self.counters.clear()
+        self._counters.clear()
         self._installed.clear()
-        self._first = None
         return n
+
+
+class Walks(dict):
+    """A fabric's walks, keyed (node the packet enters at, final
+    destination, source), and the switch counters they fold into.
+
+    A walk is a list: [packets started on it since the last fold, its end
+    event's kind, the end node, the link delays in hop order, its hops,
+    the drop reason or None]. The hops are one flat tuple of five fields
+    per switch entered: the switch, the node the packet came from, whether
+    that was an engine, the matched rule's position and the rule's target;
+    a switch where no rule matched has None for the last two. `counts`
+    holds per switch its table's rule counters and its rx (by the port's
+    neighbour), ingress (network-port arrivals, by final destination) and
+    tx (by neighbour) counters. The cache holds no table and no fabric.
+    """
+
+    __slots__ = ("counts",)
+
+    def fold(self) -> None:
+        """Add each walk's started packets to the counters of every switch it
+        enters, and zero its count."""
+        counts = self.counts
+        for (_, fd, _), walk in self.items():
+            n = walk[0]
+            if not n:
+                continue
+            walk[0] = 0
+            hops = walk[4]
+            for i in range(0, len(hops), 5):
+                switch, via, from_engine, index, target = hops[i : i + 5]
+                rules, rx, ingress, tx = counts[switch]
+                rx[via] += n
+                if not from_engine:
+                    ingress[fd] += n
+                if index is not None:
+                    rules[index] += n
+                    tx[target] += n
+
+    def drop(self) -> None:
+        """Fold, then forget every walk; packets on their way keep theirs."""
+        self.fold()
+        self.clear()
 
 
 @dataclass
@@ -206,7 +284,11 @@ class Fabric:
         self.engines = {
             e: Engine(e, self.store) for e in topology.nodes_of_kind(NodeKind.ENGINE)
         }
-        self.tables = {s: FlowTable(s) for s in topology.switches()}
+        self._walks = walks = Walks()
+        self.tables = {s: FlowTable(s, walks) for s in topology.switches()}
+        walks.counts = {
+            s: (t._counters, defaultdict(int), defaultdict(int), defaultdict(int)) for s, t in self.tables.items()
+        }
         self._hop_limit = topology.node_count()
         self._heap: list[tuple] = []
         self._seq = 0
@@ -214,17 +296,6 @@ class Fabric:
         self.now = 0.0
         self.injected = 0
         self._drops: dict[str, int] = {s: 0 for s in self.tables}
-        # per switch: everything a hop reads or counts, in one tuple: its
-        # table and the table's rule counters; its rx (packets in, by the
-        # port's neighbour), ingress (packets in from network ports, by
-        # final destination) and tx (packets out, by neighbour) counters,
-        # which live only here and which stats() copies into plain dicts;
-        # and neighbour -> link delay (the topology's own read-only map).
-        # Each member is changed in place, never replaced.
-        self._hop_state = {
-            s: (t, t.counters, defaultdict(int), defaultdict(int), defaultdict(int), topology.neighbors(s))
-            for s, t in self.tables.items()
-        }
         self.delivered: list[dict] = []
         self.trace: list[dict] | None = [] if trace else None
 
@@ -282,29 +353,64 @@ class Fabric:
         """Enqueue a packet published by a base station or engine output; it
         reaches the attached switch one link delay later. A packet stamped
         inf or NaN is refused before anything is numbered or queued."""
-        attached = self.topology.attachments.get(at)
-        if attached is None:
+        if at not in self.topology.attachments:
             kind = self.topology.kind(at)  # NotFoundError for an unknown node
             raise UnknownNodeError(f"{at!r} is a {kind.value}; packets enter at base stations or engines")
         published = p.timestamp_ms
         if not math.isfinite(published):
             raise ValidationError(f"packet from {p.source!r} has a non-finite timestamp {published!r}")
-        switch, delay, from_engine, _ = attached
         self._uid += 1
         p.uid = self._uid
         self.injected += 1
         if self.trace is not None:
             self._trace(published, "inject", node=at, uid=p.uid, source=p.source)
+        event = self._start(p, at, published)
+        heapq.heappush(self._heap, event)
+        return event[1]
+
+    def _start(self, p: PacketRecord, at: str, start: float) -> tuple:
+        """Count p on its walk from `at`, built on first use, and return the
+        walk's one end event: its time is start plus each link delay in hop
+        order, the sums a hop-by-hop run makes."""
+        key = (at, p.final_destination, p.source)
+        walk = self._walks.get(key)
+        if walk is None:
+            walk = self._walks[key] = self._walk(at, p)
+        walk[0] += 1
+        _, kind, node, delays, _, _ = walk
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (published + delay, seq, _ARRIVE, (switch, p, at, from_engine)))
-        return seq
+        return (reduce(add, delays, start), seq, kind, (node, p, walk, start))
+
+    def _walk(self, at: str, p: PacketRecord) -> list:
+        """p's walk from `at` through the switches' tables as they are now,
+        in the form `Walks` describes: to a host (`_ARRIVE`), into an engine
+        (`_ENGINE`), or to a drop (`_DROP`) at a switch with no matching rule
+        or at the switch past the hop limit, which only a forwarding loop
+        reaches."""
+        switch, delay, from_engine, _ = self.topology.attachments[at]
+        delays, hops, via = [delay], [], at
+        for _ in range(self._hop_limit):
+            hit = self.tables[switch].match(p)
+            if hit is None:
+                hops += (switch, via, from_engine, None, None)
+                return [0, _DROP, switch, tuple(delays), tuple(hops), "no_rule"]
+            index, rule = hit
+            target = p.final_destination if rule.action is _DELIVER else rule.target
+            hops += (switch, via, from_engine, index, target)
+            delays.append(self.topology.neighbors(switch)[target])
+            if rule.action is _REDIRECT:
+                return [0, _ENGINE, target, tuple(delays), tuple(hops), None]
+            if target not in self.tables:
+                return [0, _ARRIVE, target, tuple(delays), tuple(hops), None]
+            switch, via, from_engine = target, switch, False
+        return [0, _DROP, switch, tuple(delays), tuple(hops), "hop_limit"]
 
     # -- event execution --
 
     def step(self) -> dict | None:
         """Process the earliest event and queue the event it schedules;
-        returns the trace entry it appended, or None with tracing off or
-        no event left."""
+        returns the event's own trace entry, the last it appended, or None
+        with tracing off or no event left."""
         heap = self._heap
         if not heap:
             return None
@@ -338,60 +444,46 @@ class Fabric:
             else:
                 return n
 
-    # Each handler runs one event, appends its trace entry when tracing, and
-    # returns the one event it schedules, or None, numbered in place.
+    # Each handler runs one event, appends its trace entries when tracing, and
+    # returns the one event it schedules, or None, numbered in place. A
+    # walk's end event first traces the walk's hops.
 
-    def _on_arrive(self, now, node, p: PacketRecord, via, from_engine):
-        state = self._hop_state.get(node)
-        if state is None:  # a host
-            record = {
-                "time_ms": now,
-                "node": node,
-                "uid": p.uid,
-                "source": p.source,
-                "user": p.user,
-                "epoch": p.epoch,
-                "payload": p.payload.to_doc(),
-            }
-            self.delivered.append(record)
-            if self.trace is not None:
-                self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
-            return None
-
-        table, counters, rx, ingress, tx, delays = state
-        hops = p.hop_count = p.hop_count + 1
-        if hops > self._hop_limit:  # a forwarding loop
-            return self._drop(now, node, p, "hop_limit")
-        rx[via] += 1
-        fd = p.final_destination
-        if not from_engine:
-            ingress[fd] += 1
-
-        first = table._first
-        if first is None:
-            first = table._index()
-        hit = first.get((fd, p.source))
-        if hit is None:
-            return self._drop(now, node, p, "no_rule")
-        index, rule = hit
-        counters[index] += 1
-
-        action = rule.action
-        target = fd if action is _DELIVER else rule.target
-        tx[target] += 1
-        self._seq = seq = self._seq + 1
-        if action is _REDIRECT:
-            if self.trace is not None:
+    def _trace_walk(self, p: PacketRecord, walk: list, start: float) -> None:
+        """Append a `forward` entry for each switch p's walk left through, a
+        `redirect` for the one into an engine, each at the time p reached it."""
+        _, kind, _, delays, hops, _ = walk
+        last = len(hops) - 5
+        times = accumulate(delays, initial=start)
+        next(times)
+        for i, now in zip(range(0, len(hops), 5), times):
+            node, _, _, index, target = hops[i : i + 5]
+            if index is None:  # the switch that had no rule
+                break
+            if kind is _ENGINE and i == last:
                 self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
-            return (now + delays[target], seq, _ENGINE, (target, p))
-        if self.trace is not None:
-            self._trace(now, "forward", node=node, uid=p.uid, to=target)
-        return (now + delays[target], seq, _ARRIVE, (target, p, node, False))
+            else:
+                self._trace(now, "forward", node=node, uid=p.uid, to=target)
 
-    def _drop(self, now, node, p: PacketRecord, reason: str) -> None:
+    def _on_deliver(self, now, node, p: PacketRecord, walk, start):
+        record = {
+            "time_ms": now,
+            "node": node,
+            "uid": p.uid,
+            "source": p.source,
+            "user": p.user,
+            "epoch": p.epoch,
+            "payload": p.payload.to_doc(),
+        }
+        self.delivered.append(record)
+        if self.trace is not None:
+            self._trace_walk(p, walk, start)
+            self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
+
+    def _on_drop(self, now, node, p: PacketRecord, walk, start) -> None:
         """Count a dropped packet; it schedules nothing."""
         self._drops[node] += 1
         if self.trace is not None:
+            self._trace_walk(p, walk, start)
             self._trace(
                 now,
                 "drop",
@@ -400,10 +492,12 @@ class Fabric:
                 source=p.source,
                 user=p.user,
                 final_destination=p.final_destination,
-                reason=reason,
+                reason=walk[5],
             )
 
-    def _on_engine(self, now, engine_id, p: PacketRecord):
+    def _on_engine(self, now, engine_id, p: PacketRecord, walk, start):
+        if self.trace is not None:
+            self._trace_walk(p, walk, start)
         out = self.engines[engine_id].process(p, now)
         if out is None:  # buffered or discarded: nothing leaves, no timer
             emission = event = None
@@ -428,21 +522,21 @@ class Fabric:
         return event
 
     def _emit(self, now, engine_id, emission: PacketRecord | None) -> tuple | None:
-        """Number an engine's output packet, if any; returns its arrival
-        back at the engine's switch."""
+        """Number an engine's output packet, if any, and start its walk from
+        the engine; returns the walk's end event."""
         if emission is None:
             return None
-        switch, delay, _, _ = self.topology.attachments[engine_id]
         self._uid += 1
         emission.uid = self._uid
-        self._seq = seq = self._seq + 1
-        return (now + delay, seq, _ARRIVE, (switch, emission, engine_id, True))
+        return self._start(emission, engine_id, now)
 
     # -- reporting --
 
     def stats(self, final_destination: str | None = None) -> StatsReport:
+        """Every count so far, the packets started on each walk folded in."""
+        self._walks.fold()
         switch_counts, port_rx, port_tx = {}, {}, {}
-        for sw, (_, _, rx, by_fd, tx, _) in self._hop_state.items():
+        for sw, (_, rx, by_fd, tx) in self._walks.counts.items():
             if final_destination is None:
                 switch_counts[sw] = sum(by_fd.values())
             else:
@@ -455,7 +549,7 @@ class Fabric:
             total_packet_hops=sum(switch_counts.values()),
             port_rx=port_rx,
             port_tx=port_tx,
-            rule_counters={s: list(t.counters) for s, t in self.tables.items()},
+            rule_counters={s: list(t._counters) for s, t in self.tables.items()},
             drops=dict(self._drops),
             injected=self.injected,
             emitted=self._emitted(),
@@ -511,4 +605,9 @@ class Fabric:
 
 # event kind -> its handler; module-level, so a fabric holds no reference
 # to its own bound methods and is freed by reference counting alone
-_HANDLERS = {_ARRIVE: Fabric._on_arrive, _ENGINE: Fabric._on_engine, _TIMEOUT: Fabric._on_timeout}
+_HANDLERS = {
+    _ARRIVE: Fabric._on_deliver,
+    _ENGINE: Fabric._on_engine,
+    _DROP: Fabric._on_drop,
+    _TIMEOUT: Fabric._on_timeout,
+}

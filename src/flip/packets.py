@@ -2,8 +2,9 @@
 
 A packet carries a scalar payload (one real sample or aggregate), the
 publishing source, the addressed final destination, the owning user name,
-an epoch index, and the origination timestamp in milliseconds. Forwarding
-state (hop count) lives on the record so loops can be detected cheaply.
+an epoch index, and the origination timestamp in milliseconds. A record
+carries no forwarding state: the fabric walks a packet's whole path when
+it enters, loops included.
 
 A packet's match key is its header fields, destination before source: a
 switch's flow table finds it by (final destination, source) and an
@@ -34,7 +35,6 @@ class PacketRecord:
     epoch: int
     timestamp_ms: float
     payload: Scalar
-    hop_count: int = 0
     uid: int = field(default=-1, compare=False)
 
 

@@ -123,7 +123,11 @@ def test_wide_request_plan_bytes():
     )
 
 
-TRACE_R9_EXPERIMENT_SHA256 = "03718eb9ffb5ce259bc2587f7085dc33cbdfd500c65dd5b5443831f32a288f0e"
+TRACE_R9_EXPERIMENT_SHA256 = "7209f8889bd9135fa1c320f18bcf268443917d103b1cf371b0245f6edb397188"
+# the same lines sorted: they do not depend on where an event's entries
+# fall in the trace, only on what each entry says, and held when a packet's
+# hops stopped being events of their own and moved to its walk's end event
+TRACE_R9_EXPERIMENT_SORTED_SHA256 = "f45af6c247c4035430a43bf06cf2ccacf6499937d829b0e52735b25752915af8"
 
 # a second user's request with rate and jitter requirements, on sources R9
 # does not read, so rate drops and jitter discards show in the trace too
@@ -165,6 +169,7 @@ def test_traced_r9_run_trace_bytes(tmp_path):
     out = tmp_path / "trace.jsonl"
     fabric.export_trace(out)
     assert _sha256(out.read_bytes()) == TRACE_R9_EXPERIMENT_SHA256
+    assert _sha256(b"".join(sorted(out.read_bytes().splitlines(keepends=True)))) == TRACE_R9_EXPERIMENT_SORTED_SHA256
 
 
 MANY_PLANS_SHA256 = "a69fa7d9dcc425e266c1ffdab46091fb7369418a5b446de37e07536b2e053513"
