@@ -1,17 +1,19 @@
 """Deterministic discrete-event switch fabric.
 
 Events pop in (timestamp, insertion sequence) order, so a run is a pure
-function of the installed rules, the configs, and the injected workload. A
-handler runs one event and returns the one event it schedules, if any: an
-engine's timer, or the end of its output packet's walk, built in place and
-numbered after every event made before it. `step()` pops the earliest
-event and pushes the one it returns, so between steps the queue holds
-every pending event. `run()` keeps the event it is about to run in hand
-and passes the scheduled one to `heapq.heappushpop`, which returns it
+function of the installed rules, the configs, and the injected workload.
+One loop drains them, `run()` until none is left and `step()` one at a
+time, tracing on or off: it handles each event in place and schedules at
+most one more, an engine's timer or the end of its output packet's walk,
+numbered after every event made before it. It keeps the next event in
+hand and passes the scheduled one to `heapq.heappushpop`, which returns it
 untouched when it is the earliest and otherwise swaps it for the earliest
-in one sift: one heap operation per event, not a push and a pop. No two
-events share a (timestamp, sequence) key, so both drains run the same
-events in the same order.
+in one sift: one heap operation per event, not a push and a pop. `step()`
+pushes what its one event scheduled, so between steps the queue holds
+every pending event. An event is a flat tuple: a walk's end is (time,
+sequence, kind, node, packet, walk, start), a timer (deadline, sequence,
+`_TIMEOUT`, engine, token). No two events share a (time, sequence) key,
+so both drains run the same events in the same order.
 
 Switches have no queues and rules change only between commands, so where
 and when a packet ends is fixed when it enters: a packet's walk through
@@ -359,27 +361,32 @@ class Fabric:
         published = p.timestamp_ms
         if not math.isfinite(published):
             raise ValidationError(f"packet from {p.source!r} has a non-finite timestamp {published!r}")
-        self._uid += 1
-        p.uid = self._uid
+        self._uid = p.uid = self._uid + 1
         self.injected += 1
         if self.trace is not None:
             self._trace(published, "inject", node=at, uid=p.uid, source=p.source)
-        event = self._start(p, at, published)
-        heapq.heappush(self._heap, event)
-        return event[1]
-
-    def _start(self, p: PacketRecord, at: str, start: float) -> tuple:
-        """Count p on its walk from `at`, built on first use, and return the
-        walk's one end event: its time is start plus each link delay in hop
-        order, the sums a hop-by-hop run makes."""
         key = (at, p.final_destination, p.source)
         walk = self._walks.get(key)
         if walk is None:
             walk = self._walks[key] = self._walk(at, p)
         walk[0] += 1
-        _, kind, node, delays, _, _ = walk
         self._seq = seq = self._seq + 1
-        return (reduce(add, delays, start), seq, kind, (node, p, walk, start))
+        heapq.heappush(self._heap, (reduce(add, walk[3], published), seq, walk[1], walk[2], p, walk, published))
+        return seq
+
+    def _emit(self, p: PacketRecord, at: str, start: float) -> tuple:
+        """Number an engine's output packet, count it on its walk from the
+        engine, built on first use, and return the walk's one end event: its
+        time is start plus each link delay in hop order, the sums a
+        hop-by-hop run makes."""
+        self._uid = p.uid = self._uid + 1
+        key = (at, p.final_destination, p.source)
+        walk = self._walks.get(key)
+        if walk is None:
+            walk = self._walks[key] = self._walk(at, p)
+        walk[0] += 1
+        self._seq = seq = self._seq + 1
+        return (reduce(add, walk[3], start), seq, walk[1], walk[2], p, walk, start)
 
     def _walk(self, at: str, p: PacketRecord) -> list:
         """p's walk from `at` through the switches' tables as they are now,
@@ -411,42 +418,96 @@ class Fabric:
         """Process the earliest event and queue the event it schedules;
         returns the event's own trace entry, the last it appended, or None
         with tracing off or no event left."""
-        heap = self._heap
-        if not heap:
+        if not self._drain(1):
             return None
-        time_ms, _, kind, data = heapq.heappop(heap)
-        self.now = time_ms
-        scheduled = _HANDLERS[kind](self, time_ms, *data)
-        if scheduled is not None:
-            heapq.heappush(heap, scheduled)
         return None if self.trace is None else self.trace[-1]
 
     def run(self) -> int:
-        """Process events until none is left; returns how many ran. The
-        event a handler schedules and the next one to run are exchanged
-        in one heappushpop, so each event costs one heap operation."""
+        """Process events until none is left; returns how many ran."""
+        return self._drain(-1)
+
+    def _drain(self, budget: int) -> int:
+        """Run up to `budget` events (all of them for -1); returns how many
+        ran. Each event is handled in place, most frequent kind first, and
+        schedules at most one more. The next event to run is kept in hand and
+        exchanged for the scheduled one in one heappushpop, so each event
+        costs one heap operation; the scheduled event of the last one run
+        within the budget is pushed."""
         heap = self._heap
         if not heap:
             return 0
-        handlers = _HANDLERS
         pop, pushpop = heapq.heappop, heapq.heappushpop
+        engines, trace = self.engines, self.trace
         event = pop(heap)
         n = 0
         while True:
-            time_ms, _, kind, data = event
-            self.now = time_ms
+            now = event[0]
+            kind = event[2]
+            scheduled = None
+            if kind is _ENGINE:
+                _, _, _, node, p, walk, start = event
+                if trace is not None:
+                    self._trace_walk(p, walk, start)
+                out = engines[node].process(p, now)
+                if out is not None:
+                    if type(out) is tuple:  # an epoch opened: (its deadline, its token)
+                        self._seq = seq = self._seq + 1
+                        scheduled = (out[0], seq, _TIMEOUT, node, out[1])
+                        out = None
+                    else:  # the epoch's output packet
+                        scheduled = self._emit(out, node, now)
+                if trace is not None:
+                    emitted = [] if out is None else [out.uid]
+                    self._trace(now, "engine", engine=node, uid=p.uid, emitted=emitted, epoch=p.epoch)
+            elif kind is _TIMEOUT:
+                _, _, _, node, token = event
+                out = engines[node].on_timeout(token, now)
+                if out is not None:
+                    scheduled = self._emit(out, node, now)
+                if trace is not None:
+                    self._trace(now, "timeout", engine=node, emitted=[] if out is None else [out.uid])
+            elif kind is _ARRIVE:
+                _, _, _, node, p, walk, start = event
+                self.delivered.append({
+                    "time_ms": now,
+                    "node": node,
+                    "uid": p.uid,
+                    "source": p.source,
+                    "user": p.user,
+                    "epoch": p.epoch,
+                    "payload": p.payload.to_doc(),
+                })
+                if trace is not None:
+                    self._trace_walk(p, walk, start)
+                    self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
+            else:  # _DROP
+                _, _, _, node, p, walk, start = event
+                self._drops[node] += 1
+                if trace is not None:
+                    self._trace_walk(p, walk, start)
+                    self._trace(
+                        now,
+                        "drop",
+                        node=node,
+                        uid=p.uid,
+                        source=p.source,
+                        user=p.user,
+                        final_destination=p.final_destination,
+                        reason=walk[5],
+                    )
             n += 1
-            scheduled = handlers[kind](self, time_ms, *data)
+            if n == budget:
+                if scheduled is not None:
+                    heapq.heappush(heap, scheduled)
+                break
             if scheduled is not None:
                 event = pushpop(heap, scheduled)
             elif heap:
                 event = pop(heap)
             else:
-                return n
-
-    # Each handler runs one event, appends its trace entries when tracing, and
-    # returns the one event it schedules, or None, numbered in place. A
-    # walk's end event first traces the walk's hops.
+                break
+        self.now = now
+        return n
 
     def _trace_walk(self, p: PacketRecord, walk: list, start: float) -> None:
         """Append a `forward` entry for each switch p's walk left through, a
@@ -463,72 +524,6 @@ class Fabric:
                 self._trace(now, "redirect", node=node, uid=p.uid, engine=target)
             else:
                 self._trace(now, "forward", node=node, uid=p.uid, to=target)
-
-    def _on_deliver(self, now, node, p: PacketRecord, walk, start):
-        record = {
-            "time_ms": now,
-            "node": node,
-            "uid": p.uid,
-            "source": p.source,
-            "user": p.user,
-            "epoch": p.epoch,
-            "payload": p.payload.to_doc(),
-        }
-        self.delivered.append(record)
-        if self.trace is not None:
-            self._trace_walk(p, walk, start)
-            self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
-
-    def _on_drop(self, now, node, p: PacketRecord, walk, start) -> None:
-        """Count a dropped packet; it schedules nothing."""
-        self._drops[node] += 1
-        if self.trace is not None:
-            self._trace_walk(p, walk, start)
-            self._trace(
-                now,
-                "drop",
-                node=node,
-                uid=p.uid,
-                source=p.source,
-                user=p.user,
-                final_destination=p.final_destination,
-                reason=walk[5],
-            )
-
-    def _on_engine(self, now, engine_id, p: PacketRecord, walk, start):
-        if self.trace is not None:
-            self._trace_walk(p, walk, start)
-        out = self.engines[engine_id].process(p, now)
-        if out is None:  # buffered or discarded: nothing leaves, no timer
-            emission = event = None
-        elif type(out) is tuple:  # an epoch opened: (its deadline, its token)
-            emission = None
-            deadline, token = out
-            self._seq = seq = self._seq + 1
-            event = (deadline, seq, _TIMEOUT, (engine_id, token))
-        else:  # the epoch's output packet
-            emission = out
-            event = self._emit(now, engine_id, emission)
-        if self.trace is not None:
-            emitted = [] if emission is None else [emission.uid]
-            self._trace(now, "engine", engine=engine_id, uid=p.uid, emitted=emitted, epoch=p.epoch)
-        return event
-
-    def _on_timeout(self, now, engine_id, token):
-        emission = self.engines[engine_id].on_timeout(token, now)
-        event = self._emit(now, engine_id, emission)
-        if self.trace is not None:
-            self._trace(now, "timeout", engine=engine_id, emitted=[] if emission is None else [emission.uid])
-        return event
-
-    def _emit(self, now, engine_id, emission: PacketRecord | None) -> tuple | None:
-        """Number an engine's output packet, if any, and start its walk from
-        the engine; returns the walk's end event."""
-        if emission is None:
-            return None
-        self._uid += 1
-        emission.uid = self._uid
-        return self._start(emission, engine_id, now)
 
     # -- reporting --
 
@@ -602,12 +597,3 @@ class Fabric:
             "configs": self.store.to_doc(),
         }
 
-
-# event kind -> its handler; module-level, so a fabric holds no reference
-# to its own bound methods and is freed by reference counting alone
-_HANDLERS = {
-    _ARRIVE: Fabric._on_deliver,
-    _ENGINE: Fabric._on_engine,
-    _DROP: Fabric._on_drop,
-    _TIMEOUT: Fabric._on_timeout,
-}

@@ -21,8 +21,9 @@ arrived. An epoch that its opening arrival completes arms no timer.
 The store is memory only: one dict per engine, keyed by
 `EngineConfig.key()`, (engine, user, destination); within one engine's
 dict that orders its configs by (user, destination). `set_config`,
-`remove` and `get` take that key whole, and the index entries and epoch
-tokens carry the same tuple.
+`remove` and `get` take that key whole, the index entries and timer
+tokens carry the same tuple, and an engine files each config's rate
+windows and epochs under it.
 `ConfigStore.to_doc()` shapes it engine -> user -> [records], each record
 carrying compute, source list, destination, rate, and jitter; the control
 layer writes that document to the engine configuration file, which
@@ -243,19 +244,19 @@ def _fold(kind: OpKind, values: tuple[float, ...]) -> float:
 
 
 class Engine:
-    """One engine's runtime state: rate windows, counters and epochs, each
-    keyed by its token (config key, epoch) in `_pending`. An open epoch
-    maps to its arrivals, source -> (timestamp, value), leader first; a
-    closed one maps to None, which is how a later packet of it is known to
-    be late. A rejected epoch's token is removed, so a later packet reopens
-    it."""
+    """One engine's runtime state: counters, and per config key one
+    (rate windows, epochs) pair. The rate windows map a source to the last
+    window it passed in. The epochs map an epoch number to its arrivals
+    while open, source -> (timestamp, value), leader first, and to None
+    once closed, which is how a later packet of it is known to be late. A
+    rejected epoch is deleted, so a later packet reopens it. A timer's
+    token is (config key, epoch)."""
 
     def __init__(self, engine_id: str, store: ConfigStore):
         self.engine_id = engine_id
         self.store = store
-        self._rate_last: dict[tuple, int] = {}
-        # token -> its arrivals while open, None once closed
-        self._pending: dict[tuple, dict[str, tuple[float, float]] | None] = {}
+        # config key -> (source -> last rate window, epoch -> arrivals or None)
+        self._state: dict[tuple, tuple[dict[str, int], dict[int, dict[str, tuple[float, float]] | None]]] = {}
         self.counters: dict[str, int] = {"arrivals": 0, **dict.fromkeys(SETTLED, 0), "emitted": 0}
 
     def process(self, p: PacketRecord, now: float) -> PacketRecord | tuple[float, tuple] | None:
@@ -277,7 +278,8 @@ class Engine:
         to send or schedule, as most arrivals are, also when no config
         matched it; the output packet of the epoch it closed; or (deadline,
         token) for the timer of an epoch it opened. It reads the store's
-        index dict in place, as `ConfigStore.lookup` does.
+        index dict in place, as `ConfigStore.lookup` does, and its config's
+        state with one lookup of the config key.
         """
         counters = self.counters
         counters["arrivals"] += 1
@@ -290,25 +292,27 @@ class Engine:
             counters["no_config"] += 1
             return None
         cfg, key = hit
+        state = self._state.get(key)
+        if state is None:
+            state = self._state[key] = ({}, {})
+        windows, epochs = state
         rate = cfg.rate_ms
         if rate is None:
             epoch = p.epoch
         else:
             epoch = math.floor(p.timestamp_ms / rate)
-            window = (key, source)
-            last = self._rate_last.get(window)
+            last = windows.get(source)
             if last is not None and epoch <= last:
                 counters["rate_dropped"] += 1
                 return None
-            self._rate_last[window] = epoch
-        token = (key, epoch)
-        arrivals = self._pending.get(token)
+            windows[source] = epoch
+        arrivals = epochs.get(epoch)
         opened = arrivals is None
         if opened:
-            if token in self._pending:
+            if epoch in epochs:
                 counters["late_discarded"] += 1
                 return None
-            arrivals = self._pending[token] = {}
+            arrivals = epochs[epoch] = {}
         elif cfg.jitter_ms is not None and (
             abs(p.timestamp_ms - next(iter(arrivals.values()))[0]) > cfg.jitter_ms
         ):
@@ -321,39 +325,42 @@ class Engine:
         sources = cfg.sources
         # sources are distinct, so fewer arrivals cannot cover them all
         if len(arrivals) >= len(sources) and all(map(arrivals.__contains__, sources)):
-            return self._close(token, cfg, arrivals, map(arrivals.__getitem__, sources))
+            return self._close(epochs, epoch, cfg, arrivals, map(arrivals.__getitem__, sources))
         if not opened:
             return None
-        return now + (NO_RATE_TIMEOUT_MS if rate is None else TIMEOUT_RATE_FACTOR * rate), token
+        return now + (NO_RATE_TIMEOUT_MS if rate is None else TIMEOUT_RATE_FACTOR * rate), (key, epoch)
 
     def on_timeout(self, token: tuple, now: float) -> PacketRecord | None:
-        """Close an epoch whose timer fired; a stale timer, whose token is
+        """Close an epoch whose timer fired; a stale timer, whose epoch is
         closed (None) or unknown, is ignored. This is the one place an epoch
         is rejected: its config is gone, needs every operand, or lists none
         of the sources that arrived."""
-        arrivals = self._pending.get(token)
+        key, epoch = token
+        state = self._state.get(key)
+        arrivals = None if state is None else state[1].get(epoch)
         if arrivals is None:
             return None
-        cfg = self.store.get(token[0])
+        epochs = state[1]
+        cfg = self.store.get(key)
         rows = None
         if cfg is not None and cfg.compute not in ORDER_SENSITIVE:
             rows = [arrivals[s] for s in cfg.sources if s in arrivals]
         if not rows:
-            del self._pending[token]
+            del epochs[epoch]
             self.counters["rejected"] += len(arrivals)
             return None
-        return self._close(token, cfg, arrivals, rows)
+        return self._close(epochs, epoch, cfg, arrivals, rows)
 
-    def _close(self, token: tuple, cfg: EngineConfig, arrivals: dict, rows: Iterable) -> PacketRecord:
+    def _close(self, epochs: dict, epoch: int, cfg: EngineConfig, arrivals: dict, rows: Iterable) -> PacketRecord:
         """The epoch's one packet: cfg.compute over rows, the arrivals of
         cfg.sources in that order, at the latest of their timestamps. Every
         arrival counts as consumed, also one from a source cfg dropped."""
         stamps, values = zip(*rows)
         self.counters["consumed"] += len(arrivals)
         self.counters["emitted"] += 1
-        self._pending[token] = None
+        epochs[epoch] = None
         value = _fold(cfg.compute, values)
-        return PacketRecord(cfg.engine, cfg.destination, cfg.user, token[1], max(stamps), Scalar(value))
+        return PacketRecord(cfg.engine, cfg.destination, cfg.user, epoch, max(stamps), Scalar(value))
 
     def pending_arrivals(self) -> int:
-        return sum(len(arrivals) for arrivals in self._pending.values() if arrivals)
+        return sum(len(arrivals) for _, epochs in self._state.values() for arrivals in epochs.values() if arrivals)
