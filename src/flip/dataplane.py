@@ -19,15 +19,15 @@ Switches have no queues and rules change only between commands, so where
 and when a packet ends is fixed when it enters: a packet's walk through
 the switches is one event, after ns-3's Nix-Vector routing (Riley, Ammar
 & Fujimoto, MASCOTS 2000). Each (node the packet enters at, final
-destination, source) is compiled into a walk on first use (see `Walks`):
-its end (delivery at a host, arrival at an engine, or a drop), the link
-delays in hop order, and per switch the rule it matched. `inject` and an
-engine's output add the delays to the start time one at a time, in hop
-order, so every time is the float a hop-by-hop run sums; count the packet
-on its walk; and queue the walk's one end event. A loop is walked to the
-hop limit, the topology's node count, when the walk is built. A packet
-keeps the walk it entered with: a table edit changes only packets that
-start after it.
+destination, source) is compiled from that key alone into a walk on
+first use (see `Walks`): its end (delivery at a host, arrival at an
+engine, or a drop), the link delays in hop order, and one record per
+switch of the rule it matched. `inject` and an engine's output add the
+delays to the start time one at a time, in hop order, so every time is
+the float a hop-by-hop run sums; count the packet on its walk; and queue
+the walk's one end event. A loop is walked to the hop limit, the
+topology's node count, when the walk is built. A packet keeps the walk it
+entered with: a table edit changes only packets that start after it.
 
 Switch lookup is first-match-wins over (final destination, source), the
 keys `FlowRule.matches` gives: one dict access into a per-table index,
@@ -60,10 +60,11 @@ counted (they are engine-port traffic, visible in the port counters), which
 keeps the per-switch numbers comparable between engine-assisted and
 baseline runs. The report's total packet hops is the sum of these per-switch
 counts under the same destination filter. Switch counters are written
-back: a walk counts the packets started on it, and that count is folded
-into its switches' rule, rx, ingress and tx counters when a counter is
-read (`stats()`, `FlowTable.counters`) and before any table change, which
-then drops every walk. So counters count a packet when its walk starts
+back: each table registers its switch's counters with the walk cache, a
+walk counts the packets started on it, and that count is folded into its
+switches' rule, rx, ingress and tx counters when a counter is read
+(`stats()`, `FlowTable.counters`) and before any table change, which then
+drops every walk. So counters count a packet when its walk starts
 and lead the queue between `step()`s; after a drain they are the same.
 
 A redirect owns its match: no other rule on its switch shares a (final
@@ -99,6 +100,8 @@ _ARRIVE = "arrive"  # a walk's end at a host
 _ENGINE = "engine"  # a walk's end in an engine
 _DROP = "drop"  # a walk's end at a switch that drops it
 _TIMEOUT = "timeout"
+# `_walk` reads these per hop: on Python 3.11 a member read through the
+# enum class costs about 0.1 µs (EnumType.__getattr__), a global 0.01 µs
 _DELIVER, _REDIRECT = ActionKind.DELIVER, ActionKind.REDIRECT
 
 
@@ -108,31 +111,30 @@ class FlowTable:
     The first matching rule for each (final destination, source) is read
     from an index built on the first match after a change and dropped by
     every change, so a lookup costs one dict access however many rules and
-    sources the table holds. On a fabric, the table shares the fabric's
-    walks: reading `counters` folds the packets started on them in first,
-    and every change folds them and drops them all before it edits.
+    sources the table holds. The table registers its counters with its
+    walk cache (see `Walks`): reading `counters` folds the packets started
+    on the walks in first, and every change folds and drops them all.
     """
 
-    def __init__(self, switch: str, walks: Walks | None = None):
+    def __init__(self, switch: str, walks: Walks):
         self.switch = switch
         self.rules: list[FlowRule] = []
         self._counters: list[int] = []
         self._walks = walks
+        walks.counts[switch] = (self._counters, defaultdict(int), defaultdict(int), defaultdict(int))
         self._installed: set[FlowRule] = set()
         self._first: dict[tuple[str, str], tuple[int, FlowRule]] | None = None
 
     @property
     def counters(self) -> list[int]:
         """Packets matched per rule, in rule order, every walk started folded in."""
-        if self._walks is not None:
-            self._walks.fold()
+        self._walks.fold()
         return self._counters
 
     def _changing(self) -> None:
         """Fold the walks' counts in at today's positions, then drop every walk
         and the index: the rules are about to change."""
-        if self._walks is not None:
-            self._walks.drop()
+        self._walks.drop()
         self._first = None
 
     def add(self, rule: FlowRule) -> bool:
@@ -145,12 +147,12 @@ class FlowTable:
         self._counters.append(0)
         return True
 
-    def match(self, packet: PacketRecord):
-        """The first matching rule as (its position, the rule), or None."""
+    def match(self, final_destination: str, source: str):
+        """The first rule matching the key as (its position, the rule), or None."""
         first = self._first
         if first is None:
             first = self._index()
-        return first.get((packet.final_destination, packet.source))
+        return first.get((final_destination, source))
 
     def _index(self) -> dict[tuple[str, str], tuple[int, FlowRule]]:
         """(final destination, source) -> (position, rule) of its first matching rule."""
@@ -213,16 +215,20 @@ class Walks(dict):
 
     A walk is a list: [packets started on it since the last fold, its end
     event's kind, the end node, the link delays in hop order, its hops,
-    the drop reason or None]. The hops are one flat tuple of five fields
-    per switch entered: the switch, the node the packet came from, whether
-    that was an engine, the matched rule's position and the rule's target;
-    a switch where no rule matched has None for the last two. `counts`
-    holds per switch its table's rule counters and its rx (by the port's
-    neighbour), ingress (network-port arrivals, by final destination) and
-    tx (by neighbour) counters. The cache holds no table and no fabric.
+    the drop reason or None]. The hops are one record per switch entered:
+    (the switch, the node the packet came from, whether that was an
+    engine, the matched rule's position, the rule's target), the last two
+    None where no rule matched. Each `FlowTable` built on the cache
+    registers in `counts`, under its switch, its rule counters and its rx
+    (by neighbour), ingress (network-port arrivals, by final destination)
+    and tx (by neighbour) counters. The cache holds no table and no fabric.
     """
 
     __slots__ = ("counts",)
+
+    def __init__(self):
+        super().__init__()
+        self.counts: dict[str, tuple[list[int], dict, dict, dict]] = {}
 
     def fold(self) -> None:
         """Add each walk's started packets to the counters of every switch it
@@ -233,9 +239,7 @@ class Walks(dict):
             if not n:
                 continue
             walk[0] = 0
-            hops = walk[4]
-            for i in range(0, len(hops), 5):
-                switch, via, from_engine, index, target = hops[i : i + 5]
+            for switch, via, from_engine, index, target in walk[4]:
                 rules, rx, ingress, tx = counts[switch]
                 rx[via] += n
                 if not from_engine:
@@ -288,10 +292,6 @@ class Fabric:
         }
         self._walks = walks = Walks()
         self.tables = {s: FlowTable(s, walks) for s in topology.switches()}
-        walks.counts = {
-            s: (t._counters, defaultdict(int), defaultdict(int), defaultdict(int)) for s, t in self.tables.items()
-        }
-        self._hop_limit = topology.node_count()
         self._heap: list[tuple] = []
         self._seq = 0
         self._uid = 0
@@ -368,7 +368,7 @@ class Fabric:
         key = (at, p.final_destination, p.source)
         walk = self._walks.get(key)
         if walk is None:
-            walk = self._walks[key] = self._walk(at, p)
+            walk = self._walks[key] = self._walk(*key)
         walk[0] += 1
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (reduce(add, walk[3], published), seq, walk[1], walk[2], p, walk, published))
@@ -383,27 +383,27 @@ class Fabric:
         key = (at, p.final_destination, p.source)
         walk = self._walks.get(key)
         if walk is None:
-            walk = self._walks[key] = self._walk(at, p)
+            walk = self._walks[key] = self._walk(*key)
         walk[0] += 1
         self._seq = seq = self._seq + 1
         return (reduce(add, walk[3], start), seq, walk[1], walk[2], p, walk, start)
 
-    def _walk(self, at: str, p: PacketRecord) -> list:
-        """p's walk from `at` through the switches' tables as they are now,
-        in the form `Walks` describes: to a host (`_ARRIVE`), into an engine
-        (`_ENGINE`), or to a drop (`_DROP`) at a switch with no matching rule
-        or at the switch past the hop limit, which only a forwarding loop
-        reaches."""
+    def _walk(self, at: str, final_destination: str, source: str) -> list:
+        """The walk of a (final destination, source) key from `at` through
+        the tables as they are now, in the form `Walks` describes: to a host
+        (`_ARRIVE`), into an engine (`_ENGINE`), or to a drop (`_DROP`) at a
+        switch with no matching rule or past the hop limit, the topology's
+        node count, which only a forwarding loop reaches."""
         switch, delay, from_engine, _ = self.topology.attachments[at]
         delays, hops, via = [delay], [], at
-        for _ in range(self._hop_limit):
-            hit = self.tables[switch].match(p)
+        for _ in range(self.topology.node_count()):
+            hit = self.tables[switch].match(final_destination, source)
             if hit is None:
-                hops += (switch, via, from_engine, None, None)
+                hops.append((switch, via, from_engine, None, None))
                 return [0, _DROP, switch, tuple(delays), tuple(hops), "no_rule"]
             index, rule = hit
-            target = p.final_destination if rule.action is _DELIVER else rule.target
-            hops += (switch, via, from_engine, index, target)
+            target = final_destination if rule.action is _DELIVER else rule.target
+            hops.append((switch, via, from_engine, index, target))
             delays.append(self.topology.neighbors(switch)[target])
             if rule.action is _REDIRECT:
                 return [0, _ENGINE, target, tuple(delays), tuple(hops), None]
@@ -428,11 +428,12 @@ class Fabric:
 
     def _drain(self, budget: int) -> int:
         """Run up to `budget` events (all of them for -1); returns how many
-        ran. Each event is handled in place, most frequent kind first, and
-        schedules at most one more. The next event to run is kept in hand and
-        exchanged for the scheduled one in one heappushpop, so each event
-        costs one heap operation; the scheduled event of the last one run
-        within the budget is pushed."""
+        ran. Each event is handled in place and schedules at most one more.
+        A timer is tested for first; a walk's end is unpacked and traced
+        once before its engine, host or drop branch. The next event to run
+        is kept in hand and exchanged for the scheduled one in one
+        heappushpop, so each event costs one heap operation; the scheduled
+        event of the last one run within the budget is pushed."""
         heap = self._heap
         if not heap:
             return 0
@@ -444,57 +445,54 @@ class Fabric:
             now = event[0]
             kind = event[2]
             scheduled = None
-            if kind is _ENGINE:
-                _, _, _, node, p, walk, start = event
-                if trace is not None:
-                    self._trace_walk(p, walk, start)
-                out = engines[node].process(p, now)
-                if out is not None:
-                    if type(out) is tuple:  # an epoch opened: (its deadline, its token)
-                        self._seq = seq = self._seq + 1
-                        scheduled = (out[0], seq, _TIMEOUT, node, out[1])
-                        out = None
-                    else:  # the epoch's output packet
-                        scheduled = self._emit(out, node, now)
-                if trace is not None:
-                    emitted = [] if out is None else [out.uid]
-                    self._trace(now, "engine", engine=node, uid=p.uid, emitted=emitted, epoch=p.epoch)
-            elif kind is _TIMEOUT:
+            if kind is _TIMEOUT:
                 _, _, _, node, token = event
                 out = engines[node].on_timeout(token, now)
                 if out is not None:
                     scheduled = self._emit(out, node, now)
                 if trace is not None:
                     self._trace(now, "timeout", engine=node, emitted=[] if out is None else [out.uid])
-            elif kind is _ARRIVE:
+            else:  # a walk's end
                 _, _, _, node, p, walk, start = event
-                self.delivered.append({
-                    "time_ms": now,
-                    "node": node,
-                    "uid": p.uid,
-                    "source": p.source,
-                    "user": p.user,
-                    "epoch": p.epoch,
-                    "payload": p.payload.to_doc(),
-                })
                 if trace is not None:
                     self._trace_walk(p, walk, start)
-                    self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
-            else:  # _DROP
-                _, _, _, node, p, walk, start = event
-                self._drops[node] += 1
-                if trace is not None:
-                    self._trace_walk(p, walk, start)
-                    self._trace(
-                        now,
-                        "drop",
-                        node=node,
-                        uid=p.uid,
-                        source=p.source,
-                        user=p.user,
-                        final_destination=p.final_destination,
-                        reason=walk[5],
-                    )
+                if kind is _ENGINE:
+                    out = engines[node].process(p, now)
+                    if out is not None:
+                        if type(out) is tuple:  # an epoch opened: (its deadline, its token)
+                            self._seq = seq = self._seq + 1
+                            scheduled = (out[0], seq, _TIMEOUT, node, out[1])
+                            out = None
+                        else:  # the epoch's output packet
+                            scheduled = self._emit(out, node, now)
+                    if trace is not None:
+                        emitted = [] if out is None else [out.uid]
+                        self._trace(now, "engine", engine=node, uid=p.uid, emitted=emitted, epoch=p.epoch)
+                elif kind is _ARRIVE:
+                    self.delivered.append({
+                        "time_ms": now,
+                        "node": node,
+                        "uid": p.uid,
+                        "source": p.source,
+                        "user": p.user,
+                        "epoch": p.epoch,
+                        "payload": p.payload.to_doc(),
+                    })
+                    if trace is not None:
+                        self._trace(now, "deliver", node=node, uid=p.uid, epoch=p.epoch)
+                else:  # _DROP
+                    self._drops[node] += 1
+                    if trace is not None:
+                        self._trace(
+                            now,
+                            "drop",
+                            node=node,
+                            uid=p.uid,
+                            source=p.source,
+                            user=p.user,
+                            final_destination=p.final_destination,
+                            reason=walk[5],
+                        )
             n += 1
             if n == budget:
                 if scheduled is not None:
@@ -513,11 +511,10 @@ class Fabric:
         """Append a `forward` entry for each switch p's walk left through, a
         `redirect` for the one into an engine, each at the time p reached it."""
         _, kind, _, delays, hops, _ = walk
-        last = len(hops) - 5
+        last = len(hops) - 1
         times = accumulate(delays, initial=start)
         next(times)
-        for i, now in zip(range(0, len(hops), 5), times):
-            node, _, _, index, target = hops[i : i + 5]
+        for i, ((node, _, _, index, target), now) in enumerate(zip(hops, times)):
             if index is None:  # the switch that had no rule
                 break
             if kind is _ENGINE and i == last:
@@ -530,21 +527,22 @@ class Fabric:
     def stats(self, final_destination: str | None = None) -> StatsReport:
         """Every count so far, the packets started on each walk folded in."""
         self._walks.fold()
-        switch_counts, port_rx, port_tx = {}, {}, {}
-        for sw, (_, rx, by_fd, tx) in self._walks.counts.items():
+        switch_counts, port_rx, port_tx, rule_counters = {}, {}, {}, {}
+        for sw, (rules, rx, by_fd, tx) in self._walks.counts.items():
             if final_destination is None:
                 switch_counts[sw] = sum(by_fd.values())
             else:
                 switch_counts[sw] = by_fd.get(final_destination, 0)
             port_rx[sw] = dict(rx)
             port_tx[sw] = dict(tx)
+            rule_counters[sw] = list(rules)
         return StatsReport(
             filter_destination=final_destination,
             switch_counts=switch_counts,
             total_packet_hops=sum(switch_counts.values()),
             port_rx=port_rx,
             port_tx=port_tx,
-            rule_counters={s: list(t._counters) for s, t in self.tables.items()},
+            rule_counters=rule_counters,
             drops=dict(self._drops),
             injected=self.injected,
             emitted=self._emitted(),

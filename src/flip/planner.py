@@ -306,28 +306,24 @@ def place_operations(tg: TaskGraph, t: Topology) -> list[OpPlacement]:
 # -- Steiner tree ---------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
+def _kruskal(edges: list[tuple[float, str, str]]) -> list[tuple[float, str, str]]:
+    """The edges of the minimum spanning forest, in sorted order. The
+    union-find is a dict of roots with path halving, so a deep forest is
+    not climbed quadratically."""
+    parent: dict[str, str] = {}
 
-    def find(self, x: str) -> str:
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def find(x: str) -> str:
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
         return x
 
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def _kruskal(edges: list[tuple[float, str, str]]) -> list[tuple[float, str, str]]:
-    uf = _UnionFind()
-    return [e for e in sorted(edges) if uf.union(e[1], e[2])]
+    tree = []
+    for edge in sorted(edges):
+        ra, rb = find(edge[1]), find(edge[2])
+        if ra != rb:
+            parent[rb] = ra
+            tree.append(edge)
+    return tree
 
 
 def steiner_tree(t: Topology, terminals: set[str] | list[str]) -> SteinerTree:

@@ -329,7 +329,7 @@ def test_modflow_keeps_the_rule_in_its_place(session):
     flows = session.execute("getflows", {"dpid": "sw1"}).body["flows"]
     assert [f["action"]["target"] for f in flows] == ["sw9", "sw2"]
     packet = PacketRecord("bs1", "user", "default", 0, 0.0, Scalar(1.0))
-    assert session.fabric.tables["sw1"].match(packet)[0] == 0
+    assert session.fabric.tables["sw1"].match(packet.final_destination, packet.source)[0] == 0
 
     before, log = session.state_json(), list(session.command_log)
     refused = session.execute("modflow", {"dpid": "sw1", "index": 0, **b})
@@ -999,6 +999,9 @@ OVERFLOW = (
         ("datapath_a", {"request": "datapath_a(max(bs1:bs3),destination<-sw5)"}, "unknown_node"),
         ("datapath_m", {"request": "datapath_m(bs1,bs2,switch<-sw1,compute<-max,destination<-sw5)"}, "unknown_node"),
         ("datapath_a", {"request": "datapath_a(max(bs1:bs3),destination<-sw5)", "baseline": True}, "unknown_node"),
+        # a destination the topology does not have, and a config for no one
+        ("datapath_a", {"request": "datapath_a(max(bs1:bs3),destination<-nowhere)"}, "unknown_node"),
+        ("setconfig/user", {"engine": "e-sw1", "user": "", "config": CONFIG}, "validation_error"),
     ],
 )
 def test_wrongly_typed_arguments_are_typed_errors(demo_session, verb, args, code):
@@ -1164,6 +1167,8 @@ BAD_CLI_INPUT = {
     "json-not-object": (["cmd", "getflows", "--json", "[1]"], "--json must be a JSON object"),
     "script-not-utf8": (["run", "binary.flip"], "binary.flip: 'utf-8' codec can't decode"),
     "session-not-a-session": (["--session", "other", "stats"], "not a flip session"),
+    "no-session": (["--session", "nosuch", "stats"], "no session at nosuch/session.json; run `flip load` first"),
+    "coverage-region-not-a-list": (["load", "TOPO", "--coverage", "region.json"], "'Seoul' must map to a list"),
     # a file or directory that cannot be used
     "csv-in-a-missing-directory": (["stats", "--csv", "nodir/c.csv"], "nodir/c.csv: No such file"),
     "bench-out-under-a-file": (["bench", "--out", "bad.json/x"], "bad.json/x: Not a directory"),
@@ -1192,6 +1197,7 @@ def test_cli_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, fra
     topo_file = str(Path("data/demo_topology.json").resolve())
     monkeypatch.chdir(tmp_path)
     Path("bad.json").write_text("not json\n")
+    Path("region.json").write_text('{"Seoul": "bs1:bs10"}\n')
     Path("binary.flip").write_bytes(b"\xd0\xcf\x11\xe0")
     Path("other").mkdir()
     Path("other", "session.json").write_text("[1]\n")

@@ -17,7 +17,7 @@ from flip.control import Session
 from flip.dataplane import Fabric, FlowTable
 from flip.dsl import parse_request
 from flip.epb import ConfigStore
-from flip.errors import NotFoundError, UnknownNodeError, UnknownSwitchError, ValidationError
+from flip.errors import FlipError, NotFoundError, UnknownNodeError, UnknownSwitchError, ValidationError
 from flip.harness import Workload, build_experiment_topology, demo_topology, publish, request_texts
 from flip.packets import PacketRecord, Scalar
 from flip.planner import ActionKind, FlowRule
@@ -128,7 +128,7 @@ def test_table_lookup_matches_the_old_scan_over_random_edits():
     destination, source) gets the same first rule as a scan of the list,
     and the counters follow their rules."""
     rng = random.Random(13)
-    tables = {sw: FlowTable(sw) for sw in TABLE_SWITCHES}
+    tables = {sw: FlowTable(sw, dataplane.Walks()) for sw in TABLE_SWITCHES}
     models: dict[str, list] = {sw: [] for sw in TABLE_SWITCHES}
     counts: dict[str, list] = {sw: [] for sw in TABLE_SWITCHES}
     keys = [(fd, src) for fd in TABLE_DESTINATIONS for src in TABLE_SOURCES]
@@ -140,7 +140,7 @@ def test_table_lookup_matches_the_old_scan_over_random_edits():
         assert len(table.rules) == len(table.counters)
         for fd, src in keys:
             p = make_packet(src, fd=fd)
-            got = table.match(p)
+            got = table.match(fd, src)
             assert got == scan_rules(model, p), (sw, fd, src)
             if got is not None and rng.random() < 0.3:
                 table.counters[got[0]] += 1
@@ -181,7 +181,7 @@ def test_table_lookup_matches_the_old_scan_over_random_edits():
             add("sw1", rule)
             check("sw1")
         p = make_packet("bs2")
-        assert tables["sw1"].match(p)[1] == sw_rules[0]
+        assert tables["sw1"].match(p.final_destination, p.source)[1] == sw_rules[0]
         assert tables["sw1"].clear() == 2
         models["sw1"].clear()
         counts["sw1"].clear()
@@ -570,6 +570,8 @@ def test_trace_export(tmp_path, demo, eq1_plan):
     n = fabric.export_trace(out)
     lines = out.read_text().strip().splitlines()
     assert len(lines) == n and n >= 2
+    with pytest.raises(FlipError, match="tracing is disabled"):
+        flip_fabric(demo, eq1_plan).export_trace(tmp_path / "untraced.jsonl")
 
 
 # -- drain equivalence ----------------------------------------------------------

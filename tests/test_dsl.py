@@ -262,6 +262,34 @@ def test_range_is_checked_without_building_its_names(monkeypatch):
         assert (str(info.value), info.value.col) == (f"{message} (col {col})", col)
 
 
+@pytest.mark.parametrize("n", [400, 4000])
+def test_parsing_n_listed_stations_reads_2n_plus_10_tokens_on_the_plain_name_path(monkeypatch, n):
+    """Complexity gate: one sum listing n stations tokenizes to exactly
+    2n + 10 tokens and never enters `_parse_source`, since the plain-name
+    path takes every leaf; the range form is 14 tokens whatever n is."""
+    tokens, sources = [], 0
+    tokenize, parse_source = dsl._tokenize, dsl._Parser._parse_source
+
+    def counting_tokenize(text):
+        out = tokenize(text)
+        tokens.append(len(out))
+        return out
+
+    def counting_parse_source(self):
+        nonlocal sources
+        sources += 1
+        return parse_source(self)
+
+    monkeypatch.setattr(dsl, "_tokenize", counting_tokenize)
+    monkeypatch.setattr(dsl._Parser, "_parse_source", counting_parse_source)
+    listed = ",".join(f"bs{i}" for i in range(1, n + 1))
+    req = parse_request(f"datapath_a(sum({listed}),destination<-user)")
+    assert len(req.expr.children) == n
+    assert (tokens, sources) == ([2 * n + 10], 0)
+    parse_request(f"datapath_a(sum(bs1:bs{n}),destination<-user)")
+    assert tokens == [2 * n + 10, 14]
+
+
 def test_roundtrip_canonical_fixed_cases():
     cases = [
         EQ1,

@@ -144,6 +144,17 @@ TYPED_ERRORS = {
         "duplicate link sw2-sw1",
     ),
     "no-nodes": (_load([]), ValidationError, "topology has no nodes"),
+    # built directly, past the loader's own checks
+    "negative-delay-built-directly": (
+        lambda tmp_path: Topology({"sw1": NodeKind.SWITCH, "sw2": NodeKind.SWITCH}, [Link("sw1", "sw2", -1.0)]),
+        ValidationError,
+        "negative delay on link sw1-sw2",
+    ),
+    "bad-node-id-built-directly": (
+        lambda tmp_path: Topology({"1sw": NodeKind.SWITCH}, []),
+        ValidationError,
+        "invalid node id '1sw'",
+    ),
     "base-station-on-a-host": (
         _load(
             [{"id": "bs1", "kind": "basestation"}, {"id": "user", "kind": "destination"}],
