@@ -100,9 +100,9 @@ _ARRIVE = "arrive"  # a walk's end at a host
 _ENGINE = "engine"  # a walk's end in an engine
 _DROP = "drop"  # a walk's end at a switch that drops it
 _TIMEOUT = "timeout"
-# `_walk` reads these per hop: on Python 3.11 a member read through the
-# enum class costs about 0.1 µs (EnumType.__getattr__), a global 0.01 µs
-_DELIVER, _REDIRECT = ActionKind.DELIVER, ActionKind.REDIRECT
+# read per hop and per rule: on Python 3.11 a member read through the enum
+# class costs about 0.1 µs (EnumType.__getattr__), a global 0.01 µs
+_FORWARD, _DELIVER, _REDIRECT = ActionKind.FORWARD, ActionKind.DELIVER, ActionKind.REDIRECT
 
 
 class FlowTable:
@@ -166,11 +166,11 @@ class FlowTable:
         None for a rule already installed."""
         if not self.rules or rule in self._installed:
             return None
-        redirect, sources = rule.action is ActionKind.REDIRECT, None
+        redirect, sources = rule.action is _REDIRECT, None
         for index, other in enumerate(self.rules):
             if (
                 other.final_destination == rule.final_destination
-                and (redirect or other.action is ActionKind.REDIRECT)
+                and (redirect or other.action is _REDIRECT)
                 and (other.action, other.target) != (rule.action, rule.target)
                 and index != replacing
             ):
@@ -325,12 +325,12 @@ class Fabric:
             if rule.switch not in self.tables:
                 raise UnknownSwitchError(f"unknown switch {rule.switch!r}")
             action = rule.action
-            target = rule.final_destination if action is ActionKind.DELIVER else rule.target
+            target = rule.final_destination if action is _DELIVER else rule.target
             if target not in self.topology.neighbors(rule.switch):
                 raise UnknownSwitchError(f"rule target {target!r} is not adjacent to {rule.switch!r}")
-            if action is ActionKind.FORWARD and target not in self.tables:
+            if action is _FORWARD and target not in self.tables:
                 raise ValidationError(f"forward target {target!r} on {rule.switch!r} is not a switch")
-            if action is ActionKind.REDIRECT and target not in self.engines:
+            if action is _REDIRECT and target not in self.engines:
                 raise ValidationError(f"redirect target {target!r} on {rule.switch!r} is not an engine")
             clash = self.tables[rule.switch].clash(rule, replacing)
             if clash is not None:

@@ -82,6 +82,10 @@ class RequestMode(Enum):
     MANUAL = "manual"
 
 
+# a request's head names its mode
+_MODES = {"datapath_a": RequestMode.AUTOMATED, "datapath_m": RequestMode.MANUAL}
+
+
 @dataclass
 class ExprNode:
     kind: OpKind
@@ -183,55 +187,37 @@ class _Parser:
         self.pos += 1
         return tok
 
-    # request := ident "(" body ")"
+    # request := ident "(" positional part, keywords ")"
     def parse_request(self) -> Request:
         _, head, col, _ = self.expect("IDENT")
-        if head == "datapath_a":
-            mode = RequestMode.AUTOMATED
-        elif head == "datapath_m":
-            mode = RequestMode.MANUAL
-        else:
+        mode = _MODES.get(head)
+        if mode is None:
             raise DslSyntaxError(f"expected datapath_a or datapath_m, got {head!r}", col=col)
         self.expect("(")
-        if mode is RequestMode.AUTOMATED:
-            req = self._parse_automated()
+        automated = mode is RequestMode.AUTOMATED
+        expr = self._parse_expr(1) if automated else self._parse_source_list()
+        kwargs = self._parse_kwargs()
+        if automated:
+            for forbidden in ("switch", "compute", "computation"):
+                if forbidden in kwargs:
+                    raise DslSyntaxError(f"datapath_a does not take {forbidden!r}")
         else:
-            req = self._parse_manual()
+            compute = kwargs.get("compute", kwargs.get("computation"))
+            if compute is None:
+                raise DslSyntaxError("datapath_m requires compute<-")
+            expr = ExprNode(self._op_kind(compute, col=1), expr)
+            self._check_arity(expr, col=1)
+        request = Request(
+            mode=mode,
+            expr=expr,
+            destination=self._required(kwargs, "destination"),
+            switch=None if automated else self._required(kwargs, "switch"),
+            requirements=kwargs.get("requirement", Requirements()),
+            user=kwargs.get("user", DEFAULT_USER),
+        )
         self.expect(")")
         self.expect("EOF")
-        return req
-
-    def _parse_automated(self) -> Request:
-        expr = self._parse_expr(1)
-        kwargs = self._parse_kwargs()
-        for forbidden in ("switch", "compute", "computation"):
-            if forbidden in kwargs:
-                raise DslSyntaxError(f"datapath_a does not take {forbidden!r}")
-        return Request(
-            mode=RequestMode.AUTOMATED,
-            expr=expr,
-            destination=self._required(kwargs, "destination"),
-            requirements=kwargs.get("requirement", Requirements()),
-            user=kwargs.get("user", DEFAULT_USER),
-        )
-
-    def _parse_manual(self) -> Request:
-        sources = self._parse_source_list()
-        kwargs = self._parse_kwargs()
-        compute = kwargs.get("compute", kwargs.get("computation"))
-        if compute is None:
-            raise DslSyntaxError("datapath_m requires compute<-")
-        op = self._op_kind(compute, col=1)
-        expr = ExprNode(op, list(sources))
-        self._check_arity(expr, col=1)
-        return Request(
-            mode=RequestMode.MANUAL,
-            expr=expr,
-            destination=self._required(kwargs, "destination"),
-            switch=self._required(kwargs, "switch"),
-            requirements=kwargs.get("requirement", Requirements()),
-            user=kwargs.get("user", DEFAULT_USER),
-        )
+        return request
 
     def _required(self, kwargs: dict, name: str) -> str:
         if name not in kwargs:
@@ -329,13 +315,10 @@ class _Parser:
             if name == "requirement":
                 kwargs[name] = self._parse_requirements()
             elif name in ("destination", "switch", "user", "compute", "computation"):
-                kwargs[name] = self._parse_node_token()
+                kwargs[name] = self._engine_suffix(self.expect("IDENT")[1])
             else:
                 raise DslSyntaxError(f"unknown keyword {name!r}", col=col)
         return kwargs
-
-    def _parse_node_token(self) -> str:
-        return self._engine_suffix(self.expect("IDENT")[1])
 
     def _engine_suffix(self, name: str) -> str:
         """The name, with an "[engine]" suffix when one follows it."""

@@ -29,16 +29,16 @@ carrying compute, source list, destination, rate, and jitter; the control
 layer writes that document to the engine configuration file, which
 nothing reads back, and a store always starts empty.
 
-An engine finds a packet's config through the store's lookup index, one
-dict per engine keyed (user, final destination, source): the keys
+An engine finds a packet's config through `ConfigStore.index`, one dict
+per engine keyed (user, final destination, source): the keys
 `EngineConfig.matches` gives, each match destination (or, for a config
 without any, its destination and its engine) with each source.
 `packets.first_match` builds it on the first packet after a change from
-the engine's configs in (user, destination) order, keeping the first
-config for each key, so a packet gets the first config in that order
-whose user, sources and matched destinations cover it. Each entry holds
-the config and its key, so an arrival computes no key. A packet that no
-config covers is counted as `no_config` and discarded.
+`configs_for`, the engine's configs in (user, destination) order, keeping
+the first config for each key, so a packet gets the first config in that
+order whose user, sources and matched destinations cover it. Each entry
+holds the config and its key, so an arrival computes no key. A packet that
+no config covers is counted as `no_config` and discarded.
 
 `Engine.process` is the one implementation of every pipeline rule (rate,
 epoch, late, de-jitter, duplicate, timeout), in one pass. It returns None
@@ -164,8 +164,8 @@ class ConfigStore:
     def __init__(self):
         # engine -> its config key (engine, user, destination) -> config
         self._configs: dict[str, dict[tuple[str, str, str], EngineConfig]] = {}
-        # engine -> (user, final destination, source) -> (config, its key), built
-        # on first lookup and dropped when one of the engine's configs changes
+        # engine -> the dict `index` returns, built on first use and dropped
+        # when one of the engine's configs changes
         self._index: dict[str, dict[tuple[str, str, str], tuple[EngineConfig, tuple]]] = {}
 
     def set_config(self, cfg: EngineConfig) -> None:
@@ -190,22 +190,15 @@ class ConfigStore:
     def get(self, key: tuple[str, str, str]) -> EngineConfig | None:
         return self._configs.get(key[0], {}).get(key)
 
-    def lookup(
-        self, engine: str, user: str, source: str, final_destination: str
-    ) -> tuple[EngineConfig, tuple] | None:
-        """(config, its key) for the first config in configs_for(engine)
-        order that belongs to the user, lists the source and matches the
-        final destination, or None. `Engine.process` reads the same dict."""
+    def index(self, engine: str) -> dict[tuple[str, str, str], tuple[EngineConfig, tuple]]:
+        """The engine's config index, (user, final destination, source) ->
+        (the first config in configs_for(engine) order that covers the key,
+        its key). Built from configs_for on first use after a change;
+        `Engine.process` reads the same dict."""
         index = self._index.get(engine)
         if index is None:
-            index = self._build_index(engine)
-        return index.get((user, final_destination, source))
-
-    def _build_index(self, engine: str) -> dict[tuple[str, str, str], tuple[EngineConfig, tuple]]:
-        """The engine's index: (user, final destination, source) -> (first config covering it, its key)."""
-        # keys are distinct, so sorting the items never compares two configs
-        entries = [(cfg.matches(), (cfg, key)) for key, cfg in sorted(self._configs.get(engine, {}).items())]
-        index = self._index[engine] = first_match(entries)
+            entries = [(cfg.matches(), (cfg, cfg.key())) for cfg in self.configs_for(engine)]
+            index = self._index[engine] = first_match(entries)
         return index
 
     def to_doc(self) -> dict:
@@ -278,15 +271,16 @@ class Engine:
         to send or schedule, as most arrivals are, also when no config
         matched it; the output packet of the epoch it closed; or (deadline,
         token) for the timer of an epoch it opened. It reads the store's
-        index dict in place, as `ConfigStore.lookup` does, and its config's
-        state with one lookup of the config key.
+        index dict in place, building it through `ConfigStore.index` only
+        when a change dropped it, and its config's state with one lookup of
+        the config key.
         """
         counters = self.counters
         counters["arrivals"] += 1
         source = p.source
         index = self.store._index.get(self.engine_id)
         if index is None:
-            index = self.store._build_index(self.engine_id)
+            index = self.store.index(self.engine_id)
         hit = index.get((p.user, p.final_destination, source))
         if hit is None:
             counters["no_config"] += 1

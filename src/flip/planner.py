@@ -450,9 +450,7 @@ def check_delay(
     farthest: dict[str, float] = {}
     worst = 0.0
     for leaf in leaves:
-        delay = dist.get(leaf)
-        if delay is None:
-            raise CompileError(f"leaf {leaf!r} not on the datapath tree")
+        delay = dist[leaf]  # every leaf is a terminal of the tree
         up = parent[leaf]
         if up is None or leaf in placed:
             worst = max(worst, climb(leaf, delay))
@@ -466,40 +464,29 @@ def check_delay(
 # -- rule compilation -----------------------------------------------------------
 
 
-class _RuleBook:
-    """Accumulates rules, merging source sets per (switch, match, action);
-    each rule's sources come out in the topology's natural order."""
-
-    def __init__(self, t: Topology):
-        self._rank = t.rank
-        self._rules: dict[tuple, list[str]] = {}
-
-    def add(
-        self, switch: str, fd: str, action: ActionKind, target: str | None, sources: list[str]
-    ) -> None:
-        key = (switch, fd, action, target)
-        self._rules.setdefault(key, []).extend(sources)
-
-    def rules(self) -> list[FlowRule]:
-        rank = self._rank.__getitem__
-        return [
-            FlowRule(switch, fd, tuple(sorted(set(sources), key=rank)), action, target)
-            for (switch, fd, action, target), sources in self._rules.items()
-        ]
+def _flow_rules(book: dict[tuple, list[str]], t: Topology) -> list[FlowRule]:
+    """The rules of a book, a dict from rule key (switch, final destination,
+    action, target) to sources, in first-seen key order; each rule's sources
+    come out in the topology's natural order."""
+    rank = t.rank.__getitem__
+    return [
+        FlowRule(switch, fd, tuple(sorted(set(sources), key=rank)), action, target)
+        for (switch, fd, action, target), sources in book.items()
+    ]
 
 
 def _rules_along(
-    book: _RuleBook, path: tuple[str, ...], fd: str, sources: list[str], t: Topology
+    book: dict[tuple, list[str]], path: tuple[str, ...], fd: str, sources: list[str], t: Topology
 ) -> None:
-    """Rules for the traffic of `sources` along `path`: at each switch,
-    forward to the next switch, or deliver into the next node when it is
-    not one."""
+    """Rules for the traffic of `sources` along `path`, added to `book`: at
+    each switch, forward to the next switch, or deliver into the next node
+    when it is not one."""
+    kind, switch = t.kind, NodeKind.SWITCH
+    forward, deliver = ActionKind.FORWARD, ActionKind.DELIVER
     for here, nxt in zip(path, path[1:]):
-        if t.kind(here) is NodeKind.SWITCH:
-            if t.kind(nxt) is NodeKind.SWITCH:
-                book.add(here, fd, ActionKind.FORWARD, nxt, sources)
-            else:
-                book.add(here, fd, ActionKind.DELIVER, None, sources)
+        if kind(here) is switch:
+            key = (here, fd, forward, nxt) if kind(nxt) is switch else (here, fd, deliver, None)
+            book.setdefault(key, []).extend(sources)
 
 
 def compile_rules(
@@ -528,7 +515,7 @@ def compile_rules(
     rule keys then appear in the order a walk per child would add them.
     """
     by_op = {p.op_node: p for p in placements}
-    book = _RuleBook(t)
+    book: dict[tuple, list[str]] = {}
     configs: list[EngineConfig] = []
     ingress: dict[str, str] = {}
     attachments = t.attachments
@@ -548,18 +535,17 @@ def compile_rules(
                     )
                 fd = placement.engine
             else:
-                attached = attachments.get(child)
-                if attached is None:
-                    t.connected_switch(child)  # raises: not a base station or engine
+                # expand_sources admits only base stations and engines
                 source = child
-                entry, _, is_engine, _ = attached
+                entry, _, is_engine, _ = attachments[child]
                 fd = placement.engine if is_engine else destination
                 ingress[source] = fd
             cfg_sources.append(source)
             groups.setdefault((entry, fd), []).append(source)
         for (entry, fd), sources in groups.items():
             _rules_along(book, tree.path(entry, placement.switch), fd, sources, t)
-            book.add(placement.switch, fd, ActionKind.REDIRECT, placement.engine, sources)
+            key = (placement.switch, fd, ActionKind.REDIRECT, placement.engine)
+            book.setdefault(key, []).extend(sources)
         configs.append(
             EngineConfig(
                 engine=placement.engine,
@@ -578,7 +564,7 @@ def compile_rules(
     end = t.connected_switch(destination) if to_engine else destination
     _rules_along(book, tree.path(root.switch, end), destination, [root.engine], t)
 
-    return book.rules(), configs, ingress
+    return _flow_rules(book, t), configs, ingress
 
 
 def compile_baseline(t: Topology, sources: list[str], destination: str) -> list[FlowRule]:
@@ -591,11 +577,11 @@ def compile_baseline(t: Topology, sources: list[str], destination: str) -> list[
     by_switch: dict[str, list[str]] = {}
     for source in sorted(switch_of, key=t.rank.__getitem__):
         by_switch.setdefault(switch_of[source], []).append(source)
-    book = _RuleBook(t)
+    book: dict[tuple, list[str]] = {}
     for switch, group in by_switch.items():
         path = t.shortest_paths_from(switch)[1][destination]
         _rules_along(book, path, destination, group, t)
-    return book.rules()
+    return _flow_rules(book, t)
 
 
 # -- entry point -----------------------------------------------------------------
@@ -616,8 +602,8 @@ def plan(request: Request, t: Topology, cov: CoverageMap | None = None) -> Datap
         placements = place_operations(tg, t)
     else:
         switch = request.switch
-        if switch is None or not t.has_node(switch):
-            raise UnknownNodeError(f"unknown switch {request.switch!r}")
+        if not t.has_node(switch):
+            raise UnknownNodeError(f"unknown switch {switch!r}")
         placements = [OpPlacement(tg.root.node_id, switch, t.engine_of(switch))]
 
     leaves = tg.leaves()

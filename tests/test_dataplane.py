@@ -690,7 +690,7 @@ def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypat
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((FlowTable, "_index"), (ConfigStore, "_build_index")):
+    for owner, name in ((FlowTable, "_index"), (ConfigStore, "index")):
         count(owner, name)
     heap_calls: dict[str, int] = {}
     ran: dict[str, int] = {}  # event kind -> events handed out by the heap
@@ -725,7 +725,7 @@ def test_r9_drain_builds_no_index_per_epoch_and_runs_the_pinned_events(monkeypat
         seen[epochs] = dict(builds)
     assert seen[10] == seen[100]
     assert 0 < seen[10]["_index"] <= len(fabric.tables)
-    assert 0 < seen[10]["_build_index"] <= len(fabric.engines)
+    assert 0 < seen[10]["index"] <= len(fabric.engines)
 
 
 def test_events_per_injected_sample_are_pinned(nine_users):
@@ -766,7 +766,7 @@ def test_index_key_counts_are_pinned():
             assert result.ok, result.message
         fabric = session.fabric
         table_keys = sum(len(table._index()) for table in fabric.tables.values())
-        config_keys = sum(len(fabric.store._build_index(engine)) for engine in fabric.engines)
+        config_keys = sum(len(fabric.store.index(engine)) for engine in fabric.engines)
         assert (table_keys, config_keys) == keys, len(requests)
 
 

@@ -451,9 +451,12 @@ def test_translate_coverage():
         dsl.translate_coverage("seoul", cov)
 
 
-def _parse(requirement="", source="bs1"):
-    text = f"datapath_a(max({source}),destination<-user{requirement})"
+def _request(text):
     return lambda: parse_request(text)
+
+
+def _parse(requirement="", source="bs1"):
+    return _request(f"datapath_a(max({source}),destination<-user{requirement})")
 
 
 def _coverage(doc):
@@ -470,6 +473,41 @@ TYPED_ERRORS = {
     ),
     "number-with-two-points": (_parse(",requirement<-{delay=1.2.3ms}"), DslSyntaxError, "bad number '1.2.3'"),
     "zero-delay": (_parse(",requirement<-{delay=0ms}"), ValidationError, "delay must be positive, got 0 ms"),
+    "automated-takes-no-switch": (
+        _request("datapath_a(max(bs1),switch<-sw1,destination<-user)"),
+        DslSyntaxError,
+        "datapath_a does not take 'switch' (col 0)",
+    ),
+    "manual-needs-compute": (
+        _request("datapath_m(bs1,bs2,switch<-sw1,destination<-user)"),
+        DslSyntaxError,
+        "datapath_m requires compute<- (col 0)",
+    ),
+    "manual-needs-switch": (
+        _request("datapath_m(bs1,bs2,compute<-sum,destination<-user)"),
+        DslSyntaxError,
+        "missing switch<- (col 0)",
+    ),
+    "manual-needs-destination": (
+        _request("datapath_m(bs1,bs2,switch<-sw1,compute<-sum)"),
+        DslSyntaxError,
+        "missing destination<- (col 0)",
+    ),
+    "unknown-head": (
+        _request("datapath_x(max(bs1),destination<-user)"),
+        DslSyntaxError,
+        "expected datapath_a or datapath_m, got 'datapath_x' (col 1)",
+    ),
+    "manual-arity": (
+        _request("datapath_m(bs1,switch<-sw1,compute<-sub,destination<-user)"),
+        ArityError,
+        "sub needs at least 2 arguments (col 1)",
+    ),
+    "manual-unknown-operation": (
+        _request("datapath_m(bs1,switch<-sw1,compute<-median,destination<-user)"),
+        UnknownOperationError,
+        "unknown operation 'median' (col 1)",
+    ),
     # coverage documents
     "coverage-not-an-object": (_coverage(["bs1:bs10"]), ParseError, "coverage document must be an object"),
     "region-not-a-list": (_coverage({"Seoul": "bs1:bs10"}), ParseError, "region 'Seoul' must map to a list"),

@@ -124,9 +124,9 @@ def test_store_matches_the_old_store_over_random_edits():
                     key = (engine, user, destination)
                     assert store.get(key) is model.get(key)
         for _ in range(10):
-            query = probe()
-            want = scan_config(model.values(), *query)
-            assert store.lookup(*query) == (None if want is None else (want, want.key()))
+            engine, user, source, fd = probe()
+            want = scan_config(model.values(), engine, user, source, fd)
+            assert store.index(engine).get((user, fd, source)) == (None if want is None else (want, want.key()))
 
     def put(cfg):
         store.set_config(cfg)
@@ -170,18 +170,18 @@ def test_store_matches_the_old_store_over_random_edits():
 def test_replacing_or_removing_a_config_changes_the_next_lookup():
     store = ConfigStore()
     store.set_config(make_config(sources=("bs1", "bs2")))
-    assert store.lookup("e-sw1", "maya", "bs1", "dest")[0].sources == ("bs1", "bs2")
+    assert store.index("e-sw1").get(("maya", "dest", "bs1"))[0].sources == ("bs1", "bs2")
     store.set_config(make_config(sources=("bs3",)))
-    assert store.lookup("e-sw1", "maya", "bs1", "dest") is None
-    assert store.lookup("e-sw1", "maya", "bs3", "dest")[0].sources == ("bs3",)
+    assert store.index("e-sw1").get(("maya", "dest", "bs1")) is None
+    assert store.index("e-sw1").get(("maya", "dest", "bs3"))[0].sources == ("bs3",)
     # an earlier config in (user, destination) order takes the packet over
     earlier = make_config(sources=("bs3",), destination="cloud", match_destinations=("dest",))
     store.set_config(earlier)
-    assert store.lookup("e-sw1", "maya", "bs3", "dest") == (earlier, earlier.key())
+    assert store.index("e-sw1").get(("maya", "dest", "bs3")) == (earlier, earlier.key())
     store.remove(earlier.key())
-    assert store.lookup("e-sw1", "maya", "bs3", "dest")[0].destination == "dest"
+    assert store.index("e-sw1").get(("maya", "dest", "bs3"))[0].destination == "dest"
     store.remove(make_config().key())
-    assert store.lookup("e-sw1", "maya", "bs3", "dest") is None
+    assert store.index("e-sw1").get(("maya", "dest", "bs3")) is None
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from flip import dsl
+from flip import dsl, planner, topology
 from flip.control import Session
 from flip.dataplane import Fabric
 from flip.dsl import OpKind, parse_request
@@ -27,7 +27,7 @@ from flip.planner import (
     resolve_endpoint,
     steiner_tree,
 )
-from flip.topology import Link, NodeKind, Topology, load_topology
+from flip.topology import Link, NodeKind, Topology, load_topology, natural_key
 
 from _oracles import (
     check_delay_search,
@@ -428,23 +428,33 @@ def cold_wide_fabric() -> Topology:
 
 def test_planning_work_does_not_grow_with_stations_per_edge_switch(monkeypatch):
     """Counts, not times: a cold flat sum over 50 and over 500 stations per
-    edge switch computes shortest paths from the same number of nodes and
-    compiles the same number of rules, since both are per switch."""
+    edge switch computes shortest paths from the same number of nodes,
+    compiles the same number of rules, since both are per switch, and
+    calls `natural_key` as often (once here: the rank's fallback for
+    "user", which is not letters then digits)."""
     sources = []
+    splits = []
     shortest_paths_from = Topology.shortest_paths_from
 
     def recording(self, a):
         sources.append(a)
         return shortest_paths_from(self, a)
 
+    def counted(name):
+        splits.append(name)
+        return natural_key(name)
+
     monkeypatch.setattr(Topology, "shortest_paths_from", recording)
+    for module in (topology, dsl, planner):
+        monkeypatch.setattr(module, "natural_key", counted)
     seen = {}
     for per_edge in (50, 500):
         sources.clear()
+        splits.clear()
         ranges = ",".join(f"bs{500 * k + 1}:bs{500 * k + per_edge}" for k in range(8))
         p = plan(parse_request(f"datapath_a(sum({ranges}),destination<-user)"), cold_wide_fabric())
         assert p.admitted and len(p.tree.terminals) == 8 * per_edge + 2
-        seen[per_edge] = (len(sources), len(set(sources)), len(p.rules))
+        seen[per_edge] = (len(sources), len(set(sources)), len(p.rules), len(splits))
     assert seen[50] == seen[500]
 
 
